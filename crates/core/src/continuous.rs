@@ -22,7 +22,8 @@
 //! are bit-identical to the historical on-the-fly computation (pinned by
 //! golden fixtures in the workspace test-suite).
 
-use crate::engine::{FlowTally, Protocol, StatsCtx};
+use crate::engine::{Protocol, StatsCtx};
+use crate::kernels::GatherSpec;
 use crate::model::RoundStats;
 use dlb_graphs::{weights, Graph};
 
@@ -63,19 +64,17 @@ pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[f64], snapshot: &[f64], 
     crate::kernels::gather_node(g, slot_div, snapshot, v)
 }
 
-/// Per-round flow statistics over edge-list-aligned precomputed divisors,
-/// reduced in blocked order through `ctx` (pool-parallel when available).
-pub(crate) fn flow_tally_precomputed(
-    g: &Graph,
-    edge_div: &[f64],
+/// A canonical continuous round's [`RoundStats`] over `spec`'s divisors,
+/// in the block order of [`crate::potential`] (the engine's precomputed
+/// totals on engine rounds).
+fn round_stats(
+    spec: &GatherSpec<'_, f64>,
     snapshot: &[f64],
+    new_loads: &[f64],
     ctx: &StatsCtx<'_>,
-) -> FlowTally {
-    let edges = g.edges();
-    ctx.flow_tally(edges.len(), |k| {
-        let (u, v) = edges[k];
-        (snapshot[u as usize] - snapshot[v as usize]).abs() / edge_div[k]
-    })
+) -> RoundStats {
+    let t = ctx.diffusion_totals(spec, snapshot, new_loads);
+    t.tally.stats(t.phi_before, t.phi_after)
 }
 
 /// Continuous Algorithm 1 on a fixed network.
@@ -85,25 +84,30 @@ pub(crate) fn flow_tally_precomputed(
 #[derive(Debug)]
 pub struct ContinuousDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned divisors `4·max(dᵢ, dⱼ)`.
+    /// CSR-slot-aligned divisors `4·max(dᵢ, dⱼ)`, read by the gather
+    /// and by the statistics tally alike.
     slot_div: Vec<f64>,
-    /// Edge-list-aligned divisors for the statistics sweep.
-    edge_div: Vec<f64>,
 }
 
 impl<'g> ContinuousDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the edge divisors.
+    /// Creates the protocol for `g`, precomputing the slot divisors.
     pub fn new(g: &'g Graph) -> Self {
         ContinuousDiffusion {
             g,
             slot_div: weights::csr_divisors(g, 4.0),
-            edge_div: weights::edge_divisors(g, 4.0),
         }
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.g
+    }
+
+    fn spec(&self) -> GatherSpec<'_, f64> {
+        GatherSpec {
+            graph: self.g,
+            slot_div: &self.slot_div,
+        }
     }
 }
 
@@ -136,19 +140,15 @@ impl Protocol for ContinuousDiffusion<'_> {
         new_loads: &[f64],
         ctx: &StatsCtx<'_>,
     ) -> RoundStats {
-        flow_tally_precomputed(self.g, &self.edge_div, snapshot, ctx)
-            .stats(ctx.phi(snapshot), ctx.phi(new_loads))
+        round_stats(&self.spec(), snapshot, new_loads, ctx)
     }
 
     fn current_graph(&self) -> Option<&Graph> {
         Some(self.g)
     }
 
-    fn gather_spec(&self) -> Option<crate::kernels::GatherSpec<'_, f64>> {
-        Some(crate::kernels::GatherSpec {
-            graph: self.g,
-            slot_div: &self.slot_div,
-        })
+    fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+        Some(self.spec())
     }
 }
 
@@ -165,7 +165,6 @@ pub struct GeneralizedDiffusion<'g> {
     g: &'g Graph,
     factor: f64,
     slot_div: Vec<f64>,
-    edge_div: Vec<f64>,
 }
 
 impl<'g> GeneralizedDiffusion<'g> {
@@ -179,13 +178,19 @@ impl<'g> GeneralizedDiffusion<'g> {
             g,
             factor,
             slot_div: weights::csr_divisors(g, factor),
-            edge_div: weights::edge_divisors(g, factor),
         }
     }
 
     /// The divisor factor `k`.
     pub fn factor(&self) -> f64 {
         self.factor
+    }
+
+    fn spec(&self) -> GatherSpec<'_, f64> {
+        GatherSpec {
+            graph: self.g,
+            slot_div: &self.slot_div,
+        }
     }
 }
 
@@ -218,19 +223,15 @@ impl Protocol for GeneralizedDiffusion<'_> {
         new_loads: &[f64],
         ctx: &StatsCtx<'_>,
     ) -> RoundStats {
-        flow_tally_precomputed(self.g, &self.edge_div, snapshot, ctx)
-            .stats(ctx.phi(snapshot), ctx.phi(new_loads))
+        round_stats(&self.spec(), snapshot, new_loads, ctx)
     }
 
     fn current_graph(&self) -> Option<&Graph> {
         Some(self.g)
     }
 
-    fn gather_spec(&self) -> Option<crate::kernels::GatherSpec<'_, f64>> {
-        Some(crate::kernels::GatherSpec {
-            graph: self.g,
-            slot_div: &self.slot_div,
-        })
+    fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+        Some(self.spec())
     }
 }
 

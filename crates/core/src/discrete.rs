@@ -12,7 +12,8 @@
 //! slot; token counts are integers, so serial and parallel execution agree
 //! exactly and conservation is exact.
 
-use crate::engine::{Protocol, StatsCtx, TokenTally};
+use crate::engine::{Protocol, StatsCtx};
+use crate::kernels::GatherSpec;
 use crate::model::DiscreteRoundStats;
 use dlb_graphs::{weights, Graph};
 
@@ -59,22 +60,6 @@ pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[i64], snapshot: &[i64], 
     crate::kernels::gather_node(g, slot_div, snapshot, v)
 }
 
-/// Per-round token statistics over edge-list-aligned precomputed divisors,
-/// reduced in blocked order through `ctx` (pool-parallel when available).
-pub(crate) fn token_tally_precomputed(
-    g: &Graph,
-    edge_div: &[i64],
-    snapshot: &[i64],
-    ctx: &StatsCtx<'_>,
-) -> TokenTally {
-    let edges = g.edges();
-    ctx.token_tally(edges.len(), |k| {
-        let (u, v) = edges[k];
-        let diff = (snapshot[u as usize] as i128 - snapshot[v as usize] as i128).unsigned_abs();
-        (diff / edge_div[k] as u128) as u64
-    })
-}
-
 /// Discrete Algorithm 1 on a fixed network.
 ///
 /// Run it through the engine: `DiscreteDiffusion::new(&g).engine()` or
@@ -82,25 +67,30 @@ pub(crate) fn token_tally_precomputed(
 #[derive(Debug)]
 pub struct DiscreteDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned integer divisors `4·max(dᵢ, dⱼ)`.
+    /// CSR-slot-aligned integer divisors `4·max(dᵢ, dⱼ)`, read by the
+    /// gather and by the statistics tally alike.
     slot_div: Vec<i64>,
-    /// Edge-list-aligned divisors for the statistics sweep.
-    edge_div: Vec<i64>,
 }
 
 impl<'g> DiscreteDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the edge divisors.
+    /// Creates the protocol for `g`, precomputing the slot divisors.
     pub fn new(g: &'g Graph) -> Self {
         DiscreteDiffusion {
             g,
             slot_div: weights::csr_divisors_int(g, 4),
-            edge_div: weights::edge_divisors_int(g, 4),
         }
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.g
+    }
+
+    fn spec(&self) -> GatherSpec<'_, i64> {
+        GatherSpec {
+            graph: self.g,
+            slot_div: &self.slot_div,
+        }
     }
 }
 
@@ -133,19 +123,16 @@ impl Protocol for DiscreteDiffusion<'_> {
         new_loads: &[i64],
         ctx: &StatsCtx<'_>,
     ) -> DiscreteRoundStats {
-        token_tally_precomputed(self.g, &self.edge_div, snapshot, ctx)
-            .stats(ctx.phi_hat(snapshot), ctx.phi_hat(new_loads))
+        let t = ctx.diffusion_totals(&self.spec(), snapshot, new_loads);
+        t.tally.stats(t.phi_before, t.phi_after)
     }
 
     fn current_graph(&self) -> Option<&Graph> {
         Some(self.g)
     }
 
-    fn gather_spec(&self) -> Option<crate::kernels::GatherSpec<'_, i64>> {
-        Some(crate::kernels::GatherSpec {
-            graph: self.g,
-            slot_div: &self.slot_div,
-        })
+    fn gather_spec(&self) -> Option<GatherSpec<'_, i64>> {
+        Some(self.spec())
     }
 }
 

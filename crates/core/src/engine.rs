@@ -40,10 +40,19 @@
 //! 4. **stats** (lazy) — per-round statistics
 //!    ([`Protocol::compute_stats`]) run only on rounds the engine's
 //!    [`StatsMode`] requests, through a [`StatsCtx`] that carries the
-//!    executor's worker pool so the `Φ` sweeps and flow tallies can
-//!    parallelize. All statistics reductions use fixed-size blocks
-//!    combined in block order (see [`crate::potential::REDUCE_BLOCK`]),
-//!    so serial and parallel statistics are bit-identical too.
+//!    executor's worker pool. For protocols with a
+//!    [`Protocol::gather_spec`] the serial and pool executors fuse the
+//!    first statistics pass into the gather: they gather one
+//!    [`REDUCE_BLOCK`](crate::potential::REDUCE_BLOCK) block at a time,
+//!    and the kernel feeds each block's sums, min/max and edge tally as
+//!    it writes the block; one pooled second pass adds the squared
+//!    deviations of both vectors. The other backends drive the same
+//!    per-node and per-slot steps over the coordinator's vectors.
+//!    The result is the round's totals; their [`LoadSummary`]
+//!    (`Φ`, min, max, total) is what scenario
+//!    runners record ([`Engine::round_summary`]). Every reduction follows
+//!    the one block order of [`crate::potential`], so all backends report
+//!    bit-identical statistics.
 //!
 //! Kernel inputs and outputs are byte-identical to the historical
 //! copy-the-snapshot formulation, so the ping-pong refactor preserves the
@@ -80,7 +89,7 @@ use std::time::Duration;
 
 use crate::faults::{FaultKind, FaultPlan, FaultStats};
 use crate::kernels::{self, DiffusionLoad, GatherSpec, KernelKind};
-use crate::potential;
+use crate::potential::{self, BlockPartial};
 use dlb_graphs::partition::{graph_fingerprint, PartitionSpec, ShardPlan, ShardView};
 use dlb_graphs::{GatherPlan, Graph};
 use dlb_telemetry::{
@@ -242,6 +251,15 @@ pub trait Protocol {
     /// (see [`crate::kernels`]); the spec's graph must be the same object
     /// [`Protocol::current_graph`] reports, valid for the current round.
     ///
+    /// A protocol returning `Some` also opts into the engine's canonical
+    /// statistics: on rounds that compute stats the engine runs the
+    /// round's statistics pass itself (fused into the gather where it
+    /// can) and keeps its [`LoadSummary`] for [`Engine::round_summary`].
+    /// The crate's canonical protocols read the same numbers in
+    /// [`Protocol::compute_stats`]. A protocol returning `Some` must
+    /// therefore report the default potential
+    /// ([`LoadPotential::potential`]).
+    ///
     /// The default `None` keeps a protocol on its own `node_new_load`
     /// everywhere — correct for every scheme whose update is not the
     /// canonical loop (α-scaled first/second-order flows,
@@ -252,33 +270,8 @@ pub trait Protocol {
     }
 }
 
-/// The default scalar potential of a load type: `Φ` for `f64` vectors,
-/// exact scaled `Φ̂` for `i64` token vectors. This is what
-/// [`Protocol::potential_of`] reports unless a protocol overrides it.
-pub trait LoadPotential: Sized {
-    /// The potential's scalar type (`f64` or exact `u128`).
-    type Phi;
-
-    /// The potential of `loads`, computed through `ctx`'s blocked
-    /// (optionally pooled) reduction.
-    fn potential(loads: &[Self], ctx: &StatsCtx<'_>) -> Self::Phi;
-}
-
-impl LoadPotential for f64 {
-    type Phi = f64;
-
-    fn potential(loads: &[Self], ctx: &StatsCtx<'_>) -> f64 {
-        ctx.phi(loads)
-    }
-}
-
-impl LoadPotential for i64 {
-    type Phi = u128;
-
-    fn potential(loads: &[Self], ctx: &StatsCtx<'_>) -> u128 {
-        ctx.phi_hat(loads)
-    }
-}
+use crate::potential::RoundTotals;
+pub use crate::potential::{LoadPotential, LoadSummary};
 
 /// Which statistics [`Engine::round`] computes per round.
 ///
@@ -289,8 +282,11 @@ impl LoadPotential for i64 {
 /// observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StatsMode {
-    /// Full statistics every round (flow tally + both potential sweeps).
-    /// The default; matches the historical always-on behaviour.
+    /// Full statistics every round: both potentials and the flow tally.
+    /// The default. For protocols with a [`Protocol::gather_spec`] the
+    /// serial and pool executors compute the first pass (block sums,
+    /// min/max, tally) inside the gather's memory pass and add one
+    /// second pass; the order is the one in [`crate::potential`].
     #[default]
     Full,
     /// Full statistics on every `k`-th executed round (the engine's
@@ -334,14 +330,40 @@ enum StatsLevel {
 }
 
 /// Execution context for statistics computation: carries the executor's
-/// worker pool (if any) and the requested level. All reductions are
-/// **fixed-size blocks combined in block order** — bit-identical whether
-/// the partials are computed serially or over the pool, at any thread
-/// count (see [`crate::potential::REDUCE_BLOCK`]).
-#[derive(Debug, Clone, Copy)]
+/// worker pool (if any), the requested level, and — on engine rounds of a
+/// protocol with a [`Protocol::gather_spec`] — the round's precomputed
+/// statistics. All reductions follow the one block order defined in
+/// [`crate::potential`] — bit-identical whether the partials are computed
+/// serially, over the pool, or fused into the gather, at any thread count.
+#[derive(Clone, Copy)]
 pub struct StatsCtx<'a> {
     pool: Option<&'a WorkerPool>,
     level: StatsLevel,
+    totals: Option<EngineTotals<'a>>,
+}
+
+/// The engine's `RoundTotals<L>` for one round, type-erased so the
+/// context stays non-generic, with the addresses of the divisor table and
+/// the two vectors they were reduced from.
+#[derive(Clone, Copy)]
+struct EngineTotals<'a> {
+    totals: &'a dyn std::any::Any,
+    inputs: [(usize, usize); 3],
+}
+
+/// Address and length of a slice, to check that two slices are the same.
+fn slice_id<T>(v: &[T]) -> (usize, usize) {
+    (v.as_ptr() as usize, v.len())
+}
+
+impl std::fmt::Debug for StatsCtx<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StatsCtx")
+            .field("pool", &self.pool)
+            .field("level", &self.level)
+            .field("totals", &self.totals.is_some())
+            .finish()
+    }
 }
 
 impl<'a> StatsCtx<'a> {
@@ -351,17 +373,63 @@ impl<'a> StatsCtx<'a> {
         StatsCtx {
             pool: None,
             level: StatsLevel::Flows,
+            totals: None,
         }
     }
 
     fn new(pool: Option<&'a WorkerPool>, level: StatsLevel) -> Self {
-        StatsCtx { pool, level }
+        StatsCtx {
+            pool,
+            level,
+            totals: None,
+        }
+    }
+
+    /// The pool block partials fan out over, if any.
+    pub(crate) fn pool(&self) -> Option<&'a WorkerPool> {
+        self.pool
     }
 
     /// Whether the flow/token tally is wanted this round (`false` under
     /// [`StatsMode::PhiOnly`] — tallies then report zeros).
     pub fn flows_wanted(&self) -> bool {
         self.level == StatsLevel::Flows
+    }
+
+    /// The statistics of a canonical diffusion round — Algorithm 1's
+    /// gather over `spec` from `snapshot` to `new_loads`: both potentials,
+    /// the edge tally over `spec`'s divisors (zeroed unless
+    /// [`StatsCtx::flows_wanted`]) and the new loads' summary.
+    ///
+    /// On engine rounds the engine has already computed them — fused into
+    /// the gather's memory pass on the serial and pool executors — from
+    /// this very spec and these very vectors, and this returns its
+    /// numbers; otherwise it runs the same two passes here. Either way the
+    /// reduction order is the one in [`crate::potential`], so the bits
+    /// are the same.
+    pub(crate) fn diffusion_totals<L: LoadPotential>(
+        &self,
+        spec: &GatherSpec<'_, L>,
+        snapshot: &[L],
+        new_loads: &[L],
+    ) -> RoundTotals<L> {
+        if let Some(e) = self.totals {
+            if let Some(t) = e.totals.downcast_ref::<RoundTotals<L>>() {
+                debug_assert_eq!(
+                    e.inputs,
+                    [
+                        slice_id(spec.slot_div),
+                        slice_id(snapshot),
+                        slice_id(new_loads)
+                    ],
+                    "the engine's round totals were reduced from other inputs"
+                );
+                return *t;
+            }
+        }
+        let tally = self.flows_wanted().then_some(spec);
+        let first = potential::first_pass(Some(snapshot), new_loads, tally, self.pool);
+        potential::finish_round(first, snapshot, new_loads, self.pool)
     }
 
     /// Blocked (optionally pooled) `Φ` of a continuous vector.
@@ -748,35 +816,95 @@ impl WorkerPool {
         F: Fn(usize, &mut [L]) + Sync,
     {
         let ranges = chunk_ranges(out.len(), self.threads());
+        self.try_fill::<L, (), _>(&ranges, out, &mut [], |start, chunk, _| fill(start, chunk))
+    }
+
+    /// [`WorkerPool::try_gather_chunks`] with per-block statistics slots:
+    /// with a non-empty `partials` (one slot per
+    /// [`REDUCE_BLOCK`](crate::potential::REDUCE_BLOCK) block of `out`)
+    /// every chunk covers whole blocks, and `fill(start, chunk, parts)`
+    /// receives the chunk's slots, so a worker can reduce each block it
+    /// just wrote. With an empty `partials` the chunks are the plain
+    /// even split and `parts` is empty.
+    pub(crate) fn try_gather_blocks<L, T, F>(
+        &self,
+        out: &mut [L],
+        partials: &mut [T],
+        fill: F,
+    ) -> Result<(), Vec<usize>>
+    where
+        L: Send,
+        T: Send,
+        F: Fn(usize, &mut [L], &mut [T]) + Sync,
+    {
+        let n = out.len();
+        let ranges = if partials.is_empty() {
+            chunk_ranges(n, self.threads())
+        } else {
+            let block = potential::REDUCE_BLOCK;
+            chunk_ranges(potential::num_blocks(n), self.threads())
+                .into_iter()
+                .map(|(b0, b1)| (b0 * block, (b1 * block).min(n)))
+                .collect()
+        };
+        self.try_fill(&ranges, out, partials, fill)
+    }
+
+    /// Dispatches one task per range of `out` (`ranges` are contiguous,
+    /// ascending and cover `out`; a block-aligned range also takes its
+    /// blocks' slots of a non-empty `partials`) and blocks until all
+    /// finish. Returns the sorted indices of the ranges whose fill
+    /// panicked.
+    fn try_fill<L, T, F>(
+        &self,
+        ranges: &[(usize, usize)],
+        out: &mut [L],
+        partials: &mut [T],
+        fill: F,
+    ) -> Result<(), Vec<usize>>
+    where
+        L: Send,
+        T: Send,
+        F: Fn(usize, &mut [L], &mut [T]) + Sync,
+    {
         let (done_tx, done_rx) = mpsc::channel::<(usize, bool)>();
         let mut dispatched = 0usize;
 
         {
             let fill = &fill;
             let mut rest = &mut out[..];
+            let mut rest_parts = &mut partials[..];
             let mut offset = 0usize;
             for (w, &(start, end)) in ranges.iter().enumerate() {
                 let (chunk, tail) = rest.split_at_mut(end - offset);
                 rest = tail;
                 offset = end;
+                let parts_len = if rest_parts.is_empty() {
+                    0
+                } else {
+                    potential::num_blocks(end - start)
+                };
+                let (parts, parts_tail) = rest_parts.split_at_mut(parts_len);
+                rest_parts = parts_tail;
                 let done = done_tx.clone();
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        fill(start, chunk);
+                        fill(start, chunk, parts);
                     }));
                     // Send after the chunk borrow ends; a panic in the
                     // fill must still signal completion or the caller
                     // would deadlock.
                     let _ = done.send((w, outcome.is_ok()));
                 });
-                // SAFETY: the task borrows `fill`, `chunk` (a disjoint
-                // sub-slice of `out`) and `done`. All three outlive the
-                // task: this function blocks on `done_rx` below until every
-                // dispatched task has sent its completion message, which
-                // each task does only after its last use of the borrows.
-                // Chunks are pairwise disjoint (`split_at_mut`), so no two
-                // workers alias. The lifetime erasure to `'static` is
-                // therefore sound.
+                // SAFETY: the task borrows `fill`, `chunk` and `parts`
+                // (disjoint sub-slices of `out` and `partials`) and
+                // `done`. All of them outlive the task: this function
+                // blocks on `done_rx` below until every dispatched task
+                // has sent its completion message, which each task does
+                // only after its last use of the borrows. Sub-slices are
+                // pairwise disjoint (`split_at_mut`), so no two workers
+                // alias. The lifetime erasure to `'static` is therefore
+                // sound.
                 let task: Task =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
                 self.senders[w]
@@ -912,6 +1040,12 @@ pub struct Engine<P: Protocol> {
     /// — the only places that know `P: Sync` — so [`Engine::round`] needs
     /// no thread-safety bounds and serial-only protocols stay `?Sync`.
     exec: Exec<P>,
+    /// Per-block first-pass statistics the serial and pool executors fill
+    /// during a fused gather (scratch, reused across rounds).
+    partials: Vec<BlockPartial<P::Load>>,
+    /// The last round's load summary, when its statistics pass made one
+    /// (see [`Engine::round_summary`]).
+    summary: Option<LoadSummary<<P::Load as LoadPotential>::Phi>>,
     /// The kernel dispatcher: selected flavour plus memoized per-graph
     /// [`GatherPlan`]s, consulted by every backend.
     kernel: KernelState,
@@ -954,11 +1088,12 @@ struct ResidentSession<L> {
 }
 
 /// Monomorphized pooled-gather entry point stored by parallel engines.
-/// The trailing pair is the round's kernel selection: the flavour and the
-/// memoized [`GatherPlan`] (`None` when the protocol exposes no
-/// [`Protocol::gather_spec`] — the gather then runs `node_new_load`).
-/// Errors are the failed chunk indices (see
-/// [`WorkerPool::try_gather_chunks`]).
+/// The kernel selection is the flavour and the memoized [`GatherPlan`]
+/// (`None` when the protocol exposes no [`Protocol::gather_spec`] — the
+/// gather then runs `node_new_load`). The trailing pair asks for the
+/// fused statistics pass: one [`BlockPartial`] slot per reduction block
+/// (empty for none) and whether the tally is wanted. Errors are the
+/// failed chunk indices (see [`WorkerPool::try_gather_chunks`]).
 type GatherFn<P> = fn(
     &WorkerPool,
     &P,
@@ -966,6 +1101,8 @@ type GatherFn<P> = fn(
     &mut [<P as Protocol>::Load],
     KernelKind,
     Option<&GatherPlan>,
+    &mut [BlockPartial<<P as Protocol>::Load>],
+    bool,
 ) -> Result<(), Vec<usize>>;
 
 /// Monomorphized sharded-gather entry point stored by sharded engines.
@@ -987,6 +1124,7 @@ type ShardedGatherFn<P> = fn(
     u64,
 ) -> Result<(), Vec<usize>>;
 
+#[allow(clippy::too_many_arguments)]
 fn pooled_gather<P: Protocol + Sync>(
     pool: &WorkerPool,
     protocol: &P,
@@ -994,16 +1132,60 @@ fn pooled_gather<P: Protocol + Sync>(
     out: &mut [P::Load],
     kind: KernelKind,
     plan: Option<&GatherPlan>,
+    partials: &mut [BlockPartial<P::Load>],
+    flows: bool,
 ) -> Result<(), Vec<usize>> {
     match (plan, protocol.gather_spec()) {
-        (Some(plan), Some(spec)) => pool.try_gather_chunks(out, |start, chunk| {
-            kernels::gather_span(kind, plan, &spec, snapshot, start as u32, chunk);
+        (Some(plan), Some(spec)) => pool.try_gather_blocks(out, partials, |start, chunk, parts| {
+            gather_blocks(kind, plan, &spec, snapshot, start, chunk, parts, flows);
         }),
-        _ => pool.try_gather_chunks(out, |start, chunk| {
+        _ => pool.try_gather_blocks::<_, (), _>(out, &mut [], |start, chunk, _| {
             for (k, slot) in chunk.iter_mut().enumerate() {
                 *slot = protocol.node_new_load(snapshot, (start + k) as u32);
             }
         }),
+    }
+}
+
+/// Gathers the nodes `start .. start + out.len()`. With a non-empty
+/// `partials` (one slot per block; `start` then block-aligned) this is the
+/// fused statistics pass of the serial and pool executors: the range is
+/// gathered one [`REDUCE_BLOCK`](potential::REDUCE_BLOCK) block at a time,
+/// and the kernel feeds each block's partial as it finishes every node
+/// and (when `flows`) every upper slot, so the first pass reads nothing
+/// the gather has not just read.
+#[allow(clippy::too_many_arguments)]
+fn gather_blocks<L: LoadPotential>(
+    kind: KernelKind,
+    plan: &GatherPlan,
+    spec: &GatherSpec<'_, L>,
+    snapshot: &[L],
+    start: usize,
+    out: &mut [L],
+    partials: &mut [BlockPartial<L>],
+    flows: bool,
+) {
+    if partials.is_empty() {
+        let sink = &mut kernels::NoStats;
+        kernels::gather_span(kind, plan, spec, snapshot, start as u32, out, sink);
+        return;
+    }
+    debug_assert_eq!(
+        start % potential::REDUCE_BLOCK,
+        0,
+        "chunks are block-aligned"
+    );
+    let blocks = out.chunks_mut(potential::REDUCE_BLOCK);
+    for (b, (block, part)) in blocks.zip(partials).enumerate() {
+        let lo = (start + b * potential::REDUCE_BLOCK) as u32;
+        *part = BlockPartial::default();
+        if flows {
+            kernels::gather_span(kind, plan, spec, snapshot, lo, block, part);
+        } else {
+            let mut sink = potential::NoTally(BlockPartial::default());
+            kernels::gather_span(kind, plan, spec, snapshot, lo, block, &mut sink);
+            *part = sink.0;
+        }
     }
 }
 
@@ -2754,11 +2936,19 @@ impl<P: Protocol> Exec<P> {
 impl<P: Protocol> Engine<P> {
     /// Serial executor for `protocol`.
     pub fn serial(protocol: P) -> Self {
+        Engine::from_exec(protocol, Exec::Serial)
+    }
+
+    /// An engine around an already-built executor, with every other
+    /// setting at its default.
+    fn from_exec(protocol: P, exec: Exec<P>) -> Self {
         let n = protocol.n();
         Engine {
             protocol,
             back: vec![P::Load::default(); n],
-            exec: Exec::Serial,
+            exec,
+            partials: Vec::new(),
+            summary: None,
             kernel: KernelState::new(),
             stats_mode: StatsMode::default(),
             rounds_run: 0,
@@ -2793,21 +2983,13 @@ impl<P: Protocol> Engine<P> {
             // tax, so take it outright.
             return Engine::serial(protocol);
         }
-        Engine {
+        Engine::from_exec(
             protocol,
-            back: vec![P::Load::default(); n],
-            exec: Exec::Pool {
+            Exec::Pool {
                 pool: WorkerPool::new(threads),
                 gather: pooled_gather::<P>,
             },
-            kernel: KernelState::new(),
-            stats_mode: StatsMode::default(),
-            rounds_run: 0,
-            faults: None,
-            fault_stats: FaultStats::default(),
-            telemetry: Telemetry::Off,
-            resident: None,
-        }
+        )
     }
 
     /// Sharded executor: the node set is partitioned per `partition`, and
@@ -2833,23 +3015,15 @@ impl<P: Protocol> Engine<P> {
         };
         let n = protocol.n();
         let threads = threads.clamp(1, partition.shards().min(n.max(1)));
-        Engine {
+        Engine::from_exec(
             protocol,
-            back: vec![P::Load::default(); n],
-            exec: Exec::Sharded(Box::new(ShardedExec {
+            Exec::Sharded(Box::new(ShardedExec {
                 pool: WorkerPool::new(threads),
                 gather: sharded_gather::<P>,
                 spec: partition,
                 plans: PlanCache::new(),
             })),
-            kernel: KernelState::new(),
-            stats_mode: StatsMode::default(),
-            rounds_run: 0,
-            faults: None,
-            fault_stats: FaultStats::default(),
-            telemetry: Telemetry::Off,
-            resident: None,
-        }
+        )
     }
 
     /// Message-passing executor: one long-lived worker thread per shard,
@@ -2874,21 +3048,13 @@ impl<P: Protocol> Engine<P> {
     {
         assert!(partition.shards() >= 1, "message backend needs >= 1 shard");
         let n = protocol.n();
-        Engine {
-            back: vec![P::Load::default(); n],
-            exec: Exec::Message {
+        Engine::from_exec(
+            protocol,
+            Exec::Message {
                 exec: Box::new(MessageExec::new(partition, n, false)),
                 make_kernel: make_message_kernel::<P>,
             },
-            protocol,
-            kernel: KernelState::new(),
-            stats_mode: StatsMode::default(),
-            rounds_run: 0,
-            faults: None,
-            fault_stats: FaultStats::default(),
-            telemetry: Telemetry::Off,
-            resident: None,
-        }
+        )
     }
 
     /// Message-passing executor declared **shard-resident** (see
@@ -2966,20 +3132,8 @@ impl<P: Protocol> Engine<P> {
     pub fn process(protocol: P, partition: PartitionSpec, transport: dlb_wire::Transport) -> Self {
         assert!(partition.shards() >= 1, "process backend needs >= 1 shard");
         let n = protocol.n();
-        Engine {
-            back: vec![P::Load::default(); n],
-            exec: Exec::Process(Box::new(crate::process::ProcessExec::new(
-                partition, n, transport,
-            ))),
-            protocol,
-            kernel: KernelState::new(),
-            stats_mode: StatsMode::default(),
-            rounds_run: 0,
-            faults: None,
-            fault_stats: FaultStats::default(),
-            telemetry: Telemetry::Off,
-            resident: None,
-        }
+        let exec = crate::process::ProcessExec::new(partition, n, transport);
+        Engine::from_exec(protocol, Exec::Process(Box::new(exec)))
     }
 
     /// Builds the executor a [`Backend`] value describes. Protocols that
@@ -3357,7 +3511,10 @@ impl<P: Protocol> Engine<P> {
              or close the session with resident_end() first"
         );
         let round_no = self.rounds_run + 1;
+        let level = self.stats_mode.level_for(round_no);
+        self.summary = None;
         self.protocol.begin_round(loads);
+        let fused;
         {
             let protocol = &self.protocol;
             let snapshot = &loads[..];
@@ -3374,11 +3531,34 @@ impl<P: Protocol> Engine<P> {
             if self.kernel.plans.built > built_before {
                 tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
             }
+            // Stats rounds of a canonical protocol on the shared-memory
+            // executors fuse the first statistics pass into the gather.
+            fused = level.is_some()
+                && plan.is_some()
+                && protocol.gather_spec().is_some()
+                && matches!(self.exec, Exec::Serial | Exec::Pool { .. });
+            let flows = level == Some(StatsLevel::Flows);
+            let blocks = if fused {
+                potential::num_blocks(snapshot.len())
+            } else {
+                0
+            };
+            self.partials.clear();
+            self.partials.resize(blocks, BlockPartial::default());
             match &mut self.exec {
                 Exec::Serial => match (plan.as_deref(), protocol.gather_spec()) {
                     (Some(plan), Some(spec)) => {
                         let t0 = tel.start();
-                        kernels::gather_span(kind, plan, &spec, snapshot, 0, &mut self.back);
+                        gather_blocks(
+                            kind,
+                            plan,
+                            &spec,
+                            snapshot,
+                            0,
+                            &mut self.back,
+                            &mut self.partials,
+                            flows,
+                        );
                         tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
                     }
                     _ => {
@@ -3398,6 +3578,8 @@ impl<P: Protocol> Engine<P> {
                         &mut self.back,
                         kind,
                         plan.as_deref(),
+                        &mut self.partials,
+                        flows,
                     )
                     .map_err(|chunks| EngineError {
                         shard: chunks[0],
@@ -3547,14 +3729,90 @@ impl<P: Protocol> Engine<P> {
         std::mem::swap(loads, &mut self.back);
         self.rounds_run += 1;
         self.protocol.finish_round(&self.back, loads);
-        Ok(self.stats_mode.level_for(self.rounds_run).map(|level| {
-            let t0 = self.telemetry.start();
-            let ctx = StatsCtx::new(self.exec.stats_pool(), level);
-            let stats = self.protocol.compute_stats(&self.back, loads, &ctx);
-            self.telemetry
-                .record(ENGINE_LANE, self.rounds_run, SpanPhase::Stats, t0);
-            stats
-        }))
+        Ok(level.map(|level| self.stats_pass(level, fused, loads)))
+    }
+
+    /// The statistics of the round that left `self.back` (snapshot) and
+    /// `new_loads`, under a `stats` span. A canonical protocol's
+    /// `RoundTotals` are computed here — from the partials the gather
+    /// left in `self.partials` when `fused`, else by the same per-block
+    /// function over the two vectors — handed to
+    /// [`Protocol::compute_stats`], and kept as the round's
+    /// [`LoadSummary`].
+    fn stats_pass(&mut self, level: StatsLevel, fused: bool, new_loads: &[P::Load]) -> P::Stats {
+        let t0 = self.telemetry.start();
+        let pool = self.exec.stats_pool();
+        let snapshot = &self.back[..];
+        let spec = self.protocol.gather_spec();
+        let totals = spec.as_ref().map(|spec| {
+            let first = if fused {
+                self.partials
+                    .iter()
+                    .fold(BlockPartial::default(), |acc, &p| acc.merge(p))
+            } else {
+                let tally = (level == StatsLevel::Flows).then_some(spec);
+                potential::first_pass(Some(snapshot), new_loads, tally, pool)
+            };
+            potential::finish_round(first, snapshot, new_loads, pool)
+        });
+        let mut ctx = StatsCtx::new(pool, level);
+        ctx.totals = totals
+            .as_ref()
+            .zip(spec.as_ref())
+            .map(|(t, spec)| EngineTotals {
+                totals: t as &dyn std::any::Any,
+                inputs: [
+                    slice_id(spec.slot_div),
+                    slice_id(snapshot),
+                    slice_id(new_loads),
+                ],
+            });
+        let stats = self.protocol.compute_stats(snapshot, new_loads, &ctx);
+        self.summary = totals.map(|t| t.summary);
+        self.telemetry
+            .record(ENGINE_LANE, self.rounds_run, SpanPhase::Stats, t0);
+        stats
+    }
+
+    /// The load summary — potential, min, max and total — of the loads
+    /// the last round produced, when that round's statistics pass
+    /// computed it (stats rounds of a protocol with a
+    /// [`Protocol::gather_spec`]); `None` otherwise, and before any round.
+    /// Use [`Engine::summary`] to compute one on demand.
+    pub fn round_summary(&self) -> Option<LoadSummary<<P::Load as LoadPotential>::Phi>> {
+        self.summary
+    }
+
+    /// The load summary of `loads`, computed now under a `stats` span:
+    /// for a protocol with a [`Protocol::gather_spec`], one `Φ` pass (the
+    /// first sweep yields total, min and max together); otherwise
+    /// [`Protocol::potential_of`] plus one sweep for min, max and total.
+    /// Bit-identical to the [`Engine::round_summary`] a stats round
+    /// reports for the same vector.
+    pub fn summary(&self, loads: &[P::Load]) -> LoadSummary<<P::Load as LoadPotential>::Phi> {
+        let t0 = self.telemetry.start();
+        let pool = self.exec.stats_pool();
+        let summary = if self.protocol.gather_spec().is_some() {
+            potential::summary_with(loads, pool)
+        } else {
+            let ctx = StatsCtx::new(pool, StatsLevel::Flows);
+            let first = potential::first_pass(None, loads, None, pool);
+            first.summary(self.protocol.potential_of(loads, &ctx))
+        };
+        self.telemetry
+            .record(ENGINE_LANE, self.rounds_run, SpanPhase::Stats, t0);
+        summary
+    }
+
+    /// Min, max and total of `loads` in one sweep under a `stats` span:
+    /// the [`LoadSummary`] without its potential, for a caller that
+    /// already has `Φ` (e.g. from the round's [`Protocol::Stats`]).
+    pub fn extent(&self, loads: &[P::Load]) -> LoadSummary<()> {
+        let t0 = self.telemetry.start();
+        let first = potential::first_pass(None, loads, None, self.exec.stats_pool());
+        self.telemetry
+            .record(ENGINE_LANE, self.rounds_run, SpanPhase::Stats, t0);
+        first.summary(())
     }
 
     /// Executes `k` rounds back to back and returns the *last* round's
@@ -3717,6 +3975,7 @@ impl<P: Protocol> Engine<P> {
             .take()
             .expect("no resident session active (call resident_begin first)");
         let round_no = self.rounds_run + 1;
+        self.summary = None;
         let hooks = self.protocol.hooks_read_loads();
         let level = self.stats_mode.level_for(round_no);
         // The collect gate: stats rounds need the snapshot/new pair on
@@ -3794,14 +4053,7 @@ impl<P: Protocol> Engine<P> {
         // shape. On steady rounds both are stale, and the collect gate
         // guarantees the hooks never read them.
         self.protocol.finish_round(&self.back, &st.mirror);
-        let stats = level.map(|lvl| {
-            let t0 = self.telemetry.start();
-            let ctx = StatsCtx::new(self.exec.stats_pool(), lvl);
-            let stats = self.protocol.compute_stats(&self.back, &st.mirror, &ctx);
-            self.telemetry
-                .record(ENGINE_LANE, self.rounds_run, SpanPhase::Stats, t0);
-            stats
-        });
+        let stats = level.map(|lvl| self.stats_pass(lvl, false, &st.mirror));
         self.resident = Some(st);
         Ok(stats)
     }
@@ -3884,7 +4136,11 @@ impl FlowTally {
         if w > 0.0 {
             self.active += 1;
             self.total += w;
-            self.max = self.max.max(w);
+            // `max` starts at 0 and only ever takes positive values, so
+            // this select is `f64::max` without its NaN handling.
+            if w > self.max {
+                self.max = w;
+            }
         }
     }
 

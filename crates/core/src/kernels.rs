@@ -35,12 +35,15 @@
 
 use dlb_graphs::{GatherPlan, Graph};
 
-/// Nodes per dispatch tile. At 8 bytes per load this keeps a tile's
-/// output window (32 KiB) plus its divisor/neighbour stream comfortably
-/// inside a typical 256 KiB–1 MiB L2, so the snapshot lines a tile
-/// re-touches (e.g. the ±row wraps of a torus) stay resident while the
-/// tile runs.
-const TILE_NODES: u32 = 4096;
+/// Nodes per dispatch tile: one statistics reduction block. At 8 bytes
+/// per load this keeps a tile's output window (32 KiB) plus its
+/// divisor/neighbour stream comfortably inside a typical 256 KiB–1 MiB
+/// L2, so the snapshot lines a tile re-touches (e.g. the ±row wraps of a
+/// torus) stay resident while the tile runs. Tiles are cut at multiples
+/// of this size (never straddling a
+/// [`REDUCE_BLOCK`](crate::potential::REDUCE_BLOCK) boundary), so the
+/// fused statistics pass finds each block complete and still in cache.
+const TILE_NODES: u32 = crate::potential::REDUCE_BLOCK as u32;
 
 /// Lane width of the chunked generic-degree kernel (uniform degrees
 /// outside the unrolled set, e.g. a hypercube's `log n` or a star hub).
@@ -266,6 +269,47 @@ pub struct GatherSpec<'p, L> {
     pub slot_div: &'p [L],
 }
 
+/// Receives a round's first-pass statistics inputs from inside the
+/// gather, so a statistics round reads no memory the gather has not just
+/// read: each node's round-start and new load as the node is finished,
+/// and the quotient of every **upper slot** — a neighbour `u > v` of the
+/// node `v` being gathered. Both arrive in node order (slots in CSR
+/// order), the reduction order of [`crate::potential`]. An upper slot's
+/// quotient magnitude is exactly the edge's transfer (`|ℓᵤ − ℓᵥ|/div`, or
+/// its floor for tokens), so the tally needs no second division.
+///
+/// Sinks are small `Copy` accumulators: the kernels work on a local copy
+/// per tile so the accumulators stay in registers, and write it back when
+/// the tile ends.
+pub(crate) trait GatherSink<L: DiffusionLoad>: Copy {
+    /// Whether the kernels report nodes at all; `false` compiles every
+    /// report away.
+    const NODES: bool = true;
+    /// Whether the kernels report upper slots.
+    const UPPER: bool = true;
+
+    /// Node `v` finished: its round-start load and its new load.
+    fn node(&mut self, snapshot: L, new: L);
+
+    /// One upper slot's quotient.
+    fn upper(&mut self, q: L::Acc);
+}
+
+/// The plain gather: no statistics.
+#[derive(Clone, Copy)]
+pub(crate) struct NoStats;
+
+impl<L: DiffusionLoad> GatherSink<L> for NoStats {
+    const NODES: bool = false;
+    const UPPER: bool = false;
+
+    #[inline(always)]
+    fn node(&mut self, _snapshot: L, _new: L) {}
+
+    #[inline(always)]
+    fn upper(&mut self, _q: L::Acc) {}
+}
+
 /// The one generic per-node gather: the historical `gather_precomputed`
 /// loops of `continuous.rs` / `discrete.rs`, deduplicated. This is also
 /// the [`KernelKind::Scalar`] reference every specialized kernel must
@@ -277,16 +321,33 @@ pub(crate) fn gather_node<L: DiffusionLoad>(
     snapshot: &[L],
     v: u32,
 ) -> L {
+    gather_node_into(g, slot_div, snapshot, v, &mut NoStats)
+}
+
+/// [`gather_node`], reporting the node to `sink`.
+#[inline]
+fn gather_node_into<L: DiffusionLoad, S: GatherSink<L>>(
+    g: &Graph,
+    slot_div: &[L],
+    snapshot: &[L],
+    v: u32,
+    sink: &mut S,
+) -> L {
     let lv = snapshot[v as usize];
     let off = g.neighbor_offset(v);
     let mut acc = lv.lift();
     for (i, &u) in g.neighbors(v).iter().enumerate() {
-        acc = L::accumulate(
-            acc,
-            L::quotient(lv, snapshot[u as usize], slot_div[off + i]),
-        );
+        let q = L::quotient(lv, snapshot[u as usize], slot_div[off + i]);
+        acc = L::accumulate(acc, q);
+        if S::UPPER && u > v {
+            sink.upper(q);
+        }
     }
-    L::lower(acc)
+    let new = L::lower(acc);
+    if S::NODES {
+        sink.node(lv, new);
+    }
+    new
 }
 
 /// Per-run slices threaded through the specialized kernels: the flat CSR
@@ -305,13 +366,15 @@ struct RunSlices<'a, L> {
 /// Fixed-degree unrolled kernel: the whole neighbourhood is one `[_; D]`
 /// quotient-lane array, then a sequential in-order accumulation.
 #[inline]
-fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L)>(
+fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L), S: GatherSink<L>>(
     simd: bool,
     rs: &RunSlices<'_, L>,
     lo: u32,
     hi: u32,
     emit: &mut F,
+    sink: &mut S,
 ) {
+    let mut local = *sink;
     for v in lo..hi {
         let off = rs.base + (v - rs.start) as usize * D;
         let nbrs = &rs.flat[off..off + D];
@@ -324,25 +387,35 @@ fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L)>(
             L::quotient_lanes(lv, lus, divs)
         };
         let mut acc = lv.lift();
-        for lane in q {
+        for (lane, &u) in q.into_iter().zip(nbrs) {
             acc = L::accumulate(acc, lane);
+            if S::UPPER && u > v {
+                local.upper(lane);
+            }
         }
-        emit(v, L::lower(acc));
+        let new = L::lower(acc);
+        if S::NODES {
+            local.node(lv, new);
+        }
+        emit(v, new);
     }
+    *sink = local;
 }
 
 /// Chunked-lanes kernel for uniform degrees outside the unrolled set
 /// (hypercubes, cliques, star hubs): `LANES`-wide quotient blocks via
 /// `chunks_exact`, scalar remainder, accumulation still in CSR order.
 #[inline]
-fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L)>(
+fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
     simd: bool,
     rs: &RunSlices<'_, L>,
     degree: usize,
     lo: u32,
     hi: u32,
     emit: &mut F,
+    sink: &mut S,
 ) {
+    let mut local = *sink;
     for v in lo..hi {
         let off = rs.base + (v - rs.start) as usize * degree;
         let nbrs = &rs.flat[off..off + degree];
@@ -359,21 +432,34 @@ fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L)>(
             } else {
                 L::quotient_lanes(lv, lus, dv)
             };
-            for lane in q {
+            for (lane, &u) in q.into_iter().zip(cn) {
                 acc = L::accumulate(acc, lane);
+                if S::UPPER && u > v {
+                    local.upper(lane);
+                }
             }
         }
         for (&u, &d) in chunks_n.remainder().iter().zip(chunks_d.remainder()) {
-            acc = L::accumulate(acc, L::quotient(lv, rs.snapshot[u as usize], d));
+            let q = L::quotient(lv, rs.snapshot[u as usize], d);
+            acc = L::accumulate(acc, q);
+            if S::UPPER && u > v {
+                local.upper(q);
+            }
         }
-        emit(v, L::lower(acc));
+        let new = L::lower(acc);
+        if S::NODES {
+            local.node(lv, new);
+        }
+        emit(v, new);
     }
+    *sink = local;
 }
 
 /// Gathers the contiguous node range `lo..hi`, dispatching per degree run
 /// and walking each run in [`TILE_NODES`]-sized L2 tiles. `emit` is
 /// called exactly once per node, in ascending node order.
-fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
+#[allow(clippy::too_many_arguments)]
+fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
     kind: KernelKind,
     plan: &GatherPlan,
     spec: &GatherSpec<'_, L>,
@@ -381,6 +467,7 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
     lo: u32,
     hi: u32,
     emit: &mut F,
+    sink: &mut S,
 ) {
     debug_assert_eq!(plan.n(), spec.graph.n(), "plan built for a different graph");
     debug_assert_eq!(
@@ -393,18 +480,18 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
     }
     if kind == KernelKind::Scalar {
         for v in lo..hi {
-            emit(v, gather_node(spec.graph, spec.slot_div, snapshot, v));
+            emit(
+                v,
+                gather_node_into(spec.graph, spec.slot_div, snapshot, v, sink),
+            );
         }
         return;
     }
     let simd = kind == KernelKind::Simd;
     let flat = spec.graph.neighbor_slots();
     let runs = plan.runs();
-    let mut r = plan.run_index(lo);
-    let mut v = lo;
-    while v < hi {
+    for_each_tile(plan, lo, hi, |r, t, te| {
         let run = &runs[r];
-        let run_hi = hi.min(run.end);
         let rs = RunSlices {
             flat,
             divs: spec.slot_div,
@@ -412,46 +499,65 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L)>(
             start: run.start,
             base: run.base,
         };
-        let mut t = v;
-        while t < run_hi {
-            let te = run_hi.min(t + TILE_NODES);
-            match run.degree {
-                0 => {
-                    // Isolated nodes: the gather degenerates to the
-                    // identity (lift/lower round-trip, exact for both
-                    // load types).
-                    for w in t..te {
-                        emit(w, L::lower(snapshot[w as usize].lift()));
+        match run.degree {
+            0 => {
+                // Isolated nodes: the gather degenerates to the identity
+                // (lift/lower round-trip, exact for both load types).
+                for w in t..te {
+                    let lw = snapshot[w as usize];
+                    let new = L::lower(lw.lift());
+                    if S::NODES {
+                        sink.node(lw, new);
                     }
+                    emit(w, new);
                 }
-                2 => tile_fixed::<L, 2, _>(simd, &rs, t, te, emit),
-                3 => tile_fixed::<L, 3, _>(simd, &rs, t, te, emit),
-                4 => tile_fixed::<L, 4, _>(simd, &rs, t, te, emit),
-                8 => tile_fixed::<L, 8, _>(simd, &rs, t, te, emit),
-                d => tile_lanes(simd, &rs, d as usize, t, te, emit),
             }
+            2 => tile_fixed::<L, 2, _, _>(simd, &rs, t, te, emit, sink),
+            3 => tile_fixed::<L, 3, _, _>(simd, &rs, t, te, emit, sink),
+            4 => tile_fixed::<L, 4, _, _>(simd, &rs, t, te, emit, sink),
+            8 => tile_fixed::<L, 8, _, _>(simd, &rs, t, te, emit, sink),
+            d => tile_lanes(simd, &rs, d as usize, t, te, emit, sink),
+        }
+    });
+}
+
+/// Walks `lo..hi` as L2 tiles in ascending order, calling
+/// `tile(run, t, te)` for each: every tile lies inside one degree run
+/// (index `run` of [`GatherPlan::runs`]) and inside one [`TILE_NODES`]
+/// block.
+fn for_each_tile(plan: &GatherPlan, lo: u32, hi: u32, mut tile: impl FnMut(usize, u32, u32)) {
+    let runs = plan.runs();
+    let mut r = plan.run_index(lo);
+    let mut t = lo;
+    while t < hi {
+        let run_hi = hi.min(runs[r].end);
+        while t < run_hi {
+            let block_end = (t / TILE_NODES + 1).saturating_mul(TILE_NODES);
+            let te = run_hi.min(block_end);
+            tile(r, t, te);
             t = te;
         }
-        v = run_hi;
         r += 1;
     }
 }
 
 /// Batch gather over the contiguous node range `start .. start + out.len()`,
-/// writing `out[i] = new_load(start + i)`. The serial backend calls this
-/// with the whole vector; pool workers call it per chunk.
-pub(crate) fn gather_span<L: DiffusionLoad>(
+/// writing `out[i] = new_load(start + i)` and reporting every node and
+/// upper slot to `sink` (pass [`NoStats`] for a plain gather). The
+/// serial backend calls this per reduction block; pool workers per block
+/// of their chunk.
+pub(crate) fn gather_span<L: DiffusionLoad, S: GatherSink<L>>(
     kind: KernelKind,
     plan: &GatherPlan,
     spec: &GatherSpec<'_, L>,
     snapshot: &[L],
     start: u32,
     out: &mut [L],
+    sink: &mut S,
 ) {
     let hi = start + out.len() as u32;
-    gather_contiguous(kind, plan, spec, snapshot, start, hi, &mut |v, val| {
-        out[(v - start) as usize] = val;
-    });
+    let mut emit = |v: u32, val: L| out[(v - start) as usize] = val;
+    gather_contiguous(kind, plan, spec, snapshot, start, hi, &mut emit, sink);
 }
 
 /// Batch gather over an arbitrary node list (a shard's interior or
@@ -473,7 +579,8 @@ pub(crate) fn gather_list<L: DiffusionLoad, F: FnMut(u32, L)>(
         while j < nodes.len() && nodes[j] == nodes[j - 1] + 1 {
             j += 1;
         }
-        gather_contiguous(kind, plan, spec, snapshot, lo, lo + (j - i) as u32, emit);
+        let hi = lo + (j - i) as u32;
+        gather_contiguous(kind, plan, spec, snapshot, lo, hi, emit, &mut NoStats);
         i = j;
     }
 }
@@ -533,7 +640,7 @@ mod tests {
             let reference: Vec<f64> = g.nodes().map(|v| gather_node(&g, &div, &snap, v)).collect();
             for kind in KernelKind::ALL {
                 let mut out = vec![0.0; g.n()];
-                gather_span(kind, &plan, &spec, &snap, 0, &mut out);
+                gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
                 for (v, (a, b)) in reference.iter().zip(&out).enumerate() {
                     assert!(
                         a.to_bits() == b.to_bits(),
@@ -557,9 +664,52 @@ mod tests {
             let reference: Vec<i64> = g.nodes().map(|v| gather_node(&g, &div, &snap, v)).collect();
             for kind in KernelKind::ALL {
                 let mut out = vec![0i64; g.n()];
-                gather_span(kind, &plan, &spec, &snap, 0, &mut out);
+                gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
                 assert_eq!(reference, out, "{kind:?} diverged on {g:?}");
             }
+        }
+    }
+
+    #[test]
+    fn no_tile_straddles_a_reduce_block() {
+        // Degree runs end mid-block: a grid (runs of degree 2/3/4) with a
+        // star hub attached, over three blocks plus a tail.
+        let side = 100u32;
+        let n = 3 * crate::potential::REDUCE_BLOCK as u32 + 17;
+        let mut b = GraphBuilder::new(n as usize).unwrap();
+        for v in 0..side * side {
+            let (r, c) = (v / side, v % side);
+            if c + 1 < side {
+                b.add_edge(v, v + 1).unwrap();
+            }
+            if r + 1 < side {
+                b.add_edge(v, v + side).unwrap();
+            }
+        }
+        for leaf in side * side + 1..n {
+            b.add_edge(side * side, leaf).unwrap();
+        }
+        let g = b.build();
+        let plan = GatherPlan::build(&g);
+        let block = TILE_NODES;
+        for (lo, hi) in [(0, n), (5, n - 3), (4095, 4097), (8191, 12_289), (n - 1, n)] {
+            let mut next = lo;
+            for_each_tile(&plan, lo, hi, |r, t, te| {
+                assert_eq!(t, next, "tiles must be contiguous and ascending");
+                assert!(t < te, "empty tile");
+                assert_eq!(
+                    t / block,
+                    (te - 1) / block,
+                    "tile {t}..{te} straddles a block"
+                );
+                let run = &plan.runs()[r];
+                assert!(
+                    run.start <= t && te <= run.end,
+                    "tile {t}..{te} leaves its run"
+                );
+                next = te;
+            });
+            assert_eq!(next, hi, "tiles must cover {lo}..{hi}");
         }
     }
 
@@ -574,11 +724,19 @@ mod tests {
         let plan = GatherPlan::build(&g);
         let snap = f64_loads(g.n());
         let mut full = vec![0.0; g.n()];
-        gather_span(KernelKind::Scalar, &plan, &spec, &snap, 0, &mut full);
+        gather_span(
+            KernelKind::Scalar,
+            &plan,
+            &spec,
+            &snap,
+            0,
+            &mut full,
+            &mut NoStats,
+        );
         for kind in KernelKind::ALL {
             for (lo, len) in [(0u32, 7usize), (5, 13), (30, 6), (35, 1), (36, 0)] {
                 let mut out = vec![0.0; len];
-                gather_span(kind, &plan, &spec, &snap, lo, &mut out);
+                gather_span(kind, &plan, &spec, &snap, lo, &mut out, &mut NoStats);
                 assert_eq!(&full[lo as usize..lo as usize + len], &out[..], "{kind:?}");
             }
         }

@@ -50,23 +50,14 @@ pub fn csr_divisors_int(g: &Graph, k: u32) -> Vec<i64> {
 }
 
 /// Edge-list-aligned divisors `k·max(dᵤ, dᵥ)` as `f64`, index-matched with
-/// [`Graph::edges`]. Length `m`. Used by the per-round flow-statistics
-/// sweeps.
+/// [`Graph::edges`]. Length `m`. Used by protocols whose flow statistics
+/// walk the edge list (the canonical diffusion protocols tally over the
+/// CSR-slot table instead).
 pub fn edge_divisors(g: &Graph, k: f64) -> Vec<f64> {
     assert!(k > 0.0 && k.is_finite(), "divisor factor must be positive");
     g.edges()
         .iter()
         .map(|&(u, v)| k * g.degree(u).max(g.degree(v)) as f64)
-        .collect()
-}
-
-/// Edge-list-aligned integer divisors `k·max(dᵤ, dᵥ)`, index-matched with
-/// [`Graph::edges`]. Length `m`.
-pub fn edge_divisors_int(g: &Graph, k: u32) -> Vec<i64> {
-    assert!(k > 0, "divisor factor must be positive");
-    g.edges()
-        .iter()
-        .map(|&(u, v)| k as i64 * g.degree(u).max(g.degree(v)) as i64)
         .collect()
 }
 
@@ -104,12 +95,10 @@ mod tests {
     fn edge_divisors_match_edge_list() {
         let g = topology::binary_tree(12);
         let w = edge_divisors(&g, 4.0);
-        let wi = edge_divisors_int(&g, 4);
         assert_eq!(w.len(), g.m());
         for (k, &(u, v)) in g.edges().iter().enumerate() {
             let d = g.degree(u).max(g.degree(v));
             assert_eq!(w[k], 4.0 * d as f64);
-            assert_eq!(wi[k], 4 * d as i64);
         }
     }
 

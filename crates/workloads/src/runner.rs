@@ -13,14 +13,22 @@
 //!
 //! The workload mutates the caller's load vector in place between engine
 //! rounds — the engine's zero-copy double buffering is untouched, no copy
-//! is introduced. The Φ trace uses the round's computed statistics when
-//! the [`StatsMode`] produced them and the engine's on-demand potential
-//! otherwise (the same blocked reduction), so the trace is **bit-identical
-//! across stats modes, executors, and thread counts**; workloads are
-//! applied by one thread and are seeded-deterministic, extending the
-//! workspace's serial ≡ parallel invariant to online scenarios.
+//! is introduced. Each record's Φ, imbalance and total come from the
+//! engine: the statistics pass's own load summary on stats rounds of the
+//! canonical protocols ([`Engine::round_summary`]), the round's Φ plus
+//! one min/max/total sweep ([`Engine::extent`]) on other stats rounds,
+//! and one on-demand Φ pass ([`Engine::summary`]) on stats-off rounds —
+//! all the same blocked reduction. The runner never sweeps the loads
+//! itself, and the trace is
+//! **bit-identical across stats modes, executors, and thread counts**;
+//! workloads are applied by one thread and are seeded-deterministic,
+//! extending the workspace's serial ≡ parallel invariant to online
+//! scenarios.
 //!
 //! [`StatsMode`]: dlb_core::engine::StatsMode
+//! [`Engine::round_summary`]: dlb_core::engine::Engine::round_summary
+//! [`Engine::summary`]: dlb_core::engine::Engine::summary
+//! [`Engine::extent`]: dlb_core::engine::Engine::extent
 
 use std::collections::VecDeque;
 
@@ -167,11 +175,12 @@ where
     }
     let mut prev_loads: Vec<P::Load> = Vec::new();
     let mut deltas: Vec<(u32, P::Load)> = Vec::new();
+    let start = engine.summary(loads);
     let ctx = WorkloadCtx {
-        initial_total: P::Load::total(loads),
+        initial_total: start.total,
     };
     let initial_total = ctx.initial_total;
-    let phi0 = engine.potential(loads).phi_f64();
+    let phi0 = start.phi.phi_f64();
     let max_rounds = stop.max_rounds();
     let band_window = match *stop {
         StopSpec::SteadyState { window, .. } => window,
@@ -238,17 +247,20 @@ where
             totals.wire_bytes_out += c.wire_bytes_out as u64;
             totals.wire_bytes_in += c.wire_bytes_in as u64;
         }
-        let (phi, moved) = match &stats {
-            Some(s) => (s.phi_after_f64(), s.moved_f64()),
-            None => (engine.potential(loads).phi_f64(), 0.0),
+        // Φ, min, max and total come from the engine: free on stats
+        // rounds of the canonical protocols (the statistics pass already
+        // produced them), Φ from the stats plus one min/max/total sweep on
+        // other stats rounds, one Φ pass on stats-off rounds.
+        let summary = match (engine.round_summary(), &stats) {
+            (Some(s), _) => s.with_phi(s.phi.phi_f64()),
+            (None, Some(s)) => engine.extent(loads).with_phi(s.phi_after_f64()),
+            (None, None) => {
+                let s = engine.summary(loads);
+                s.with_phi(s.phi.phi_f64())
+            }
         };
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in loads.iter() {
-            let x = v.to_f64();
-            min = min.min(x);
-            max = max.max(x);
-        }
-        let total = P::Load::total(loads);
+        let phi = summary.phi;
+        let moved = stats.as_ref().map_or(0.0, RoundLike::moved_f64);
         injected_total += delta.injected;
         consumed_total += delta.consumed;
         migrated_total += moved;
@@ -259,8 +271,8 @@ where
             consumed: delta.consumed,
             migrated: moved,
             phi,
-            imbalance: max - min,
-            total,
+            imbalance: summary.max - summary.min,
+            total: summary.total,
         });
         recent.push_back(phi);
         if recent.len() > band_window {

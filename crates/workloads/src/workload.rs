@@ -95,12 +95,6 @@ pub trait ScenarioLoad:
     /// Removes `frac` of the (non-negative part of the) load — floored
     /// for tokens; returns the amount removed.
     fn drain_fraction(&mut self, frac: f64) -> Self;
-
-    /// The load as `f64` (exact for tokens within the mantissa).
-    fn to_f64(self) -> f64;
-
-    /// Serial sum of a load vector as `f64`.
-    fn total(loads: &[Self]) -> f64;
 }
 
 impl ScenarioLoad for f64 {
@@ -126,15 +120,6 @@ impl ScenarioLoad for f64 {
         let take = self.max(0.0) * frac;
         *self -= take;
         take
-    }
-
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-
-    fn total(loads: &[f64]) -> f64 {
-        loads.iter().sum()
     }
 }
 
@@ -164,15 +149,6 @@ impl ScenarioLoad for i64 {
         let take = ((*self).max(0) as f64 * frac).floor() as i64;
         *self -= take;
         take
-    }
-
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-
-    fn total(loads: &[i64]) -> f64 {
-        loads.iter().map(|&x| x as f64).sum()
     }
 }
 
