@@ -1,10 +1,8 @@
 //! Engine benchmark with a machine-readable perf trajectory.
 //!
-//! Three groups on one torus instance (1M nodes by default):
+//! Groups on one torus instance (1M nodes by default), plus the
+//! kernel comparison on its own instances:
 //!
-//! - **gather** — the raw gather kernel, old-style per-round degree-lookup
-//!   vs. the engine's precomputed CSR-slot divisors (PR 1's comparison,
-//!   kept as the historical baseline line in the trajectory);
 //! - **engine_round** — one full `Engine::round` under each [`StatsMode`]
 //!   (`full`, `phionly`, `every10`, `off`), serial and pooled. The round
 //!   is zero-copy double-buffered, so `off` measures the gather alone and
@@ -29,7 +27,7 @@
 //!   group isolates the ownership-transfer tax alone;
 //! - **process_round** — one `Engine::round` on the process backend
 //!   (each shard a `dlb-shard-worker` OS process, all traffic framed
-//!   `dlb-wire/1` over Unix sockets; `range2p`/`bfs8p` × `full`/`off`).
+//!   `dlb-wire/2` over Unix sockets; `range2p`/`bfs8p` × `full`/`off`).
 //!   Each record carries the framed `wire_bytes_out/in` the coordinator
 //!   moved in the measured round; the gap to `message_round` on the same
 //!   partition is the price of process isolation (serialization +
@@ -48,10 +46,12 @@
 //!   on the 1M-node torus), serial and message backends;
 //! - **kernel_gather** — the degree-specialized kernel dispatch layer:
 //!   one serial `Engine::round` (stats off — the gather alone) per
-//!   [`KernelKind`] (`scalar` | `unrolled` | `simd`) on a degree-4
-//!   torus, a regular hypercube, and an irregular tree whose short
-//!   degree runs defeat the run-block schedule. Same computation, same
-//!   bits — the group measures exactly what each dispatch flavour buys;
+//!   [`KernelKind`] (`scalar` | `unrolled`) on a degree-4 torus, a
+//!   regular hypercube (both gathered against one broadcast divisor by
+//!   `unrolled`), and an irregular tree whose short degree runs defeat
+//!   the run-block schedule and whose divisors are derived per slot.
+//!   Same computation, same bits — the group measures exactly what each
+//!   dispatch flavour buys;
 //! - **thread_scaling** — one `Engine::round` (stats off) for every
 //!   backend at every thread count `1..=available`: serial once,
 //!   pool/sharded/message per count (shards = threads for the sharded
@@ -79,8 +79,8 @@
 
 use criterion::{take_reports, Criterion};
 use dlb_bench::perf_json::{self, PerfRecord};
-use dlb_core::continuous::{self, ContinuousDiffusion};
-use dlb_core::engine::{recommended_threads, Backend, Engine, IntoEngine, Protocol, StatsMode};
+use dlb_core::continuous::ContinuousDiffusion;
+use dlb_core::engine::{recommended_threads, Backend, Engine, IntoEngine, StatsMode};
 use dlb_core::runner::run_continuous;
 use dlb_core::{FaultKind, FaultPlan, KernelKind, Telemetry};
 use dlb_graphs::{topology, Graph, PartitionSpec};
@@ -107,7 +107,7 @@ struct Meta {
     owned_values_out: Option<usize>,
     delta_values: Option<usize>,
     collects: Option<usize>,
-    /// Process variants: framed `dlb-wire/1` bytes the coordinator wrote
+    /// Process variants: framed `dlb-wire/2` bytes the coordinator wrote
     /// to / read from the worker sockets in the measured round.
     wire_bytes_out: Option<usize>,
     wire_bytes_in: Option<usize>,
@@ -153,38 +153,6 @@ fn mode_name(mode: StatsMode) -> &'static str {
         StatsMode::PhiOnly => "phionly",
         StatsMode::Off => "off",
     }
-}
-
-fn gather_kernels(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String, Meta>) {
-    let n = inst.g.n();
-    let mut out = vec![0.0f64; n];
-    let mut group = c.benchmark_group("gather");
-
-    // The on-the-fly reference kernel is exactly what the legacy executors
-    // ran in their hot loop.
-    for (variant, legacy) in [
-        ("legacy_degree_lookup", true),
-        ("precomputed_weights", false),
-    ] {
-        meta.insert(
-            format!("gather/{variant}"),
-            Meta::new("gather", variant.to_string(), 1, 1),
-        );
-        let proto = ContinuousDiffusion::new(&inst.g);
-        group.bench_function(variant, |b| {
-            b.iter(|| {
-                for v in 0..n as u32 {
-                    out[v as usize] = if legacy {
-                        continuous::node_new_load(&inst.g, &inst.init, v)
-                    } else {
-                        proto.node_new_load(&inst.init, v)
-                    };
-                }
-                black_box(out[0])
-            });
-        });
-    }
-    group.finish();
 }
 
 fn pool_sizes() -> Vec<usize> {
@@ -379,7 +347,7 @@ fn message_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
 }
 
 /// The process-backend round cost: one `Engine::round` with each shard a
-/// real OS process and every byte crossing a `dlb-wire/1` Unix socket.
+/// real OS process and every byte crossing a `dlb-wire/2` Unix socket.
 /// The gap to `message_round` on the same partition is the price of true
 /// process isolation — serialization, syscalls and scheduler handoffs in
 /// place of in-process channels. Each record carries the framed
@@ -412,7 +380,7 @@ fn process_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
             .with_stats_mode(mode);
             let mut loads = inst.init.clone();
             // Warm two rounds: the first spawns the fleet and broadcasts
-            // the plan frame (graph + divisors — a one-time cost), the
+            // the plan frame (graph + divisor factor — a one-time cost), the
             // second is the steady shape being timed, so the per-round
             // wire metadata in the JSON excludes the plan broadcast.
             engine.round(&mut loads);
@@ -647,7 +615,7 @@ fn convergence_runs(
             format!("convergence_run/{variant}"),
             Meta::new("convergence_run", variant.clone(), rounds, threads),
         );
-        // Protocol (divisor tables), engine and pool are built once —
+        // Protocol, engine and pool are built once —
         // only the run itself is timed. The per-iteration `loads` reset
         // is a plain copy shared by every variant. EveryK's cadence keeps
         // rolling across iterations (rounds_run persists), which averages
@@ -739,7 +707,6 @@ fn main() {
         .measurement_time(Duration::from_millis(if quick { 400 } else { 2500 }));
 
     let mut meta: HashMap<String, Meta> = HashMap::new();
-    gather_kernels(&mut c, &inst, &mut meta);
     kernel_gather(&mut c, quick, &mut meta);
     engine_rounds(&mut c, &inst, &mut meta);
     sharded_rounds(&mut c, &inst, &mut meta);

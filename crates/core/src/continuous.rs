@@ -15,17 +15,18 @@
 //!
 //! evaluated against an immutable snapshot of round-start loads — which is
 //! exactly the engine's round shape, so [`ContinuousDiffusion`] is a thin
-//! [`Protocol`]: its kernel is one summation in CSR neighbour order over
-//! the divisors `4·max(dᵢ, dⱼ)` precomputed per CSR slot at construction
-//! (see [`dlb_graphs::weights`]). Serial and parallel execution are
-//! bit-identical by the engine's contract, and the precomputed divisors
-//! are bit-identical to the historical on-the-fly computation (pinned by
-//! golden fixtures in the workspace test-suite).
+//! [`Protocol`]: its kernel is one summation in CSR neighbour order, each
+//! divisor `4·max(dᵢ, dⱼ)` derived from the two degrees (see
+//! [`crate::kernels`]); the protocol stores nothing but its graph.
+//! Serial and parallel execution are bit-identical by the engine's
+//! contract, and every kernel's divisors are bit-identical to the
+//! on-the-fly computation below (pinned by golden fixtures in the
+//! workspace test-suite).
 
 use crate::engine::{Protocol, StatsCtx};
-use crate::kernels::GatherSpec;
+use crate::kernels::{gather_node, GatherSpec};
 use crate::model::RoundStats;
-use dlb_graphs::{weights, Graph};
+use dlb_graphs::Graph;
 
 /// Per-edge flow divisor `4·max(dᵢ, dⱼ)` of Algorithm 1.
 #[inline]
@@ -38,10 +39,9 @@ pub fn edge_divisor(g: &Graph, u: u32, v: u32) -> f64 {
 /// round-start snapshot.
 ///
 /// This is *the* definition of the concurrent round. The fixed-network
-/// protocol below performs the bit-identical computation against
-/// precomputed divisors; the dynamic protocols (whose graph changes every
-/// round, so there is nothing to amortize) and the engine benchmarks call
-/// this form directly.
+/// protocol below performs the bit-identical computation through the
+/// engine's gather kernels; the dynamic protocols, whose graph changes
+/// every round, call this form directly.
 #[inline]
 pub fn node_new_load(g: &Graph, snapshot: &[f64], v: u32) -> f64 {
     let lv = snapshot[v as usize];
@@ -52,16 +52,6 @@ pub fn node_new_load(g: &Graph, snapshot: &[f64], v: u32) -> f64 {
         acc += (snapshot[u as usize] - lv) / c;
     }
     acc
-}
-
-/// Shared gather kernel over CSR-slot-aligned precomputed divisors
-/// (bit-identical to [`node_new_load`] because the divisor values are
-/// equal and the operation order is unchanged). One instantiation of the
-/// generic [`crate::kernels::gather_node`] loop — the discrete twin in
-/// [`crate::discrete`] is the `i64` instantiation of the same code.
-#[inline]
-pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[f64], snapshot: &[f64], v: u32) -> f64 {
-    crate::kernels::gather_node(g, slot_div, snapshot, v)
 }
 
 /// A canonical continuous round's [`RoundStats`] over `spec`'s divisors,
@@ -84,18 +74,12 @@ fn round_stats(
 #[derive(Debug)]
 pub struct ContinuousDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned divisors `4·max(dᵢ, dⱼ)`, read by the gather
-    /// and by the statistics tally alike.
-    slot_div: Vec<f64>,
 }
 
 impl<'g> ContinuousDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the slot divisors.
+    /// Creates the protocol for `g`.
     pub fn new(g: &'g Graph) -> Self {
-        ContinuousDiffusion {
-            g,
-            slot_div: weights::csr_divisors(g, 4.0),
-        }
+        ContinuousDiffusion { g }
     }
 
     /// The underlying graph.
@@ -106,7 +90,7 @@ impl<'g> ContinuousDiffusion<'g> {
     fn spec(&self) -> GatherSpec<'_, f64> {
         GatherSpec {
             graph: self.g,
-            slot_div: &self.slot_div,
+            factor: 4.0,
         }
     }
 }
@@ -131,7 +115,7 @@ impl Protocol for ContinuousDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(&self.spec(), snapshot, v)
     }
 
     fn compute_stats(
@@ -164,7 +148,6 @@ impl Protocol for ContinuousDiffusion<'_> {
 pub struct GeneralizedDiffusion<'g> {
     g: &'g Graph,
     factor: f64,
-    slot_div: Vec<f64>,
 }
 
 impl<'g> GeneralizedDiffusion<'g> {
@@ -174,11 +157,7 @@ impl<'g> GeneralizedDiffusion<'g> {
             factor > 0.0 && factor.is_finite(),
             "divisor factor must be positive"
         );
-        GeneralizedDiffusion {
-            g,
-            factor,
-            slot_div: weights::csr_divisors(g, factor),
-        }
+        GeneralizedDiffusion { g, factor }
     }
 
     /// The divisor factor `k`.
@@ -189,7 +168,7 @@ impl<'g> GeneralizedDiffusion<'g> {
     fn spec(&self) -> GatherSpec<'_, f64> {
         GatherSpec {
             graph: self.g,
-            slot_div: &self.slot_div,
+            factor: self.factor,
         }
     }
 }
@@ -214,7 +193,7 @@ impl Protocol for GeneralizedDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(&self.spec(), snapshot, v)
     }
 
     fn compute_stats(

@@ -8,14 +8,14 @@
 //! drops geometrically while `Φ ≥ 64δ³n/λ₂`.
 //!
 //! Like the continuous protocol, the round is a *gather* over an immutable
-//! snapshot with the integer divisors `4·max(dᵢ, dⱼ)` precomputed per CSR
-//! slot; token counts are integers, so serial and parallel execution agree
-//! exactly and conservation is exact.
+//! snapshot, each integer divisor `4·max(dᵢ, dⱼ)` derived from the two
+//! degrees (see [`crate::kernels`]); token counts are integers, so serial
+//! and parallel execution agree exactly and conservation is exact.
 
 use crate::engine::{Protocol, StatsCtx};
-use crate::kernels::GatherSpec;
+use crate::kernels::{gather_node, GatherSpec};
 use crate::model::DiscreteRoundStats;
-use dlb_graphs::{weights, Graph};
+use dlb_graphs::Graph;
 
 /// Tokens sent across edge `{u, v}` this round (from the richer endpoint),
 /// given round-start loads: `⌊|ℓᵤ − ℓᵥ| / (4·max(dᵤ, dᵥ))⌋`.
@@ -50,16 +50,6 @@ pub fn node_new_load(g: &Graph, snapshot: &[i64], v: u32) -> i64 {
     i64::try_from(acc).expect("load fits i64")
 }
 
-/// Shared gather kernel over CSR-slot-aligned precomputed integer divisors
-/// (exactly [`node_new_load`]: identical integer operations). One
-/// instantiation of the generic [`crate::kernels::gather_node`] loop —
-/// the continuous twin in [`crate::continuous`] is the `f64`
-/// instantiation of the same code.
-#[inline]
-pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[i64], snapshot: &[i64], v: u32) -> i64 {
-    crate::kernels::gather_node(g, slot_div, snapshot, v)
-}
-
 /// Discrete Algorithm 1 on a fixed network.
 ///
 /// Run it through the engine: `DiscreteDiffusion::new(&g).engine()` or
@@ -67,18 +57,12 @@ pub(crate) fn gather_precomputed(g: &Graph, slot_div: &[i64], snapshot: &[i64], 
 #[derive(Debug)]
 pub struct DiscreteDiffusion<'g> {
     g: &'g Graph,
-    /// CSR-slot-aligned integer divisors `4·max(dᵢ, dⱼ)`, read by the
-    /// gather and by the statistics tally alike.
-    slot_div: Vec<i64>,
 }
 
 impl<'g> DiscreteDiffusion<'g> {
-    /// Creates the protocol for `g`, precomputing the slot divisors.
+    /// Creates the protocol for `g`.
     pub fn new(g: &'g Graph) -> Self {
-        DiscreteDiffusion {
-            g,
-            slot_div: weights::csr_divisors_int(g, 4),
-        }
+        DiscreteDiffusion { g }
     }
 
     /// The underlying graph.
@@ -89,7 +73,7 @@ impl<'g> DiscreteDiffusion<'g> {
     fn spec(&self) -> GatherSpec<'_, i64> {
         GatherSpec {
             graph: self.g,
-            slot_div: &self.slot_div,
+            factor: 4,
         }
     }
 }
@@ -114,7 +98,7 @@ impl Protocol for DiscreteDiffusion<'_> {
 
     #[inline]
     fn node_new_load(&self, snapshot: &[i64], v: u32) -> i64 {
-        gather_precomputed(self.g, &self.slot_div, snapshot, v)
+        gather_node(&self.spec(), snapshot, v)
     }
 
     fn compute_stats(

@@ -245,8 +245,8 @@ pub trait Protocol {
 
     /// The canonical-gather descriptor, if this protocol's
     /// [`Protocol::node_new_load`] is *exactly* the quotient-accumulate
-    /// diffusion loop `ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/div(v,u)` over a fixed graph
-    /// with CSR-slot-aligned precomputed divisors. Protocols returning
+    /// diffusion loop `ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/div(v,u)` over a fixed graph,
+    /// with `div(v,u) = k·max(dᵥ, dᵤ)` ([`GatherSpec::divisor`]). Protocols returning
     /// `Some` opt into the engine's degree-specialized kernel dispatch
     /// (see [`crate::kernels`]); the spec's graph must be the same object
     /// [`Protocol::current_graph`] reports, valid for the current round.
@@ -343,8 +343,8 @@ pub struct StatsCtx<'a> {
 }
 
 /// The engine's `RoundTotals<L>` for one round, type-erased so the
-/// context stays non-generic, with the addresses of the divisor table and
-/// the two vectors they were reduced from.
+/// context stays non-generic, with the addresses of the spec's adjacency
+/// and the two vectors they were reduced from.
 #[derive(Clone, Copy)]
 struct EngineTotals<'a> {
     totals: &'a dyn std::any::Any,
@@ -418,7 +418,7 @@ impl<'a> StatsCtx<'a> {
                 debug_assert_eq!(
                     e.inputs,
                     [
-                        slice_id(spec.slot_div),
+                        slice_id(spec.graph.neighbor_slots()),
                         slice_id(snapshot),
                         slice_id(new_loads)
                     ],
@@ -559,7 +559,7 @@ pub enum Backend {
     },
     /// Distributed execution: one `dlb-shard-worker` **OS process** per
     /// shard, exchanging the message backend's round protocol as
-    /// `dlb-wire/1` frames over a byte transport (Unix domain sockets or
+    /// `dlb-wire/2` frames over a byte transport (Unix domain sockets or
     /// TCP loopback — see [`Transport`](dlb_wire::Transport) and
     /// `docs/WIRE.md`). Same partition planning, same ordering contract,
     /// same bit-identical results; serialization is the only new moving
@@ -618,7 +618,7 @@ pub enum EnginePhase {
     Exchange,
     /// The process backend's wire round: a worker process died (EOF /
     /// broken pipe), timed out, or reported a failed round body over
-    /// `dlb-wire/1`.
+    /// `dlb-wire/2`.
     Wire,
 }
 
@@ -1531,7 +1531,7 @@ pub struct CommMetrics {
     /// collect, or an explicit [`Engine::resident_sync`] since the last
     /// round).
     pub collects: usize,
-    /// Process backend only: framed `dlb-wire/1` bytes the coordinator
+    /// Process backend only: framed `dlb-wire/2` bytes the coordinator
     /// actually **wrote** to worker sockets this round — envelopes
     /// included, measured at the socket, not reconstructed as
     /// `values × size_of`. Zero on the in-process backends, which move
@@ -3102,7 +3102,7 @@ impl<P: Protocol> Engine<P> {
     /// spawned here and connected over `transport` (the fleet lives for
     /// the engine's lifetime; [`Drop`] shuts it down and reaps every
     /// child). Rounds run the message backend's exchange shape as
-    /// `dlb-wire/1` frames — see [`Backend::Process`] and the
+    /// `dlb-wire/2` frames — see [`Backend::Process`] and the
     /// [`process`](crate::process) module docs.
     ///
     /// Unlike the thread backends this does **not** require `P: Sync`:
@@ -3165,7 +3165,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Selects the gather kernel flavour, builder-style. The default is
     /// [`KernelKind::Unrolled`], overridable process-wide through the
-    /// `DLB_KERNEL` environment variable (`scalar` | `unrolled` | `simd`);
+    /// `DLB_KERNEL` environment variable (`scalar` | `unrolled`);
     /// this call overrides both. All flavours are bit-identical — the
     /// selection trades only speed.
     pub fn with_kernel(mut self, kind: KernelKind) -> Self {
@@ -3411,7 +3411,7 @@ impl<P: Protocol> Engine<P> {
     /// Communication metrics of the message or process backend's most
     /// recent round (messages posted, values/bytes moved, largest
     /// per-shard send — plus, on the process backend, the framed
-    /// `dlb-wire/1` bytes in `wire_bytes_out`/`wire_bytes_in`): `None`
+    /// `dlb-wire/2` bytes in `wire_bytes_out`/`wire_bytes_in`): `None`
     /// for every other backend, and before the first round.
     /// Shared-memory backends move no messages — their "exchange" is
     /// the snapshot swap — so only the communicating backends report
@@ -3762,7 +3762,7 @@ impl<P: Protocol> Engine<P> {
             .map(|(t, spec)| EngineTotals {
                 totals: t as &dyn std::any::Any,
                 inputs: [
-                    slice_id(spec.slot_div),
+                    slice_id(spec.graph.neighbor_slots()),
                     slice_id(snapshot),
                     slice_id(new_loads),
                 ],
@@ -4969,7 +4969,6 @@ mod tests {
         for (value, kind) in [
             ("scalar", KernelKind::Scalar),
             ("unrolled", KernelKind::Unrolled),
-            ("simd", KernelKind::Simd),
         ] {
             std::env::set_var("DLB_KERNEL", value);
             let got = KernelKind::from_env();
@@ -4983,7 +4982,7 @@ mod tests {
     #[test]
     fn dlb_kernel_invalid_values_are_rejected_loudly() {
         let _guard = ENV_LOCK.lock().unwrap();
-        for bad in ["", "SIMD", "avx", "auto", " scalar"] {
+        for bad in ["", "simd", "SIMD", "avx", "auto", " scalar"] {
             std::env::set_var("DLB_KERNEL", bad);
             let result = catch_unwind(KernelKind::from_env);
             std::env::remove_var("DLB_KERNEL");
@@ -5003,8 +5002,8 @@ mod tests {
     fn with_kernel_overrides_the_selection() {
         let mut e = Engine::serial(toy(4)).with_kernel(KernelKind::Scalar);
         assert_eq!(e.kernel(), KernelKind::Scalar);
-        e.set_kernel(KernelKind::Simd);
-        assert_eq!(e.kernel(), KernelKind::Simd);
+        e.set_kernel(KernelKind::Unrolled);
+        assert_eq!(e.kernel(), KernelKind::Unrolled);
     }
 
     #[test]

@@ -1,23 +1,37 @@
 //! Degree-specialized gather kernels and the runtime kernel dispatcher.
 //!
 //! Algorithm 1's round is one sparse gather — per node `v`,
-//! `ℓᵥ' = ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/(4·max(dᵥ, dᵤ))` over the CSR neighbourhood —
-//! and all three canonical-divisor protocols ([`crate::continuous`],
-//! [`crate::discrete`]) run the *same* loop, differing only in the load
-//! scalar (`f64` vs `i64` tokens). This module factors that loop into:
+//! `ℓᵥ' = ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/(k·max(dᵥ, dᵤ))` over the CSR neighbourhood,
+//! with `k = 4` in the paper — and all three canonical protocols
+//! ([`crate::continuous`], [`crate::discrete`]) run the *same* loop,
+//! differing only in the load scalar (`f64` vs `i64` tokens) and the
+//! factor `k`. This module factors that loop into:
 //!
 //! * [`DiffusionLoad`] — the scalar abstraction (accumulator type,
-//!   per-neighbour quotient, ordered accumulate) instantiated once for
-//!   `f64` and once for `i64`, so specialized kernels are written once;
+//!   divisor, per-neighbour quotient, ordered accumulate) instantiated
+//!   once for `f64` and once for `i64`, so specialized kernels are written
+//!   once;
 //! * [`GatherSpec`] — what a protocol exposes to opt into dispatch: its
-//!   graph plus the CSR-slot-aligned divisor table;
+//!   graph plus the divisor factor `k`;
 //! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
-//!   `unrolled`, `simd`), overridable via the `DLB_KERNEL` environment
-//!   variable;
+//!   `unrolled`), overridable via the `DLB_KERNEL` environment variable;
 //! * the batch entry points `gather_span` / `gather_list`, which walk a
 //!   [`GatherPlan`]'s degree runs in L2-sized tiles and dispatch a
 //!   fixed-degree unrolled kernel (d = 2, 3, 4, 8), a chunked-lanes
 //!   kernel for other uniform degrees, or the per-node scalar loop.
+//!
+//! ## Divisors come from degrees
+//!
+//! No divisor is stored. The divisor of the slot from `v` to `u` is
+//! `k·max(dᵥ, dᵤ)`, computed by [`DiffusionLoad::divisor`] — the one
+//! definition, written as `dlb_graphs::weights::csr_divisors` writes it,
+//! so every divisor has the same bits as a precomputed table's. Inside a
+//! degree run of degree `d` whose nodes have no higher-degree neighbour
+//! ([`DegreeRun::uniform_divisor`], every run of a torus or hypercube),
+//! every slot's divisor is `k·d`: the kernels divide by that one
+//! broadcast value and read nothing per slot but the neighbour's index
+//! and load. Other runs derive `k·max(d, dᵤ)` per slot from the
+//! neighbour's degree.
 //!
 //! ## Why this preserves bit-identity
 //!
@@ -25,22 +39,24 @@
 //! kernel produce bit-identical loads. The specialized kernels keep it by
 //! construction: each per-neighbour quotient `(ℓᵤ − ℓᵥ)/div` depends only
 //! on its own three inputs, and IEEE 754 subtraction and division are
-//! correctly rounded — computing the quotients as independent lanes
-//! (autovectorized, or explicit SSE2 behind the `simd` feature) yields
-//! exactly the bits the scalar loop computes one at a time. The
-//! **additions** are different: floating-point `+` is not associative, so
-//! the accumulation always runs sequentially in CSR neighbour order, the
-//! same order as the scalar reference. Only the order-free work
-//! vectorizes; the order-sensitive reduction never does.
+//! correctly rounded — computing the quotients as independent
+//! (autovectorized) lanes yields exactly the bits the scalar loop
+//! computes one at a time. The **additions** are different:
+//! floating-point `+` is not associative, so the accumulation always runs
+//! sequentially in CSR neighbour order, the same order as the scalar
+//! reference. Only the order-free work vectorizes; the order-sensitive
+//! reduction never does.
+//!
+//! [`DegreeRun::uniform_divisor`]: dlb_graphs::structure::DegreeRun::uniform_divisor
 
 use dlb_graphs::{GatherPlan, Graph};
 
 /// Nodes per dispatch tile: one statistics reduction block. At 8 bytes
 /// per load this keeps a tile's output window (32 KiB) plus its
-/// divisor/neighbour stream comfortably inside a typical 256 KiB–1 MiB
-/// L2, so the snapshot lines a tile re-touches (e.g. the ±row wraps of a
-/// torus) stay resident while the tile runs. Tiles are cut at multiples
-/// of this size (never straddling a
+/// neighbour stream comfortably inside a typical 256 KiB–1 MiB L2, so the
+/// snapshot lines a tile re-touches (e.g. the ±row wraps of a torus) stay
+/// resident while the tile runs. Tiles are cut at multiples of this size
+/// (never straddling a
 /// [`REDUCE_BLOCK`](crate::potential::REDUCE_BLOCK) boundary), so the
 /// fused statistics pass finds each block complete and still in cache.
 const TILE_NODES: u32 = crate::potential::REDUCE_BLOCK as u32;
@@ -55,50 +71,45 @@ const LANES: usize = 8;
 /// they differ only in how the per-neighbour quotients are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// The reference loop: one quotient at a time, accumulated
-    /// immediately. Exactly [`Protocol::node_new_load`] per node.
+    /// The reference loop: one quotient at a time, each divisor derived
+    /// from the two degrees, accumulated immediately. Exactly
+    /// [`Protocol::node_new_load`] per node.
     ///
     /// [`Protocol::node_new_load`]: crate::engine::Protocol::node_new_load
     Scalar,
     /// Degree-run dispatch with fixed-degree unrolled quotient lanes
     /// (d = 2, 3, 4, 8) written in autovectorization-friendly shape, plus
-    /// a chunked-lanes path for other uniform degrees. The default.
+    /// a chunked-lanes path for other uniform degrees, against one
+    /// broadcast divisor wherever a run allows it. The default.
     #[default]
     Unrolled,
-    /// Same schedule as [`KernelKind::Unrolled`] with the f64 quotient
-    /// lanes computed by explicit `std::arch` SSE2 (`_mm_div_pd`) when the
-    /// `simd` cargo feature is enabled on x86_64; elsewhere it falls back
-    /// to the portable lanes and remains bit-identical.
-    Simd,
 }
 
 impl KernelKind {
     /// Every kernel flavour, for sweeps in tests and benches.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Unrolled, KernelKind::Simd];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Unrolled];
 
-    /// Stable lowercase name (`scalar` / `unrolled` / `simd`), matching
-    /// the accepted `DLB_KERNEL` values.
+    /// Stable lowercase name (`scalar` / `unrolled`), matching the
+    /// accepted `DLB_KERNEL` values.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Unrolled => "unrolled",
-            KernelKind::Simd => "simd",
         }
     }
 
     /// Reads `DLB_KERNEL` (uncached). Unset means the default
     /// ([`KernelKind::Unrolled`]); any value other than
-    /// `scalar`/`unrolled`/`simd` panics loudly, mirroring the
-    /// `DLB_THREADS` contract — a typo must never silently change which
-    /// kernel CI exercises.
+    /// `scalar`/`unrolled` panics loudly, mirroring the `DLB_THREADS`
+    /// contract — a typo must never silently change which kernel CI
+    /// exercises.
     pub fn from_env() -> KernelKind {
         match std::env::var("DLB_KERNEL") {
             Ok(value) => match value.as_str() {
                 "scalar" => KernelKind::Scalar,
                 "unrolled" => KernelKind::Unrolled,
-                "simd" => KernelKind::Simd,
                 _ => panic!(
-                    "DLB_KERNEL must be \"scalar\", \"unrolled\" or \"simd\", got {value:?} \
+                    "DLB_KERNEL must be \"scalar\" or \"unrolled\", got {value:?} \
                      (unset the variable to use the default kernel)"
                 ),
             },
@@ -137,6 +148,13 @@ pub trait DiffusionLoad: Copy + Send + Sync + 'static {
     /// (overflow-checked for tokens).
     fn lower(acc: Self::Acc) -> Self;
 
+    /// The divisor `factor·degree` of a slot whose endpoints' larger
+    /// degree is `degree`: Algorithm 1's `k·max(dᵥ, dᵤ)`. The one
+    /// definition every kernel, the statistics tally and the process
+    /// workers use; the `f64` form is `dlb_graphs::weights::csr_divisors`'s
+    /// expression, so the bits match a precomputed table's.
+    fn divisor(factor: Self, degree: u32) -> Self;
+
     /// The per-neighbour transfer quotient: `(ℓᵤ − ℓᵥ)/div` for `f64`,
     /// the sign-split floor quotient for tokens. Pure in its three
     /// inputs — lane order never changes its bits.
@@ -154,20 +172,6 @@ pub trait DiffusionLoad: Copy + Send + Sync + 'static {
     fn quotient_lanes<const D: usize>(lv: Self, lus: [Self; D], divs: [Self; D]) -> [Self::Acc; D] {
         std::array::from_fn(|i| Self::quotient(lv, lus[i], divs[i]))
     }
-
-    /// Explicit-SIMD quotient lanes. Defaults to
-    /// [`DiffusionLoad::quotient_lanes`]; `f64` overrides it with SSE2
-    /// intrinsics when the `simd` cargo feature is enabled on x86_64.
-    /// Must stay bit-identical to the portable lanes (IEEE 754 division
-    /// is correctly rounded, so hardware vector divides qualify).
-    #[inline]
-    fn quotient_lanes_arch<const D: usize>(
-        lv: Self,
-        lus: [Self; D],
-        divs: [Self; D],
-    ) -> [Self::Acc; D] {
-        Self::quotient_lanes(lv, lus, divs)
-    }
 }
 
 impl DiffusionLoad for f64 {
@@ -184,6 +188,11 @@ impl DiffusionLoad for f64 {
     }
 
     #[inline]
+    fn divisor(factor: f64, degree: u32) -> f64 {
+        factor * degree as f64
+    }
+
+    #[inline]
     fn quotient(lv: f64, lu: f64, div: f64) -> f64 {
         (lu - lv) / div
     }
@@ -191,32 +200,6 @@ impl DiffusionLoad for f64 {
     #[inline]
     fn accumulate(acc: f64, q: f64) -> f64 {
         acc + q
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    fn quotient_lanes_arch<const D: usize>(lv: f64, lus: [f64; D], divs: [f64; D]) -> [f64; D] {
-        use std::arch::x86_64::{_mm_div_pd, _mm_loadu_pd, _mm_set1_pd, _mm_storeu_pd, _mm_sub_pd};
-        let mut out = [0.0f64; D];
-        // SAFETY: SSE2 is part of the x86_64 baseline (no runtime feature
-        // detection needed); the unaligned loads/stores stay within the
-        // D-element stack arrays. `_mm_sub_pd`/`_mm_div_pd` are IEEE 754
-        // correctly-rounded per lane, hence bit-identical to the scalar
-        // `(lu - lv) / div`.
-        unsafe {
-            let lvv = _mm_set1_pd(lv);
-            let mut i = 0;
-            while i + 2 <= D {
-                let lu = _mm_loadu_pd(lus.as_ptr().add(i));
-                let dv = _mm_loadu_pd(divs.as_ptr().add(i));
-                _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_div_pd(_mm_sub_pd(lu, lvv), dv));
-                i += 2;
-            }
-            if i < D {
-                out[i] = (lus[i] - lv) / divs[i];
-            }
-        }
-        out
     }
 }
 
@@ -231,6 +214,11 @@ impl DiffusionLoad for i64 {
     #[inline]
     fn lower(acc: i128) -> i64 {
         i64::try_from(acc).expect("load fits i64")
+    }
+
+    #[inline]
+    fn divisor(factor: i64, degree: u32) -> i64 {
+        factor * degree as i64
     }
 
     #[inline]
@@ -252,8 +240,9 @@ impl DiffusionLoad for i64 {
 }
 
 /// What a protocol exposes to opt into kernel dispatch: the fixed graph
-/// its gather walks and the CSR-slot-aligned divisor table
-/// (`4·max(dᵥ, dᵤ)` per slot, from [`dlb_graphs::weights`]).
+/// its gather walks and the divisor factor `k`. The slot from `v` to `u`
+/// divides by `k·max(dᵥ, dᵤ)` ([`GatherSpec::divisor`]), derived from the
+/// graph's degrees wherever it is needed.
 ///
 /// Protocols whose per-node update is *not* the canonical
 /// quotient-accumulate loop (FOS/SOS α-scaled flows, capacity-weighted
@@ -264,9 +253,30 @@ pub struct GatherSpec<'p, L> {
     /// The CSR graph the gather iterates (also the graph the engine
     /// fingerprints for plan memoization).
     pub graph: &'p Graph,
-    /// Per-neighbour-slot divisors, length [`Graph::degree_sum`], indexed
-    /// by [`Graph::neighbor_offset`]`(v) + i`.
-    pub slot_div: &'p [L],
+    /// The divisor factor `k`: 4 for Algorithm 1 (continuous and tokens),
+    /// the ablation's `k` for generalized diffusion.
+    pub factor: L,
+}
+
+impl<L: DiffusionLoad> GatherSpec<'_, L> {
+    /// The divisor `k·max(dᵥ, dᵤ)` of a slot between nodes of degrees
+    /// `dv` and `du`.
+    #[inline]
+    pub fn divisor(&self, dv: u32, du: u32) -> L {
+        L::divisor(self.factor, dv.max(du))
+    }
+
+    /// The divisor of the slot from a node of degree `dv` to its
+    /// neighbour `u`. A node of the graph's largest degree needs no
+    /// lookup of `u`'s degree: its every slot divides by `k·dᵥ`.
+    #[inline]
+    pub(crate) fn divisor_to(&self, dv: u32, u: u32) -> L {
+        if dv == self.graph.max_degree() {
+            L::divisor(self.factor, dv)
+        } else {
+            self.divisor(dv, self.graph.degree(u))
+        }
+    }
 }
 
 /// Receives a round's first-pass statistics inputs from inside the
@@ -310,34 +320,29 @@ impl<L: DiffusionLoad> GatherSink<L> for NoStats {
     fn upper(&mut self, _q: L::Acc) {}
 }
 
-/// The one generic per-node gather: the historical `gather_precomputed`
-/// loops of `continuous.rs` / `discrete.rs`, deduplicated. This is also
-/// the [`KernelKind::Scalar`] reference every specialized kernel must
-/// match bit-for-bit.
+/// The one generic per-node gather, each divisor derived from the two
+/// degrees. This is the [`KernelKind::Scalar`] reference every
+/// specialized kernel must match bit-for-bit, and the canonical
+/// protocols' `node_new_load`.
 #[inline]
-pub(crate) fn gather_node<L: DiffusionLoad>(
-    g: &Graph,
-    slot_div: &[L],
-    snapshot: &[L],
-    v: u32,
-) -> L {
-    gather_node_into(g, slot_div, snapshot, v, &mut NoStats)
+pub(crate) fn gather_node<L: DiffusionLoad>(spec: &GatherSpec<'_, L>, snapshot: &[L], v: u32) -> L {
+    gather_node_into(spec, snapshot, v, &mut NoStats)
 }
 
 /// [`gather_node`], reporting the node to `sink`.
 #[inline]
 fn gather_node_into<L: DiffusionLoad, S: GatherSink<L>>(
-    g: &Graph,
-    slot_div: &[L],
+    spec: &GatherSpec<'_, L>,
     snapshot: &[L],
     v: u32,
     sink: &mut S,
 ) -> L {
+    let g = spec.graph;
     let lv = snapshot[v as usize];
-    let off = g.neighbor_offset(v);
+    let dv = g.degree(v);
     let mut acc = lv.lift();
-    for (i, &u) in g.neighbors(v).iter().enumerate() {
-        let q = L::quotient(lv, snapshot[u as usize], slot_div[off + i]);
+    for &u in g.neighbors(v) {
+        let q = L::quotient(lv, snapshot[u as usize], spec.divisor_to(dv, u));
         acc = L::accumulate(acc, q);
         if S::UPPER && u > v {
             sink.upper(q);
@@ -351,10 +356,9 @@ fn gather_node_into<L: DiffusionLoad, S: GatherSink<L>>(
 }
 
 /// Per-run slices threaded through the specialized kernels: the flat CSR
-/// adjacency and divisor arrays plus the run's stride origin.
+/// adjacency plus the run's stride origin.
 struct RunSlices<'a, L> {
     flat: &'a [u32],
-    divs: &'a [L],
     snapshot: &'a [L],
     /// First node of the degree run.
     start: u32,
@@ -365,27 +369,30 @@ struct RunSlices<'a, L> {
 
 /// Fixed-degree unrolled kernel: the whole neighbourhood is one `[_; D]`
 /// quotient-lane array, then a sequential in-order accumulation.
+/// `div_of(u)` is the divisor of the slot to neighbour `u` (a constant
+/// on uniform-divisor runs).
 #[inline]
-fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L), S: GatherSink<L>>(
-    simd: bool,
+fn tile_fixed<L, const D: usize, F, S, V>(
     rs: &RunSlices<'_, L>,
+    div_of: &V,
     lo: u32,
     hi: u32,
     emit: &mut F,
     sink: &mut S,
-) {
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+    V: Fn(u32) -> L,
+{
     let mut local = *sink;
     for v in lo..hi {
         let off = rs.base + (v - rs.start) as usize * D;
         let nbrs = &rs.flat[off..off + D];
         let lv = rs.snapshot[v as usize];
         let lus: [L; D] = std::array::from_fn(|i| rs.snapshot[nbrs[i] as usize]);
-        let divs: [L; D] = std::array::from_fn(|i| rs.divs[off + i]);
-        let q = if simd {
-            L::quotient_lanes_arch(lv, lus, divs)
-        } else {
-            L::quotient_lanes(lv, lus, divs)
-        };
+        let divs: [L; D] = std::array::from_fn(|i| div_of(nbrs[i]));
+        let q = L::quotient_lanes(lv, lus, divs);
         let mut acc = lv.lift();
         for (lane, &u) in q.into_iter().zip(nbrs) {
             acc = L::accumulate(acc, lane);
@@ -406,32 +413,31 @@ fn tile_fixed<L: DiffusionLoad, const D: usize, F: FnMut(u32, L), S: GatherSink<
 /// (hypercubes, cliques, star hubs): `LANES`-wide quotient blocks via
 /// `chunks_exact`, scalar remainder, accumulation still in CSR order.
 #[inline]
-fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
-    simd: bool,
+fn tile_lanes<L, F, S, V>(
     rs: &RunSlices<'_, L>,
     degree: usize,
+    div_of: &V,
     lo: u32,
     hi: u32,
     emit: &mut F,
     sink: &mut S,
-) {
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+    V: Fn(u32) -> L,
+{
     let mut local = *sink;
     for v in lo..hi {
         let off = rs.base + (v - rs.start) as usize * degree;
         let nbrs = &rs.flat[off..off + degree];
-        let divs = &rs.divs[off..off + degree];
         let lv = rs.snapshot[v as usize];
         let mut acc = lv.lift();
-        let mut chunks_n = nbrs.chunks_exact(LANES);
-        let mut chunks_d = divs.chunks_exact(LANES);
-        for (cn, cd) in (&mut chunks_n).zip(&mut chunks_d) {
+        let mut chunks = nbrs.chunks_exact(LANES);
+        for cn in &mut chunks {
             let lus: [L; LANES] = std::array::from_fn(|i| rs.snapshot[cn[i] as usize]);
-            let dv: [L; LANES] = std::array::from_fn(|i| cd[i]);
-            let q = if simd {
-                L::quotient_lanes_arch(lv, lus, dv)
-            } else {
-                L::quotient_lanes(lv, lus, dv)
-            };
+            let dv: [L; LANES] = std::array::from_fn(|i| div_of(cn[i]));
+            let q = L::quotient_lanes(lv, lus, dv);
             for (lane, &u) in q.into_iter().zip(cn) {
                 acc = L::accumulate(acc, lane);
                 if S::UPPER && u > v {
@@ -439,8 +445,8 @@ fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
                 }
             }
         }
-        for (&u, &d) in chunks_n.remainder().iter().zip(chunks_d.remainder()) {
-            let q = L::quotient(lv, rs.snapshot[u as usize], d);
+        for &u in chunks.remainder() {
+            let q = L::quotient(lv, rs.snapshot[u as usize], div_of(u));
             acc = L::accumulate(acc, q);
             if S::UPPER && u > v {
                 local.upper(q);
@@ -455,8 +461,49 @@ fn tile_lanes<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
     *sink = local;
 }
 
+/// Gathers the tile `lo..hi` of a run of degree `degree`, dispatching on
+/// the degree: the identity for isolated nodes, an unrolled kernel for
+/// d = 2, 3, 4, 8, the chunked lanes otherwise.
+#[inline]
+fn tile_run<L, F, S, V>(
+    rs: &RunSlices<'_, L>,
+    degree: u32,
+    div_of: V,
+    lo: u32,
+    hi: u32,
+    emit: &mut F,
+    sink: &mut S,
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+    V: Fn(u32) -> L,
+{
+    match degree {
+        0 => {
+            // Isolated nodes: the gather degenerates to the identity
+            // (lift/lower round-trip, exact for both load types).
+            for w in lo..hi {
+                let lw = rs.snapshot[w as usize];
+                let new = L::lower(lw.lift());
+                if S::NODES {
+                    sink.node(lw, new);
+                }
+                emit(w, new);
+            }
+        }
+        2 => tile_fixed::<L, 2, _, _, _>(rs, &div_of, lo, hi, emit, sink),
+        3 => tile_fixed::<L, 3, _, _, _>(rs, &div_of, lo, hi, emit, sink),
+        4 => tile_fixed::<L, 4, _, _, _>(rs, &div_of, lo, hi, emit, sink),
+        8 => tile_fixed::<L, 8, _, _, _>(rs, &div_of, lo, hi, emit, sink),
+        d => tile_lanes(rs, d as usize, &div_of, lo, hi, emit, sink),
+    }
+}
+
 /// Gathers the contiguous node range `lo..hi`, dispatching per degree run
-/// and walking each run in [`TILE_NODES`]-sized L2 tiles. `emit` is
+/// and walking each run in [`TILE_NODES`]-sized L2 tiles. A run whose
+/// nodes have no higher-degree neighbour divides by one broadcast divisor
+/// `k·d`; any other run derives `k·max(d, dᵤ)` per slot. `emit` is
 /// called exactly once per node, in ascending node order.
 #[allow(clippy::too_many_arguments)]
 fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
@@ -470,53 +517,32 @@ fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
     sink: &mut S,
 ) {
     debug_assert_eq!(plan.n(), spec.graph.n(), "plan built for a different graph");
-    debug_assert_eq!(
-        spec.slot_div.len(),
-        spec.graph.degree_sum(),
-        "divisor table must be CSR-slot aligned"
-    );
     if lo >= hi {
         return;
     }
     if kind == KernelKind::Scalar {
         for v in lo..hi {
-            emit(
-                v,
-                gather_node_into(spec.graph, spec.slot_div, snapshot, v, sink),
-            );
+            emit(v, gather_node_into(spec, snapshot, v, sink));
         }
         return;
     }
-    let simd = kind == KernelKind::Simd;
-    let flat = spec.graph.neighbor_slots();
+    let g = spec.graph;
+    let flat = g.neighbor_slots();
     let runs = plan.runs();
     for_each_tile(plan, lo, hi, |r, t, te| {
         let run = &runs[r];
         let rs = RunSlices {
             flat,
-            divs: spec.slot_div,
             snapshot,
             start: run.start,
             base: run.base,
         };
-        match run.degree {
-            0 => {
-                // Isolated nodes: the gather degenerates to the identity
-                // (lift/lower round-trip, exact for both load types).
-                for w in t..te {
-                    let lw = snapshot[w as usize];
-                    let new = L::lower(lw.lift());
-                    if S::NODES {
-                        sink.node(lw, new);
-                    }
-                    emit(w, new);
-                }
-            }
-            2 => tile_fixed::<L, 2, _, _>(simd, &rs, t, te, emit, sink),
-            3 => tile_fixed::<L, 3, _, _>(simd, &rs, t, te, emit, sink),
-            4 => tile_fixed::<L, 4, _, _>(simd, &rs, t, te, emit, sink),
-            8 => tile_fixed::<L, 8, _, _>(simd, &rs, t, te, emit, sink),
-            d => tile_lanes(simd, &rs, d as usize, t, te, emit, sink),
+        let d = run.degree;
+        if run.uniform_divisor() {
+            let div = L::divisor(spec.factor, d);
+            tile_run(&rs, d, |_| div, t, te, emit, sink);
+        } else {
+            tile_run(&rs, d, |u| spec.divisor(d, g.degree(u)), t, te, emit, sink);
         }
     });
 }
@@ -588,7 +614,7 @@ pub(crate) fn gather_list<L: DiffusionLoad, F: FnMut(u32, L)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_graphs::weights::{csr_divisors, csr_divisors_int};
+    use dlb_graphs::weights::csr_divisors;
     use dlb_graphs::{topology, GraphBuilder};
 
     fn f64_loads(n: usize) -> Vec<f64> {
@@ -612,6 +638,26 @@ mod tests {
         b.build()
     }
 
+    /// Hubs of degree 8 and 10 linked to a degree-22 hub: runs on the
+    /// unrolled d = 8 kernel and on a full 8-lane chunk whose slots
+    /// divide by a higher-degree neighbour's divisor.
+    fn hubs() -> Graph {
+        let mut b = GraphBuilder::new(39).unwrap();
+        let (a, c, big) = (0u32, 8u32, 18u32);
+        for leaf in 1..8 {
+            b.add_edge(a, leaf).unwrap();
+        }
+        for leaf in 9..18 {
+            b.add_edge(c, leaf).unwrap();
+        }
+        for leaf in 19..39 {
+            b.add_edge(big, leaf).unwrap();
+        }
+        b.add_edge(a, big).unwrap();
+        b.add_edge(c, big).unwrap();
+        b.build()
+    }
+
     fn adversarial_graphs() -> Vec<Graph> {
         vec![
             topology::torus2d(5, 7), // regular d=4, one run
@@ -622,50 +668,88 @@ mod tests {
             topology::star(40),      // hub d=39 + leaves d=1
             topology::path(11),      // endpoint runs
             topology::binary_tree(21),
+            topology::grid2d(7, 9), // runs of degree 2/3/4, boundary mixed
             comb(),
+            hubs(),
             Graph::from_edges(9, [(0, 1), (1, 2)]).unwrap(), // mostly isolated
         ]
     }
 
+    /// The gather against a precomputed per-slot divisor table — the
+    /// formulation the degree-derived divisors replace. `table[off + i]`
+    /// is slot `i` of node `v`.
+    fn gather_with_table<L: DiffusionLoad>(g: &Graph, table: &[L], snapshot: &[L], v: u32) -> L {
+        let lv = snapshot[v as usize];
+        let off = g.neighbor_offset(v);
+        let mut acc = lv.lift();
+        for (i, &u) in g.neighbors(v).iter().enumerate() {
+            acc = L::accumulate(acc, L::quotient(lv, snapshot[u as usize], table[off + i]));
+        }
+        L::lower(acc)
+    }
+
+    /// Every kernel flavour, and the scalar reference, equals the gather
+    /// against the old per-slot divisor table (`weights::csr_divisors`)
+    /// bit for bit — on graphs whose runs have higher-degree neighbours
+    /// (star leaves, tree, grid, comb) as well as regular ones, for
+    /// every generalized-diffusion factor.
     #[test]
     fn span_matches_scalar_reference_f64() {
         for g in adversarial_graphs() {
-            let div = csr_divisors(&g, 4.0);
-            let spec = GatherSpec {
-                graph: &g,
-                slot_div: &div,
-            };
             let plan = GatherPlan::build(&g);
             let snap = f64_loads(g.n());
-            let reference: Vec<f64> = g.nodes().map(|v| gather_node(&g, &div, &snap, v)).collect();
-            for kind in KernelKind::ALL {
-                let mut out = vec![0.0; g.n()];
-                gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
-                for (v, (a, b)) in reference.iter().zip(&out).enumerate() {
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{kind:?} diverged at node {v} on {g:?}: {a} vs {b}"
-                    );
+            for factor in [1.0, 1.5, 4.0, 7.0] {
+                let table = csr_divisors(&g, factor);
+                let spec = GatherSpec { graph: &g, factor };
+                let reference: Vec<f64> = g
+                    .nodes()
+                    .map(|v| gather_with_table(&g, &table, &snap, v))
+                    .collect();
+                let scalar: Vec<f64> = g.nodes().map(|v| gather_node(&spec, &snap, v)).collect();
+                let bits = |x: &[f64]| x.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&reference),
+                    bits(&scalar),
+                    "gather_node, k = {factor} on {g:?}"
+                );
+                for kind in KernelKind::ALL {
+                    let mut out = vec![0.0; g.n()];
+                    gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
+                    for (v, (a, b)) in reference.iter().zip(&out).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{kind:?} k = {factor} diverged at node {v} on {g:?}: {a} vs {b}"
+                        );
+                    }
                 }
             }
         }
     }
 
+    /// The token twin of [`span_matches_scalar_reference_f64`]: the
+    /// table is the old integer divisor table `4·max(dᵥ, dᵤ)`.
     #[test]
     fn span_matches_scalar_reference_i64() {
         for g in adversarial_graphs() {
-            let div = csr_divisors_int(&g, 4);
-            let spec = GatherSpec {
-                graph: &g,
-                slot_div: &div,
-            };
             let plan = GatherPlan::build(&g);
             let snap = i64_loads(g.n());
-            let reference: Vec<i64> = g.nodes().map(|v| gather_node(&g, &div, &snap, v)).collect();
-            for kind in KernelKind::ALL {
-                let mut out = vec![0i64; g.n()];
-                gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
-                assert_eq!(reference, out, "{kind:?} diverged on {g:?}");
+            for factor in [1i64, 4, 7] {
+                let table: Vec<i64> = csr_divisors(&g, factor as f64)
+                    .into_iter()
+                    .map(|d| d as i64)
+                    .collect();
+                let spec = GatherSpec { graph: &g, factor };
+                let reference: Vec<i64> = g
+                    .nodes()
+                    .map(|v| gather_with_table(&g, &table, &snap, v))
+                    .collect();
+                let scalar: Vec<i64> = g.nodes().map(|v| gather_node(&spec, &snap, v)).collect();
+                assert_eq!(reference, scalar, "gather_node, k = {factor} on {g:?}");
+                for kind in KernelKind::ALL {
+                    let mut out = vec![0i64; g.n()];
+                    gather_span(kind, &plan, &spec, &snap, 0, &mut out, &mut NoStats);
+                    assert_eq!(reference, out, "{kind:?} k = {factor} diverged on {g:?}");
+                }
             }
         }
     }
@@ -716,10 +800,9 @@ mod tests {
     #[test]
     fn partial_spans_respect_offsets() {
         let g = topology::torus2d(6, 6);
-        let div = csr_divisors(&g, 4.0);
         let spec = GatherSpec {
             graph: &g,
-            slot_div: &div,
+            factor: 4.0,
         };
         let plan = GatherPlan::build(&g);
         let snap = f64_loads(g.n());
@@ -745,10 +828,9 @@ mod tests {
     #[test]
     fn list_gather_detects_contiguous_segments() {
         let g = topology::star(23);
-        let div = csr_divisors(&g, 4.0);
         let spec = GatherSpec {
             graph: &g,
-            slot_div: &div,
+            factor: 4.0,
         };
         let plan = GatherPlan::build(&g);
         let snap = f64_loads(g.n());
@@ -762,7 +844,7 @@ mod tests {
             });
             let want: Vec<(u32, f64)> = nodes
                 .iter()
-                .map(|&v| (v, gather_node(&g, &div, &snap, v)))
+                .map(|&v| (v, gather_node(&spec, &snap, v)))
                 .collect();
             assert_eq!(
                 want.len(),
@@ -774,32 +856,6 @@ mod tests {
                 assert_eq!(w.1.to_bits(), g2.1.to_bits(), "{kind:?} value");
             }
         }
-    }
-
-    #[test]
-    fn arch_lanes_match_portable_lanes() {
-        // Exercise quotient_lanes_arch directly at several widths; with
-        // the `simd` feature this hits the SSE2 path (even/odd D covers
-        // the scalar tail lane).
-        let lv = 3.25f64;
-        let lus = [7.5, -2.0, 1e300, 5e-324, 0.125, -9.75, 3.25, 2.5];
-        let divs = [8.0, 12.0, 20.0, 4.0, 16.0, 24.0, 8.0, 12.0];
-        macro_rules! check {
-            ($d:literal) => {{
-                let l: [f64; $d] = std::array::from_fn(|i| lus[i]);
-                let d: [f64; $d] = std::array::from_fn(|i| divs[i]);
-                let a = <f64 as DiffusionLoad>::quotient_lanes(lv, l, d);
-                let b = <f64 as DiffusionLoad>::quotient_lanes_arch(lv, l, d);
-                for i in 0..$d {
-                    assert_eq!(a[i].to_bits(), b[i].to_bits(), "lane {i} of {}", $d);
-                }
-            }};
-        }
-        check!(2);
-        check!(3);
-        check!(4);
-        check!(5);
-        check!(8);
     }
 
     #[test]
@@ -829,7 +885,7 @@ mod tests {
     #[test]
     fn kernel_kind_names_round_trip() {
         for kind in KernelKind::ALL {
-            assert!(matches!(kind.name(), "scalar" | "unrolled" | "simd"));
+            assert!(matches!(kind.name(), "scalar" | "unrolled"));
         }
         assert_eq!(KernelKind::default(), KernelKind::Unrolled);
     }

@@ -17,9 +17,9 @@
 //! * **[`engine::Protocol`]** — one scheme = one implementation: an
 //!   associated load type (`f64` or `i64` tokens), a per-round setup hook,
 //!   a pure per-node *gather kernel* `node_new_load(snapshot, v)`, and a
-//!   statistics hook. Round-invariant per-edge divisors
-//!   `4·max(dᵢ, dⱼ)` are precomputed CSR-slot-aligned at construction
-//!   ([`dlb_graphs::weights`]), so the hot loop streams contiguous memory.
+//!   statistics hook. The per-edge divisor `4·max(dᵢ, dⱼ)` is derived
+//!   from the two degrees in the kernel ([`kernels`]); runs of equal
+//!   degree with no higher-degree neighbour divide by one broadcast value.
 //! * **[`engine::Engine`]** — the one backend-generic executor in the
 //!   workspace ([`engine::Backend`]): a serial walk, a flat-chunked pool
 //!   over a persistent [`engine::WorkerPool`] (workers live across

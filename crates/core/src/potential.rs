@@ -32,7 +32,8 @@
 //!   the same bits as the historical `iter().sum()` — and the tally
 //!   visits nodes `u` in order and, for each,
 //!   its **CSR upper slots** — the neighbours `v > u` in sorted order —
-//!   adding `|ℓᵤ − ℓᵥ| / div(u, v)` with the divisor of `u`'s slot.
+//!   adding `|ℓᵤ − ℓᵥ| / div(u, v)`, where `div(u, v) = k·max(dᵤ, dᵥ)` is
+//!   the gather's degree-derived divisor (`GatherSpec::divisor`).
 //!   Every undirected edge is therefore tallied exactly once, by the
 //!   block of its lower endpoint.
 //! * **Across blocks**, partials are combined in block order, starting
@@ -51,7 +52,8 @@
 //! and no memory is read again. The sharded, message and process backends
 //! call `block_partial`, which drives the same steps over the
 //! coordinator's vectors, computing each upper slot's quotient with the
-//! same function against `slot_div`. Standalone callers go through the
+//! same function against the same degree-derived divisor. Standalone
+//! callers go through the
 //! `*_with` functions, optionally over a [`WorkerPool`]. The
 //! left-to-right combine is the same on every path, so every backend,
 //! thread count and kernel
@@ -354,8 +356,8 @@ impl<L: LoadPotential> GatherSink<L> for NoTally<L> {
 /// vector (the tally reads neighbours outside the block); `None` skips
 /// the snapshot sum and the tally. With `tally = Some(spec)` the block's
 /// CSR upper slots are tallied from the gather's quotient against
-/// `spec.slot_div`, through the same steps the fused gather drives — see
-/// the module docs for the order.
+/// [`GatherSpec::divisor`], through the same steps the fused gather
+/// drives — see the module docs for the order.
 ///
 /// Everything is one loop over the block's nodes: the sums, the min/max
 /// and the tally are independent dependency chains, so they overlap
@@ -389,10 +391,12 @@ pub(crate) fn block_partial<L: LoadPotential>(
         p.node(x, y);
         let u = (lo + i) as u32;
         let end = g.neighbor_offset(u + 1);
+        let du = (end - off) as u32;
         // Neighbour lists are sorted, so the upper slots are a suffix; a
         // filtered scan beats searching for its start on short lists.
-        for (&v, &div) in flat[off..end].iter().zip(&spec.slot_div[off..end]) {
+        for &v in &flat[off..end] {
             if v > u {
+                let div = spec.divisor_to(du, v);
                 p.upper(L::quotient(x, snapshot[v as usize], div));
             }
         }

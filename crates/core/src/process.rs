@@ -1,4 +1,4 @@
-//! The **process backend**: shards as OS processes over the `dlb-wire/1`
+//! The **process backend**: shards as OS processes over the `dlb-wire/2`
 //! byte protocol.
 //!
 //! [`Backend::Process`](crate::engine::Backend::Process) runs the message
@@ -27,10 +27,10 @@
 //! Protocols exposing a [`Protocol::gather_spec`] (continuous, discrete
 //! and generalized diffusion) run **[`RoundMode::Diffusion`]**: the plan
 //! frame ships the graph (edge list + expected fingerprint) and the
-//! CSR-slot divisor table once, and the worker process evaluates the
-//! gather kernel itself — genuinely distributed compute, bit-identical
-//! because every kernel flavour is pinned bit-identical to the scalar
-//! reference. All other protocols run **[`RoundMode::Precomputed`]**:
+//! divisor factor once, and the worker process evaluates the gather
+//! kernel itself, deriving each divisor from the rebuilt graph's degrees
+//! — genuinely distributed compute, bit-identical because every kernel
+//! flavour is pinned bit-identical to the scalar reference. All other protocols run **[`RoundMode::Precomputed`]**:
 //! their kernels close over arbitrary protocol state (RNG streams,
 //! matching structures, per-round graphs) that cannot cross a process
 //! boundary, so the coordinator evaluates `node_new_load` itself and
@@ -83,7 +83,7 @@ use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A load scalar that can cross the `dlb-wire/1` protocol: every value
+/// A load scalar that can cross the `dlb-wire/2` protocol: every value
 /// is one raw little-endian 8-byte word, converted without rounding or
 /// normalization so the process backend's bit-identity guarantee is
 /// literal. Implemented by both engine load types (`f64`, `i64`); the
@@ -334,8 +334,8 @@ impl<L: WireLoad> ProcessExec<L> {
             ..CommMetrics::default()
         };
         // Diffusion mode requires the spec's graph to be the plan's
-        // graph (same fingerprint): the shipped divisor table is indexed
-        // by that graph's CSR slots. A mismatch (a protocol gathering
+        // graph (same fingerprint): the worker gathers over the graph the
+        // plan ships. A mismatch (a protocol gathering
         // over a different graph than it partitions by) falls back to
         // precomputed rounds rather than shipping an inconsistent plan.
         let diffusion = match gather_spec {
@@ -591,7 +591,8 @@ fn accept_with_deadline(
 }
 
 /// Builds shard `s`'s plan frame, including the kernel payload (graph
-/// edges, fingerprint, divisors) when the round runs diffusion mode.
+/// edges, fingerprint, divisor factor) when the round runs diffusion
+/// mode.
 fn plan_frame_for<L: WireLoad>(
     plan: &MessagePlan,
     s: usize,
@@ -605,7 +606,7 @@ fn plan_frame_for<L: WireLoad>(
         gather_spec.map(|spec| KernelPlan {
             edges: spec.graph.edges().to_vec(),
             fingerprint: graph_fingerprint(spec.graph),
-            divisors: spec.slot_div.iter().map(|d| d.to_word()).collect(),
+            factor: spec.factor.to_word(),
         })
     } else {
         None
@@ -677,8 +678,8 @@ struct ShardState<L> {
     order: Vec<u32>,
     recv_groups: Vec<(u32, Vec<u32>)>,
     /// Diffusion sessions: the rebuilt graph, its gather plan, and the
-    /// typed divisor table.
-    kernel: Option<(Graph, GatherPlan, Vec<L>)>,
+    /// typed divisor factor.
+    kernel: Option<(Graph, GatherPlan, L)>,
     /// The worker's frame: a global-length vector holding owned ∪ halo
     /// values for the current round (all a shard ever sees).
     frame: Vec<L>,
@@ -694,15 +695,15 @@ impl<L: WireLoad> ShardState<L> {
                     .unwrap_or_else(|e| panic!("rebuild shipped graph: {e:?}"));
                 // Integrity gate for the bit-identity guarantee: the
                 // rebuilt CSR must be slot-for-slot the coordinator's
-                // graph, or the shipped divisor table indexes garbage.
+                // graph, or the gather sums in another order and derives
+                // divisors from other degrees.
                 let fp = graph_fingerprint(&graph);
                 assert_eq!(
                     fp, k.fingerprint,
                     "rebuilt graph fingerprint mismatch: plan is corrupt or versions differ"
                 );
                 let gplan = GatherPlan::build(&graph);
-                let divisors = k.divisors.iter().map(|&w| L::from_word(w)).collect();
-                Some((graph, gplan, divisors))
+                Some((graph, gplan, L::from_word(k.factor)))
             }
         };
         let order: Vec<u32> = plan
@@ -797,10 +798,10 @@ fn worker_loop<L: WireLoad>(
                 let state_ref = &state;
                 let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     match (cmd.mode, &state_ref.kernel) {
-                        (RoundMode::Diffusion, Some((graph, gplan, divisors))) => {
+                        (RoundMode::Diffusion, Some((graph, gplan, factor))) => {
                             let spec = GatherSpec {
                                 graph,
-                                slot_div: divisors.as_slice(),
+                                factor: *factor,
                             };
                             let mut out = Vec::with_capacity(state_ref.order.len());
                             crate::kernels::gather_list(

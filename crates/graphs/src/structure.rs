@@ -6,8 +6,8 @@
 //! degree runs, a preferential-attachment graph is an irregular tail.
 //! [`GatherPlan`] materializes that structure once per graph as a list of
 //! maximal [`DegreeRun`]s — contiguous node ranges of equal degree — so a
-//! dispatcher can select a fixed-degree unrolled (or SIMD) kernel per run
-//! instead of branching per node.
+//! dispatcher can select a fixed-degree unrolled kernel per run instead of
+//! branching per node.
 //!
 //! Each run also carries the CSR offset of its first node (`base`).
 //! Because CSR offsets are prefix sums of degrees, every node inside a
@@ -15,8 +15,16 @@
 //! touches the offsets array inside a run, which is what makes the inner
 //! loop a pure stride over two flat slices.
 //!
-//! Plans are cheap (one pass over the degree sequence, one small `Vec`)
-//! and the engine memoizes them per graph fingerprint alongside its shard
+//! Each run also records the largest degree among its nodes' neighbours.
+//! Algorithm 1 divides each edge's transfer by `k·max(dᵥ, dᵤ)`; when no
+//! neighbour of a run has a higher degree than the run itself, every slot
+//! of the run has the same divisor `k·d` ([`DegreeRun::uniform_divisor`]),
+//! and the kernel broadcasts it instead of deriving one per slot. Every
+//! run of a regular graph (torus, hypercube) qualifies.
+//!
+//! Plans are cheap (one `O(m)` pass over the adjacency, `O(n)` on regular
+//! graphs, whose neighbour degrees are known; one small `Vec`) and the
+//! engine memoizes them per graph fingerprint alongside its shard
 //! plans, so dynamic-topology runners pay the analysis only when the
 //! graph actually changes.
 
@@ -34,6 +42,9 @@ pub struct DegreeRun {
     /// CSR offset of `start`'s first neighbour slot; node `v` in the run
     /// has its slots at `base + (v − start)·degree`.
     pub base: usize,
+    /// Largest degree among the neighbours of the run's nodes (0 when
+    /// the run's nodes are isolated).
+    pub neighbor_max_degree: u32,
 }
 
 impl DegreeRun {
@@ -46,6 +57,12 @@ impl DegreeRun {
     /// [`GatherPlan::build`]).
     pub fn is_empty(&self) -> bool {
         self.start == self.end
+    }
+
+    /// Whether every slot of the run has the same divisor `k·degree`: no
+    /// neighbour of the run's nodes has a higher degree than they do.
+    pub fn uniform_divisor(&self) -> bool {
+        self.neighbor_max_degree <= self.degree
     }
 }
 
@@ -84,20 +101,35 @@ pub struct GatherPlan {
 }
 
 impl GatherPlan {
-    /// Scans the degree sequence and materializes the maximal-run
-    /// schedule. One pass, `O(n)`.
+    /// Scans the degree sequence and the neighbours' degrees and
+    /// materializes the maximal-run schedule. One pass, `O(m)`; `O(n)` on
+    /// a regular graph, where every neighbour has the node's own degree.
     pub fn build(g: &Graph) -> GatherPlan {
         let n = g.n();
+        let regular = g.min_degree() == g.max_degree();
         let mut runs: Vec<DegreeRun> = Vec::new();
         for v in g.nodes() {
             let d = g.degree(v);
+            let nbr_max = if regular {
+                d
+            } else {
+                g.neighbors(v)
+                    .iter()
+                    .map(|&u| g.degree(u))
+                    .max()
+                    .unwrap_or(0)
+            };
             match runs.last_mut() {
-                Some(run) if run.degree == d => run.end = v + 1,
+                Some(run) if run.degree == d => {
+                    run.end = v + 1;
+                    run.neighbor_max_degree = run.neighbor_max_degree.max(nbr_max);
+                }
                 _ => runs.push(DegreeRun {
                     start: v,
                     end: v + 1,
                     degree: d,
                     base: g.neighbor_offset(v),
+                    neighbor_max_degree: nbr_max,
                 }),
             }
         }
@@ -146,6 +178,11 @@ mod tests {
             assert_eq!(run.start, cursor, "runs must be contiguous");
             assert!(!run.is_empty());
             assert_eq!(run.base, g.neighbor_offset(run.start));
+            let nbr_max = (run.start..run.end)
+                .flat_map(|v| g.neighbors(v).iter().map(|&u| g.degree(u)))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(run.neighbor_max_degree, nbr_max, "run {run:?}");
             for v in run.start..run.end {
                 assert_eq!(g.degree(v), run.degree, "node {v}");
                 assert_eq!(
@@ -199,6 +236,42 @@ mod tests {
         assert_eq!(plan.runs()[0].len(), 1);
         assert_eq!(plan.runs()[1].degree, 1);
         assert_eq!(plan.runs()[1].len(), 49);
+    }
+
+    #[test]
+    fn runs_record_their_neighbors_max_degree() {
+        // (graph, per run: (degree, neighbour max degree)).
+        let cases = [
+            (topology::torus2d(6, 7), vec![(4, 4)]),
+            (topology::hypercube(5), vec![(5, 5)]),
+            (topology::star(50), vec![(49, 1), (1, 49)]),
+            (topology::path(10), vec![(1, 2), (2, 2), (1, 2)]),
+            (
+                Graph::from_edges(6, [(0, 1), (1, 2)]).unwrap(),
+                vec![(1, 2), (2, 1), (1, 2), (0, 0)],
+            ),
+        ];
+        for (g, want) in cases {
+            let plan = GatherPlan::build(&g);
+            check_invariants(&g, &plan);
+            let got: Vec<(u32, u32)> = plan
+                .runs()
+                .iter()
+                .map(|r| (r.degree, r.neighbor_max_degree))
+                .collect();
+            assert_eq!(got, want, "{g:?}");
+            for r in plan.runs() {
+                assert_eq!(r.uniform_divisor(), r.neighbor_max_degree <= r.degree);
+            }
+        }
+        // A binary tree's internal nodes (degree 3) neighbour only
+        // degree ≤ 3 nodes; its leaves neighbour a higher-degree parent.
+        let g = topology::binary_tree(31);
+        let plan = GatherPlan::build(&g);
+        check_invariants(&g, &plan);
+        for r in plan.runs() {
+            assert_eq!(r.uniform_divisor(), r.degree >= 3, "{r:?}");
+        }
     }
 
     #[test]

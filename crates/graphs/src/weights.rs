@@ -1,20 +1,21 @@
-//! Precomputed per-slot edge weights for the diffusion gather kernels.
+//! Per-slot and per-edge divisor tables for the capacity-weighted
+//! protocols.
 //!
 //! Algorithm 1 divides every per-edge transfer by `k·max(dᵢ, dⱼ)` (the
-//! paper fixes `k = 4`). Recomputing that divisor inside the hot gather
-//! loop costs two degree lookups, a `max`, an integer→float conversion and
-//! a multiply per neighbour slot — all of it round-invariant on a fixed
-//! graph. These helpers materialize the divisors once, aligned with the
-//! CSR neighbour slots (index with [`Graph::neighbor_offset`]) or with the
-//! canonical edge list, so the gather reduces to a stream over two
-//! contiguous arrays.
+//! paper fixes `k = 4`). The canonical diffusion protocols derive that
+//! divisor from the two degrees inside the gather (see
+//! `dlb_core::kernels`) and store no table. The heterogeneous protocols
+//! scale each edge by a per-slot capacity coefficient as well, and read
+//! their divisors from these tables, aligned with the CSR neighbour slots
+//! (index with [`Graph::neighbor_offset`]) or with the canonical edge
+//! list. Both forms compute `k * max as f64` exactly as the kernels do, so
+//! a divisor has the same bits wherever it comes from.
 //!
 //! The tables store the **divisor** `k·max(dᵢ, dⱼ)` rather than its
-//! reciprocal: dividing by the precomputed value performs bit-for-bit the
-//! same floating-point operation as the historical on-the-fly kernel
-//! (multiplying by a precomputed reciprocal would change the last-ulp
-//! rounding whenever the divisor is not a power of two, breaking the exact
-//! golden-value equivalence the test-suite pins).
+//! reciprocal: dividing by it performs bit-for-bit the same floating-point
+//! operation as the on-the-fly kernel (multiplying by a reciprocal would
+//! change the last-ulp rounding whenever the divisor is not a power of
+//! two, breaking the exact golden-value equivalence the test-suite pins).
 
 use crate::Graph;
 
@@ -35,24 +36,9 @@ pub fn csr_divisors(g: &Graph, k: f64) -> Vec<f64> {
     out
 }
 
-/// CSR-slot-aligned integer divisors `k·max(dᵢ, dⱼ)` for the discrete
-/// (token) kernels. Length `2m`.
-pub fn csr_divisors_int(g: &Graph, k: u32) -> Vec<i64> {
-    assert!(k > 0, "divisor factor must be positive");
-    let mut out = Vec::with_capacity(g.degree_sum());
-    for v in g.nodes() {
-        let dv = g.degree(v);
-        for &u in g.neighbors(v) {
-            out.push(k as i64 * dv.max(g.degree(u)) as i64);
-        }
-    }
-    out
-}
-
 /// Edge-list-aligned divisors `k·max(dᵤ, dᵥ)` as `f64`, index-matched with
 /// [`Graph::edges`]. Length `m`. Used by protocols whose flow statistics
-/// walk the edge list (the canonical diffusion protocols tally over the
-/// CSR-slot table instead).
+/// walk the edge list.
 pub fn edge_divisors(g: &Graph, k: f64) -> Vec<f64> {
     assert!(k > 0.0 && k.is_finite(), "divisor factor must be positive");
     g.edges()
@@ -99,16 +85,6 @@ mod tests {
         for (k, &(u, v)) in g.edges().iter().enumerate() {
             let d = g.degree(u).max(g.degree(v));
             assert_eq!(w[k], 4.0 * d as f64);
-        }
-    }
-
-    #[test]
-    fn int_divisors_agree_with_float() {
-        let g = topology::complete(7);
-        let f = csr_divisors(&g, 4.0);
-        let i = csr_divisors_int(&g, 4);
-        for (a, b) in f.iter().zip(&i) {
-            assert_eq!(*a, *b as f64);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The `dlb-wire/1` frame grammar: handshake preamble + typed,
+//! The `dlb-wire/2` frame grammar: handshake preamble + typed,
 //! length-prefixed frames.
 //!
 //! Everything here is plain little-endian byte shuffling over `std::io`
@@ -14,17 +14,17 @@ use std::io::{Read, Write};
 /// Four-byte protocol magic opening every handshake: `"DLBW"`.
 pub const MAGIC: [u8; 4] = *b"DLBW";
 
-/// Protocol version spoken by this build (`dlb-wire/1`).
-pub const WIRE_VERSION: u32 = 1;
+/// Protocol version spoken by this build (`dlb-wire/2`).
+pub const WIRE_VERSION: u32 = 2;
 
 /// Schema tag mirroring `dlb-scenario/1` / `dlb-trace/1`: the name the
 /// docs, reports and version-negotiation errors refer to.
-pub const WIRE_SCHEMA: &str = "dlb-wire/1";
+pub const WIRE_SCHEMA: &str = "dlb-wire/2";
 
 /// Hard cap on a single frame's payload length (1 GiB). A `Plan` frame
-/// for a million-node graph (edges + per-slot divisors) runs tens of
-/// megabytes; anything near this cap is corruption, not data, and is
-/// rejected before allocation.
+/// for a million-node graph (its edge list) runs tens of megabytes;
+/// anything near this cap is corruption, not data, and is rejected before
+/// allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Load element type carried by a session, declared once in the
@@ -67,7 +67,7 @@ pub enum RoundMode {
     /// the proof obligation for protocols whose kernels cannot ship.
     Precomputed,
     /// The worker evaluates the diffusion gather kernel itself over the
-    /// graph + divisor table from its [`PlanFrame`]: `OwnedValues` seeds
+    /// graph + divisor factor from its [`PlanFrame`]: `OwnedValues` seeds
     /// the *old* loads, halo batches fill the ghost ring, and the result
     /// is computed in-process on the worker.
     Diffusion,
@@ -109,7 +109,7 @@ pub struct HelloAck {
 
 /// The shard execution plan a worker holds between rounds: its view of
 /// the partition plus (for diffusion-kernel sessions) the graph and
-/// divisor table it gathers over. Reships only when the partition or
+/// divisor factor it gathers over. Reships only when the partition or
 /// graph changes (`seq` bumps), mirroring the message backend's
 /// broadcast key.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +138,8 @@ pub struct PlanFrame {
 }
 
 /// The gather kernel shipped to a diffusion-mode worker: the global
-/// graph as an edge list plus the CSR-slot-aligned divisor table.
+/// graph as an edge list plus the divisor factor `k`; the worker derives
+/// each slot's divisor `k·max(dᵥ, dᵤ)` from the rebuilt graph's degrees.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
     /// Undirected edge list; the worker rebuilds the CSR graph with
@@ -148,10 +149,8 @@ pub struct KernelPlan {
     /// check that the reconstruction is slot-for-slot identical to the
     /// coordinator's, which the bit-identity guarantee rides on.
     pub fingerprint: u64,
-    /// Per-CSR-slot divisor bit patterns (length = graph degree sum),
-    /// indexed by `neighbor_offset(v) + i` exactly like the in-process
-    /// kernels.
-    pub divisors: Vec<u64>,
+    /// Bit pattern of the divisor factor `k`, in the session's load type.
+    pub factor: u64,
 }
 
 /// One round command (coordinator → worker).
@@ -180,7 +179,7 @@ pub struct DoneFrame {
     pub ok: bool,
 }
 
-/// One `dlb-wire/1` frame. On the wire: `[type: u8][len: u32 LE][payload]`.
+/// One `dlb-wire/2` frame. On the wire: `[type: u8][len: u32 LE][payload]`.
 ///
 /// `Deltas`, `Collect`, `Collected` and `Stats` are defined (and
 /// round-trip tested) for the shard-resident upgrade of the process
@@ -435,7 +434,7 @@ impl Frame {
                             e.u32(v);
                         }
                         e.u64(k.fingerprint);
-                        e.u64_list(&k.divisors);
+                        e.u64(k.factor);
                     }
                 }
             }
@@ -487,7 +486,7 @@ impl Frame {
     }
 
     /// Decodes one frame payload. Trailing payload bytes beyond the
-    /// fields this version knows are ignored — the `dlb-wire/1` additive
+    /// fields this version knows are ignored — the `dlb-wire/2` additive
     /// forward-compatibility rule.
     fn decode(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload, kind);
@@ -515,11 +514,11 @@ impl Frame {
                             edges.push((d.u32()?, d.u32()?));
                         }
                         let fingerprint = d.u64()?;
-                        let divisors = d.u64_list()?;
+                        let factor = d.u64()?;
                         Some(KernelPlan {
                             edges,
                             fingerprint,
-                            divisors,
+                            factor,
                         })
                     }
                 };
@@ -767,7 +766,7 @@ mod tests {
         assert_eq!(
             hello,
             Hello {
-                version: 1,
+                version: WIRE_VERSION,
                 shard: 42
             }
         );
@@ -783,14 +782,28 @@ mod tests {
         future[4..8].copy_from_slice(&9u32.to_le_bytes());
         assert!(matches!(
             read_hello(&mut future.as_slice()),
-            Err(WireError::VersionMismatch { ours: 1, theirs: 9 })
+            Err(WireError::VersionMismatch {
+                ours: WIRE_VERSION,
+                theirs: 9
+            })
+        ));
+
+        // A dlb-wire/2 peer ships per-slot divisor tables in its plan
+        // frames; it must be refused at the handshake, not misparsed.
+        let mut skewed = buf.clone();
+        skewed[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            read_hello(&mut skewed.as_slice()),
+            Err(WireError::VersionMismatch { ours: 2, theirs: 1 })
         ));
 
         let mut ack = Vec::new();
         write_hello_ack(&mut ack).unwrap();
         assert_eq!(
             read_hello_ack(&mut ack.as_slice()).unwrap(),
-            HelloAck { version: 1 }
+            HelloAck {
+                version: WIRE_VERSION
+            }
         );
     }
 }

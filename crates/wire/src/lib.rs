@@ -3,7 +3,7 @@
 
 //! # dlb-wire
 //!
-//! The **`dlb-wire/1`** framed byte protocol spoken between the process
+//! The **`dlb-wire/2`** framed byte protocol spoken between the process
 //! backend's coordinator ([`Backend::Process`]) and its `dlb-shard-worker`
 //! OS processes, together with the byte transports it runs over.
 //!
@@ -67,7 +67,7 @@ pub use transport::{CountingStream, Transport, WireListener, WireStream};
 use std::fmt;
 use std::io;
 
-/// Typed failure of the `dlb-wire/1` protocol layer.
+/// Typed failure of the `dlb-wire/2` protocol layer.
 ///
 /// Every corruption mode a byte transport can produce maps to a distinct
 /// variant, so the engine can turn "the worker process died mid-round"

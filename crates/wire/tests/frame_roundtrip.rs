@@ -1,4 +1,4 @@
-//! Property tests: every `dlb-wire/1` frame type survives
+//! Property tests: every `dlb-wire/2` frame type survives
 //! encode → decode bit-for-bit, for arbitrary payload contents — the
 //! serialization half of the process backend's bit-identity guarantee.
 
@@ -25,10 +25,10 @@ proptest! {
         boundary in vec(0u32..512, 0..40),
         groups in vec((0u32..64, vec(0u32..512, 0..12)), 0..5),
         kernel in (0u8..2, vec((0u32..512, 0u32..512), 0..30), 0u64..u64::MAX,
-                   vec(0u64..u64::MAX, 0..60)),
+                   0u64..u64::MAX),
         load_f64 in 0u8..2,
     ) {
-        let (has_kernel, edges, fingerprint, divisors) = kernel;
+        let (has_kernel, edges, fingerprint, factor) = kernel;
         round_trip(Frame::Plan(PlanFrame {
             seq,
             shard,
@@ -41,7 +41,7 @@ proptest! {
             kernel: (has_kernel != 0).then_some(KernelPlan {
                 edges,
                 fingerprint,
-                divisors,
+                factor,
             }),
         }));
     }

@@ -9,16 +9,18 @@
 //! boundaries and degree-run boundaries all disagree — and assert that
 //! every backend, thread count, kernel and stats mode reports the loads,
 //! round statistics and runner records of the serial executor, bit for
-//! bit.
+//! bit — and that the divisors the kernels derive from degrees give the
+//! loads and statistics of a gather against a per-slot divisor table.
 
-use dlb_core::continuous::ContinuousDiffusion;
+use dlb_core::continuous::{ContinuousDiffusion, GeneralizedDiffusion};
 use dlb_core::discrete::DiscreteDiffusion;
-use dlb_core::engine::{Backend, Engine, Protocol, StatsMode};
+use dlb_core::engine::{Backend, Engine, FlowTally, Protocol, StatsMode, TokenTally};
 use dlb_core::heterogeneous::HeterogeneousDiffusion;
 use dlb_core::kernels::KernelKind;
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
-use dlb_core::potential::REDUCE_BLOCK;
+use dlb_core::potential::{self, REDUCE_BLOCK};
 use dlb_core::Transport;
+use dlb_graphs::weights::csr_divisors;
 use dlb_graphs::{Graph, GraphBuilder, PartitionSpec};
 use dlb_workloads::scenario::compile_workloads;
 use dlb_workloads::{
@@ -252,6 +254,151 @@ fn discrete_stats_are_bit_identical_across_backends_kernels_and_modes() {
                 assert_eq!(got.0, reference.0, "{name} {kind:?} {mode:?}: loads");
                 assert_eq!(got.1, reference.1, "{name} {kind:?} {mode:?}: stats");
             }
+        }
+    }
+}
+
+/// Upper slots `(u, v, slot)` with `v > u` of the nodes in block `b`, in
+/// the tally's order: nodes ascending, each node's slots in CSR order.
+fn block_upper_slots(g: &Graph, b: usize) -> Vec<(usize, usize, usize)> {
+    let lo = b * REDUCE_BLOCK;
+    let hi = (lo + REDUCE_BLOCK).min(g.n());
+    let mut out = Vec::new();
+    for u in lo as u32..hi as u32 {
+        let off = g.neighbor_offset(u);
+        for (i, &v) in g.neighbors(u).iter().enumerate() {
+            if v > u {
+                out.push((u as usize, v as usize, off + i));
+            }
+        }
+    }
+    out
+}
+
+/// One continuous round against a per-slot divisor table — the
+/// formulation the degree-derived divisors replace — with its
+/// [`RoundStats`] bits in the block order of `dlb_core::potential`.
+fn table_round_f64(g: &Graph, table: &[f64], snap: &[f64]) -> (Vec<f64>, [u64; 5]) {
+    let new: Vec<f64> = g
+        .nodes()
+        .map(|v| {
+            let lv = snap[v as usize];
+            let off = g.neighbor_offset(v);
+            let mut acc = lv;
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                acc += (snap[u as usize] - lv) / table[off + i];
+            }
+            acc
+        })
+        .collect();
+    let mut tally = FlowTally::default();
+    for b in 0..g.n().div_ceil(REDUCE_BLOCK) {
+        let block = FlowTally::from_flows(
+            block_upper_slots(g, b)
+                .into_iter()
+                .map(|(u, v, slot)| (snap[v] - snap[u]).abs() / table[slot]),
+        );
+        tally = FlowTally {
+            active: tally.active + block.active,
+            total: tally.total + block.total,
+            max: tally.max.max(block.max),
+        };
+    }
+    let stats = tally.stats(potential::phi(snap), potential::phi(&new));
+    (new, round_bits(&stats))
+}
+
+/// The token twin of [`table_round_f64`].
+fn table_round_i64(g: &Graph, table: &[i64], snap: &[i64]) -> (Vec<i64>, DiscreteRoundStats) {
+    let new: Vec<i64> = g
+        .nodes()
+        .map(|v| {
+            let lv = snap[v as usize] as i128;
+            let off = g.neighbor_offset(v);
+            let mut acc = lv;
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                let (lu, c) = (snap[u as usize] as i128, table[off + i] as i128);
+                if lu > lv {
+                    acc += (lu - lv) / c;
+                } else if lv > lu {
+                    acc -= (lv - lu) / c;
+                }
+            }
+            i64::try_from(acc).unwrap()
+        })
+        .collect();
+    let tally = TokenTally::from_tokens((0..g.n().div_ceil(REDUCE_BLOCK)).flat_map(|b| {
+        block_upper_slots(g, b).into_iter().map(|(u, v, slot)| {
+            (snap[u] as i128 - snap[v] as i128).unsigned_abs() as u64 / table[slot] as u64
+        })
+    }));
+    let stats = tally.stats(potential::phi_hat(snap), potential::phi_hat(&new));
+    (new, stats)
+}
+
+/// Loads and stats of `ROUNDS` table rounds.
+fn table_rounds<L: Clone, S>(
+    init: &[L],
+    round: impl Fn(&[L]) -> (Vec<L>, S),
+) -> (Vec<L>, Vec<Option<S>>) {
+    let mut loads = init.to_vec();
+    let mut trace = Vec::new();
+    for _ in 0..ROUNDS {
+        let (next, stats) = round(&loads);
+        loads = next;
+        trace.push(Some(stats));
+    }
+    (loads, trace)
+}
+
+#[test]
+fn derived_divisors_reproduce_the_per_slot_table_on_every_backend() {
+    // Star leaves and grid boundary rows neighbour higher-degree nodes,
+    // so their runs derive divisors per slot; grid interior rows divide
+    // by one broadcast divisor.
+    let g = grid_with_star();
+    let plan = dlb_graphs::GatherPlan::build(&g);
+    assert!(plan.runs().iter().any(|r| r.uniform_divisor()));
+    assert!(plan.runs().iter().any(|r| !r.uniform_divisor()));
+    let init = continuous_loads(g.n());
+    for factor in [1.0, 1.5, 4.0, 7.0] {
+        let table = csr_divisors(&g, factor);
+        let (want_loads, want_stats) = table_rounds(&init, |s| table_round_f64(&g, &table, s));
+        let mut cases = vec![("serial".to_string(), Backend::Serial)];
+        cases.extend(backends());
+        for kind in KernelKind::ALL {
+            for (name, backend) in &cases {
+                let got = drive(
+                    Engine::with_backend(GeneralizedDiffusion::new(&g, factor), *backend)
+                        .with_kernel(kind),
+                    init.clone(),
+                    round_bits,
+                );
+                assert_eq!(
+                    float_bits(&got.0),
+                    float_bits(&want_loads),
+                    "{name} {kind:?} k = {factor}: loads"
+                );
+                assert_eq!(got.1, want_stats, "{name} {kind:?} k = {factor}: stats");
+            }
+        }
+    }
+    let table: Vec<i64> = csr_divisors(&g, 4.0)
+        .into_iter()
+        .map(|d| d as i64)
+        .collect();
+    let init = token_loads(g.n());
+    let want = table_rounds(&init, |s| table_round_i64(&g, &table, s));
+    let mut cases = vec![("serial".to_string(), Backend::Serial)];
+    cases.extend(backends());
+    for kind in KernelKind::ALL {
+        for (name, backend) in &cases {
+            let got = drive(
+                Engine::with_backend(DiscreteDiffusion::new(&g), *backend).with_kernel(kind),
+                init.clone(),
+                discrete_bits,
+            );
+            assert_eq!(got, want, "{name} {kind:?}: tokens");
         }
     }
 }

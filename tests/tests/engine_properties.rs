@@ -14,7 +14,7 @@
 //! seeds mean equal rounds regardless of executor.
 //!
 //! The kernel dispatch layer adds a third axis: every [`KernelKind`]
-//! (scalar reference, unrolled, simd) must match the serial **scalar**
+//! (scalar reference, unrolled) must match the serial **scalar**
 //! gather bit-for-bit on every backend — the degree-specialized kernels
 //! are a speed story only, never a results story.
 

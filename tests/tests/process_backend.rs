@@ -1,5 +1,5 @@
 //! Process-backend integration suite: shards as OS processes speaking
-//! `dlb-wire/1` over real sockets.
+//! `dlb-wire/2` over real sockets.
 //!
 //! (Per-protocol serial ≡ process bit-identity lives in
 //! `engine_properties.rs`; codec round-trips and truncation at every
