@@ -7,18 +7,14 @@
 //!   (`full`, `phionly`, `every10`, `off`), serial and pooled. The round
 //!   is zero-copy double-buffered, so `off` measures the gather alone and
 //!   the gap to `full` is exactly the statistics cost;
-//! - **sharded_round** — one `Engine::round` on the sharded backend
-//!   (range and BFS partitions at several shard counts). Each record
-//!   carries the plan's `edge_cut` and `halo` size in the JSON, so the
-//!   perf trajectory tracks communication volume alongside per-round ms —
-//!   the numbers a distributed backend's exchange step would pay;
 //! - **message_round** — one `Engine::round` on the message-passing
 //!   backend (one shard-isolated worker per shard, halo values crossing
-//!   shards only as batched channel messages). Each record additionally
-//!   carries the round's actual `messages` and `values_sent`, measuring
-//!   what shard isolation costs on shared memory relative to
-//!   `sharded_round`'s zero-copy scatter — the gap is the price of the
-//!   ownership transfer plus the exchange itself. The `resident-*`
+//!   shards only as batched channel messages). Each record carries the
+//!   plan's `edge_cut` and `halo` size and the round's actual `messages`
+//!   and `values_sent`, so the perf trajectory tracks communication
+//!   volume alongside per-round ms; the gap to `engine_round`'s pool is
+//!   the price of the ownership transfer plus the exchange itself. The
+//!   `resident-*`
 //!   variants run the same instances through `Engine::round_resident`
 //!   (workers keep their owned loads; steady-state stats-off rounds
 //!   move zero owned values through the coordinator, which the bench
@@ -32,8 +28,8 @@
 //!   moved in the measured round; the gap to `message_round` on the same
 //!   partition is the price of process isolation (serialization +
 //!   syscalls in place of in-process channels);
-//! - **fault_overhead** — one `Engine::round` (stats off) on the sharded
-//!   and message backends with fault injection `absent` vs. `armed_idle`
+//! - **fault_overhead** — one `Engine::round` (stats off) on the message
+//!   backend with fault injection `absent` vs. `armed_idle`
 //!   (a `FaultPlan` installed whose only event never fires). `absent`
 //!   runs the legacy unsupervised path and must stay at parity with the
 //!   prior trajectory (the robustness acceptance: ≤ 1% on the fault-free
@@ -54,8 +50,8 @@
 //!   dispatch flavour buys;
 //! - **thread_scaling** — one `Engine::round` (stats off) for every
 //!   backend at every thread count `1..=available`: serial once,
-//!   pool/sharded/message per count (shards = threads for the sharded
-//!   and message rows). Each record carries `speedup_vs_serial`
+//!   pool/message per count (shards = threads for the message rows).
+//!   Each record carries `speedup_vs_serial`
 //!   (serial median / variant median, computed after the run), making
 //!   the scaling protocol a first-class part of the trajectory;
 //! - **convergence_run** — a fixed-round end-to-end run through
@@ -94,7 +90,7 @@ struct Meta {
     variant: String,
     rounds_per_iter: usize,
     threads: usize,
-    /// Sharded/message variants: the plan's edge cut and halo size.
+    /// Message variants: the plan's edge cut and halo size.
     edge_cut: Option<usize>,
     halo: Option<usize>,
     /// Message variants: per-round batched messages and values moved.
@@ -199,43 +195,6 @@ fn engine_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String, 
                     .engine_parallel(threads)
                     .with_stats_mode(mode);
                 let mut loads = inst.init.clone();
-                b.iter(|| black_box(engine.round(&mut loads).map(|s| s.phi_after)));
-            });
-        }
-    }
-    group.finish();
-}
-
-fn sharded_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String, Meta>) {
-    let mut group = c.benchmark_group("sharded_round");
-    let threads = pool_sizes().last().copied().unwrap_or(2);
-
-    let mut specs = Vec::new();
-    for shards in [threads.max(2), 4 * threads.max(2)] {
-        specs.push(PartitionSpec::Range { shards });
-        specs.push(PartitionSpec::Bfs { shards });
-    }
-    for spec in specs {
-        for mode in [StatsMode::Full, StatsMode::Off] {
-            let variant = format!(
-                "{}{}x{threads}t/{}",
-                spec.strategy_name(),
-                spec.shards(),
-                mode_name(mode)
-            );
-            let mut engine = ContinuousDiffusion::new(&inst.g)
-                .engine_sharded(spec, threads)
-                .with_stats_mode(mode);
-            let mut loads = inst.init.clone();
-            // Warm one round so the shard plan exists and its edge-cut /
-            // halo metadata can ride along in the JSON records.
-            engine.round(&mut loads);
-            let metrics = engine.shard_metrics().expect("plan derived");
-            let mut m = Meta::new("sharded_round", variant.clone(), 1, threads);
-            m.edge_cut = Some(metrics.edge_cut);
-            m.halo = Some(metrics.halo);
-            meta.insert(format!("sharded_round/{variant}"), m);
-            group.bench_function(variant, |b| {
                 b.iter(|| black_box(engine.round(&mut loads).map(|s| s.phi_after)));
             });
         }
@@ -404,7 +363,7 @@ fn process_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
 }
 
 /// The fault-tolerance overhead check: one `Engine::round` (stats off) on
-/// the sharded and message backends with no [`FaultPlan`] installed
+/// the message backend with no [`FaultPlan`] installed
 /// (`absent` — the unsupervised fast path) vs. a plan armed whose single
 /// event sits at a round the run never reaches (`armed_idle` —
 /// supervision active, nothing ever fires). `absent` must hold the
@@ -417,34 +376,23 @@ fn fault_overhead(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
     let partition = PartitionSpec::Range { shards };
     let idle_plan = FaultPlan::new().event(u64::MAX, 0, FaultKind::Panic);
     let mut group = c.benchmark_group("fault_overhead");
-    for (backend_name, backend, workers) in [
-        ("sharded", Backend::Sharded { partition, threads }, threads),
-        (
-            "message",
-            Backend::Message {
-                partition,
-                resident: false,
-            },
-            shards,
-        ),
-    ] {
-        for (arm, plan) in [("absent", None), ("armed_idle", Some(idle_plan.clone()))] {
-            let variant = format!("{backend_name}/{arm}");
-            meta.insert(
-                format!("fault_overhead/{variant}"),
-                Meta::new("fault_overhead", variant.clone(), 1, workers),
-            );
-            let mut engine = Engine::with_backend(ContinuousDiffusion::new(&inst.g), backend)
-                .with_stats_mode(StatsMode::Off);
-            engine.set_faults(plan);
-            let mut loads = inst.init.clone();
-            group.bench_function(variant, |b| {
-                b.iter(|| {
-                    engine.round(&mut loads);
-                    black_box(loads[0])
-                });
+    for (arm, plan) in [("absent", None), ("armed_idle", Some(idle_plan))] {
+        let variant = format!("message/{arm}");
+        meta.insert(
+            format!("fault_overhead/{variant}"),
+            Meta::new("fault_overhead", variant.clone(), 1, shards),
+        );
+        let mut engine = ContinuousDiffusion::new(&inst.g)
+            .engine_message(partition)
+            .with_stats_mode(StatsMode::Off);
+        engine.set_faults(plan);
+        let mut loads = inst.init.clone();
+        group.bench_function(variant, |b| {
+            b.iter(|| {
+                engine.round(&mut loads);
+                black_box(loads[0])
             });
-        }
+        });
     }
     group.finish();
 }
@@ -551,14 +499,6 @@ fn thread_scaling(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
         vec![("serial/1t".to_string(), 1, Backend::Serial)];
     for t in 1..=avail {
         variants.push((format!("pool/{t}t"), t, Backend::Pool { threads: t }));
-        variants.push((
-            format!("sharded/{t}t"),
-            t,
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: t.max(2) },
-                threads: t,
-            },
-        ));
         variants.push((
             format!("message/{t}t"),
             t,
@@ -709,7 +649,6 @@ fn main() {
     let mut meta: HashMap<String, Meta> = HashMap::new();
     kernel_gather(&mut c, quick, &mut meta);
     engine_rounds(&mut c, &inst, &mut meta);
-    sharded_rounds(&mut c, &inst, &mut meta);
     message_rounds(&mut c, &inst, &mut meta);
     process_rounds(&mut c, &inst, &mut meta);
     fault_overhead(&mut c, &inst, &mut meta);

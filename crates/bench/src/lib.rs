@@ -73,11 +73,11 @@ pub mod perf_json {
         pub min_ns_per_round: f64,
         /// Timed samples behind the figures.
         pub samples: usize,
-        /// Sharded/message-backend only: edges crossing shards in the
+        /// Message/process-backend only: edges crossing shards in the
         /// plan the variant executed (communication volume). Omitted from
         /// the JSON when absent.
         pub edge_cut: Option<usize>,
-        /// Sharded/message-backend only: total halo entries exchanged per
+        /// Message/process-backend only: total halo entries exchanged per
         /// round.
         pub halo: Option<usize>,
         /// Message-backend only: batched shard→shard messages posted per

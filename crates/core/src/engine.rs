@@ -1,6 +1,6 @@
 //! The unified round engine: one [`Protocol`] abstraction and one
 //! backend-generic executor ([`Backend::Serial`], [`Backend::Pool`],
-//! [`Backend::Sharded`], [`Backend::Message`]), shared by every balancing
+//! [`Backend::Message`], [`Backend::Process`]), shared by every balancing
 //! scheme in the workspace.
 //!
 //! ### The shape of a round (zero-copy, double-buffered)
@@ -18,15 +18,15 @@
 //!    the round-start loads by [`Protocol::node_new_load`]. This is the hot
 //!    loop, and the only step the executors differ on: the serial backend
 //!    walks `0..n`, the pool backend splits the node range into contiguous
-//!    chunks over a persistent [`WorkerPool`], the sharded backend
-//!    assigns whole graph-partition shards to persistent workers (interior
-//!    nodes first, then boundary nodes — with edge-cut/halo accounting per
-//!    round, see [`Engine::shard_metrics`]), and the message backend runs
-//!    one shard-owning worker per shard with boundary loads crossing
-//!    shards as batched messages (see [`Engine::comm_metrics`]). Because
-//!    all four evaluate the *same* kernel per node in the *same* per-node
-//!    operation order, their results are **bit-identical** — the
-//!    workspace's serial ≡ parallel ≡ sharded ≡ message invariant. The
+//!    chunks over a persistent [`WorkerPool`], and the two partitioned
+//!    backends — message (one shard-owning worker thread per shard) and
+//!    process (one worker OS process per shard) — gather each shard
+//!    interior-then-boundary with boundary loads crossing shards as
+//!    batched messages (see [`Engine::shard_metrics`] and
+//!    [`Engine::comm_metrics`]). Because all four evaluate the *same*
+//!    kernel per node in the *same* per-node operation order, their
+//!    results are **bit-identical** — the workspace's serial ≡ pool ≡
+//!    message ≡ process invariant. The
 //!    shared-memory backends write into the engine's **back
 //!    buffer**, so the caller's vector doubles as the immutable snapshot:
 //!    there is *no per-round `O(n)` snapshot copy*. After the gather the
@@ -207,12 +207,12 @@ pub trait Protocol {
     }
 
     /// The graph the current round's gather is local to, if the protocol
-    /// is graph-based. The sharded backend derives its shard plan
-    /// (interior/boundary/halo sets, edge cut) from this graph; `None`
-    /// (the default) makes the sharded backend fall back to a locality-
-    /// blind contiguous range plan — still bit-identical, just without
-    /// halo accounting (e.g. random-partner schemes, whose reads are not
-    /// neighbourhood-local).
+    /// is graph-based. The message and process backends derive their
+    /// shard plan (interior/boundary/halo sets, edge cut) from this graph;
+    /// `None` (the default) makes them fall back to a locality-blind
+    /// contiguous range plan with a full exchange — still bit-identical,
+    /// just without halo accounting (e.g. random-partner schemes, whose
+    /// reads are not neighbourhood-local).
     ///
     /// Returning `Some(g)` is a **locality contract**, not just a hint:
     /// [`Protocol::node_new_load`] for node `v` must read the snapshot
@@ -230,7 +230,7 @@ pub trait Protocol {
 
     /// Monotone counter that changes whenever [`Protocol::current_graph`]
     /// *may* have started returning a different graph. Fixed-topology
-    /// protocols keep the default constant `0`, so the sharded backend
+    /// protocols keep the default constant `0`, so a partitioned backend
     /// derives its plan exactly once and never re-examines the graph.
     ///
     /// Conservative over-bumping is allowed: each bump costs the backend
@@ -521,15 +521,14 @@ pub enum Backend {
         /// Worker count (`0` = [`recommended_threads_cached`]).
         threads: usize,
     },
-    /// Graph-partitioned execution: one shard per [`ShardPlan`] view,
-    /// each gathered as interior-then-boundary by a persistent worker,
-    /// with per-round edge-cut/halo accounting (see
-    /// [`Engine::shard_metrics`]). Shard plans are derived from
-    /// [`Protocol::current_graph`] and memoized per distinct graph.
+    /// The deleted sharded executor. Not a backend: every constructor and
+    /// validator rejects it with [`Backend::SHARDED_REMOVED`]. The variant
+    /// is kept only because the end-to-end benchmark (`perfbench`) names
+    /// it in two match patterns.
     Sharded {
-        /// How the node set is partitioned into shards.
+        /// How the node set would be partitioned into shards.
         partition: PartitionSpec,
-        /// Worker count (`0` = auto; clamped to the shard count).
+        /// Worker count.
         threads: usize,
     },
     /// Message-passing execution: one long-lived worker **per shard**,
@@ -579,8 +578,14 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable backend name (`serial`, `pool`, `sharded`, `message`,
-    /// `process`) for reports and scenario files.
+    /// Why [`Backend::Sharded`] is rejected, and what to use instead: the
+    /// one error text of every place that refuses it.
+    pub const SHARDED_REMOVED: &'static str = "the sharded backend was removed: use \
+         backend = \"pool\" (shared-memory parallelism, faster end to end) or \
+         backend = \"message\" (partitioned execution with communication metrics)";
+
+    /// Stable backend name (`serial`, `pool`, `message`, `process`) for
+    /// reports and scenario files.
     ///
     /// ```
     /// use dlb_core::{Backend, Transport};
@@ -611,9 +616,6 @@ impl Backend {
 pub enum EnginePhase {
     /// The pool backend's chunked gather.
     Gather,
-    /// The sharded backend's per-shard job broadcast (including the
-    /// coordinator's recompute of a failed shard).
-    Broadcast,
     /// The message backend's exchange round.
     Exchange,
     /// The process backend's wire round: a worker process died (EOF /
@@ -626,7 +628,6 @@ impl std::fmt::Display for EnginePhase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EnginePhase::Gather => "gather",
-            EnginePhase::Broadcast => "broadcast",
             EnginePhase::Exchange => "exchange",
             EnginePhase::Wire => "wire",
         })
@@ -928,81 +929,6 @@ impl WorkerPool {
             Err(failed)
         }
     }
-
-    /// Runs `job(j)` for every `j in 0..jobs` across the pool (worker `w`
-    /// takes jobs `w, w + W, w + 2W, …`) and blocks until all complete.
-    /// The sharded executor dispatches one job per shard through this.
-    ///
-    /// Unlike [`WorkerPool::gather`] the jobs produce no values — any
-    /// output happens through whatever `job` captures (the sharded gather
-    /// writes disjoint owned slots of the back buffer).
-    pub fn broadcast<F>(&self, jobs: usize, job: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if let Err(failed) = self.try_broadcast(jobs, job) {
-            panic!(
-                "engine worker panicked during broadcast (job {})",
-                failed[0]
-            );
-        }
-    }
-
-    /// Fallible form of [`WorkerPool::broadcast`]: panics are caught per
-    /// *job*, not per worker stride, so one failing job cannot take down
-    /// the rest of its worker's jobs. Returns the sorted indices of the
-    /// failed jobs; all other jobs always run to completion.
-    pub fn try_broadcast<F>(&self, jobs: usize, job: F) -> Result<(), Vec<usize>>
-    where
-        F: Fn(usize) + Sync,
-    {
-        if jobs == 0 {
-            return Ok(());
-        }
-        let workers = self.threads().min(jobs);
-        let (done_tx, done_rx) = mpsc::channel::<Vec<usize>>();
-        let mut dispatched = 0usize;
-
-        {
-            let job = &job;
-            for w in 0..workers {
-                let done = done_tx.clone();
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let mut failed = Vec::new();
-                    let mut j = w;
-                    while j < jobs {
-                        if catch_unwind(AssertUnwindSafe(|| job(j))).is_err() {
-                            failed.push(j);
-                        }
-                        j += workers;
-                    }
-                    let _ = done.send(failed);
-                });
-                // SAFETY: the task borrows `job` and `done`, both of which
-                // outlive it — this function blocks on `done_rx` below
-                // until every dispatched task has sent its completion
-                // message, which each task does only after its last use of
-                // the borrows. Same argument as `gather`.
-                let task: Task =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
-                self.senders[w]
-                    .send(task)
-                    .expect("engine worker exited early");
-                dispatched += 1;
-            }
-        }
-
-        let mut failed = Vec::new();
-        for _ in 0..dispatched {
-            failed.extend(done_rx.recv().expect("engine worker exited early"));
-        }
-        if failed.is_empty() {
-            Ok(())
-        } else {
-            failed.sort_unstable();
-            Err(failed)
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -1034,7 +960,8 @@ pub struct Engine<P: Protocol> {
     /// it holds the round-start snapshot the hooks read. The caller's
     /// vector is the other half.
     back: Vec<P::Load>,
-    /// The executor strategy (serial walk, flat pool, or sharded).
+    /// The executor strategy (serial walk, flat pool, message threads, or
+    /// worker processes).
     ///
     /// The gather fn pointers inside are instantiated in the constructors
     /// — the only places that know `P: Sync` — so [`Engine::round`] needs
@@ -1055,8 +982,8 @@ pub struct Engine<P: Protocol> {
     rounds_run: u64,
     /// The armed fault-injection schedule, if any. `None` keeps every
     /// backend on its exact legacy code path (no supervision polling);
-    /// `Some` — even of an empty plan — runs the sharded and message
-    /// backends supervised.
+    /// `Some` — even of an empty plan — runs the message backend
+    /// supervised.
     faults: Option<FaultPlan>,
     /// Cumulative injection/recovery counters (see
     /// [`Engine::fault_stats`]).
@@ -1103,25 +1030,6 @@ type GatherFn<P> = fn(
     Option<&GatherPlan>,
     &mut [BlockPartial<<P as Protocol>::Load>],
     bool,
-) -> Result<(), Vec<usize>>;
-
-/// Monomorphized sharded-gather entry point stored by sharded engines.
-/// The fault slice is the round's injected faults (empty when no
-/// [`FaultPlan`] is armed); errors are the failed shard indices, which
-/// the engine recomputes from the snapshot. The trailing pair is the
-/// telemetry handle (per-shard gather spans) and the round number spans
-/// are tagged with.
-type ShardedGatherFn<P> = fn(
-    &WorkerPool,
-    &P,
-    &[<P as Protocol>::Load],
-    &mut [<P as Protocol>::Load],
-    &ShardPlan,
-    KernelKind,
-    Option<&GatherPlan>,
-    &[(usize, FaultKind)],
-    &Telemetry,
-    u64,
 ) -> Result<(), Vec<usize>>;
 
 #[allow(clippy::too_many_arguments)]
@@ -1189,134 +1097,8 @@ fn gather_blocks<L: LoadPotential>(
     }
 }
 
-/// Shared mutable output pointer for the sharded scatter-gather. Shards
-/// own pairwise-disjoint node sets covering `0..n` exactly once (a
-/// [`ShardPlan`] invariant), so concurrent workers never write the same
-/// slot.
-struct SharedOut<T>(*mut T);
-
-unsafe impl<T: Send> Sync for SharedOut<T> {}
-
-impl<T> SharedOut<T> {
-    /// The shared base pointer (a method so closures capture the whole
-    /// `Sync` wrapper rather than the raw pointer field).
-    fn base(&self) -> *mut T {
-        self.0
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sharded_gather<P: Protocol + Sync>(
-    pool: &WorkerPool,
-    protocol: &P,
-    snapshot: &[P::Load],
-    out: &mut [P::Load],
-    plan: &ShardPlan,
-    kind: KernelKind,
-    gather_plan: Option<&GatherPlan>,
-    faults: &[(usize, FaultKind)],
-    tel: &Telemetry,
-    round_no: u64,
-) -> Result<(), Vec<usize>> {
-    // A hard assert, not a debug one: the raw-pointer scatter below relies
-    // on every owned id lying inside `out`, and `current_graph()` is an
-    // overridable hook — a protocol whose graph disagrees with its `n()`
-    // must fail loudly, not corrupt the heap in release builds.
-    assert_eq!(
-        out.len(),
-        plan.n(),
-        "shard plan node count must equal the load vector length"
-    );
-    // An injected crash: the shard's gather never runs (its slots keep
-    // stale back-buffer values), exactly as if the job had panicked —
-    // the engine then recomputes the shard from the snapshot. Modeled as
-    // an aborted job rather than a real `panic!` so injection runs don't
-    // spray panic backtraces over test and bench output.
-    let injected: Vec<usize> = faults
-        .iter()
-        .filter(|(_, k)| matches!(k, FaultKind::Panic))
-        .map(|(s, _)| *s)
-        .collect();
-    let out_ptr = SharedOut(out.as_mut_ptr());
-    let views = plan.views();
-    let spec = protocol.gather_spec();
-    let outcome = pool.try_broadcast(views.len(), |s| {
-        if injected.contains(&s) {
-            return;
-        }
-        for &(shard, kind) in faults {
-            if shard == s {
-                if let FaultKind::Delay { ms } = kind {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                // Halo fault kinds are message-backend-only: the sharded
-                // backend moves no messages.
-            }
-        }
-        let view = &views[s];
-        // Interior first, then boundary: the order a message-passing
-        // backend uses (interior work overlaps the halo receive). The
-        // kernel is a pure per-node function, so the split cannot change
-        // results — the serial ≡ pool ≡ sharded bit-identity invariant.
-        match (gather_plan, &spec) {
-            (Some(gp), Some(spec)) => {
-                // Dispatchable protocol: run the planned batch gather over
-                // the shard's node lists. Contiguous owned segments (range
-                // partitions, shard interiors) hit the strided run kernels
-                // — the shard split is also the L2 blocking boundary.
-                // SAFETY (per emitted node): identical to the scalar arm
-                // below — `gather_list` emits exactly the nodes of the
-                // lists it is given, all owned by shard `s`.
-                let mut emit =
-                    |v: u32, value: P::Load| unsafe { *out_ptr.base().add(v as usize) = value };
-                let t0 = tel.start();
-                kernels::gather_list(kind, gp, spec, snapshot, view.interior(), &mut emit);
-                tel.record(s as u32, round_no, SpanPhase::GatherInterior, t0);
-                let t1 = tel.start();
-                kernels::gather_list(kind, gp, spec, snapshot, view.boundary(), &mut emit);
-                tel.record(s as u32, round_no, SpanPhase::GatherBoundary, t1);
-            }
-            _ => {
-                // Interior then boundary, as two loops so each gets its
-                // own span — same node order as the chained iteration.
-                let t0 = tel.start();
-                for &v in view.interior() {
-                    let value = protocol.node_new_load(snapshot, v);
-                    // SAFETY: `v` is owned by shard `s`; owned sets are
-                    // disjoint across shards and within `0..out.len()`, so
-                    // this write aliases no other worker's writes.
-                    unsafe { *out_ptr.base().add(v as usize) = value };
-                }
-                tel.record(s as u32, round_no, SpanPhase::GatherInterior, t0);
-                let t1 = tel.start();
-                for &v in view.boundary() {
-                    let value = protocol.node_new_load(snapshot, v);
-                    // SAFETY: identical to the interior loop above.
-                    unsafe { *out_ptr.base().add(v as usize) = value };
-                }
-                tel.record(s as u32, round_no, SpanPhase::GatherBoundary, t1);
-            }
-        }
-    });
-    let mut failed = match outcome {
-        Ok(()) => Vec::new(),
-        Err(f) => f,
-    };
-    for s in injected {
-        if !failed.contains(&s) {
-            failed.push(s);
-        }
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        failed.sort_unstable();
-        Err(failed)
-    }
-}
-
-/// Per-round locality/communication metrics of the sharded backend's
-/// current plan (see [`Engine::shard_metrics`]).
+/// Per-round locality/communication metrics of the message or process
+/// backend's current plan (see [`Engine::shard_metrics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardMetrics {
     /// Shards in the current plan.
@@ -1333,7 +1115,7 @@ pub struct ShardMetrics {
     pub plans_built: u64,
 }
 
-/// How many memoized shard plans a sharded or message engine keeps before
+/// How many memoized shard plans a message or process engine keeps before
 /// evicting the oldest. Periodic schedules cycle within the cache; fully
 /// random sequences (fresh graph every round) rebuild each round
 /// regardless.
@@ -1343,8 +1125,8 @@ const SHARD_PLAN_CACHE: usize = 32;
 const TRIVIAL_PLAN_KEY: u64 = 0;
 
 /// Fingerprint-keyed, capped-FIFO memoization of per-graph execution
-/// plans, shared by the sharded backend (`T = ShardPlan`), the message
-/// backend (`T = Arc<MessagePlan>`), and the kernel dispatcher
+/// plans, shared by the message and process backends
+/// (`T = Arc<MessagePlan>`) and the kernel dispatcher
 /// (`T = Arc<GatherPlan>`): while the protocol's `graph_version` is
 /// unchanged the cached entry is reused without touching the graph; on a
 /// version change the graph is re-fingerprinted and either found in the
@@ -1418,6 +1200,23 @@ impl<T> PlanCache<T> {
         self.current = idx;
         self.cached_version = Some(version);
     }
+
+    /// [`PlanCache::refresh`] under a `Plan` span on the engine lane,
+    /// recorded only when the cache actually builds an entry.
+    fn refresh_traced<P: Protocol>(
+        &mut self,
+        protocol: &P,
+        tel: &Telemetry,
+        round_no: u64,
+        build: impl FnOnce(Option<&Graph>, usize) -> T,
+    ) {
+        let t_plan = tel.start();
+        let built_before = self.built;
+        self.refresh(protocol, build);
+        if self.built > built_before {
+            tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
+        }
+    }
 }
 
 /// Builds the [`ShardPlan`] for a graph (or the trivial range plan when
@@ -1450,49 +1249,25 @@ impl KernelState {
         }
     }
 
-    /// Resolves the gather plan for the protocol's current graph, or
-    /// `None` when the protocol opts out of kernel dispatch (no
-    /// [`GatherSpec`]) or exposes no graph to analyse. The `Arc` is
-    /// cloned out so the caller holds the plan independently of later
-    /// cache evictions.
-    fn resolve<P: Protocol>(&mut self, protocol: &P) -> Option<std::sync::Arc<GatherPlan>> {
+    /// Resolves the gather plan for the protocol's current graph (under a
+    /// `Plan` span when one is built), or `None` when the protocol opts
+    /// out of kernel dispatch (no [`GatherSpec`]) or exposes no graph to
+    /// analyse. The `Arc` is cloned out so the caller holds the plan
+    /// independently of later cache evictions.
+    fn resolve<P: Protocol>(
+        &mut self,
+        protocol: &P,
+        tel: &Telemetry,
+        round_no: u64,
+    ) -> Option<Arc<GatherPlan>> {
         if protocol.gather_spec().is_none() || protocol.current_graph().is_none() {
             return None;
         }
-        self.plans.refresh(protocol, |graph, _n| {
-            std::sync::Arc::new(GatherPlan::build(graph.expect("graph checked above")))
-        });
-        Some(self.plans.current().clone())
-    }
-}
-
-struct ShardedExec<P: Protocol> {
-    pool: WorkerPool,
-    gather: ShardedGatherFn<P>,
-    spec: PartitionSpec,
-    plans: PlanCache<ShardPlan>,
-}
-
-impl<P: Protocol> std::fmt::Debug for ShardedExec<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedExec")
-            .field("spec", &self.spec)
-            .field("threads", &self.pool.threads())
-            .field("plans", &self.plans.entries.len())
-            .field("plans_built", &self.plans.built)
-            .finish()
-    }
-}
-
-impl<P: Protocol> ShardedExec<P> {
-    fn refresh_plan(&mut self, protocol: &P) {
-        let spec = self.spec;
         self.plans
-            .refresh(protocol, |graph, n| build_shard_plan(&spec, graph, n));
-    }
-
-    fn current_plan(&self) -> &ShardPlan {
-        self.plans.current()
+            .refresh_traced(protocol, tel, round_no, |graph, _n| {
+                Arc::new(GatherPlan::build(graph.expect("graph checked above")))
+            });
+        Some(self.plans.current().clone())
     }
 }
 
@@ -1551,7 +1326,7 @@ type ExchangeIds = std::sync::Arc<Vec<u32>>;
 
 /// The exchange schedule of one message-backend plan, wrapped around the
 /// [`ShardPlan`] it was derived from and memoized per distinct graph
-/// exactly like the sharded backend's plans.
+/// exactly like the kernel dispatcher's gather plans.
 #[derive(Debug)]
 pub(crate) struct MessagePlan {
     /// The underlying shard plan: one view per shard
@@ -2910,7 +2685,6 @@ enum Exec<P: Protocol> {
         pool: WorkerPool,
         gather: GatherFn<P>,
     },
-    Sharded(Box<ShardedExec<P>>),
     Message {
         exec: Box<MessageExec<<P as Protocol>::Load>>,
         make_kernel: MessageKernelFn<P>,
@@ -2928,8 +2702,33 @@ impl<P: Protocol> Exec<P> {
         match self {
             Exec::Serial | Exec::Message { .. } | Exec::Process(_) => None,
             Exec::Pool { pool, .. } => Some(pool),
-            Exec::Sharded(sh) => Some(&sh.pool),
         }
+    }
+
+    /// The partitioned backends' memoized exchange plans (`None` on the
+    /// serial and pool backends).
+    fn plans(&self) -> Option<&PlanCache<Arc<MessagePlan>>> {
+        match self {
+            Exec::Message { exec, .. } => Some(&exec.plans),
+            Exec::Process(exec) => Some(&exec.plans),
+            Exec::Serial | Exec::Pool { .. } => None,
+        }
+    }
+
+    /// Resolves the partitioned backends' exchange plan for the
+    /// protocol's current graph — after [`Protocol::begin_round`], which
+    /// draws a dynamic protocol's round graph — under a `Plan` span when
+    /// the fingerprint cache builds a new one. A no-op on the serial and
+    /// pool backends.
+    fn refresh_plan(&mut self, protocol: &P, tel: &Telemetry, round_no: u64) {
+        let (spec, plans) = match self {
+            Exec::Message { exec, .. } => (exec.spec, &mut exec.plans),
+            Exec::Process(exec) => (exec.spec, &mut exec.plans),
+            Exec::Serial | Exec::Pool { .. } => return,
+        };
+        plans.refresh_traced(protocol, tel, round_no, |graph, n| {
+            Arc::new(MessagePlan::build(&spec, graph, n))
+        });
     }
 }
 
@@ -2989,40 +2788,6 @@ impl<P: Protocol> Engine<P> {
                 pool: WorkerPool::new(threads),
                 gather: pooled_gather::<P>,
             },
-        )
-    }
-
-    /// Sharded executor: the node set is partitioned per `partition`, and
-    /// persistent workers gather whole shards (interior nodes first, then
-    /// boundary nodes), with per-round edge-cut/halo accounting available
-    /// through [`Engine::shard_metrics`].
-    ///
-    /// The shard plan is derived from [`Protocol::current_graph`] on the
-    /// first round and re-derived whenever [`Protocol::graph_version`]
-    /// changes (memoized per distinct graph, so dynamic sequences that
-    /// revisit graphs reuse their plans). `threads == 0` means auto; the
-    /// worker count is clamped to the shard count — with fewer workers
-    /// than shards, each worker serves several shards round-robin.
-    pub fn sharded(protocol: P, partition: PartitionSpec, threads: usize) -> Self
-    where
-        P: Sync,
-    {
-        assert!(partition.shards() >= 1, "sharded backend needs >= 1 shard");
-        let threads = if threads == 0 {
-            recommended_threads_cached()
-        } else {
-            threads
-        };
-        let n = protocol.n();
-        let threads = threads.clamp(1, partition.shards().min(n.max(1)));
-        Engine::from_exec(
-            protocol,
-            Exec::Sharded(Box::new(ShardedExec {
-                pool: WorkerPool::new(threads),
-                gather: sharded_gather::<P>,
-                spec: partition,
-                plans: PlanCache::new(),
-            })),
         )
     }
 
@@ -3137,7 +2902,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Builds the executor a [`Backend`] value describes. Protocols that
-    /// cannot be `Sync` must call [`Engine::serial`] directly.
+    /// cannot be `Sync` must call [`Engine::serial`] directly. Panics with
+    /// [`Backend::SHARDED_REMOVED`] on [`Backend::Sharded`].
     pub fn with_backend(protocol: P, backend: Backend) -> Self
     where
         P: Sync,
@@ -3145,9 +2911,7 @@ impl<P: Protocol> Engine<P> {
         match backend {
             Backend::Serial => Engine::serial(protocol),
             Backend::Pool { threads } => Engine::parallel(protocol, threads),
-            Backend::Sharded { partition, threads } => {
-                Engine::sharded(protocol, partition, threads)
-            }
+            Backend::Sharded { .. } => panic!("{}", Backend::SHARDED_REMOVED),
             Backend::Message {
                 partition,
                 resident: false,
@@ -3204,16 +2968,16 @@ impl<P: Protocol> Engine<P> {
 
     /// Arms a deterministic [`FaultPlan`], builder-style.
     ///
-    /// With a plan armed — even an empty one — the sharded and message
-    /// backends run **supervised**: worker deaths are detected and
-    /// recovered (respawn + re-homing from the round-start snapshot),
-    /// missing halo batches are retransmitted, and injected faults fire
-    /// per the plan's schedule. Recovery is exact, so an armed engine's
-    /// loads stay bit-identical to an unarmed one's. Without a plan every
-    /// backend takes its legacy code path unchanged — absence is
-    /// zero-cost. The serial and pool backends have no shard workers to
-    /// fault, so they ignore injection (pool kernel panics still surface
-    /// through [`Engine::try_round`] either way).
+    /// With a plan armed — even an empty one — the message backend runs
+    /// **supervised**: worker deaths are detected and recovered (respawn
+    /// and re-homing from the round-start snapshot), missing halo batches
+    /// are retransmitted, and injected faults fire per the plan's
+    /// schedule. Recovery is exact, so an armed engine's loads stay
+    /// bit-identical to an unarmed one's. Without a plan every backend
+    /// takes its legacy code path unchanged — absence is zero-cost. The
+    /// serial, pool and process backends have no in-process shard
+    /// workers to fault, so they ignore injection (pool kernel panics
+    /// still surface through [`Engine::try_round`] either way).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.set_faults(Some(plan));
         self
@@ -3335,10 +3099,6 @@ impl<P: Protocol> Engine<P> {
             Exec::Pool { pool, .. } => Backend::Pool {
                 threads: pool.threads(),
             },
-            Exec::Sharded(sh) => Backend::Sharded {
-                partition: sh.spec,
-                threads: sh.pool.threads(),
-            },
             Exec::Message { exec, .. } => Backend::Message {
                 partition: exec.spec,
                 resident: exec.resident_backend,
@@ -3350,8 +3110,8 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Locality/communication metrics of the sharded, message, or
-    /// process backend's current plan: `None` for the serial and pool
+    /// Locality/communication metrics of the message or process
+    /// backend's current plan: `None` for the serial and pool
     /// backends, and before the first round (plans are derived lazily
     /// against the round's graph).
     ///
@@ -3373,39 +3133,15 @@ impl<P: Protocol> Engine<P> {
     /// assert!(metrics.halo > 0); // a split torus always crosses shards
     /// ```
     pub fn shard_metrics(&self) -> Option<ShardMetrics> {
-        match &self.exec {
-            Exec::Sharded(sh) if sh.plans.resolved() => {
-                let plan = sh.current_plan();
-                Some(ShardMetrics {
-                    shards: plan.views().len(),
-                    edge_cut: plan.edge_cut(),
-                    halo: plan.halo_total(),
-                    interior: plan.interior_total(),
-                    plans_built: sh.plans.built,
-                })
-            }
-            Exec::Message { exec, .. } if exec.plans.resolved() => {
-                let plan = exec.plans.current();
-                Some(ShardMetrics {
-                    shards: plan.views().len(),
-                    edge_cut: plan.plan.edge_cut(),
-                    halo: plan.plan.halo_total(),
-                    interior: plan.plan.interior_total(),
-                    plans_built: exec.plans.built,
-                })
-            }
-            Exec::Process(exec) if exec.plans.resolved() => {
-                let plan = exec.plans.current();
-                Some(ShardMetrics {
-                    shards: plan.views().len(),
-                    edge_cut: plan.plan.edge_cut(),
-                    halo: plan.plan.halo_total(),
-                    interior: plan.plan.interior_total(),
-                    plans_built: exec.plans.built,
-                })
-            }
-            _ => None,
-        }
+        let plans = self.exec.plans().filter(|plans| plans.resolved())?;
+        let plan = &plans.current().plan;
+        Some(ShardMetrics {
+            shards: plan.views().len(),
+            edge_cut: plan.edge_cut(),
+            halo: plan.halo_total(),
+            interior: plan.interior_total(),
+            plans_built: plans.built,
+        })
     }
 
     /// Communication metrics of the message or process backend's most
@@ -3525,12 +3261,7 @@ impl<P: Protocol> Engine<P> {
             // must analyse that graph. A `Plan` span is emitted only when
             // the fingerprint cache actually built a new plan.
             let kind = self.kernel.kind;
-            let t_plan = tel.start();
-            let built_before = self.kernel.plans.built;
-            let plan = self.kernel.resolve(protocol);
-            if self.kernel.plans.built > built_before {
-                tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-            }
+            let plan = self.kernel.resolve(protocol, tel, round_no);
             // Stats rounds of a canonical protocol on the shared-memory
             // executors fuse the first statistics pass into the gather.
             fused = level.is_some()
@@ -3545,6 +3276,9 @@ impl<P: Protocol> Engine<P> {
             };
             self.partials.clear();
             self.partials.resize(blocks, BlockPartial::default());
+            // The message and process backends share one exchange plan
+            // (the wire round reuses the message schedule wholesale).
+            self.exec.refresh_plan(protocol, tel, round_no);
             match &mut self.exec {
                 Exec::Serial => match (plan.as_deref(), protocol.gather_spec()) {
                     (Some(plan), Some(spec)) => {
@@ -3588,88 +3322,7 @@ impl<P: Protocol> Engine<P> {
                     })?;
                     tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
                 }
-                Exec::Sharded(sh) => {
-                    // Same post-begin_round resolution for the shard plan.
-                    let t_plan = tel.start();
-                    let built_before = sh.plans.built;
-                    sh.refresh_plan(protocol);
-                    if sh.plans.built > built_before {
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-                    }
-                    let sh = &**sh;
-                    let shard_plan = sh.current_plan();
-                    // Panic/Delay fire in shared-memory workers too; the
-                    // halo kinds are message-only and are skipped here.
-                    let mut shard_faults: Vec<(usize, FaultKind)> = Vec::new();
-                    if let Some(fault_plan) = faults {
-                        for event in fault_plan.events_at(round_no) {
-                            if event.shard < shard_plan.views().len()
-                                && matches!(event.kind, FaultKind::Panic | FaultKind::Delay { .. })
-                            {
-                                shard_faults.push((event.shard, event.kind));
-                                self.fault_stats.faults_injected += 1;
-                            }
-                        }
-                    }
-                    if let Err(failed) = (sh.gather)(
-                        &sh.pool,
-                        protocol,
-                        snapshot,
-                        &mut self.back,
-                        shard_plan,
-                        kind,
-                        plan.as_deref(),
-                        &shard_faults,
-                        tel,
-                        round_no,
-                    ) {
-                        let t_recover = tel.start();
-                        // Re-home every failed shard: recompute its owned
-                        // values from the snapshot in the worker's own
-                        // gather order. Injected deaths never reached the
-                        // kernel, so this is bit-identical to the lost
-                        // work; a genuine kernel panic reproduces here
-                        // and fails the round with its shard id.
-                        for &s in &failed {
-                            let view = &shard_plan.views()[s];
-                            let order: Vec<u32> = view
-                                .interior()
-                                .iter()
-                                .chain(view.boundary())
-                                .copied()
-                                .collect();
-                            let computed = catch_unwind(AssertUnwindSafe(|| {
-                                order
-                                    .iter()
-                                    .map(|&v| protocol.node_new_load(snapshot, v))
-                                    .collect::<Vec<P::Load>>()
-                            }));
-                            let values = computed.map_err(|_| EngineError {
-                                shard: s,
-                                round: round_no,
-                                phase: EnginePhase::Broadcast,
-                            })?;
-                            for (&v, value) in order.iter().zip(values) {
-                                self.back[v as usize] = value;
-                            }
-                            self.fault_stats.recoveries += 1;
-                            self.fault_stats.rehomed_values += view.owned().len() as u64;
-                        }
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::FaultRecovery, t_recover);
-                    }
-                }
                 Exec::Message { exec, make_kernel } => {
-                    // Same post-begin_round plan resolution as the
-                    // sharded backend, memoized per distinct graph.
-                    let spec = exec.spec;
-                    let t_plan = tel.start();
-                    let built_before = exec.plans.built;
-                    exec.plans.refresh(protocol, |graph, n| {
-                        std::sync::Arc::new(MessagePlan::build(&spec, graph, n))
-                    });
-                    if exec.plans.built > built_before {
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-                    }
                     let make_kernel = *make_kernel;
                     exec.round(
                         || make_kernel(protocol, kind, plan.clone()),
@@ -3687,18 +3340,6 @@ impl<P: Protocol> Engine<P> {
                     })?;
                 }
                 Exec::Process(exec) => {
-                    // Same post-begin_round plan resolution and the same
-                    // MessagePlan — the wire round reuses the message
-                    // backend's exchange schedule wholesale.
-                    let spec = exec.spec;
-                    let t_plan = tel.start();
-                    let built_before = exec.plans.built;
-                    exec.plans.refresh(protocol, |graph, n| {
-                        std::sync::Arc::new(MessagePlan::build(&spec, graph, n))
-                    });
-                    if exec.plans.built > built_before {
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-                    }
                     // Fault injection targets in-process shard workers;
                     // the process backend's failure surface is real OS
                     // processes (kill via Engine::process_kill_worker),
@@ -3995,25 +3636,12 @@ impl<P: Protocol> Engine<P> {
             let protocol = &self.protocol;
             let tel = &self.telemetry;
             let kind = self.kernel.kind;
-            let t_plan = tel.start();
-            let built_before = self.kernel.plans.built;
-            let plan = self.kernel.resolve(protocol);
-            if self.kernel.plans.built > built_before {
-                tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-            }
+            let plan = self.kernel.resolve(protocol, tel, round_no);
+            self.exec.refresh_plan(protocol, tel, round_no);
             let Exec::Message { exec, make_kernel } = &mut self.exec else {
                 panic!("resident sessions need the message backend");
             };
-            let spec = exec.spec;
-            let t_plan = tel.start();
-            let built_before = exec.plans.built;
-            exec.plans.refresh(protocol, |graph, n| {
-                std::sync::Arc::new(MessagePlan::build(&spec, graph, n))
-            });
-            if exec.plans.built > built_before {
-                tel.record(ENGINE_LANE, round_no, SpanPhase::Plan, t_plan);
-            }
-            let key = exec.plans.entries[exec.plans.current].0;
+            let key = exec.plans.current_key();
             let seed = exec.seeded.as_ref().map(|s| s.key) != Some(key);
             if seed && !st.fresh {
                 // The graph — and with it the ownership map — changed
@@ -4074,15 +3702,6 @@ pub trait IntoEngine: Protocol + Sized {
         Self: Sync,
     {
         Engine::parallel(self, threads)
-    }
-
-    /// Wraps the protocol in a sharded [`Engine`] (see
-    /// [`Engine::sharded`]).
-    fn engine_sharded(self, partition: PartitionSpec, threads: usize) -> Engine<Self>
-    where
-        Self: Sync,
-    {
-        Engine::sharded(self, partition, threads)
     }
 
     /// Wraps the protocol in a message-passing [`Engine`] (see
@@ -4326,30 +3945,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_backend_bit_identical_without_a_graph() {
-        // Toy exposes no graph, so the sharded backend runs on the
-        // trivial range plan — results must still match the serial ones
-        // at every shard/thread combination, including shards > n.
-        let n = 131;
-        let init: Vec<f64> = (0..n).map(|i| ((i * 17 + 3) % 29) as f64 / 3.0).collect();
-        let mut serial = init.clone();
-        Engine::serial(toy(n)).rounds(&mut serial, 8);
-
-        for shards in [1usize, 2, 5, 200] {
-            for threads in [1usize, 3, 8] {
-                let mut sharded = init.clone();
-                let mut e = Engine::sharded(toy(n), PartitionSpec::Range { shards }, threads);
-                e.rounds(&mut sharded, 8);
-                assert_eq!(serial, sharded, "shards = {shards}, threads = {threads}");
-                let metrics = e.shard_metrics().expect("plan derived after a round");
-                assert_eq!(metrics.shards, shards);
-                assert_eq!(metrics.plans_built, 1, "trivial plan derived once");
-                assert_eq!(metrics.halo, 0, "graph-free protocol has no halo info");
-            }
-        }
-    }
-
     /// Toy protocol over an explicit cycle graph, so the message backend
     /// runs a real batched halo exchange instead of the full-exchange
     /// fallback.
@@ -4432,6 +4027,33 @@ mod tests {
     }
 
     #[test]
+    fn sharded_backend_bit_identical_without_a_graph() {
+        // Toy exposes no graph, so a partitioned backend runs on the
+        // trivial range plan — results must still match the serial ones
+        // at every shard count and partition spec, including shards > n.
+        let n = 131;
+        let init: Vec<f64> = (0..n).map(|i| ((i * 17 + 3) % 29) as f64 / 3.0).collect();
+        let mut serial = init.clone();
+        Engine::serial(toy(n)).rounds(&mut serial, 8);
+
+        for shards in [1usize, 2, 5, 200] {
+            for partition in [
+                PartitionSpec::Range { shards },
+                PartitionSpec::Bfs { shards },
+            ] {
+                let mut sharded = init.clone();
+                let mut e = Engine::message(toy(n), partition);
+                e.rounds(&mut sharded, 8);
+                assert_eq!(serial, sharded, "{partition:?}");
+                let metrics = e.shard_metrics().expect("plan derived after a round");
+                assert_eq!(metrics.shards, shards);
+                assert_eq!(metrics.plans_built, 1, "trivial plan derived once");
+                assert_eq!(metrics.halo, 0, "graph-free protocol has no halo info");
+            }
+        }
+    }
+
+    #[test]
     fn message_backend_full_exchange_without_a_graph() {
         // Toy exposes no graph but reads ring neighbours, i.e. arbitrary
         // remote slots under a range split — exactly the case the
@@ -4461,7 +4083,7 @@ mod tests {
         let mut e = Engine::serial(toy(4));
         e.round(&mut loads);
         assert!(e.comm_metrics().is_none());
-        let mut e = Engine::sharded(toy(4), PartitionSpec::Range { shards: 2 }, 1);
+        let mut e = Engine::parallel(toy(4), 2);
         e.round(&mut loads);
         assert!(e.comm_metrics().is_none());
         // And before the first message round.
@@ -4524,24 +4146,6 @@ mod tests {
         assert_eq!(err.phase, EnginePhase::Gather);
         assert_eq!(err.round, 1);
         assert!(err.to_string().contains("round 1"), "{err}");
-
-        // Sharded: the recompute reproduces the kernel panic and names
-        // the shard (node 7 lives in range shard 1 of 3 over n = 12).
-        let mut e = Engine::sharded(
-            PanickingToy { n: 12, bad: 7 },
-            PartitionSpec::Range { shards: 3 },
-            2,
-        );
-        let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let err = e.try_round(&mut loads).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError {
-                shard: 1,
-                round: 1,
-                phase: EnginePhase::Broadcast
-            }
-        );
 
         // Message: the failing worker's report carries its shard id.
         let mut e = Engine::message(
@@ -4607,31 +4211,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fault_injection_recovers_bit_identically() {
-        let n = 48;
-        let init: Vec<f64> = (0..n).map(|i| ((i * 37 + 5) % 41) as f64 / 3.0).collect();
-        let mut serial = init.clone();
-        Engine::serial(graph_toy(n)).rounds(&mut serial, 6);
-
-        // Halo kinds are message-only and must not count as injected on
-        // the sharded backend.
-        let plan = FaultPlan::new()
-            .event(2, 1, FaultKind::Panic)
-            .event(3, 2, FaultKind::Delay { ms: 5 })
-            .event(4, 0, FaultKind::DropHalo);
-        let mut faulted = init.clone();
-        let mut e =
-            Engine::sharded(graph_toy(n), PartitionSpec::Range { shards: 4 }, 2).with_faults(plan);
-        e.rounds(&mut faulted, 6);
-
-        assert_eq!(serial, faulted, "recovery must be exact");
-        let stats = e.fault_stats();
-        assert_eq!(stats.faults_injected, 2, "drop is message-only");
-        assert_eq!(stats.recoveries, 1, "one dead shard re-homed");
-        assert_eq!(stats.rehomed_values, 12);
-    }
-
-    #[test]
     fn duplicated_batches_never_leak_into_later_rounds() {
         // Regression for the stale-batch hazard: every shard duplicates
         // every halo batch on round 1; rounds 2..3 must not consume any
@@ -4664,22 +4243,15 @@ mod tests {
         let mut serial = init.clone();
         Engine::serial(graph_toy(n)).rounds(&mut serial, 5);
 
-        for backend in [
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: 4 },
-                threads: 2,
-            },
-            Backend::Message {
-                partition: PartitionSpec::Range { shards: 4 },
-                resident: false,
-            },
-        ] {
-            let mut loads = init.clone();
-            let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(FaultPlan::new());
-            e.rounds(&mut loads, 5);
-            assert_eq!(serial, loads, "{}", backend.name());
-            assert!(!e.fault_stats().any(), "{}", backend.name());
-        }
+        let backend = Backend::Message {
+            partition: PartitionSpec::Range { shards: 4 },
+            resident: false,
+        };
+        let mut loads = init.clone();
+        let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(FaultPlan::new());
+        e.rounds(&mut loads, 5);
+        assert_eq!(serial, loads);
+        assert!(!e.fault_stats().any());
     }
 
     #[test]
@@ -4707,10 +4279,6 @@ mod tests {
         let backends = [
             Backend::Serial,
             Backend::Pool { threads: 3 },
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: 4 },
-                threads: 2,
-            },
             Backend::Message {
                 partition: PartitionSpec::Bfs { shards: 3 },
                 resident: false,
@@ -4728,35 +4296,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_metrics_absent_off_the_sharded_backend() {
-        assert!(Engine::serial(toy(4)).shard_metrics().is_none());
-        assert!(Engine::parallel(toy(4), 2).shard_metrics().is_none());
-        // And before the first round even on the sharded backend (plans
-        // are derived lazily against the round's graph).
-        let e = Engine::sharded(toy(4), PartitionSpec::Range { shards: 2 }, 1);
-        assert!(e.shard_metrics().is_none());
+    fn with_backend_rejects_the_removed_sharded_backend() {
+        let sharded = Backend::Sharded {
+            partition: PartitionSpec::Range { shards: 2 },
+            threads: 2,
+        };
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            Engine::with_backend(toy(4), sharded);
+        }))
+        .expect_err("the sharded backend must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert_eq!(msg, Backend::SHARDED_REMOVED);
+        assert!(
+            msg.contains("\"pool\"") && msg.contains("\"message\""),
+            "{msg}"
+        );
     }
 
     #[test]
-    fn broadcast_covers_all_jobs_and_propagates_panics() {
-        let pool = WorkerPool::new(3);
-        let hits: Vec<std::sync::atomic::AtomicUsize> = (0..10)
-            .map(|_| std::sync::atomic::AtomicUsize::new(0))
-            .collect();
-        pool.broadcast(10, |j| {
-            hits[j].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        });
-        for (j, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(std::sync::atomic::Ordering::SeqCst), 1, "job {j}");
-        }
-        // Zero jobs is a no-op.
-        pool.broadcast(0, |_| panic!("must not run"));
-        // A panicking job propagates and the pool stays usable.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast(4, |j| assert!(j != 2, "injected failure"));
-        }));
-        assert!(result.is_err());
-        pool.broadcast(4, |_| {});
+    fn shard_metrics_absent_off_the_partitioned_backends() {
+        assert!(Engine::serial(toy(4)).shard_metrics().is_none());
+        assert!(Engine::parallel(toy(4), 2).shard_metrics().is_none());
+        // And before the first round even on the message backend (plans
+        // are derived lazily against the round's graph).
+        let e = Engine::message(toy(4), PartitionSpec::Range { shards: 2 });
+        assert!(e.shard_metrics().is_none());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Deterministic fault injection for the worker backends.
+//! Deterministic fault injection for the message backend.
 //!
 //! A [`FaultPlan`] is a seeded, reproducible schedule of executor-level
 //! faults — worker panics, dropped/duplicated/reordered halo batches,
 //! slow workers — armed on an engine via [`Engine::with_faults`]. The
-//! sharded and message backends consult the plan at the start of each
+//! message backend consults the plan at the start of each
 //! round and hand every worker its injected faults for that round; an
 //! engine without a plan takes exactly the legacy code path (blocking
 //! receives, no supervision polling), so absence is zero-cost.
@@ -29,9 +29,8 @@ use rand::{Rng, SeedableRng};
 
 /// One kind of injected executor fault.
 ///
-/// `Panic` and `Delay` apply to both worker backends; the halo kinds are
-/// message-backend-only (the sharded backend moves no messages) and are
-/// ignored there.
+/// Every kind targets the message backend's shard workers; the other
+/// backends ignore an armed plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker thread dies at round start, before posting its halo

@@ -23,12 +23,14 @@
 //! * **[`engine::Engine`]** — the one backend-generic executor in the
 //!   workspace ([`engine::Backend`]): a serial walk, a flat-chunked pool
 //!   over a persistent [`engine::WorkerPool`] (workers live across
-//!   rounds; `DLB_THREADS` caps the fan-out), and a graph-partitioned
-//!   sharded backend ([`dlb_graphs::partition`]) whose persistent workers
-//!   gather whole shards interior-first with per-round edge-cut/halo
-//!   accounting. All run the identical kernel per node, so serial ≡ pool
-//!   ≡ sharded results are **bit-identical** — an invariant the
-//!   test-suite pins for every protocol.
+//!   rounds; `DLB_THREADS` caps the fan-out), and two graph-partitioned
+//!   backends ([`dlb_graphs::partition`]) — message (one worker thread
+//!   per shard, halo values as batched messages) and process (one
+//!   `dlb-shard-worker` OS process per shard over `dlb-wire`) — that
+//!   gather whole shards interior-first with per-round edge-cut/halo and
+//!   communication accounting. All run the identical kernel per node, so
+//!   serial ≡ pool ≡ message ≡ process results are **bit-identical** — an
+//!   invariant the test-suite pins for every protocol.
 //! * **[`runner`]** — the convergence drivers (potential targets, round
 //!   budgets, traces, fixed-point detection) with observed variants for
 //!   instrumentation; `dlb-dynamics` parameterizes the same driver with a

@@ -49,7 +49,7 @@
 //! computes a transfer any other way. The serial and pool executors drive
 //! the steps from inside the gather kernel, which has just computed each
 //! node's new load and each slot's quotient, so no division is repeated
-//! and no memory is read again. The sharded, message and process backends
+//! and no memory is read again. The message and process backends
 //! call `block_partial`, which drives the same steps over the
 //! coordinator's vectors, computing each upper slot's quotient with the
 //! same function against the same degree-derived divisor. Standalone

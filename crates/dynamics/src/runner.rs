@@ -43,16 +43,15 @@ impl RoundSpectra {
 
 /// Algorithm 1 (continuous) over a per-round graph source, as an engine
 /// protocol: `begin_round` advances the sequence, and the gather runs the
-/// reference on-the-fly kernel ([`continuous::node_new_load`]) — each
-/// round's graph is used exactly once, so there is nothing for a
-/// precomputed divisor table to amortize. The kernel computes the same
-/// divisor values as the fixed-network protocol's precomputed table, so a
+/// reference on-the-fly kernel ([`continuous::node_new_load`]), which
+/// derives each divisor `4·max(dᵤ, dᵥ)` from the two degrees — the same
+/// expression the fixed-network protocol's gather kernels evaluate — so a
 /// static sequence reproduces the fixed executor bit for bit.
 #[derive(Debug)]
 pub struct DynamicContinuousDiffusion<'s, S: GraphSequence + ?Sized> {
     g: Option<Graph>,
-    /// Bumped on every graph switch so the sharded backend knows to
-    /// re-resolve its shard plan (memoized per distinct graph).
+    /// Bumped on every graph switch so the message and process backends
+    /// know to re-resolve their shard plan (memoized per distinct graph).
     version: u64,
     seq: &'s mut S,
 }
@@ -131,7 +130,7 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
 pub struct DynamicDiscreteDiffusion<'s, S: GraphSequence + ?Sized> {
     g: Option<Graph>,
     /// See [`DynamicContinuousDiffusion`]: bumped per graph switch for
-    /// the sharded backend's plan memoization.
+    /// the partitioned backends' plan memoization.
     version: u64,
     seq: &'s mut S,
 }
@@ -302,7 +301,7 @@ where
 }
 
 /// [`run_dynamic_continuous`] on an explicit engine [`Backend`]. The
-/// sharded and message backends re-derive their shard/exchange plans
+/// message and process backends re-derive their shard/exchange plans
 /// whenever the sequence switches graphs, memoized per distinct graph —
 /// a periodic schedule builds exactly one plan per schedule entry (and
 /// the message backend re-broadcasts only on an actual plan change).

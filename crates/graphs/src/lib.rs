@@ -28,8 +28,7 @@
 //!   range and BFS-grown region partitioners with edge-cut/imbalance
 //!   metrics, and per-shard [`ShardView`]s (owned interior/boundary node
 //!   sets, halo of remote neighbours, reindexed local CSR) that the
-//!   sharded engine backend — and a future distributed one — executes
-//!   from;
+//!   engine's message and process backends execute from;
 //! * [`structure`] — degree-structure analysis ([`GatherPlan`]): maximal
 //!   equal-degree node runs with strided CSR bases, the iteration
 //!   schedule behind the engine's degree-specialized gather kernels.

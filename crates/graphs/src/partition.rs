@@ -9,9 +9,9 @@
 //! from shard-local data, and exchange only the **halo** — the boundary
 //! loads a shard reads from its neighbours' shards — between rounds. That
 //! is the execution shape communication-aware diffusive balancers use in
-//! practice, and the precomputed [`ShardView`]s are exactly what a future
-//! distributed/message-passing backend needs to replace shared-memory
-//! reads with explicit receives.
+//! practice, and the precomputed [`ShardView`]s are exactly what the
+//! message and process backends need to replace shared-memory reads with
+//! explicit receives.
 //!
 //! Two partitioners are provided:
 //!
@@ -585,11 +585,9 @@ impl ShardPlan {
 /// the canonical edge list). Used to memoize shard plans across the
 /// graphs of a dynamic sequence: equal graphs always collide, and a
 /// spurious collision is astronomically unlikely (~2⁻⁶⁴ per distinct
-/// pair). For the sharded backend a collision would only misattribute
-/// locality metrics (every plan still covers each node exactly once); the
-/// message-passing backend additionally derives its halo exchange
-/// schedule from the memoized plan, so there a collision would exchange
-/// the wrong values — the risk is accepted at these odds.
+/// pair). The message and process backends derive their halo exchange
+/// schedule from the memoized plan, so a collision would exchange the
+/// wrong values — the risk is accepted at these odds.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -893,5 +891,19 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         Partition::range(4, 0);
+    }
+
+    #[test]
+    fn bfs_partition_cuts_fewer_torus_edges_than_flat_chunking() {
+        // The point of communication-aware sharding: on a 2-D torus, BFS
+        // regions approximate square tiles whose perimeter beats the long
+        // skinny strips of row-major range chunking... at minimum they must
+        // never be *worse* than the strips are on an instance this regular,
+        // and both bounds stay far below m.
+        let g = topology::torus2d(16, 16);
+        let range = Partition::range(g.n(), 8).edge_cut(&g);
+        let bfs = Partition::bfs(&g, 8).edge_cut(&g);
+        assert!(bfs <= range, "bfs cut {bfs} worse than range cut {range}");
+        assert!(bfs < g.m() / 2);
     }
 }

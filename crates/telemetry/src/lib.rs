@@ -367,7 +367,7 @@ pub struct CommCounters {
     pub collects: u64,
 }
 
-/// Partition-structure counters (sharded and message backends).
+/// Partition-structure counters (message and process backends).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     pub shards: u64,

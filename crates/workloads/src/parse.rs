@@ -11,9 +11,9 @@
 //! name = "bursty-torus"
 //! protocol = "continuous"        # continuous | discrete | heterogeneous
 //! threads = 1                    # 1 = serial, 0 = auto-parallel, t > 1 = pool
-//! # or explicitly: backend = "serial" | "pool" | "sharded" | "message",
+//! # or explicitly: backend = "serial" | "pool" | "message" | "process",
 //! # with shards = k and partition = "range" | "bfs" for the last two
-//! # (message runs one worker per shard — no threads key)
+//! # (they run one worker per shard — no threads key)
 //! stats = "full"                 # full | phionly | every:k | off
 //!
 //! [topology]
@@ -832,8 +832,8 @@ fn scenario_from_tables(tables: Vec<Table>) -> Result<Scenario, String> {
 /// Parses the execution backend out of the `[scenario]` table. Without a
 /// `backend` key the legacy `threads` scalar decides (1 = serial, else
 /// pool); with one, `threads`/`shards`/`partition` refine it. The gating
-/// rules (`shards`/`partition` rejected outside `backend = "sharded"` /
-/// `"message"` / `"process"`, `threads` rejected on `"message"` and
+/// rules (`shards`/`partition` rejected outside `backend = "message"` /
+/// `"process"`, `threads` rejected on `"message"` and
 /// `"process"` — one worker per shard — and `transport` only on
 /// `"process"`, so a misspelled backend cannot silently drop the
 /// sharding request) live in [`exec_spec_from_parts`], shared with the
@@ -1068,16 +1068,10 @@ type RenderedSection = (&'static str, bool, Vec<(String, String)>);
 fn exec_entries(exec: &ExecSpec) -> Vec<(String, String)> {
     let mut e = vec![("backend".to_string(), format!("\"{}\"", exec.name()))];
     match *exec {
-        ExecSpec::Serial => {}
+        // The removed sharded backend renders as its bare name, which
+        // parsing refuses.
+        ExecSpec::Serial | ExecSpec::Sharded { .. } => {}
         ExecSpec::Pool { threads } => e.push(("threads".into(), threads.to_string())),
-        ExecSpec::Sharded { partition, threads } => {
-            e.push((
-                "partition".into(),
-                format!("\"{}\"", partition.strategy_name()),
-            ));
-            e.push(("shards".into(), partition.shards().to_string()));
-            e.push(("threads".into(), threads.to_string()));
-        }
         // No threads key: the message backend runs one worker per shard.
         ExecSpec::Message {
             partition,
@@ -1288,26 +1282,6 @@ rounds = 5
         assert_eq!(serial.exec, ExecSpec::Serial);
         let auto_pool = Scenario::from_toml(&base("backend = \"pool\"")).unwrap();
         assert_eq!(auto_pool.exec, ExecSpec::Pool { threads: 0 });
-        let sharded = Scenario::from_toml(&base(
-            "backend = \"sharded\"\nshards = 8\npartition = \"bfs\"\nthreads = 2",
-        ))
-        .unwrap();
-        assert_eq!(
-            sharded.exec,
-            ExecSpec::Sharded {
-                partition: dlb_graphs::PartitionSpec::Bfs { shards: 8 },
-                threads: 2
-            }
-        );
-        // Defaults: partition = range, threads = auto.
-        let defaulted = Scenario::from_toml(&base("backend = \"sharded\"\nshards = 4")).unwrap();
-        assert_eq!(
-            defaulted.exec,
-            ExecSpec::Sharded {
-                partition: dlb_graphs::PartitionSpec::Range { shards: 4 },
-                threads: 0
-            }
-        );
         // The message backend: one worker per shard, no threads knob.
         let message = Scenario::from_toml(&base(
             "backend = \"message\"\nshards = 6\npartition = \"bfs\"",
@@ -1371,8 +1345,8 @@ rounds = 5
         );
         assert!(!process_default.to_toml().contains("transport"));
         // Gating — one case per error path of the exec assembly:
-        // misplaced shards/partition, unknown backend, sharded/message
-        // without shards, unknown partition strategy, zero shards,
+        // misplaced shards/partition, unknown backend, message without
+        // shards, unknown partition strategy, zero shards,
         // serial/message with a threads key. Every diagnostic carries the
         // section and line, exactly like other key errors.
         for (text, needle) in [
@@ -1382,17 +1356,12 @@ rounds = 5
                 "only valid with backend",
             ),
             (base("backend = \"warp\""), "unknown backend"),
-            (base("backend = \"sharded\""), "needs shards"),
             (base("backend = \"message\""), "needs shards"),
-            (
-                base("backend = \"sharded\"\nshards = 4\npartition = \"metis\""),
-                "unknown partition strategy",
-            ),
             (
                 base("backend = \"message\"\nshards = 4\npartition = \"metis\""),
                 "unknown partition strategy",
             ),
-            (base("backend = \"sharded\"\nshards = 0"), "shards >= 1"),
+            (base("backend = \"process\"\nshards = 0"), "shards >= 1"),
             (base("backend = \"message\"\nshards = 0"), "shards >= 1"),
             (base("backend = \"serial\"\nthreads = 3"), "one thread"),
             (
@@ -1401,10 +1370,6 @@ rounds = 5
             ),
             (
                 base("backend = \"pool\"\nresident = true"),
-                "only valid with backend = \"message\"",
-            ),
-            (
-                base("backend = \"sharded\"\nshards = 4\nresident = false"),
                 "only valid with backend = \"message\"",
             ),
             (
@@ -1432,6 +1397,22 @@ rounds = 5
                 "exec error lacks the section+line diagnostic: {err}"
             );
         }
+    }
+
+    #[test]
+    fn sharded_scenario_files_are_rejected_with_the_alternatives() {
+        let toml = "[scenario]\nname = \"x\"\nprotocol = \"continuous\"\n\
+                    backend = \"sharded\"\nshards = 8\npartition = \"bfs\"\nthreads = 2\n\
+                    [topology]\nkind = \"cycle\"\nn = 8\n\
+                    [init]\ndist = \"spike\"\navg = 1.0\n\
+                    [stop]\nkind = \"rounds\"\nrounds = 2\n";
+        let err = Scenario::from_toml(toml).unwrap_err();
+        assert!(err.starts_with("[scenario] (line "), "{err}");
+        assert!(err.ends_with(dlb_core::Backend::SHARDED_REMOVED), "{err}");
+        assert!(
+            err.contains("\"pool\"") && err.contains("\"message\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1526,10 +1507,12 @@ sede = 42
         }
         // Parsed scenarios hit the same validation as built ones: halo
         // fault kinds need the message backend.
-        let sharded =
-            base("drop = true\n").replace("backend = \"message\"", "backend = \"sharded\"");
-        let err = Scenario::from_toml(&sharded).unwrap_err();
-        assert!(err.contains("message"), "{err}");
+        let pool = base("drop = true\nshards = 4\n").replace(
+            "backend = \"message\"\nshards = 4\n",
+            "backend = \"pool\"\n",
+        );
+        let err = Scenario::from_toml(&pool).unwrap_err();
+        assert!(err.contains("need backend = \"message\""), "{err}");
     }
 
     #[test]

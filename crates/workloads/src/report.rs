@@ -174,7 +174,8 @@ pub struct ScenarioReport {
     pub protocol: String,
     /// Node count.
     pub n: usize,
-    /// Execution backend the run used (`serial`, `pool`, `sharded`).
+    /// Execution backend the run used (`serial`, `pool`, `message`,
+    /// `process`).
     /// Trajectories are backend-independent; recorded for provenance.
     pub backend: String,
     /// Whether the message backend ran shard-resident rounds (always

@@ -374,7 +374,7 @@ fn compile_faults(sc: &Scenario, g: &dlb_graphs::Graph) -> Result<Option<FaultSe
     let Some(f) = &sc.faults else { return Ok(None) };
     let shards = f.resolved_shards(&sc.exec)?;
     let partition = match &sc.exec {
-        ExecSpec::Sharded { partition, .. } | ExecSpec::Message { partition, .. } => *partition,
+        ExecSpec::Message { partition, .. } => *partition,
         _ => dlb_graphs::PartitionSpec::Range { shards },
     };
     let part = partition.build(g);
@@ -738,7 +738,7 @@ mod tests {
         );
         assert_eq!(serial.final_total.to_bits(), msg.final_total.to_bits());
         // The serial replay still carries the churn counters (executor
-        // faults are a message/sharded concept and stay at zero there).
+        // faults are a message-backend concept and stay at zero there).
         let sf = serial.faults.expect("churn counters survive the override");
         assert!(sf.faults_injected > 0);
         assert!(sf.faults_injected <= f.faults_injected);

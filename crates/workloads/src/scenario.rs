@@ -502,7 +502,7 @@ pub fn compile_workloads<L: ScenarioLoad>(specs: &[WorkloadSpec], n: usize) -> O
 }
 
 /// How a scenario executes: the engine [`Backend`] carried declaratively
-/// (`backend = "serial" | "pool" | "sharded" | "message" | "process"` in
+/// (`backend = "serial" | "pool" | "message" | "process"` in
 /// scenario files, with `threads`, `shards`, `partition = "range" |
 /// "bfs"`, and `transport = "unix" | "tcp"` as applicable — the message
 /// and process backends run one worker per shard, so they take
@@ -527,6 +527,10 @@ pub fn compile_workloads<L: ScenarioLoad>(specs: &[WorkloadSpec], n: usize) -> O
 /// // ...and the gating rules reject nonsensical combinations:
 /// assert!(exec_spec_from_parts(
 ///     Some("serial"), None, None, None, None, Some("tcp")).is_err());
+/// // The removed sharded backend is refused with what to use instead:
+/// assert_eq!(
+///     exec_spec_from_parts(Some("sharded"), None, Some(4), None, None, None),
+///     Err(Backend::SHARDED_REMOVED.to_string()));
 /// ```
 pub type ExecSpec = Backend;
 
@@ -546,7 +550,7 @@ pub fn exec_from_threads(threads: usize) -> ExecSpec {
 /// [`PartitionSpec`] over `shards ≥ 1`.
 pub fn partition_from_name(name: &str, shards: usize) -> Result<PartitionSpec, String> {
     if shards == 0 {
-        return Err("sharded/message backends need shards >= 1".into());
+        return Err("partitioned backends need shards >= 1".into());
     }
     match name {
         "range" => Ok(PartitionSpec::Range { shards }),
@@ -559,12 +563,11 @@ pub fn partition_from_name(name: &str, shards: usize) -> Result<PartitionSpec, S
 
 /// Validates an [`ExecSpec`] (shared by [`Scenario::validate`] and the
 /// runner's override path, so a bad programmatic override errors instead
-/// of panicking inside the engine constructor).
+/// of panicking inside the engine constructor). The removed sharded
+/// backend fails with [`Backend::SHARDED_REMOVED`].
 pub fn validate_exec(exec: &ExecSpec) -> Result<(), String> {
     match exec {
-        ExecSpec::Sharded { partition, .. } if partition.shards() == 0 => {
-            Err("sharded backend needs shards >= 1".into())
-        }
+        ExecSpec::Sharded { .. } => Err(Backend::SHARDED_REMOVED.into()),
         ExecSpec::Message { partition, .. } if partition.shards() == 0 => {
             Err("message backend needs shards >= 1".into())
         }
@@ -578,13 +581,14 @@ pub fn validate_exec(exec: &ExecSpec) -> Result<(), String> {
 /// Assembles an [`ExecSpec`] from the four declarative parts every entry
 /// point exposes — the `backend`/`threads`/`shards`/`partition` keys of a
 /// scenario file, or the CLI flags of the same names. This is the single
-/// home of the gating rules (`shards`/`partition` only with the sharded,
-/// message, and process backends, `serial` is one thread, the message and
-/// process backends have no `threads` knob at all — one worker per shard,
-/// `partition` defaults to `range`, `threads` defaults to auto for
-/// pool/sharded, `resident` is a message-backend-only knob, `transport`
-/// is a process-backend-only knob defaulting to `unix`), so file parsing
-/// and CLI overrides cannot drift apart.
+/// home of the gating rules (`shards`/`partition` only with the message
+/// and process backends, `serial` is one thread, the message and process
+/// backends have no `threads` knob at all — one worker per shard,
+/// `partition` defaults to `range`, `threads` defaults to auto for pool,
+/// `resident` is a message-backend-only knob, `transport` is a
+/// process-backend-only knob defaulting to `unix`, and `sharded` is
+/// refused with [`Backend::SHARDED_REMOVED`]), so file parsing and CLI
+/// overrides cannot drift apart.
 pub fn exec_spec_from_parts(
     backend: Option<&str>,
     threads: Option<usize>,
@@ -596,8 +600,7 @@ pub fn exec_spec_from_parts(
     let reject_shard_keys = || -> Result<(), String> {
         if shards.is_some() || partition.is_some() {
             return Err(
-                "shards/partition are only valid with backend = \"sharded\", \"message\", or \"process\""
-                    .into(),
+                "shards/partition are only valid with backend = \"message\" or \"process\"".into(),
             );
         }
         if resident.is_some() {
@@ -638,16 +641,7 @@ pub fn exec_spec_from_parts(
                 threads: threads.unwrap_or(0),
             })
         }
-        Some("sharded") => {
-            reject_resident()?;
-            reject_transport()?;
-            let shards = shards.ok_or("backend \"sharded\" needs shards")?;
-            let partition = partition_from_name(partition.unwrap_or("range"), shards)?;
-            Ok(ExecSpec::Sharded {
-                partition,
-                threads: threads.unwrap_or(0),
-            })
-        }
+        Some("sharded") => Err(Backend::SHARDED_REMOVED.into()),
         Some("message") => {
             reject_transport()?;
             if threads.is_some() {
@@ -670,7 +664,7 @@ pub fn exec_spec_from_parts(
                         .into(),
                 );
             }
-            // Unlike sharded/message, `shards` has a default: the
+            // Unlike message, `shards` has a default: the
             // quickstart (`--backend process` alone) should just work,
             // and a fixed count keeps reports reproducible.
             let shards = shards.unwrap_or(8);
@@ -682,7 +676,7 @@ pub fn exec_spec_from_parts(
             })
         }
         Some(other) => Err(format!(
-            "unknown backend {other:?} (expected serial, pool, sharded, message, or process)"
+            "unknown backend {other:?} (expected serial, pool, message, or process)"
         )),
     }
 }
@@ -711,13 +705,13 @@ pub struct FaultsSpec {
     /// Each failure lasts `down` consecutive rounds.
     pub down: usize,
     /// Shard count the churn draws from; `0` derives it from the
-    /// sharded/message backend's partition (and must match it when both
+    /// message backend's partition (and must match it when both
     /// are set explicitly).
     pub shards: usize,
     /// Seed of the churn schedule (which shard fails when).
     pub seed: u64,
-    /// Kill the failed shard's worker on each failure round
-    /// (sharded/message backends).
+    /// Kill the failed shard's worker on each failure round (message
+    /// backend).
     pub panic: bool,
     /// Drop the failed shard's outgoing halo batches (message backend).
     pub drop: bool,
@@ -726,7 +720,7 @@ pub struct FaultsSpec {
     /// Reorder the failed shard's halo batches (message backend).
     pub reorder: bool,
     /// Delay the failed shard's worker by this many milliseconds
-    /// (sharded/message backends).
+    /// (message backend).
     pub delay_ms: Option<u64>,
 }
 
@@ -775,13 +769,11 @@ impl FaultsSpec {
     }
 
     /// Resolves the churn shard count against the backend: an explicit
-    /// `shards` wins (but must match a sharded/message partition), `0`
-    /// derives from the partition.
+    /// `shards` wins (but must match a message partition), `0` derives
+    /// from the partition.
     pub fn resolved_shards(&self, exec: &ExecSpec) -> Result<usize, String> {
         let backend_shards = match exec {
-            ExecSpec::Sharded { partition, .. } | ExecSpec::Message { partition, .. } => {
-                Some(partition.shards())
-            }
+            ExecSpec::Message { partition, .. } => Some(partition.shards()),
             _ => None,
         };
         match (self.shards, backend_shards) {
@@ -905,13 +897,13 @@ impl Default for TelemetrySpec {
 
 impl TelemetrySpec {
     /// Shard-lane count the recorder needs under `exec`: the partition's
-    /// shard count on the sharded/message/process backends, none on
-    /// serial/pool (their spans all land on the engine lane).
+    /// shard count on the message/process backends, none on serial/pool
+    /// (their spans all land on the engine lane).
     pub fn lanes(exec: &ExecSpec) -> usize {
         match exec {
-            ExecSpec::Sharded { partition, .. }
-            | ExecSpec::Message { partition, .. }
-            | ExecSpec::Process { partition, .. } => partition.shards(),
+            ExecSpec::Message { partition, .. } | ExecSpec::Process { partition, .. } => {
+                partition.shards()
+            }
             _ => 0,
         }
     }
@@ -994,7 +986,7 @@ pub struct Scenario {
     pub workloads: Vec<WorkloadSpec>,
     /// Engine statistics mode.
     pub stats: StatsMode,
-    /// Execution backend (serial / pool / sharded). Trajectories are
+    /// Execution backend (serial / pool / message / process). Trajectories are
     /// bit-identical across backends; this only chooses the executor.
     pub exec: ExecSpec,
     /// Fault injection: shard fail/recover churn plus executor faults;
@@ -1194,18 +1186,15 @@ impl Scenario {
                         .into(),
                 );
             }
-            let message = matches!(self.exec, ExecSpec::Message { .. });
-            let sharded = matches!(self.exec, ExecSpec::Sharded { .. });
             if matches!(self.exec, ExecSpec::Message { resident: true, .. }) {
                 return Err(
                     "faults need the snapshot-based message backend (drop resident = true)".into(),
                 );
             }
-            if (faults.panic || faults.delay_ms.is_some()) && !(sharded || message) {
-                return Err("faults panic/delay need backend = \"sharded\" or \"message\"".into());
-            }
-            if (faults.drop || faults.duplicate || faults.reorder) && !message {
-                return Err("faults drop/duplicate/reorder need backend = \"message\"".into());
+            if faults.has_exec_kinds() && !matches!(self.exec, ExecSpec::Message { .. }) {
+                return Err(
+                    "faults panic/drop/duplicate/reorder/delay need backend = \"message\"".into(),
+                );
             }
             faults.resolved_shards(&self.exec)?;
         }
@@ -1224,7 +1213,6 @@ impl Scenario {
     pub fn builtin_names() -> &'static [&'static str] {
         &[
             "bursty-torus",
-            "bursty-torus-sharded",
             "bursty-torus-message",
             "bursty-torus-resident",
             "bursty-torus-process",
@@ -1242,9 +1230,6 @@ impl Scenario {
     ///
     /// * `bursty-torus` — continuous diffusion on a 16×16 torus under
     ///   on/off bursts with proportional service; runs to steady state;
-    /// * `bursty-torus-sharded` — the same regime on the sharded backend
-    ///   (8 BFS-grown shards, 2 workers); its trajectory is bit-identical
-    ///   to `bursty-torus`, which the CI cross-backend matrix asserts;
     /// * `bursty-torus-message` — the same regime on the message-passing
     ///   backend (8 BFS-grown shard workers, halo values crossing shards
     ///   only as batched messages); trajectory bit-identical to
@@ -1299,14 +1284,6 @@ impl Scenario {
                 tol: 0.2,
                 max_rounds: 2000,
             }),
-            "bursty-torus-sharded" => {
-                let mut s = Scenario::builtin("bursty-torus").expect("base builtin exists");
-                s.name = "bursty-torus-sharded".into();
-                s.with_exec(ExecSpec::Sharded {
-                    partition: PartitionSpec::Bfs { shards: 8 },
-                    threads: 2,
-                })
-            }
             "bursty-torus-message" => {
                 let mut s = Scenario::builtin("bursty-torus").expect("base builtin exists");
                 s.name = "bursty-torus-message".into();
@@ -1434,6 +1411,50 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_exec_rejects_the_removed_sharded_backend() {
+        let sharded = ExecSpec::Sharded {
+            partition: PartitionSpec::Bfs { shards: 4 },
+            threads: 2,
+        };
+        assert_eq!(
+            validate_exec(&sharded),
+            Err(Backend::SHARDED_REMOVED.to_string())
+        );
+        let built = Scenario::builtin("bursty-torus")
+            .unwrap()
+            .with_exec(sharded);
+        assert_eq!(built.validate(), Err(Backend::SHARDED_REMOVED.to_string()));
+        let overridden =
+            crate::runner::ScenarioRunner::new(Scenario::builtin("bursty-torus").unwrap())
+                .with_exec(sharded)
+                .run();
+        assert_eq!(overridden.unwrap_err(), Backend::SHARDED_REMOVED);
+    }
+
+    #[test]
+    fn shard_keys_without_a_backend_are_rejected() {
+        // The CLI's `--shards`/`--partition` without `--backend` reach
+        // `exec_spec_from_parts` with no backend, where they fail the
+        // same gating as a scenario file's misplaced keys.
+        let gating = "shards/partition are only valid with backend = \"message\" or \"process\"";
+        for (shards, partition) in [
+            (Some(4), None),
+            (None, Some("bfs")),
+            (Some(4), Some("range")),
+        ] {
+            assert_eq!(
+                exec_spec_from_parts(None, None, shards, partition, None, None),
+                Err(gating.to_string()),
+                "{shards:?} {partition:?}"
+            );
+        }
+        assert_eq!(
+            exec_spec_from_parts(Some("sharded"), Some(2), Some(4), Some("bfs"), None, None),
+            Err(Backend::SHARDED_REMOVED.to_string())
+        );
+    }
 
     #[test]
     fn builtins_all_validate() {

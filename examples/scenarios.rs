@@ -12,7 +12,7 @@
 //! Options:
 //!
 //! * `--name <builtin>` / `--file <path>` — which scenario to run;
-//! * `--backend <serial|pool|sharded|message|process>` — override the
+//! * `--backend <serial|pool|message|process>` — override the
 //!   scenario's execution backend (trajectories are backend-independent,
 //!   so this is safe to vary freely — the CI cross-backend matrix relies
 //!   on it);
@@ -20,9 +20,9 @@
 //!   it is the legacy scalar: 1 = serial, 0 = auto-pool, t > 1 = pool;
 //!   rejected with `--backend message`/`process`, which run one worker
 //!   per shard);
-//! * `--shards <k>` / `--partition <range|bfs>` —
-//!   sharded/message/process-backend parameters (without `--backend`,
-//!   `--shards` implies `--backend sharded`);
+//! * `--shards <k>` / `--partition <range|bfs>` — message/process-backend
+//!   parameters (without `--backend` — or an implying `--resident` /
+//!   `--transport` — they are rejected like misplaced scenario-file keys);
 //! * `--transport <unix|tcp>` — process-backend byte transport (implies
 //!   `--backend process`; default `unix`);
 //! * `--resident` — message-backend shard-resident rounds: workers keep
@@ -57,19 +57,10 @@ use dlb_workloads::{exec_spec_from_parts, ExecSpec, FaultsSpec, Scenario, Scenar
 /// Human-readable exec-spec summary for `--list`.
 fn exec_summary(exec: &ExecSpec) -> String {
     match *exec {
-        ExecSpec::Serial => "serial".to_string(),
+        // Serial, and the removed sharded backend no built-in uses.
+        ExecSpec::Serial | ExecSpec::Sharded { .. } => exec.name().to_string(),
         ExecSpec::Pool { threads: 0 } => "pool(auto)".to_string(),
         ExecSpec::Pool { threads } => format!("pool({threads})"),
-        ExecSpec::Sharded { partition, threads } => format!(
-            "sharded({} x{}, {} workers)",
-            partition.strategy_name(),
-            partition.shards(),
-            if threads == 0 {
-                "auto".to_string()
-            } else {
-                threads.to_string()
-            }
-        ),
         ExecSpec::Message {
             partition,
             resident,
@@ -93,8 +84,9 @@ fn exec_summary(exec: &ExecSpec) -> String {
 /// Builds the exec-spec override from `--backend`/`--threads`/`--shards`/
 /// `--partition`, or `None` when no exec flag was given. The gating rules
 /// live in `dlb_workloads::exec_spec_from_parts`, shared with the
-/// scenario-file parser; the one CLI-only convenience is that `--shards`
-/// or `--partition` imply `--backend sharded`.
+/// scenario-file parser; the CLI-only conveniences are that `--resident`
+/// implies `--backend message` and `--transport` implies `--backend
+/// process`.
 fn exec_override() -> Option<ExecSpec> {
     let fail = |msg: &str| -> ! {
         eprintln!("{msg}");
@@ -113,12 +105,9 @@ fn exec_override() -> Option<ExecSpec> {
     let transport = arg_value("--transport");
     let backend = arg_value("--backend")
         .or_else(|| resident.map(|_| "message".to_string()))
-        .or_else(|| transport.as_ref().map(|_| "process".to_string()))
-        .or_else(|| (shards.is_some() || strategy.is_some()).then(|| "sharded".to_string()));
-    if backend.is_none() {
-        return threads.map(|t| {
-            exec_spec_from_parts(None, Some(t), None, None, None, None).unwrap_or_else(|e| fail(&e))
-        });
+        .or_else(|| transport.as_ref().map(|_| "process".to_string()));
+    if backend.is_none() && threads.is_none() && shards.is_none() && strategy.is_none() {
+        return None;
     }
     Some(
         exec_spec_from_parts(
@@ -149,7 +138,7 @@ fn main() {
             );
         }
         println!(
-            "\nexec overrides: --backend serial|pool|sharded|message|process, --threads t, \
+            "\nexec overrides: --backend serial|pool|message|process, --threads t, \
              --shards k, --partition range|bfs, --resident, --transport unix|tcp\n\
              fault injection: --faults \"every=40,down=5,seed=7,panic,drop,delay=3\""
         );
@@ -174,7 +163,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: scenarios (--name <builtin> | --file <path>) \
-                 [--backend serial|pool|sharded|message|process] [--threads t] [--shards k] \
+                 [--backend serial|pool|message|process] [--threads t] [--shards k] \
                  [--partition range|bfs] [--resident] [--transport unix|tcp] [--faults spec] \
                  [--json out.jsonl] [--trace out.trace] [--trace-format jsonl|chrome] \
                  [--print-spec] [--list]"

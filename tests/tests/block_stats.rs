@@ -69,13 +69,6 @@ fn backends() -> Vec<(String, Backend)> {
         .iter()
         .map(|&threads| (format!("pool{threads}"), Backend::Pool { threads }))
         .collect();
-    out.push((
-        "sharded".into(),
-        Backend::Sharded {
-            partition: PartitionSpec::Bfs { shards: 3 },
-            threads: 2,
-        },
-    ));
     for resident in [false, true] {
         out.push((
             format!("message(resident={resident})"),

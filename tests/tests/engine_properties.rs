@@ -1,5 +1,5 @@
 //! Engine-level property tests: for **every** `Protocol` implementation in
-//! the workspace, all five executor backends — serial, pool, sharded,
+//! the workspace, all four executor backends — serial, pool,
 //! message-passing, and process (both range and BFS partitions, including
 //! shard counts exceeding `n`) — must produce bit-identical load vectors
 //! **and per-round statistics** on arbitrary graphs, initial loads, and
@@ -91,10 +91,10 @@ fn run_collecting_resident<P: Protocol>(
     (loads, stats)
 }
 
-/// Runs `rounds` rounds on every backend — serial, pool, sharded/range,
-/// sharded/BFS (with one shard count near the thread count and one
-/// exceeding `n`), and the message backend (shard-isolated workers over
-/// channels, both partition strategies, again incl. shards > `n`) — from
+/// Runs `rounds` rounds on every backend — serial, pool, and the message
+/// backend (shard-isolated workers over channels, range and BFS
+/// partitions with one shard count near the thread count and one
+/// exceeding `n`, legacy and resident rounds) — from
 /// the same state and asserts bitwise equality of the final vectors *and*
 /// of every round's statistics. The reference is the serial engine with
 /// the **scalar** kernel; the backend sweep then runs at the default
@@ -113,36 +113,19 @@ where
     );
     let name = make().name();
 
-    let shard_counts = [threads + 1, init.len() + 3]; // incl. shards > n
+    let partitions = [threads + 1, init.len() + 3] // incl. shards > n
+        .into_iter()
+        .flat_map(|shards| {
+            [
+                PartitionSpec::Range { shards },
+                PartitionSpec::Bfs { shards },
+            ]
+        });
     let mut backends = vec![Backend::Pool { threads }];
-    for shards in shard_counts {
-        backends.push(Backend::Sharded {
-            partition: PartitionSpec::Range { shards },
-            threads,
-        });
-        backends.push(Backend::Sharded {
-            partition: PartitionSpec::Bfs { shards },
-            threads,
-        });
-    }
-    backends.push(Backend::Message {
-        partition: PartitionSpec::Range {
-            shards: threads + 1,
-        },
+    backends.extend(partitions.clone().map(|partition| Backend::Message {
+        partition,
         resident: false,
-    });
-    backends.push(Backend::Message {
-        partition: PartitionSpec::Bfs {
-            shards: threads + 1,
-        },
-        resident: false,
-    });
-    backends.push(Backend::Message {
-        partition: PartitionSpec::Range {
-            shards: init.len() + 3,
-        },
-        resident: false,
-    });
+    }));
     for backend in backends {
         let (loads, stats) = run_collecting(Engine::with_backend(make(), backend), init, rounds);
         assert_eq!(
@@ -158,17 +141,7 @@ where
     // The resident-session axis: shard-resident rounds (workers keep
     // their owned loads, the coordinator collects only when the stats
     // mode needs them) must reproduce the identical loads and stats.
-    for partition in [
-        PartitionSpec::Range {
-            shards: threads + 1,
-        },
-        PartitionSpec::Bfs {
-            shards: threads + 1,
-        },
-        PartitionSpec::Range {
-            shards: init.len() + 3,
-        },
-    ] {
+    for partition in partitions {
         let backend = Backend::Message {
             partition,
             resident: true,
@@ -190,12 +163,6 @@ where
     let kernel_backends = [
         Backend::Serial,
         Backend::Pool { threads },
-        Backend::Sharded {
-            partition: PartitionSpec::Range {
-                shards: threads + 1,
-            },
-            threads,
-        },
         Backend::Message {
             partition: PartitionSpec::Range {
                 shards: threads + 1,

@@ -5,7 +5,7 @@
 //!
 //! The second half covers the executor fault layer: random seeded
 //! [`FaultPlan`]s (worker panics, dropped/duplicated/reordered halo
-//! batches, slow workers) on the sharded and message backends must be
+//! batches, slow workers) on the message backend must be
 //! recovered **exactly** — conservation holds on every intermediate
 //! round, Φ never increases across degraded rounds, and once the faults
 //! drain the load vector is bit-identical to a fault-free run — plus
@@ -110,7 +110,7 @@ fn mostly_dead_network_still_converges_eventually() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor faults: seeded FaultPlans on the sharded and message backends
+// Executor faults: seeded FaultPlans on the message backend
 // ---------------------------------------------------------------------------
 
 /// A raw fault event for the strategy: `(round, shard, kind tag)`.
@@ -218,18 +218,14 @@ proptest! {
         let n = g.n();
         let loads: Vec<f64> = (0..n).map(|i| ((i as u64 * 37 + seed) % 101) as f64).collect();
         let plan = plan_from(&events);
-        for backend in [
-            Backend::Sharded { partition: PartitionSpec::Range { shards }, threads: 2 },
-            Backend::Message { partition: PartitionSpec::Range { shards }, resident: false },
-        ] {
-            let mut reference = Engine::with_backend(ContinuousDiffusion::new(&g), Backend::Serial);
-            let mut faulted = Engine::with_backend(ContinuousDiffusion::new(&g), backend)
-                .with_faults(plan.clone());
-            assert_faults_invisible!(
-                reference, faulted, loads, FAULT_ROUNDS,
-                total_continuous, potential::phi, 1e-6
-            );
-        }
+        let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident: false };
+        let mut reference = Engine::with_backend(ContinuousDiffusion::new(&g), Backend::Serial);
+        let mut faulted = Engine::with_backend(ContinuousDiffusion::new(&g), backend)
+            .with_faults(plan);
+        assert_faults_invisible!(
+            reference, faulted, loads, FAULT_ROUNDS,
+            total_continuous, potential::phi, 1e-6
+        );
     }
 
     #[test]
@@ -240,18 +236,14 @@ proptest! {
         let n = g.n();
         let loads: Vec<i64> = (0..n).map(|i| ((i as u64 * 53 + seed) % 997) as i64).collect();
         let plan = plan_from(&events);
-        for backend in [
-            Backend::Sharded { partition: PartitionSpec::Range { shards }, threads: 2 },
-            Backend::Message { partition: PartitionSpec::Range { shards }, resident: false },
-        ] {
-            let mut reference = Engine::with_backend(DiscreteDiffusion::new(&g), Backend::Serial);
-            let mut faulted = Engine::with_backend(DiscreteDiffusion::new(&g), backend)
-                .with_faults(plan.clone());
-            assert_faults_invisible!(
-                reference, faulted, loads, FAULT_ROUNDS,
-                total_tokens, phi_tokens, 0.0
-            );
-        }
+        let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident: false };
+        let mut reference = Engine::with_backend(DiscreteDiffusion::new(&g), Backend::Serial);
+        let mut faulted = Engine::with_backend(DiscreteDiffusion::new(&g), backend)
+            .with_faults(plan);
+        assert_faults_invisible!(
+            reference, faulted, loads, FAULT_ROUNDS,
+            total_tokens, phi_tokens, 0.0
+        );
     }
 }
 

@@ -126,16 +126,12 @@ fn kernel_backend_cross_product_stays_bit_identical_with_excess_shards() {
             .rounds(&mut reference, 5);
         let backends = [
             Backend::Pool { threads: 3 },
-            Backend::Sharded {
-                partition: PartitionSpec::Range { shards: g.n() + 5 },
-                threads: 2,
-            },
-            Backend::Sharded {
-                partition: PartitionSpec::Bfs { shards: 4 },
-                threads: 2,
-            },
             Backend::Message {
                 partition: PartitionSpec::Range { shards: g.n() + 5 },
+                resident: false,
+            },
+            Backend::Message {
+                partition: PartitionSpec::Bfs { shards: 4 },
                 resident: false,
             },
         ];

@@ -104,6 +104,23 @@ fn message_plans_memoized_per_distinct_graph() {
 }
 
 #[test]
+fn static_sequence_on_message_backend_builds_one_plan() {
+    let g = topology::torus2d(6, 6);
+    let mut seq = StaticSequence::new(g);
+    let mut engine = Engine::message(
+        DynamicContinuousDiffusion::new(&mut seq),
+        PartitionSpec::Range { shards: 6 },
+    );
+    let mut loads = vec![0.0; 36];
+    loads[0] = 360.0;
+    engine.rounds(&mut loads, 8);
+    let metrics = engine.shard_metrics().expect("metrics");
+    // The graph is cloned per round but structurally identical: the
+    // fingerprint cache must dedupe it to a single plan.
+    assert_eq!(metrics.plans_built, 1);
+}
+
+#[test]
 fn comm_metrics_match_partition_brute_force() {
     let g = topology::torus2d(8, 8);
     let spec = PartitionSpec::Bfs { shards: 4 };
@@ -192,6 +209,43 @@ fn scenario_exec_override_onto_message_matches_reference() {
     let b: Vec<u64> = run.phi_trace.iter().map(|p| p.to_bits()).collect();
     assert_eq!(a, b, "Φ trace diverged");
     assert_eq!(reference.final_total.to_bits(), run.final_total.to_bits());
+}
+
+#[test]
+fn scenario_trajectories_identical_across_exec_overrides() {
+    let sc = Scenario::builtin("bursty-torus").unwrap();
+    let reference = ScenarioRunner::new(sc.clone()).run().unwrap();
+    assert_eq!(reference.backend, "serial");
+    for exec in [
+        ExecSpec::Pool { threads: 2 },
+        ExecSpec::Message {
+            partition: PartitionSpec::Range { shards: 8 },
+            resident: false,
+        },
+        ExecSpec::Message {
+            partition: PartitionSpec::Bfs { shards: 5 },
+            resident: true,
+        },
+        ExecSpec::Process {
+            partition: PartitionSpec::Bfs { shards: 3 },
+            transport: dlb_core::Transport::Unix,
+        },
+    ] {
+        let run = ScenarioRunner::new(sc.clone())
+            .with_exec(exec)
+            .run()
+            .unwrap();
+        assert_eq!(run.backend, exec.name());
+        assert_eq!(reference.rounds, run.rounds, "{exec:?}");
+        let a: Vec<u64> = reference.phi_trace.iter().map(|p| p.to_bits()).collect();
+        let b: Vec<u64> = run.phi_trace.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(a, b, "{exec:?}: Φ trace diverged");
+        assert_eq!(
+            reference.final_total.to_bits(),
+            run.final_total.to_bits(),
+            "{exec:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,28 +1,41 @@
-//! Sharded-backend integration suite: cross-backend bit-identity through
-//! the dynamics drivers and the scenario runner, shard-plan memoization
-//! across dynamic graph switches, and the shard metrics' consistency with
-//! the partition module's brute-force counts.
+//! Sharded-backend integration suite: the partitioned backends — message
+//! (declared shard-resident) and process — split the node set into
+//! shards, and each must keep cross-backend bit-identity through the
+//! dynamics drivers, memoize its shard plans across dynamic graph
+//! switches, and report shard metrics consistent with the partition
+//! module's brute-force counts.
 //!
-//! (Per-protocol serial ≡ pool ≡ sharded identity over random instances
-//! lives in `engine_properties.rs`; this file covers the layers above the
-//! bare engine.)
+//! (The shared-memory pool backend rides along in the dynamics-driver
+//! rows. Per-protocol serial ≡ partitioned identity over random
+//! instances lives in `engine_properties.rs`; the message backend's
+//! channel-layer exchange and comm accounting live in
+//! `message_backend.rs`.)
 
 use dlb_core::engine::{Backend, Engine, StatsMode};
 use dlb_core::potential::phi;
+use dlb_core::Transport;
 use dlb_dynamics::runner::DynamicContinuousDiffusion;
 use dlb_dynamics::{
     run_dynamic_continuous, run_dynamic_continuous_on, run_dynamic_discrete,
     run_dynamic_discrete_on, IidSubgraphSequence, PeriodicSequence, StaticSequence,
 };
-use dlb_graphs::partition::{Partition, PartitionSpec, ShardPlan};
+use dlb_graphs::partition::{PartitionSpec, ShardPlan};
 use dlb_graphs::topology;
-use dlb_workloads::{ExecSpec, Scenario, ScenarioRunner};
 
-fn sharded(shards: usize, threads: usize) -> Backend {
-    Backend::Sharded {
-        partition: PartitionSpec::Bfs { shards },
-        threads,
-    }
+/// The partitioned backends, each over the given partition: message
+/// declared shard-resident, and one OS process per shard over Unix
+/// sockets.
+fn sharded(partition: PartitionSpec) -> [Backend; 2] {
+    [
+        Backend::Message {
+            partition,
+            resident: true,
+        },
+        Backend::Process {
+            partition,
+            transport: Transport::Unix,
+        },
+    ]
 }
 
 #[test]
@@ -34,14 +47,10 @@ fn dynamic_continuous_identical_across_backends() {
     let mut serial = init.clone();
     let a = run_dynamic_continuous(&mut serial_seq, &mut serial, f64::NEG_INFINITY, 12, false);
 
-    for backend in [
-        Backend::Pool { threads: 3 },
-        sharded(4, 2),
-        Backend::Sharded {
-            partition: PartitionSpec::Range { shards: 6 },
-            threads: 3,
-        },
-    ] {
+    let mut backends = vec![Backend::Pool { threads: 3 }];
+    backends.extend(sharded(PartitionSpec::Bfs { shards: 4 }));
+    backends.extend(sharded(PartitionSpec::Range { shards: 6 }));
+    for backend in backends {
         let mut seq = IidSubgraphSequence::new(ground.clone(), 0.6, 42);
         let mut loads = init.clone();
         let b =
@@ -65,12 +74,14 @@ fn dynamic_discrete_identical_across_backends() {
     let mut serial = init.clone();
     let a = run_dynamic_discrete(&mut serial_seq, &mut serial, 0, 15, false);
 
-    let mut seq = IidSubgraphSequence::new(ground, 0.7, 7);
-    let mut loads = init;
-    let b = run_dynamic_discrete_on(sharded(5, 2), &mut seq, &mut loads, 0, 15, false);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.final_phi_hat, b.final_phi_hat);
-    assert_eq!(serial, loads);
+    for backend in sharded(PartitionSpec::Bfs { shards: 5 }) {
+        let mut seq = IidSubgraphSequence::new(ground.clone(), 0.7, 7);
+        let mut loads = init.clone();
+        let b = run_dynamic_discrete_on(backend, &mut seq, &mut loads, 0, 15, false);
+        assert_eq!(a.rounds, b.rounds, "{backend:?}");
+        assert_eq!(a.final_phi_hat, b.final_phi_hat, "{backend:?}");
+        assert_eq!(serial, loads, "{backend:?}");
+    }
 }
 
 #[test]
@@ -79,37 +90,22 @@ fn shard_plans_memoized_per_distinct_graph() {
     // plans, no matter how many rounds run — the fingerprint cache
     // re-resolves per round (the version bumps) but only ever builds per
     // distinct graph.
-    let a = topology::torus2d(4, 4);
-    let b = topology::grid2d(4, 4);
-    let mut seq = PeriodicSequence::new(vec![a, b]);
-    let mut engine = Engine::sharded(
-        DynamicContinuousDiffusion::new(&mut seq),
-        PartitionSpec::Bfs { shards: 4 },
-        2,
-    );
-    let mut loads: Vec<f64> = (0..16).map(|i| (i % 5) as f64 * 3.0).collect();
-    engine.rounds(&mut loads, 10);
-    let metrics = engine.shard_metrics().expect("sharded engine has metrics");
-    assert_eq!(metrics.plans_built, 2, "one plan per distinct graph");
-    assert_eq!(metrics.shards, 4);
-}
-
-#[test]
-fn static_sequence_on_sharded_backend_builds_one_plan() {
-    let g = topology::torus2d(6, 6);
-    let mut seq = StaticSequence::new(g);
-    let mut engine = Engine::sharded(
-        DynamicContinuousDiffusion::new(&mut seq),
-        PartitionSpec::Range { shards: 6 },
-        3,
-    );
-    let mut loads = vec![0.0; 36];
-    loads[0] = 360.0;
-    engine.rounds(&mut loads, 8);
-    let metrics = engine.shard_metrics().expect("metrics");
-    // The graph is cloned per round but structurally identical: the
-    // fingerprint cache must dedupe it to a single plan.
-    assert_eq!(metrics.plans_built, 1);
+    for backend in sharded(PartitionSpec::Bfs { shards: 4 }) {
+        let a = topology::torus2d(4, 4);
+        let b = topology::grid2d(4, 4);
+        let mut seq = PeriodicSequence::new(vec![a, b]);
+        let mut engine = Engine::with_backend(DynamicContinuousDiffusion::new(&mut seq), backend);
+        let mut loads: Vec<f64> = (0..16).map(|i| (i % 5) as f64 * 3.0).collect();
+        engine.rounds(&mut loads, 10);
+        let metrics = engine
+            .shard_metrics()
+            .expect("partitioned engine has metrics");
+        assert_eq!(
+            metrics.plans_built, 2,
+            "{backend:?}: one plan per distinct graph"
+        );
+        assert_eq!(metrics.shards, 4, "{backend:?}");
+    }
 }
 
 #[test]
@@ -119,123 +115,54 @@ fn shard_metrics_match_partition_brute_force() {
     let partition = spec.build(&g);
     let plan = ShardPlan::build(&g, &partition);
 
-    let mut seq = StaticSequence::new(g.clone());
-    let mut engine = Engine::sharded(DynamicContinuousDiffusion::new(&mut seq), spec, 2);
-    let mut loads = vec![0.0; 64];
-    loads[0] = 640.0;
-    engine.round(&mut loads);
-    let metrics = engine.shard_metrics().expect("metrics");
-    assert_eq!(metrics.edge_cut, partition.edge_cut(&g));
-    assert_eq!(metrics.edge_cut, plan.edge_cut());
-    assert_eq!(metrics.halo, plan.halo_total());
-    assert_eq!(metrics.interior, plan.interior_total());
-    // A 4-way cut of a connected torus must actually cut something, and
-    // a reasonable tiling keeps some tile interiors exchange-free (a 4×4
-    // torus tile has a 2×2 interior).
-    assert!(metrics.edge_cut > 0);
-    assert!(metrics.halo > 0);
-    assert!(metrics.interior > 0);
-}
-
-#[test]
-fn bfs_partition_cuts_fewer_torus_edges_than_flat_chunking() {
-    // The point of communication-aware sharding: on a 2-D torus, BFS
-    // regions approximate square tiles whose perimeter beats the long
-    // skinny strips of row-major range chunking... at minimum they must
-    // never be *worse* than the strips are on an instance this regular,
-    // and both bounds stay far below m.
-    let g = topology::torus2d(16, 16);
-    let range = Partition::range(g.n(), 8).edge_cut(&g);
-    let bfs = Partition::bfs(&g, 8).edge_cut(&g);
-    assert!(bfs <= range, "bfs cut {bfs} worse than range cut {range}");
-    assert!(bfs < g.m() / 2);
-}
-
-#[test]
-fn scenario_trajectories_identical_across_exec_overrides() {
-    let sc = Scenario::builtin("bursty-torus").unwrap();
-    let reference = ScenarioRunner::new(sc.clone()).run().unwrap();
-    assert_eq!(reference.backend, "serial");
-    for exec in [
-        ExecSpec::Pool { threads: 2 },
-        ExecSpec::Sharded {
-            partition: PartitionSpec::Range { shards: 8 },
-            threads: 2,
-        },
-        ExecSpec::Sharded {
-            partition: PartitionSpec::Bfs { shards: 5 },
-            threads: 3,
-        },
-    ] {
-        let run = ScenarioRunner::new(sc.clone())
-            .with_exec(exec)
-            .run()
-            .unwrap();
-        assert_eq!(run.backend, exec.name());
-        assert_eq!(reference.rounds, run.rounds, "{exec:?}");
-        let a: Vec<u64> = reference.phi_trace.iter().map(|p| p.to_bits()).collect();
-        let b: Vec<u64> = run.phi_trace.iter().map(|p| p.to_bits()).collect();
-        assert_eq!(a, b, "{exec:?}: Φ trace diverged");
-        assert_eq!(
-            reference.final_total.to_bits(),
-            run.final_total.to_bits(),
-            "{exec:?}"
-        );
+    for backend in sharded(spec) {
+        let mut seq = StaticSequence::new(g.clone());
+        let mut engine = Engine::with_backend(DynamicContinuousDiffusion::new(&mut seq), backend);
+        let mut loads = vec![0.0; 64];
+        loads[0] = 640.0;
+        engine.round(&mut loads);
+        let metrics = engine.shard_metrics().expect("metrics");
+        assert_eq!(metrics.edge_cut, partition.edge_cut(&g), "{backend:?}");
+        assert_eq!(metrics.edge_cut, plan.edge_cut(), "{backend:?}");
+        assert_eq!(metrics.halo, plan.halo_total(), "{backend:?}");
+        assert_eq!(metrics.interior, plan.interior_total(), "{backend:?}");
+        // A 4-way cut of a connected torus must actually cut something,
+        // and a reasonable tiling keeps some tile interiors exchange-free
+        // (a 4×4 torus tile has a 2×2 interior).
+        assert!(metrics.edge_cut > 0, "{backend:?}");
+        assert!(metrics.halo > 0, "{backend:?}");
+        assert!(metrics.interior > 0, "{backend:?}");
     }
-}
-
-#[test]
-fn sharded_builtin_matches_its_serial_twin() {
-    // `bursty-torus-sharded` is `bursty-torus` on the sharded backend;
-    // everything but the name and backend must agree bit for bit.
-    let sharded = Scenario::builtin("bursty-torus-sharded")
-        .unwrap()
-        .run()
-        .unwrap();
-    let serial = Scenario::builtin("bursty-torus").unwrap().run().unwrap();
-    assert_eq!(sharded.backend, "sharded");
-    assert_eq!(sharded.rounds, serial.rounds);
-    let a: Vec<u64> = serial.phi_trace.iter().map(|p| p.to_bits()).collect();
-    let b: Vec<u64> = sharded.phi_trace.iter().map(|p| p.to_bits()).collect();
-    assert_eq!(a, b);
-}
-
-#[test]
-fn sharded_scenario_files_round_trip_and_run() {
-    let sc = Scenario::builtin("bursty-torus-sharded").unwrap();
-    let toml = sc.to_toml();
-    assert!(toml.contains("backend = \"sharded\""), "{toml}");
-    assert!(toml.contains("shards = 8"), "{toml}");
-    assert!(toml.contains("partition = \"bfs\""), "{toml}");
-    assert_eq!(Scenario::from_toml(&toml).unwrap(), sc);
-    assert_eq!(Scenario::from_jsonl(&sc.to_jsonl()).unwrap(), sc);
 }
 
 #[test]
 fn stats_modes_remain_observers_on_the_sharded_backend() {
-    // StatsMode must not perturb sharded trajectories either, and the
-    // convergence drivers' on-demand Φ fallback must agree.
+    // StatsMode must not perturb partitioned trajectories either, and
+    // the convergence drivers' on-demand Φ fallback must agree.
     let g = topology::torus2d(6, 6);
     let init: Vec<f64> = (0..36).map(|i| ((i * 7 + 1) % 23) as f64).collect();
-    let run = |mode: StatsMode| {
-        let mut seq = StaticSequence::new(g.clone());
-        let mut engine = Engine::sharded(
-            DynamicContinuousDiffusion::new(&mut seq),
-            PartitionSpec::Bfs { shards: 4 },
-            2,
-        )
-        .with_stats_mode(mode);
-        let mut loads = init.clone();
-        engine.rounds(&mut loads, 9);
-        let phi_on_demand = engine.potential(&loads);
-        (loads, phi_on_demand)
-    };
-    let (full, phi_full) = run(StatsMode::Full);
-    for mode in [StatsMode::Off, StatsMode::PhiOnly, StatsMode::EveryK(4)] {
-        let (loads, phi_mode) = run(mode);
-        assert_eq!(full, loads, "{mode:?}");
-        assert_eq!(phi_full.to_bits(), phi_mode.to_bits(), "{mode:?}");
+    for backend in sharded(PartitionSpec::Bfs { shards: 4 }) {
+        let run = |mode: StatsMode| {
+            let mut seq = StaticSequence::new(g.clone());
+            let mut engine =
+                Engine::with_backend(DynamicContinuousDiffusion::new(&mut seq), backend)
+                    .with_stats_mode(mode);
+            let mut loads = init.clone();
+            engine.rounds(&mut loads, 9);
+            let phi_on_demand = engine.potential(&loads);
+            (loads, phi_on_demand)
+        };
+        let (full, phi_full) = run(StatsMode::Full);
+        for mode in [StatsMode::Off, StatsMode::PhiOnly, StatsMode::EveryK(4)] {
+            let (loads, phi_mode) = run(mode);
+            assert_eq!(full, loads, "{backend:?} {mode:?}");
+            assert_eq!(
+                phi_full.to_bits(),
+                phi_mode.to_bits(),
+                "{backend:?} {mode:?}"
+            );
+        }
+        // Sanity: the run actually balanced something.
+        assert!(phi_full < phi(&init), "{backend:?}");
     }
-    // Sanity: the run actually balanced something.
-    assert!(phi_full < phi(&init));
 }

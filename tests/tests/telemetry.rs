@@ -19,22 +19,14 @@ use proptest::prelude::*;
 
 const SHARDS: usize = 4;
 
-fn backends() -> [(&'static str, Backend); 4] {
-    let partition = PartitionSpec::Range { shards: SHARDS };
+fn backends() -> [(&'static str, Backend); 3] {
     [
         ("serial", Backend::Serial),
         ("pool", Backend::Pool { threads: 3 }),
         (
-            "sharded",
-            Backend::Sharded {
-                partition,
-                threads: 2,
-            },
-        ),
-        (
             "message",
             Backend::Message {
-                partition,
+                partition: PartitionSpec::Range { shards: SHARDS },
                 resident: false,
             },
         ),
@@ -99,8 +91,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The headline property: loads, Φ, stats, comm and fault counters
-    /// are bit-identical with telemetry on vs off across all four
-    /// backends. The armed ring is deliberately tiny (64 events) so
+    /// are bit-identical with telemetry on vs off on the serial, pool and
+    /// message backends. The armed ring is deliberately tiny (64 events) so
     /// wraparound — the drop path — is exercised inside the property too.
     #[test]
     fn armed_recording_never_perturbs_any_backend(
