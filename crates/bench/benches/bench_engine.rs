@@ -23,7 +23,7 @@
 //!   group isolates the ownership-transfer tax alone;
 //! - **process_round** — one `Engine::round` on the process backend
 //!   (each shard a `dlb-shard-worker` OS process, all traffic framed
-//!   `dlb-wire/2` over Unix sockets; `range2p`/`bfs8p` × `full`/`off`).
+//!   `dlb-wire/3` over Unix sockets; `range2p`/`bfs8p` × `full`/`off`).
 //!   Each record carries the framed `wire_bytes_out/in` the coordinator
 //!   moved in the measured round; the gap to `message_round` on the same
 //!   partition is the price of process isolation (serialization +
@@ -103,7 +103,7 @@ struct Meta {
     owned_values_out: Option<usize>,
     delta_values: Option<usize>,
     collects: Option<usize>,
-    /// Process variants: framed `dlb-wire/2` bytes the coordinator wrote
+    /// Process variants: framed `dlb-wire/3` bytes the coordinator wrote
     /// to / read from the worker sockets in the measured round.
     wire_bytes_out: Option<usize>,
     wire_bytes_in: Option<usize>,
@@ -306,7 +306,7 @@ fn message_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
 }
 
 /// The process-backend round cost: one `Engine::round` with each shard a
-/// real OS process and every byte crossing a `dlb-wire/2` Unix socket.
+/// real OS process and every byte crossing a `dlb-wire/3` Unix socket.
 /// The gap to `message_round` on the same partition is the price of true
 /// process isolation — serialization, syscalls and scheduler handoffs in
 /// place of in-process channels. Each record carries the framed
@@ -338,8 +338,8 @@ fn process_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
             )
             .with_stats_mode(mode);
             let mut loads = inst.init.clone();
-            // Warm two rounds: the first spawns the fleet and broadcasts
-            // the plan frame (graph + divisor factor — a one-time cost), the
+            // Warm two rounds: the first broadcasts each worker its plan
+            // frame (local CSR + divisor factor — a one-time cost), the
             // second is the steady shape being timed, so the per-round
             // wire metadata in the JSON excludes the plan broadcast.
             engine.round(&mut loads);

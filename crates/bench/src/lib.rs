@@ -99,10 +99,10 @@ pub mod perf_json {
         /// Resident message rounds only: collect phases in the measured
         /// round.
         pub collects: Option<usize>,
-        /// Process-backend only: framed `dlb-wire/2` bytes the
+        /// Process-backend only: framed `dlb-wire/3` bytes the
         /// coordinator wrote to worker sockets in the measured round.
         pub wire_bytes_out: Option<usize>,
-        /// Process-backend only: framed `dlb-wire/2` bytes the
+        /// Process-backend only: framed `dlb-wire/3` bytes the
         /// coordinator read back in the measured round.
         pub wire_bytes_in: Option<usize>,
         /// Thread-scaling records only: this variant's speedup relative

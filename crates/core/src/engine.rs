@@ -558,7 +558,7 @@ pub enum Backend {
     },
     /// Distributed execution: one `dlb-shard-worker` **OS process** per
     /// shard, exchanging the message backend's round protocol as
-    /// `dlb-wire/2` frames over a byte transport (Unix domain sockets or
+    /// `dlb-wire/3` frames over a byte transport (Unix domain sockets or
     /// TCP loopback — see [`Transport`](dlb_wire::Transport) and
     /// `docs/WIRE.md`). Same partition planning, same ordering contract,
     /// same bit-identical results; serialization is the only new moving
@@ -620,7 +620,7 @@ pub enum EnginePhase {
     Exchange,
     /// The process backend's wire round: a worker process died (EOF /
     /// broken pipe), timed out, or reported a failed round body over
-    /// `dlb-wire/2`.
+    /// `dlb-wire/3`.
     Wire,
 }
 
@@ -1306,7 +1306,7 @@ pub struct CommMetrics {
     /// collect, or an explicit [`Engine::resident_sync`] since the last
     /// round).
     pub collects: usize,
-    /// Process backend only: framed `dlb-wire/2` bytes the coordinator
+    /// Process backend only: framed `dlb-wire/3` bytes the coordinator
     /// actually **wrote** to worker sockets this round — envelopes
     /// included, measured at the socket, not reconstructed as
     /// `values × size_of`. Zero on the in-process backends, which move
@@ -2867,7 +2867,7 @@ impl<P: Protocol> Engine<P> {
     /// spawned here and connected over `transport` (the fleet lives for
     /// the engine's lifetime; [`Drop`] shuts it down and reaps every
     /// child). Rounds run the message backend's exchange shape as
-    /// `dlb-wire/2` frames — see [`Backend::Process`] and the
+    /// `dlb-wire/3` frames — see [`Backend::Process`] and the
     /// [`process`](crate::process) module docs.
     ///
     /// Unlike the thread backends this does **not** require `P: Sync`:
@@ -2896,8 +2896,7 @@ impl<P: Protocol> Engine<P> {
     /// ```
     pub fn process(protocol: P, partition: PartitionSpec, transport: dlb_wire::Transport) -> Self {
         assert!(partition.shards() >= 1, "process backend needs >= 1 shard");
-        let n = protocol.n();
-        let exec = crate::process::ProcessExec::new(partition, n, transport);
+        let exec = crate::process::ProcessExec::new(partition, transport);
         Engine::from_exec(protocol, Exec::Process(Box::new(exec)))
     }
 
@@ -3147,7 +3146,7 @@ impl<P: Protocol> Engine<P> {
     /// Communication metrics of the message or process backend's most
     /// recent round (messages posted, values/bytes moved, largest
     /// per-shard send — plus, on the process backend, the framed
-    /// `dlb-wire/2` bytes in `wire_bytes_out`/`wire_bytes_in`): `None`
+    /// `dlb-wire/3` bytes in `wire_bytes_out`/`wire_bytes_in`): `None`
     /// for every other backend, and before the first round.
     /// Shared-memory backends move no messages — their "exchange" is
     /// the snapshot swap — so only the communicating backends report
@@ -3350,6 +3349,7 @@ impl<P: Protocol> Engine<P> {
                         snapshot,
                         &mut self.back,
                         protocol.gather_spec(),
+                        kind,
                         &mut |nodes, out| {
                             out.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))
                         },

@@ -49,7 +49,7 @@
 //!
 //! [`DegreeRun::uniform_divisor`]: dlb_graphs::structure::DegreeRun::uniform_divisor
 
-use dlb_graphs::{GatherPlan, Graph};
+use dlb_graphs::{Csr, GatherPlan, Graph};
 
 /// Nodes per dispatch tile: one statistics reduction block. At 8 bytes
 /// per load this keeps a tile's output window (32 KiB) plus its
@@ -244,21 +244,34 @@ impl DiffusionLoad for i64 {
 /// divides by `k·max(dᵥ, dᵤ)` ([`GatherSpec::divisor`]), derived from the
 /// graph's degrees wherever it is needed.
 ///
+/// The adjacency is any [`Csr`]: a protocol's [`Graph`] (the default),
+/// or a process worker's shard-local
+/// [`LocalCsr`](dlb_graphs::partition::LocalCsr), whose rows are its
+/// owned nodes and whose ids are positions in its local frame.
+///
 /// Protocols whose per-node update is *not* the canonical
 /// quotient-accumulate loop (FOS/SOS α-scaled flows, capacity-weighted
 /// heterogeneous diffusion, matching exchanges, …) simply never expose a
 /// spec and keep running their own `node_new_load` everywhere.
-#[derive(Debug, Clone, Copy)]
-pub struct GatherSpec<'p, L> {
-    /// The CSR graph the gather iterates (also the graph the engine
-    /// fingerprints for plan memoization).
-    pub graph: &'p Graph,
+#[derive(Debug)]
+pub struct GatherSpec<'p, L, G = Graph> {
+    /// The CSR adjacency the gather iterates (for a protocol's spec, also
+    /// the graph the engine fingerprints for plan memoization).
+    pub graph: &'p G,
     /// The divisor factor `k`: 4 for Algorithm 1 (continuous and tokens),
     /// the ablation's `k` for generalized diffusion.
     pub factor: L,
 }
 
-impl<L: DiffusionLoad> GatherSpec<'_, L> {
+impl<L: Copy, G> Clone for GatherSpec<'_, L, G> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<L: Copy, G> Copy for GatherSpec<'_, L, G> {}
+
+impl<L: DiffusionLoad, G: Csr> GatherSpec<'_, L, G> {
     /// The divisor `k·max(dᵥ, dᵤ)` of a slot between nodes of degrees
     /// `dv` and `du`.
     #[inline]
@@ -325,14 +338,18 @@ impl<L: DiffusionLoad> GatherSink<L> for NoStats {
 /// specialized kernel must match bit-for-bit, and the canonical
 /// protocols' `node_new_load`.
 #[inline]
-pub(crate) fn gather_node<L: DiffusionLoad>(spec: &GatherSpec<'_, L>, snapshot: &[L], v: u32) -> L {
+pub(crate) fn gather_node<L: DiffusionLoad, G: Csr>(
+    spec: &GatherSpec<'_, L, G>,
+    snapshot: &[L],
+    v: u32,
+) -> L {
     gather_node_into(spec, snapshot, v, &mut NoStats)
 }
 
 /// [`gather_node`], reporting the node to `sink`.
 #[inline]
-fn gather_node_into<L: DiffusionLoad, S: GatherSink<L>>(
-    spec: &GatherSpec<'_, L>,
+fn gather_node_into<L: DiffusionLoad, G: Csr, S: GatherSink<L>>(
+    spec: &GatherSpec<'_, L, G>,
     snapshot: &[L],
     v: u32,
     sink: &mut S,
@@ -504,19 +521,24 @@ fn tile_run<L, F, S, V>(
 /// and walking each run in [`TILE_NODES`]-sized L2 tiles. A run whose
 /// nodes have no higher-degree neighbour divides by one broadcast divisor
 /// `k·d`; any other run derives `k·max(d, dᵤ)` per slot. `emit` is
-/// called exactly once per node, in ascending node order.
+/// called exactly once per node, in ascending node order. A sink's
+/// upper slots (`u > v`) compare ids of `spec.graph`'s own index space.
 #[allow(clippy::too_many_arguments)]
-fn gather_contiguous<L: DiffusionLoad, F: FnMut(u32, L), S: GatherSink<L>>(
+pub(crate) fn gather_contiguous<L: DiffusionLoad, G: Csr, F: FnMut(u32, L), S: GatherSink<L>>(
     kind: KernelKind,
     plan: &GatherPlan,
-    spec: &GatherSpec<'_, L>,
+    spec: &GatherSpec<'_, L, G>,
     snapshot: &[L],
     lo: u32,
     hi: u32,
     emit: &mut F,
     sink: &mut S,
 ) {
-    debug_assert_eq!(plan.n(), spec.graph.n(), "plan built for a different graph");
+    debug_assert_eq!(
+        plan.n(),
+        spec.graph.rows(),
+        "plan built for a different graph"
+    );
     if lo >= hi {
         return;
     }
@@ -822,6 +844,60 @@ mod tests {
                 gather_span(kind, &plan, &spec, &snap, lo, &mut out, &mut NoStats);
                 assert_eq!(&full[lo as usize..lo as usize + len], &out[..], "{kind:?}");
             }
+        }
+    }
+
+    /// A shard gathering its owned rows over its `LocalCsr`, from a frame
+    /// of owned-then-halo values, reproduces the global gather bit for
+    /// bit — for every kernel, both load types, and partitions that cut
+    /// between nodes of different degrees.
+    #[test]
+    fn local_csr_gather_matches_the_global_gather() {
+        use dlb_graphs::{Partition, ShardPlan};
+        fn check<L: DiffusionLoad + PartialEq + std::fmt::Debug>(g: &Graph, snap: &[L], k: L) {
+            let spec = GatherSpec {
+                graph: g,
+                factor: k,
+            };
+            let global: Vec<L> = g.nodes().map(|v| gather_node(&spec, snap, v)).collect();
+            for partition in [Partition::range(g.n(), 3), Partition::bfs(g, 4)] {
+                for view in ShardPlan::build(g, &partition).views() {
+                    let csr = view.local_csr();
+                    let plan = GatherPlan::build(csr);
+                    let local = GatherSpec {
+                        graph: csr,
+                        factor: k,
+                    };
+                    let mut frame = Vec::new();
+                    view.assemble(snap, &mut frame);
+                    for kind in KernelKind::ALL {
+                        let mut got = Vec::new();
+                        let rows = csr.rows() as u32;
+                        let mut emit = |row: u32, value: L| got.push((row, value));
+                        gather_contiguous(
+                            kind,
+                            &plan,
+                            &local,
+                            &frame,
+                            0,
+                            rows,
+                            &mut emit,
+                            &mut NoStats,
+                        );
+                        let want: Vec<(u32, L)> = view
+                            .owned()
+                            .iter()
+                            .enumerate()
+                            .map(|(row, &v)| (row as u32, global[v as usize]))
+                            .collect();
+                        assert_eq!(got, want, "{kind:?} shard {} on {g:?}", view.shard());
+                    }
+                }
+            }
+        }
+        for g in adversarial_graphs() {
+            check(&g, &f64_loads(g.n()), 4.0);
+            check(&g, &i64_loads(g.n()), 4);
         }
     }
 

@@ -1,4 +1,4 @@
-//! The **process backend**: shards as OS processes over the `dlb-wire/2`
+//! The **process backend**: shards as OS processes over the `dlb-wire/3`
 //! byte protocol.
 //!
 //! [`Backend::Process`](crate::engine::Backend::Process) runs the message
@@ -10,6 +10,25 @@
 //! same `MessagePlan` (shard views + [`ShardView::halo_groups`] exchange
 //! schedule, memoized per graph fingerprint) the message backend uses,
 //! so serialization is the only new moving part.
+//!
+//! ## Shard-local workers
+//!
+//! A worker holds only its shard. Its plan frame carries the owned node
+//! count and, for diffusion sessions, the view's [`LocalCsr`]: every
+//! local node's global degree (owned, then halo), the owned rows'
+//! neighbours as local frame positions in global CSR slot order, and the
+//! halo fill order as frame positions. Its frame is a vector of
+//! `owned + halo` loads; it never sees a global node id, an edge list or
+//! an `n`-length vector. Owned values and results travel in owned order
+//! (ascending global id, [`ShardView::owned`]), and the coordinator
+//! scatters results by that list.
+//!
+//! Steady rounds copy each value once per direction between the load
+//! vectors and the socket: the coordinator encodes `owned-values` and
+//! `halo-batch` payloads straight from the round-start snapshot into one
+//! reused buffer per worker, the worker decodes them straight into its
+//! frame and encodes its results straight from the gather, and the
+//! coordinator decodes `results` straight into the output vector.
 //!
 //! ## Topology: hub-and-spoke
 //!
@@ -26,21 +45,29 @@
 //!
 //! Protocols exposing a [`Protocol::gather_spec`] (continuous, discrete
 //! and generalized diffusion) run **[`RoundMode::Diffusion`]**: the plan
-//! frame ships the graph (edge list + expected fingerprint) and the
-//! divisor factor once, and the worker process evaluates the gather
-//! kernel itself, deriving each divisor from the rebuilt graph's degrees
-//! — genuinely distributed compute, bit-identical because every kernel
-//! flavour is pinned bit-identical to the scalar reference. All other protocols run **[`RoundMode::Precomputed`]**:
-//! their kernels close over arbitrary protocol state (RNG streams,
-//! matching structures, per-round graphs) that cannot cross a process
-//! boundary, so the coordinator evaluates `node_new_load` itself and
-//! ships each shard its new owned values; the worker scatters them into
-//! its frame and reads its results back out of it. Either way **every
-//! load value of every round crosses the wire twice** (encode → decode
-//! in, encode → decode out), so the equivalence suite's serial ≡ process
-//! assertion proves bit-identity *survives serialization* for all
-//! protocols — the same honesty policy as the message backend's
-//! full-exchange fallback.
+//! frame ships the local CSR and the divisor factor once, and the worker
+//! process evaluates the gather kernel itself over its owned rows,
+//! deriving each divisor from the shipped degrees — genuinely
+//! distributed compute, bit-identical because the local CSR keeps the
+//! global slot order and degrees, and every kernel flavour is pinned
+//! bit-identical to the scalar reference. All other protocols run
+//! **[`RoundMode::Precomputed`]**: their kernels close over arbitrary
+//! protocol state (RNG streams, matching structures, per-round graphs)
+//! that cannot cross a process boundary, so the coordinator evaluates
+//! `node_new_load` itself and ships each shard its new owned values; the
+//! worker stores them in its frame and reads its results back out of it.
+//! Either way **every load value of every round crosses the wire twice**
+//! (encode → decode in, encode → decode out), so the equivalence suite's
+//! serial ≡ process assertion proves bit-identity *survives
+//! serialization* for all protocols — the same honesty policy as the
+//! message backend's full-exchange fallback.
+//!
+//! A worker validates every plan before it indexes anything
+//! ([`LocalCsrPlan::validate`]) and answers a corrupt one with
+//! [`WireError::CorruptPlan`]. A diffusion round runs only when its owned
+//! seed matches and every recv group was filled exactly once; a stale,
+//! missing or duplicated halo batch makes the worker answer
+//! `Done { ok: false }` instead of computing on last round's halo.
 //!
 //! ## Failure model
 //!
@@ -65,25 +92,28 @@
 //!
 //! [`Protocol::gather_spec`]: crate::engine::Protocol::gather_spec
 //! [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
+//! [`ShardView::owned`]: dlb_graphs::partition::ShardView::owned
+//! [`LocalCsr`]: dlb_graphs::partition::LocalCsr
 
 use crate::engine::{CommMetrics, MessagePlan, PlanCache};
-use crate::kernels::{kernel_kind_cached, DiffusionLoad, GatherSpec};
-use dlb_graphs::partition::graph_fingerprint;
+use crate::kernels::{gather_contiguous, DiffusionLoad, GatherSpec, KernelKind, NoStats};
+use dlb_graphs::partition::{graph_fingerprint, LocalCsr, PartitionSpec};
 use dlb_graphs::structure::GatherPlan;
-use dlb_graphs::Graph;
+use dlb_graphs::Csr;
 use dlb_telemetry::{Phase as SpanPhase, Telemetry};
 use dlb_wire::{
-    read_frame, read_hello, read_hello_ack, write_hello, write_hello_ack, CountingStream,
-    DoneFrame, Frame, KernelPlan, LoadType, PlanFrame, RoundCmdFrame, RoundMode, Transport,
-    WireError, WireListener, WireStream,
+    encode_values, read_hello, read_hello_ack, values_frame_mut, write_hello, write_hello_ack,
+    CountingStream, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType, LocalCsrPlan,
+    PlanDefect, PlanFrame, RoundCmdFrame, RoundMode, Transport, ValueKind, WireError, WireListener,
+    WireStream,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A load scalar that can cross the `dlb-wire/2` protocol: every value
+/// A load scalar that can cross the `dlb-wire/3` protocol: every value
 /// is one raw little-endian 8-byte word, converted without rounding or
 /// normalization so the process backend's bit-identity guarantee is
 /// literal. Implemented by both engine load types (`f64`, `i64`); the
@@ -178,6 +208,9 @@ struct Worker {
     /// Cleared on the first wire failure; later rounds fail fast on the
     /// same shard instead of timing out against a corpse.
     alive: bool,
+    /// The round's outbound frames, encoded into one reused buffer and
+    /// written with one call.
+    outbox: Vec<u8>,
 }
 
 /// The process backend's coordinator: spawns one `dlb-shard-worker` per
@@ -187,7 +220,6 @@ struct Worker {
 pub(crate) struct ProcessExec<L: WireLoad> {
     pub(crate) spec: PartitionSpec,
     pub(crate) transport: Transport,
-    n: usize,
     pub(crate) plans: PlanCache<Arc<MessagePlan>>,
     /// Fingerprint of the plan last broadcast; rounds re-ship plan
     /// frames only when it changes (dynamic graphs).
@@ -195,10 +227,11 @@ pub(crate) struct ProcessExec<L: WireLoad> {
     workers: Vec<Worker>,
     pub(crate) last_comm: Option<CommMetrics>,
     round_seq: u64,
-    _load: std::marker::PhantomData<L>,
+    /// Reused read buffer for the workers' replies.
+    inbox: FrameBuf,
+    /// Precomputed rounds' coordinator-evaluated owned values, reused.
+    precomputed: Vec<L>,
 }
-
-use dlb_graphs::partition::PartitionSpec;
 
 impl<L: WireLoad> std::fmt::Debug for ProcessExec<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -216,7 +249,7 @@ impl<L: WireLoad> ProcessExec<L> {
     /// spawn/handshake failure (missing binary, dead child, version
     /// mismatch) — construction is the fail-fast moment, exactly like
     /// the thread backends' pool spawns.
-    pub(crate) fn new(spec: PartitionSpec, n: usize, transport: Transport) -> ProcessExec<L> {
+    pub(crate) fn new(spec: PartitionSpec, transport: Transport) -> ProcessExec<L> {
         let shards = spec.shards();
         let timeout = wire_timeout();
         let listener = WireListener::bind(transport)
@@ -268,18 +301,19 @@ impl<L: WireLoad> ProcessExec<L> {
                 child: child.take().expect("child handle"),
                 conn: conn.expect("every shard handshaken"),
                 alive: true,
+                outbox: Vec::new(),
             })
             .collect();
         ProcessExec {
             spec,
             transport,
-            n,
             plans: PlanCache::new(),
             broadcast_key: None,
             workers,
             last_comm: None,
             round_seq: 0,
-            _load: std::marker::PhantomData,
+            inbox: FrameBuf::new(),
+            precomputed: Vec::new(),
         }
     }
 
@@ -306,15 +340,17 @@ impl<L: WireLoad> ProcessExec<L> {
     }
 
     /// One legacy round over the wire. `gather_spec` selects diffusion
-    /// mode (workers evaluate the shipped kernel) when present and
-    /// consistent with the current plan's graph; `precompute` is the
-    /// coordinator-side kernel every other protocol's rounds are
-    /// evaluated with. Returns the first failed shard.
+    /// mode (workers evaluate the shipped kernel, in flavour `kind`) when
+    /// present and consistent with the current plan's graph;
+    /// `precompute` is the coordinator-side kernel every other protocol's
+    /// rounds are evaluated with. Returns the first failed shard.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn round(
         &mut self,
         snapshot: &[L],
         out: &mut [L],
         gather_spec: Option<GatherSpec<'_, L>>,
+        kind: KernelKind,
         precompute: &mut dyn FnMut(&[u32], &mut Vec<L>),
         tel: &Telemetry,
         round_no: u64,
@@ -356,129 +392,122 @@ impl<L: WireLoad> ProcessExec<L> {
         // spans land on the shard's own telemetry lane: this encode/write
         // is that worker's inbound traffic.
         let rebroadcast = self.broadcast_key != Some(key);
+        let factor = gather_spec.filter(|_| diffusion).map(|spec| spec.factor);
         let mut per_src_sent = vec![0usize; shards];
-        let mut owned_scratch: Vec<L> = Vec::new();
         for s in 0..shards {
             let t0 = tel.start();
-            if !self.workers[s].alive {
-                self.fail_comm(comm);
-                return Err(s);
-            }
             let view = &plan.views()[s];
-            let mut frames: Vec<Vec<u8>> = Vec::with_capacity(3 + plan.recv[s].len());
-            if rebroadcast {
-                frames.push(
-                    Frame::Plan(plan_frame_for::<L>(
-                        &plan,
-                        s,
-                        self.n,
-                        seq,
-                        diffusion,
-                        gather_spec,
-                    ))
-                    .encode(),
-                );
-            }
-            frames.push(
-                Frame::RoundCmd(RoundCmdFrame {
-                    seq,
-                    round: round_no,
-                    mode,
-                    halo_batches: if diffusion {
-                        plan.recv[s].len() as u32
-                    } else {
-                        0
-                    },
-                })
-                .encode(),
-            );
-            // Owned seed: round-start values in diffusion mode, the
-            // coordinator-evaluated *new* values in precomputed mode —
-            // both aligned to the view's owned order.
-            owned_scratch.clear();
-            if diffusion {
-                owned_scratch.extend(view.owned().iter().map(|&v| snapshot[v as usize]));
-            } else {
+            let recv = if diffusion { &plan.recv[s][..] } else { &[] };
+            let Worker {
+                conn,
+                alive,
+                outbox,
+                ..
+            } = &mut self.workers[s];
+            let mut sent = *alive
+                && (!rebroadcast
+                    || send(
+                        conn,
+                        alive,
+                        &Frame::Plan(plan_frame_for(&plan, s, seq, factor)).encode(),
+                    ));
+            if sent && !diffusion {
                 // In precomputed mode the protocol kernel runs *here*, on
                 // the coordinator; a panicking kernel becomes this
                 // shard's typed error — parity with the other backends'
                 // supervised gathers.
-                let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    precompute(view.owned(), &mut owned_scratch)
-                }));
-                if computed.is_err() {
-                    self.fail_comm(comm);
-                    return Err(s);
-                }
+                let values = &mut self.precomputed;
+                values.clear();
+                sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    precompute(view.owned(), values)
+                }))
+                .is_ok();
             }
-            comm.owned_values_in += owned_scratch.len();
-            frames.push(
-                Frame::OwnedValues {
+            if sent {
+                outbox.clear();
+                Frame::RoundCmd(RoundCmdFrame {
                     seq,
-                    values: owned_scratch.iter().map(|v| v.to_word()).collect(),
+                    round: round_no,
+                    mode,
+                    halo_batches: recv.len() as u32,
+                    kernel: match kind {
+                        KernelKind::Scalar => GatherKernel::Scalar,
+                        KernelKind::Unrolled => GatherKernel::Unrolled,
+                    },
+                })
+                .encode_into(outbox);
+                // Owned seed: round-start values in diffusion mode, the
+                // coordinator-evaluated *new* values in precomputed mode —
+                // both in the view's owned order.
+                if diffusion {
+                    let words = view.owned().iter().map(|&v| snapshot[v as usize].to_word());
+                    encode_values(outbox, ValueKind::Owned, seq, words);
+                } else {
+                    let words = self.precomputed.iter().map(|v| v.to_word());
+                    encode_values(outbox, ValueKind::Owned, seq, words);
                 }
-                .encode(),
-            );
-            if diffusion {
-                for (src, ids) in &plan.recv[s] {
-                    let values: Vec<u64> = ids
-                        .iter()
-                        .map(|&v| snapshot[v as usize].to_word())
-                        .collect();
-                    comm.messages += 1;
-                    comm.values_sent += values.len();
-                    per_src_sent[*src] += values.len();
-                    frames.push(
-                        Frame::HaloBatch {
-                            seq,
-                            src: *src as u32,
-                            values,
-                        }
-                        .encode(),
-                    );
+                for (src, ids) in recv {
+                    let words = ids.iter().map(|&v| snapshot[v as usize].to_word());
+                    encode_values(outbox, ValueKind::Halo { src: *src as u32 }, seq, words);
                 }
+                sent = send(conn, alive, outbox);
             }
-            for bytes in &frames {
-                if self.workers[s].conn.write_all(bytes).is_err() {
-                    self.workers[s].alive = false;
-                    self.fail_comm(comm);
-                    return Err(s);
-                }
+            if !sent {
+                self.fail_comm(comm);
+                return Err(s);
             }
-            let _ = self.workers[s].conn.flush();
+            comm.owned_values_in += view.owned().len();
+            for (src, ids) in recv {
+                comm.messages += 1;
+                comm.values_sent += ids.len();
+                per_src_sent[*src] += ids.len();
+            }
             tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
         }
         self.broadcast_key = Some(key);
         comm.max_shard_values_sent = per_src_sent.iter().copied().max().unwrap_or(0);
 
         // Collect: every worker answers Results + Done (or a lone
-        // not-ok Done). Workers only ever wait on the coordinator — all
-        // inbound frames for the round are already written — so a dead
-        // worker is an EOF/timeout *here*, never a stalled peer
-        // elsewhere: the barrier cannot deadlock.
+        // not-ok Done), and its results are decoded straight into `out`
+        // by the view's owned list. Workers only ever wait on the
+        // coordinator — all inbound frames for the round are already
+        // written — so a dead worker is an EOF/timeout *here*, never a
+        // stalled peer elsewhere: the barrier cannot deadlock.
         let mut failed: Option<usize> = None;
-        let mut results: Vec<Option<Vec<L>>> = (0..shards).map(|_| None).collect();
-        'collect: for (s, slot) in results.iter_mut().enumerate() {
+        'collect: for (s, view) in plan.views().iter().enumerate() {
             let t0 = tel.start();
+            let owned = view.owned();
+            let worker = &mut self.workers[s];
+            let mut reported = false;
             loop {
-                match read_frame(&mut self.workers[s].conn) {
-                    Ok(Frame::Results { seq: got, values }) if got == seq => {
-                        *slot = Some(values.into_iter().map(L::from_word).collect());
+                match self.inbox.read(&mut worker.conn) {
+                    Ok(FrameView::Values(v))
+                        if v.kind == ValueKind::Results
+                            && v.seq == seq
+                            && v.len() == owned.len() =>
+                    {
+                        for (&node, word) in owned.iter().zip(v.words()) {
+                            out[node as usize] = L::from_word(word);
+                        }
+                        reported = true;
                     }
-                    Ok(Frame::Done(DoneFrame { seq: got, ok })) if got == seq => {
-                        if !ok || slot.is_none() {
-                            failed.get_or_insert(s);
+                    Ok(FrameView::Other(Frame::Done(DoneFrame { seq: got, ok }))) if got == seq => {
+                        if !ok || !reported {
+                            failed = Some(s);
                             break 'collect;
                         }
-                        comm.owned_values_out += slot.as_ref().map_or(0, Vec::len);
+                        comm.owned_values_out += owned.len();
                         break;
                     }
                     // Stale frames from a previous failed attempt are
                     // drained, mirroring the message backend's seq dedup.
-                    Ok(Frame::Results { .. }) | Ok(Frame::Done(_)) => continue,
+                    Ok(FrameView::Values(v)) if v.kind == ValueKind::Results && v.seq != seq => {
+                        continue
+                    }
+                    Ok(FrameView::Other(Frame::Done(_))) => continue,
                     Ok(_) | Err(_) => {
-                        self.workers[s].alive = false;
-                        failed.get_or_insert(s);
+                        worker.alive = false;
+                        failed = Some(s);
                         break 'collect;
                     }
                 }
@@ -487,28 +516,10 @@ impl<L: WireLoad> ProcessExec<L> {
         }
         comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
         self.fail_comm(comm);
-        if let Some(shard) = failed {
-            return Err(shard);
+        match failed {
+            Some(shard) => Err(shard),
+            None => Ok(()),
         }
-
-        // Scatter the per-shard results into the global vector — the
-        // same interior-then-boundary order every backend scatters in.
-        let t_scatter = tel.start();
-        for (view, shard_results) in plan.views().iter().zip(results) {
-            let shard_results = shard_results.expect("every shard reported");
-            debug_assert_eq!(shard_results.len(), view.owned().len());
-            let order = view.interior().iter().chain(view.boundary());
-            for (&v, &value) in order.zip(shard_results.iter()) {
-                out[v as usize] = value;
-            }
-        }
-        tel.record(
-            dlb_telemetry::ENGINE_LANE,
-            round_no,
-            SpanPhase::ScatterOwned,
-            t_scatter,
-        );
-        Ok(())
     }
 
     /// Folds the wire byte counters into `comm` and publishes it as the
@@ -548,6 +559,13 @@ impl<L: WireLoad> Drop for ProcessExec<L> {
             }
         }
     }
+}
+
+/// Writes `bytes` to a worker's connection, marking the worker dead on
+/// failure.
+fn send(conn: &mut CountingStream, alive: &mut bool, bytes: &[u8]) -> bool {
+    *alive &= conn.write_all(bytes).and_then(|()| conn.flush()).is_ok();
+    *alive
 }
 
 /// Accepts one connection before `deadline`, polling the children so a
@@ -590,39 +608,35 @@ fn accept_with_deadline(
     }
 }
 
-/// Builds shard `s`'s plan frame, including the kernel payload (graph
-/// edges, fingerprint, divisor factor) when the round runs diffusion
-/// mode.
+/// Builds shard `s`'s plan frame: its owned count, plus — when the
+/// round runs diffusion mode (`factor` present) — its view's local CSR,
+/// its recv groups as local frame positions and the divisor factor.
 fn plan_frame_for<L: WireLoad>(
     plan: &MessagePlan,
     s: usize,
-    n: usize,
     seq: u64,
-    diffusion: bool,
-    gather_spec: Option<GatherSpec<'_, L>>,
+    factor: Option<L>,
 ) -> PlanFrame {
     let view = &plan.views()[s];
-    let kernel = if diffusion {
-        gather_spec.map(|spec| KernelPlan {
-            edges: spec.graph.edges().to_vec(),
-            fingerprint: graph_fingerprint(spec.graph),
-            factor: spec.factor.to_word(),
-        })
-    } else {
-        None
-    };
+    let kernel = factor.map(|factor| {
+        let csr = view.local_csr();
+        let position = |v: u32| view.local_of(v).expect("recv ids are halo nodes");
+        let recv_groups = plan.recv[s]
+            .iter()
+            .map(|(src, ids)| (*src as u32, ids.iter().map(|&v| position(v)).collect()))
+            .collect();
+        LocalCsrPlan::new(
+            csr.degrees().to_vec(),
+            csr.neighbor_slots().to_vec(),
+            recv_groups,
+            factor.to_word(),
+        )
+    });
     PlanFrame {
         seq,
         shard: s as u32,
-        n: n as u32,
         load_type: L::LOAD_TYPE,
-        owned: view.owned().to_vec(),
-        interior: view.interior().to_vec(),
-        boundary: view.boundary().to_vec(),
-        recv_groups: plan.recv[s]
-            .iter()
-            .map(|(src, ids)| (*src as u32, ids.to_vec()))
-            .collect(),
+        owned: view.owned().len() as u32,
         kernel,
     }
 }
@@ -638,10 +652,11 @@ fn plan_frame_for<L: WireLoad>(
 /// must mirror, and so tests can drive a worker over an in-process
 /// socket pair.
 ///
-/// Returns `Err` on a protocol violation or transport failure; the
-/// binary maps that to a nonzero exit. A kernel panic inside a round is
-/// caught and reported as `Done { ok: false }` instead — the coordinator
-/// turns it into a typed `EngineError` while the worker stays up.
+/// Returns `Err` on a protocol violation, a corrupt plan
+/// ([`WireError::CorruptPlan`]) or a transport failure; the binary maps
+/// that to a nonzero exit. A kernel panic inside a round is caught and
+/// reported as `Done { ok: false }` instead — the coordinator turns it
+/// into a typed `EngineError` while the worker stays up.
 pub fn run_worker(mut conn: WireStream, shard: u32) -> Result<(), WireError> {
     write_hello(&mut conn, shard)?;
     read_hello_ack(&mut conn)?;
@@ -649,18 +664,20 @@ pub fn run_worker(mut conn: WireStream, shard: u32) -> Result<(), WireError> {
     // after is monomorphized on it. A coordinator that hangs up before
     // sending any frame (engine dropped without running a round) is an
     // orderly shutdown, same as EOF between rounds.
-    match read_frame(&mut conn) {
-        Ok(Frame::Exit) | Err(WireError::Closed) => Ok(()),
-        Ok(Frame::Plan(plan)) => match plan.load_type {
-            LoadType::F64 => worker_loop::<f64>(conn, shard, plan),
-            LoadType::I64 => worker_loop::<i64>(conn, shard, plan),
-        },
-        Ok(other) => Err(protocol_violation(shard, "plan", &other)),
-        Err(e) => Err(e),
+    let mut inbox = FrameBuf::new();
+    let plan = match inbox.read(&mut conn) {
+        Ok(FrameView::Other(Frame::Exit)) | Err(WireError::Closed) => return Ok(()),
+        Ok(FrameView::Other(Frame::Plan(plan))) => plan,
+        Ok(other) => return Err(protocol_violation(shard, "plan", &other)),
+        Err(e) => return Err(e),
+    };
+    match plan.load_type {
+        LoadType::F64 => worker_loop::<f64>(conn, shard, plan, inbox),
+        LoadType::I64 => worker_loop::<i64>(conn, shard, plan, inbox),
     }
 }
 
-fn protocol_violation(shard: u32, expected: &str, got: &Frame) -> WireError {
+fn protocol_violation(shard: u32, expected: &str, got: &FrameView<'_>) -> WireError {
     eprintln!(
         "dlb-shard-worker[{shard}]: protocol violation: expected {expected}, got {}",
         got.kind_name()
@@ -668,58 +685,144 @@ fn protocol_violation(shard: u32, expected: &str, got: &Frame) -> WireError {
     WireError::UnknownFrame { kind: got.kind() }
 }
 
-/// A worker's installed plan, decoded into the shapes the round loop
-/// needs.
+/// A diffusion session's kernel: the shard's local CSR, its gather plan,
+/// the typed divisor factor and the halo fill order.
+struct ShardKernel<L> {
+    csr: LocalCsr,
+    plan: GatherPlan,
+    factor: L,
+    /// `(src shard, frame positions)` per recv group.
+    recv_groups: Vec<(u32, Vec<u32>)>,
+}
+
+/// A worker's installed plan and its frame.
 struct ShardState<L> {
     seq: u64,
-    owned: Vec<u32>,
-    /// Gather order: interior then boundary — the order results are
-    /// produced and scattered in on every backend.
-    order: Vec<u32>,
-    recv_groups: Vec<(u32, Vec<u32>)>,
-    /// Diffusion sessions: the rebuilt graph, its gather plan, and the
-    /// typed divisor factor.
-    kernel: Option<(Graph, GatherPlan, L)>,
-    /// The worker's frame: a global-length vector holding owned ∪ halo
-    /// values for the current round (all a shard ever sees).
+    owned: usize,
+    kernel: Option<ShardKernel<L>>,
+    /// Owned values at positions `0..owned`, then (diffusion sessions)
+    /// the halo: all a shard ever holds.
     frame: Vec<L>,
 }
 
 impl<L: WireLoad> ShardState<L> {
+    /// Validates `plan` and builds the state it describes; a plan that
+    /// would index outside the frame is refused before anything is
+    /// allocated from it.
     fn install(shard: u32, plan: PlanFrame) -> Result<ShardState<L>, WireError> {
-        assert_eq!(plan.shard, shard, "plan addressed to the wrong shard");
+        plan.validate(shard).map_err(WireError::CorruptPlan)?;
+        let owned = plan.owned as usize;
         let kernel = match plan.kernel {
             None => None,
             Some(k) => {
-                let graph = Graph::from_edges(plan.n as usize, k.edges.iter().copied())
-                    .unwrap_or_else(|e| panic!("rebuild shipped graph: {e:?}"));
-                // Integrity gate for the bit-identity guarantee: the
-                // rebuilt CSR must be slot-for-slot the coordinator's
-                // graph, or the gather sums in another order and derives
-                // divisors from other degrees.
-                let fp = graph_fingerprint(&graph);
-                assert_eq!(
-                    fp, k.fingerprint,
-                    "rebuilt graph fingerprint mismatch: plan is corrupt or versions differ"
-                );
-                let gplan = GatherPlan::build(&graph);
-                Some((graph, gplan, L::from_word(k.factor)))
+                let csr = LocalCsr::from_parts(owned, k.degrees, k.slots);
+                Some(ShardKernel {
+                    plan: GatherPlan::build(&csr),
+                    csr,
+                    factor: L::from_word(k.factor),
+                    recv_groups: k.recv_groups,
+                })
             }
         };
-        let order: Vec<u32> = plan
-            .interior
-            .iter()
-            .chain(plan.boundary.iter())
-            .copied()
-            .collect();
+        let len = kernel.as_ref().map_or(owned, |k| k.csr.len());
         Ok(ShardState {
             seq: plan.seq,
-            owned: plan.owned,
-            order,
-            recv_groups: plan.recv_groups,
+            owned,
             kernel,
-            frame: vec![L::default(); plan.n as usize],
+            frame: vec![L::default(); len],
         })
+    }
+
+    /// Reads the round's owned seed and its `cmd.halo_batches` halo
+    /// batches straight into the frame. Every inbound frame of the round
+    /// is drained, so a rejected round leaves the stream at a frame
+    /// boundary. Returns whether the round may run: the seed matches the
+    /// round and the plan, and in diffusion mode every recv group was
+    /// filled exactly once — a stale, missing, duplicated or mis-sized
+    /// batch would leave last round's halo in the frame.
+    fn receive(
+        &mut self,
+        conn: &mut impl Read,
+        inbox: &mut FrameBuf,
+        shard: u32,
+        cmd: &RoundCmdFrame,
+    ) -> Result<bool, WireError> {
+        let diffusion = cmd.mode == RoundMode::Diffusion;
+        // The stream is ordered, so the installed plan is always the one
+        // this command was built against (the coordinator writes Plan
+        // immediately before the RoundCmd that first uses it);
+        // `self.seq` records when it arrived, not a per-round token.
+        let mut ok = cmd.seq >= self.seq && (!diffusion || self.kernel.is_some());
+        match inbox.read(conn)? {
+            FrameView::Values(v) if v.kind == ValueKind::Owned => {
+                if v.seq == cmd.seq && v.len() == self.owned {
+                    for (slot, word) in self.frame[..self.owned].iter_mut().zip(v.words()) {
+                        *slot = L::from_word(word);
+                    }
+                } else {
+                    ok = false;
+                }
+            }
+            other => return Err(protocol_violation(shard, "owned-values", &other)),
+        }
+        let groups = self.kernel.as_ref().map_or(&[][..], |k| &k.recv_groups[..]);
+        let mut filled = vec![false; groups.len()];
+        for _ in 0..cmd.halo_batches {
+            let v = match inbox.read(conn)? {
+                FrameView::Values(v) if matches!(v.kind, ValueKind::Halo { .. }) => v,
+                other => return Err(protocol_violation(shard, "halo-batch", &other)),
+            };
+            let group = groups
+                .iter()
+                .position(|(src, _)| v.kind == ValueKind::Halo { src: *src });
+            match group {
+                Some(g) if v.seq == cmd.seq && !filled[g] && v.len() == groups[g].1.len() => {
+                    for (&position, word) in groups[g].1.iter().zip(v.words()) {
+                        self.frame[position as usize] = L::from_word(word);
+                    }
+                    filled[g] = true;
+                }
+                _ => ok = false,
+            }
+        }
+        Ok(ok && (!diffusion || filled.iter().all(|&f| f)))
+    }
+
+    /// The round body: gathers the owned rows (diffusion) or reads the
+    /// owned values back (precomputed), encoding each result straight
+    /// into a `results` frame appended to `reply`.
+    fn compute_into(&self, cmd: &RoundCmdFrame, reply: &mut Vec<u8>) {
+        let owned = self.owned;
+        let mut words = values_frame_mut(reply, ValueKind::Results, cmd.seq, owned);
+        match (cmd.mode, &self.kernel) {
+            (RoundMode::Diffusion, Some(k)) => {
+                let spec = GatherSpec {
+                    graph: &k.csr,
+                    factor: k.factor,
+                };
+                let mut emit = |row: u32, value: L| words.set(row as usize, value.to_word());
+                let rows = k.csr.rows() as u32;
+                let kind = match cmd.kernel {
+                    GatherKernel::Scalar => KernelKind::Scalar,
+                    GatherKernel::Unrolled => KernelKind::Unrolled,
+                };
+                gather_contiguous(
+                    kind,
+                    &k.plan,
+                    &spec,
+                    &self.frame,
+                    0,
+                    rows,
+                    &mut emit,
+                    &mut NoStats,
+                );
+            }
+            _ => {
+                for (i, value) in self.frame[..owned].iter().enumerate() {
+                    words.set(i, value.to_word());
+                }
+            }
+        }
     }
 }
 
@@ -727,120 +830,41 @@ fn worker_loop<L: WireLoad>(
     mut conn: WireStream,
     shard: u32,
     first_plan: PlanFrame,
+    mut inbox: FrameBuf,
 ) -> Result<(), WireError> {
     let mut state = ShardState::<L>::install(shard, first_plan)?;
-    let kind = kernel_kind_cached();
+    let mut reply = Vec::new();
     loop {
-        match read_frame(&mut conn) {
-            Ok(Frame::Plan(plan)) => {
-                assert_eq!(
-                    plan.load_type,
-                    L::LOAD_TYPE,
-                    "load type cannot change within a session"
-                );
+        let cmd = match inbox.read(&mut conn) {
+            Ok(FrameView::Other(Frame::RoundCmd(cmd))) => cmd,
+            Ok(FrameView::Other(Frame::Plan(plan))) => {
+                if plan.load_type != L::LOAD_TYPE {
+                    return Err(WireError::CorruptPlan(PlanDefect::LoadTypeChanged));
+                }
                 state = ShardState::install(shard, plan)?;
+                continue;
             }
-            Ok(Frame::RoundCmd(cmd)) => {
-                // Drain the round's inbound frames *before* validating,
-                // so a rejected round leaves the stream at a frame
-                // boundary for the next attempt.
-                let owned_values = match read_frame(&mut conn)? {
-                    Frame::OwnedValues { seq, values } if seq == cmd.seq => values,
-                    Frame::OwnedValues { .. } => {
-                        write_done(&mut conn, cmd.seq, false)?;
-                        continue;
-                    }
-                    other => return Err(protocol_violation(shard, "owned-values", &other)),
-                };
-                let mut halos = Vec::with_capacity(cmd.halo_batches as usize);
-                for _ in 0..cmd.halo_batches {
-                    match read_frame(&mut conn)? {
-                        Frame::HaloBatch { seq, src, values } if seq == cmd.seq => {
-                            halos.push((src, values));
-                        }
-                        Frame::HaloBatch { .. } => {}
-                        other => return Err(protocol_violation(shard, "halo-batch", &other)),
-                    }
-                }
-                // The stream is ordered, so the installed plan is always
-                // the one this command was built against (the coordinator
-                // writes Plan immediately before the RoundCmd that first
-                // uses it); `state.seq` records when it arrived, not a
-                // per-round token.
-                let mut ok = cmd.seq >= state.seq
-                    && owned_values.len() == state.owned.len()
-                    && (cmd.mode == RoundMode::Precomputed || state.kernel.is_some());
-                if ok {
-                    for (&v, &word) in state.owned.iter().zip(&owned_values) {
-                        state.frame[v as usize] = L::from_word(word);
-                    }
-                    for (src, values) in &halos {
-                        match state.recv_groups.iter().find(|(g, _)| g == src) {
-                            Some((_, ids)) if ids.len() == values.len() => {
-                                for (&v, &word) in ids.iter().zip(values) {
-                                    state.frame[v as usize] = L::from_word(word);
-                                }
-                            }
-                            // A batch from a shard the plan never names,
-                            // or with the wrong cardinality: reject the
-                            // round rather than compute on garbage.
-                            _ => ok = false,
-                        }
-                    }
-                }
-                if !ok {
-                    write_done(&mut conn, cmd.seq, false)?;
-                    continue;
-                }
-                // The round body: evaluate (diffusion) or read back
-                // (precomputed). A panic — kernel bug, poisoned values —
-                // is caught and reported, keeping the worker serving.
-                let state_ref = &state;
-                let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    match (cmd.mode, &state_ref.kernel) {
-                        (RoundMode::Diffusion, Some((graph, gplan, factor))) => {
-                            let spec = GatherSpec {
-                                graph,
-                                factor: *factor,
-                            };
-                            let mut out = Vec::with_capacity(state_ref.order.len());
-                            crate::kernels::gather_list(
-                                kind,
-                                gplan,
-                                &spec,
-                                &state_ref.frame,
-                                &state_ref.order,
-                                &mut |_, value| out.push(value),
-                            );
-                            out
-                        }
-                        _ => state_ref
-                            .order
-                            .iter()
-                            .map(|&v| state_ref.frame[v as usize])
-                            .collect(),
-                    }
-                }));
-                match computed {
-                    Ok(results) => {
-                        let frame = Frame::Results {
-                            seq: cmd.seq,
-                            values: results.iter().map(|v| v.to_word()).collect(),
-                        };
-                        conn.write_all(&frame.encode()).map_err(WireError::Io)?;
-                        write_done(&mut conn, cmd.seq, true)?;
-                    }
-                    Err(_) => write_done(&mut conn, cmd.seq, false)?,
-                }
-            }
-            Ok(Frame::Exit) | Err(WireError::Closed) => return Ok(()),
+            Ok(FrameView::Other(Frame::Exit)) | Err(WireError::Closed) => return Ok(()),
             Ok(other) => return Err(protocol_violation(shard, "round-cmd", &other)),
             Err(e) => return Err(e),
+        };
+        let ok = state.receive(&mut conn, &mut inbox, shard, &cmd)?;
+        // A panic in the round body — kernel bug, poisoned values — is
+        // caught and reported, keeping the worker serving.
+        reply.clear();
+        let computed = ok
+            && std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                state.compute_into(&cmd, &mut reply)
+            }))
+            .is_ok();
+        if !computed {
+            reply.clear();
         }
+        Frame::Done(DoneFrame {
+            seq: cmd.seq,
+            ok: computed,
+        })
+        .encode_into(&mut reply);
+        conn.write_all(&reply).map_err(WireError::Io)?;
     }
-}
-
-fn write_done(conn: &mut WireStream, seq: u64, ok: bool) -> Result<(), WireError> {
-    conn.write_all(&Frame::Done(DoneFrame { seq, ok }).encode())
-        .map_err(WireError::Io)
 }

@@ -199,6 +199,76 @@ impl Graph {
     }
 }
 
+/// The adjacency the diffusion gather walks: CSR rows `0..rows()`, each a
+/// neighbour list of node ids, plus the degree of every id a row can
+/// name. A [`Graph`] is the square case (every node is a row). A shard's
+/// [`LocalCsr`](crate::partition::LocalCsr) has its owned nodes as rows
+/// and also knows the degrees of its halo, which are ids but not rows.
+///
+/// The gather plan ([`GatherPlan`](crate::structure::GatherPlan)) and the
+/// engine's kernels are generic over this trait; every method is a plain
+/// forward on `Graph`, so the graph instantiation compiles to the same
+/// code as before.
+pub trait Csr {
+    /// Number of rows: the nodes a gather can evaluate.
+    fn rows(&self) -> usize;
+
+    /// Degree of node `v`, for every id a row can name.
+    fn degree(&self, v: u32) -> u32;
+
+    /// Largest degree over every id a row can name.
+    fn max_degree(&self) -> u32;
+
+    /// Smallest degree over every id a row can name.
+    fn min_degree(&self) -> u32;
+
+    /// Neighbour list of row `v`, in CSR slot order.
+    fn neighbors(&self, v: u32) -> &[u32];
+
+    /// Offset of row `v`'s first slot in [`Csr::neighbor_slots`].
+    fn neighbor_offset(&self, v: u32) -> usize;
+
+    /// All rows' neighbour lists, concatenated.
+    fn neighbor_slots(&self) -> &[u32];
+}
+
+impl Csr for Graph {
+    #[inline(always)]
+    fn rows(&self) -> usize {
+        self.n()
+    }
+
+    #[inline(always)]
+    fn degree(&self, v: u32) -> u32 {
+        Graph::degree(self, v)
+    }
+
+    #[inline(always)]
+    fn max_degree(&self) -> u32 {
+        Graph::max_degree(self)
+    }
+
+    #[inline(always)]
+    fn min_degree(&self) -> u32 {
+        Graph::min_degree(self)
+    }
+
+    #[inline(always)]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        Graph::neighbors(self, v)
+    }
+
+    #[inline(always)]
+    fn neighbor_offset(&self, v: u32) -> usize {
+        Graph::neighbor_offset(self, v)
+    }
+
+    #[inline(always)]
+    fn neighbor_slots(&self) -> &[u32] {
+        Graph::neighbor_slots(self)
+    }
+}
+
 /// Incremental builder for [`Graph`].
 ///
 /// Collects edges (deduplicating at [`GraphBuilder::build`] time), validates

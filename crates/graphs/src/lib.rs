@@ -27,8 +27,8 @@
 //! * [`partition`] — graph partitioning for sharded execution: contiguous
 //!   range and BFS-grown region partitioners with edge-cut/imbalance
 //!   metrics, and per-shard [`ShardView`]s (owned interior/boundary node
-//!   sets, halo of remote neighbours, reindexed local CSR) that the
-//!   engine's message and process backends execute from;
+//!   sets, halo of remote neighbours, and a [`LocalCsr`] of the owned
+//!   rows) that the engine's message and process backends execute from;
 //! * [`structure`] — degree-structure analysis ([`GatherPlan`]): maximal
 //!   equal-degree node runs with strided CSR bases, the iteration
 //!   schedule behind the engine's degree-specialized gather kernels.
@@ -46,7 +46,7 @@ pub mod topology;
 pub mod traversal;
 pub mod weights;
 
-pub use graph::{Graph, GraphBuilder, GraphError};
+pub use graph::{Csr, Graph, GraphBuilder, GraphError};
 pub use matching::Matching;
-pub use partition::{Partition, PartitionSpec, ShardPlan, ShardView};
+pub use partition::{LocalCsr, Partition, PartitionSpec, ShardPlan, ShardView};
 pub use structure::{DegreeRun, DegreeStructure, GatherPlan};

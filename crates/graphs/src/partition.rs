@@ -28,7 +28,7 @@
 //! `n/shards`); both are pinned by property tests against brute-force
 //! recounts.
 
-use crate::graph::Graph;
+use crate::graph::{Csr, Graph};
 use std::collections::VecDeque;
 
 /// A declarative partitioning strategy — plain data, so execution backends
@@ -305,11 +305,11 @@ impl Partition {
 ///
 /// The local index space is `[owned nodes (ascending global id), halo
 /// nodes (ascending global id)]`: local ids `0..owned.len()` are owned,
-/// the rest are halo. [`ShardView::local_neighbors_of`] gives each owned
-/// row's neighbour list in local ids, so a distributed worker holding only
-/// `owned.len() + halo.len()` load values (packed by
-/// [`ShardView::assemble`]) can evaluate the gather kernel for every owned
-/// node without any global-indexed memory.
+/// the rest are halo. [`ShardView::local_csr`] gives each owned row's
+/// neighbour list in local ids and every local node's global degree, so a
+/// distributed worker holding only `owned.len() + halo.len()` load values
+/// (packed by [`ShardView::assemble`]) can evaluate the gather kernel for
+/// every owned node without any global-indexed memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardView {
     shard: usize,
@@ -321,11 +321,9 @@ pub struct ShardView {
     /// exchange schedule: shard `s` receives `halo_from(src)` values from
     /// each source shard per round.
     halo_owner: Vec<u32>,
-    /// CSR offsets over the owned rows (ascending global id), length
-    /// `owned.len() + 1`.
-    local_offsets: Vec<usize>,
-    /// Concatenated neighbour lists of the owned rows, in **local** ids.
-    local_neighbors: Vec<u32>,
+    /// The owned rows' neighbour lists in local ids, with the global
+    /// degree of every local node.
+    csr: LocalCsr,
 }
 
 impl ShardView {
@@ -416,7 +414,13 @@ impl ShardView {
     /// Neighbour list (local ids) of the owned row with local id
     /// `local_row < owned().len()`.
     pub fn local_neighbors_of(&self, local_row: usize) -> &[u32] {
-        &self.local_neighbors[self.local_offsets[local_row]..self.local_offsets[local_row + 1]]
+        self.csr.neighbors(local_row as u32)
+    }
+
+    /// The shard-local CSR: owned rows in local ids, in the global CSR's
+    /// slot order, and the global degree of every local node.
+    pub fn local_csr(&self) -> &LocalCsr {
+        &self.csr
     }
 
     /// Packs the shard-local value vector `[owned values, halo values]`
@@ -427,6 +431,114 @@ impl ShardView {
         out.reserve(self.owned.len() + self.halo.len());
         out.extend(self.owned.iter().map(|&v| global[v as usize]));
         out.extend(self.halo.iter().map(|&v| global[v as usize]));
+    }
+}
+
+/// A shard's local CSR: its owned nodes as rows `0..owned`, each row's
+/// neighbours as local ids (owned first, then halo) in the global CSR's
+/// slot order, and the global degree of every local node. The slot order
+/// keeps a gather's summation order, and the halo degrees give every
+/// divisor `k·max(dᵥ, dᵤ)`, so a gather over the local CSR reproduces
+/// the global gather bit for bit. This is all a shard worker needs to
+/// hold; it never sees a global node id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalCsr {
+    /// Global degree of every local node: owned rows, then halo.
+    degrees: Vec<u32>,
+    /// Row offsets into `slots`, length `owned + 1`.
+    offsets: Vec<usize>,
+    /// Concatenated neighbour lists of the owned rows, in local ids.
+    slots: Vec<u32>,
+    max_degree: u32,
+    min_degree: u32,
+}
+
+impl LocalCsr {
+    /// Assembles a local CSR from its shipped parts: the owned row count,
+    /// every local node's degree (owned rows first) and the rows'
+    /// concatenated local neighbour slots. The row lengths are the owned
+    /// nodes' degrees.
+    ///
+    /// # Panics
+    ///
+    /// If the parts are inconsistent: `owned > degrees.len()`, owned
+    /// degrees that do not sum to `slots.len()`, or a slot that names no
+    /// local node. Callers holding untrusted parts validate them first.
+    pub fn from_parts(owned: usize, degrees: Vec<u32>, slots: Vec<u32>) -> LocalCsr {
+        assert!(owned <= degrees.len(), "more rows than local nodes");
+        let mut offsets = Vec::with_capacity(owned + 1);
+        let mut end = 0usize;
+        offsets.push(0);
+        for &d in &degrees[..owned] {
+            end += d as usize;
+            offsets.push(end);
+        }
+        assert_eq!(end, slots.len(), "row degrees must sum to the slot count");
+        assert!(
+            slots.iter().all(|&u| (u as usize) < degrees.len()),
+            "slot names no local node"
+        );
+        let max_degree = degrees.iter().copied().max().unwrap_or(0);
+        let min_degree = degrees.iter().copied().min().unwrap_or(0);
+        LocalCsr {
+            degrees,
+            offsets,
+            slots,
+            max_degree,
+            min_degree,
+        }
+    }
+
+    /// Number of local nodes: owned rows plus halo.
+    pub fn len(&self) -> usize {
+        self.degrees.len()
+    }
+
+    /// Whether the shard holds no node at all.
+    pub fn is_empty(&self) -> bool {
+        self.degrees.is_empty()
+    }
+
+    /// Global degree of every local node, owned rows first.
+    pub fn degrees(&self) -> &[u32] {
+        &self.degrees
+    }
+}
+
+impl Csr for LocalCsr {
+    #[inline]
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn degree(&self, v: u32) -> u32 {
+        self.degrees[v as usize]
+    }
+
+    #[inline]
+    fn max_degree(&self) -> u32 {
+        self.max_degree
+    }
+
+    #[inline]
+    fn min_degree(&self) -> u32 {
+        self.min_degree
+    }
+
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        &self.slots[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    #[inline]
+    fn neighbor_offset(&self, v: u32) -> usize {
+        self.offsets[v as usize]
+    }
+
+    #[inline]
+    fn neighbor_slots(&self) -> &[u32] {
+        &self.slots
     }
 }
 
@@ -444,11 +556,15 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Derives the plan of `partition` over `g`: interior/boundary/halo
-    /// sets and the reindexed local CSR of every shard.
+    /// sets and the reindexed local CSR of every shard. One global→local
+    /// index, reused across shards, maps every neighbour slot in `O(1)`:
+    /// each shard writes the entries of its own owned and halo nodes
+    /// before it reads them, so no entry needs resetting.
     pub fn build(g: &Graph, partition: &Partition) -> ShardPlan {
         assert_eq!(g.n(), partition.n(), "partition/graph node count mismatch");
         let owner = partition.owners();
         let members = partition.member_lists();
+        let mut local_of = vec![0u32; g.n()];
         let mut views = Vec::with_capacity(partition.shards());
         let mut halo_total = 0usize;
         let mut interior_total = 0usize;
@@ -475,21 +591,16 @@ impl ShardPlan {
             halo.dedup();
             let halo_owner: Vec<u32> = halo.iter().map(|&h| owner[h as usize]).collect();
 
-            let mut local_offsets = Vec::with_capacity(owned.len() + 1);
-            let mut local_neighbors = Vec::new();
-            local_offsets.push(0);
-            for &v in &owned {
-                for &u in g.neighbors(v) {
-                    let lid = if owner[u as usize] == shard {
-                        owned.binary_search(&u).expect("owned neighbour indexed") as u32
-                    } else {
-                        (owned.len() + halo.binary_search(&u).expect("halo neighbour indexed"))
-                            as u32
-                    };
-                    local_neighbors.push(lid);
-                }
-                local_offsets.push(local_neighbors.len());
+            for (lid, &v) in owned.iter().chain(&halo).enumerate() {
+                local_of[v as usize] = lid as u32;
             }
+            let degrees: Vec<u32> = owned.iter().chain(&halo).map(|&v| g.degree(v)).collect();
+            let slots_len: usize = degrees[..owned.len()].iter().map(|&d| d as usize).sum();
+            let mut slots = Vec::with_capacity(slots_len);
+            for &v in &owned {
+                slots.extend(g.neighbors(v).iter().map(|&u| local_of[u as usize]));
+            }
+            let csr = LocalCsr::from_parts(owned.len(), degrees, slots);
 
             halo_total += halo.len();
             interior_total += interior.len();
@@ -500,8 +611,7 @@ impl ShardPlan {
                 boundary,
                 halo,
                 halo_owner,
-                local_offsets,
-                local_neighbors,
+                csr,
             });
         }
         let plan = ShardPlan {
@@ -530,18 +640,14 @@ impl ShardPlan {
         let views = members
             .into_iter()
             .enumerate()
-            .map(|(s, owned)| {
-                let offsets = vec![0usize; owned.len() + 1];
-                ShardView {
-                    shard: s,
-                    interior: owned.clone(),
-                    boundary: Vec::new(),
-                    halo: Vec::new(),
-                    halo_owner: Vec::new(),
-                    local_offsets: offsets,
-                    local_neighbors: Vec::new(),
-                    owned,
-                }
+            .map(|(s, owned)| ShardView {
+                shard: s,
+                interior: owned.clone(),
+                boundary: Vec::new(),
+                halo: Vec::new(),
+                halo_owner: Vec::new(),
+                csr: LocalCsr::from_parts(owned.len(), vec![0; owned.len()], Vec::new()),
+                owned,
             })
             .collect();
         ShardPlan {
@@ -780,6 +886,68 @@ mod tests {
                 assert_eq!(view.global_of(lid), h);
             }
             assert_eq!(view.local_of(u32::MAX), None);
+        }
+    }
+
+    /// The views `ShardPlan::build` derives, rebuilt the slow and obvious
+    /// way: a shard's owned nodes from the owner vector, its halo as the
+    /// sorted remote neighbours, local ids by linear search.
+    fn brute_force_view(g: &Graph, p: &Partition, s: usize) -> ShardView {
+        let owned: Vec<u32> = g.nodes().filter(|&v| p.owner_of(v) == s).collect();
+        let remote = |v: u32| g.neighbors(v).iter().any(|&u| p.owner_of(u) != s);
+        let interior: Vec<u32> = owned.iter().copied().filter(|&v| !remote(v)).collect();
+        let boundary: Vec<u32> = owned.iter().copied().filter(|&v| remote(v)).collect();
+        let mut halo: Vec<u32> = owned
+            .iter()
+            .flat_map(|&v| g.neighbors(v).iter().copied())
+            .filter(|&u| p.owner_of(u) != s)
+            .collect();
+        halo.sort_unstable();
+        halo.dedup();
+        let local: Vec<u32> = owned.iter().chain(&halo).copied().collect();
+        let slots = owned
+            .iter()
+            .flat_map(|&v| g.neighbors(v).iter())
+            .map(|u| local.iter().position(|w| w == u).unwrap() as u32)
+            .collect();
+        let degrees = local.iter().map(|&v| g.degree(v)).collect();
+        ShardView {
+            shard: s,
+            halo_owner: halo.iter().map(|&h| p.owner_of(h) as u32).collect(),
+            csr: LocalCsr::from_parts(owned.len(), degrees, slots),
+            owned,
+            interior,
+            boundary,
+            halo,
+        }
+    }
+
+    #[test]
+    fn shard_views_match_a_brute_force_construction() {
+        // Irregular degrees and a scrambled numbering: a star hub wired
+        // into a relabelled cycle, plus a pendant path and an isolated node.
+        let n = 40u32;
+        let mut b = crate::GraphBuilder::new(n as usize).unwrap();
+        for i in 0..30u32 {
+            b.add_edge(i * 7 % 30, (i + 1) * 7 % 30).unwrap();
+        }
+        for leaf in (1..30).step_by(3) {
+            b.add_edge(30, leaf).unwrap();
+        }
+        for v in 31..38 {
+            b.add_edge(v, v + 1).unwrap();
+        }
+        b.add_edge(0, 31).unwrap();
+        let g = b.build();
+        for p in [
+            Partition::range(g.n(), 3),
+            Partition::bfs(&g, 3),
+            Partition::bfs(&g, 5),
+        ] {
+            let plan = ShardPlan::build(&g, &p);
+            for (s, view) in plan.views().iter().enumerate() {
+                assert_eq!(view, &brute_force_view(&g, &p, s), "shard {s}");
+            }
         }
     }
 

@@ -28,7 +28,7 @@
 //! plans, so dynamic-topology runners pay the analysis only when the
 //! graph actually changes.
 
-use crate::Graph;
+use crate::graph::Csr;
 
 /// A maximal contiguous range of nodes `start..end` sharing one degree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,13 +102,15 @@ pub struct GatherPlan {
 
 impl GatherPlan {
     /// Scans the degree sequence and the neighbours' degrees and
-    /// materializes the maximal-run schedule. One pass, `O(m)`; `O(n)` on
-    /// a regular graph, where every neighbour has the node's own degree.
-    pub fn build(g: &Graph) -> GatherPlan {
-        let n = g.n();
+    /// materializes the maximal-run schedule over the rows of `g` (every
+    /// node of a [`Graph`](crate::Graph), the owned rows of a shard's
+    /// [`LocalCsr`](crate::partition::LocalCsr)). One pass, `O(m)`;
+    /// `O(n)` when every id has the same degree.
+    pub fn build<G: Csr>(g: &G) -> GatherPlan {
+        let n = g.rows();
         let regular = g.min_degree() == g.max_degree();
         let mut runs: Vec<DegreeRun> = Vec::new();
-        for v in g.nodes() {
+        for v in 0..n as u32 {
             let d = g.degree(v);
             let nbr_max = if regular {
                 d
@@ -136,7 +138,7 @@ impl GatherPlan {
         GatherPlan { n, runs }
     }
 
-    /// Node count of the graph the plan was built from.
+    /// Row count of the CSR the plan was built from (a graph's `n`).
     pub fn n(&self) -> usize {
         self.n
     }
@@ -167,7 +169,7 @@ impl GatherPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology;
+    use crate::{topology, Graph};
 
     /// Shared invariants: runs are non-empty, contiguous, cover `0..n`,
     /// agree with the per-node degrees, and carry correct CSR bases.

@@ -54,7 +54,9 @@ pub const DEFAULT_BINS: usize = 16;
 pub enum Phase {
     /// Partition/exchange plan (re)build — emitted only on cache misses.
     Plan,
-    /// Coordinator scattering owned slices to workers and collecting results.
+    /// Coordinator scattering owned slices to workers and collecting
+    /// results (message backend; the process backend's collect is its
+    /// [`Phase::Deserialize`]).
     ScatterOwned,
     /// Worker posting halo values to its neighbours.
     PostHalo,
@@ -81,7 +83,8 @@ pub enum Phase {
     /// frames (plan, round command, owned seed, halo batches).
     Serialize,
     /// Process backend: reading + decoding a worker's result frames
-    /// (results, done receipt).
+    /// (results, done receipt); the results are decoded straight into
+    /// the output vector, so this span includes the result scatter.
     Deserialize,
 }
 

@@ -3,7 +3,7 @@
 
 //! # dlb-wire
 //!
-//! The **`dlb-wire/2`** framed byte protocol spoken between the process
+//! The **`dlb-wire/3`** framed byte protocol spoken between the process
 //! backend's coordinator ([`Backend::Process`]) and its `dlb-shard-worker`
 //! OS processes, together with the byte transports it runs over.
 //!
@@ -34,6 +34,18 @@
 //!   (`f64::to_bits` / `i64 as u64`), so the process backend's
 //!   bit-identity guarantee is byte-for-byte literal: what leaves the
 //!   coordinator is what the worker computes on.
+//! * A worker is shard-local: its [`PlanFrame`] carries the owned node
+//!   count and, for diffusion sessions, a [`LocalCsrPlan`] — the owned
+//!   rows' neighbours as frame positions, every local node's degree and
+//!   the halo fill order. No global node id crosses the wire. A plan that
+//!   fails [`LocalCsrPlan::validate`] is [`WireError::CorruptPlan`].
+//! * The three value frames (`owned-values`, `halo-batch`, `results`)
+//!   also have a copy-free path: [`encode_values`] /
+//!   [`values_frame_mut`] write them straight from the sender's loads
+//!   into a reused buffer, and [`FrameBuf`] reads them into a reused
+//!   buffer as [`ValuesFrame`] views the receiver decodes into its own
+//!   memory. Both produce and accept exactly the bytes of
+//!   [`Frame::encode`] / [`read_frame`].
 //!
 //! [`Transport`] selects the byte stream underneath — Unix domain
 //! sockets first, TCP loopback behind the same enum — and
@@ -58,16 +70,17 @@ mod frame;
 mod transport;
 
 pub use frame::{
-    read_frame, read_hello, read_hello_ack, write_hello, write_hello_ack, DoneFrame, Frame, Hello,
-    HelloAck, KernelPlan, LoadType, PlanFrame, RoundCmdFrame, RoundMode, MAGIC, MAX_FRAME_LEN,
-    WIRE_SCHEMA, WIRE_VERSION,
+    encode_values, read_frame, read_hello, read_hello_ack, values_frame_mut, write_hello,
+    write_hello_ack, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, Hello, HelloAck,
+    LoadType, LocalCsrPlan, PlanDefect, PlanFrame, RoundCmdFrame, RoundMode, ValueKind,
+    ValuesFrame, WordsMut, MAGIC, MAX_FRAME_LEN, WIRE_SCHEMA, WIRE_VERSION,
 };
 pub use transport::{CountingStream, Transport, WireListener, WireStream};
 
 use std::fmt;
 use std::io;
 
-/// Typed failure of the `dlb-wire/2` protocol layer.
+/// Typed failure of the `dlb-wire/3` protocol layer.
 ///
 /// Every corruption mode a byte transport can produce maps to a distinct
 /// variant, so the engine can turn "the worker process died mid-round"
@@ -111,6 +124,9 @@ pub enum WireError {
         /// The unrecognised tag.
         kind: u8,
     },
+    /// A worker refused a plan frame that decoded cleanly but does not
+    /// describe a usable shard (see [`LocalCsrPlan::validate`]).
+    CorruptPlan(PlanDefect),
     /// The underlying transport failed (includes read/write timeouts).
     Io(io::Error),
 }
@@ -133,6 +149,7 @@ impl fmt::Display for WireError {
                 write!(f, "oversized frame ({len} bytes > {MAX_FRAME_LEN} max)")
             }
             WireError::UnknownFrame { kind } => write!(f, "unknown frame type {kind}"),
+            WireError::CorruptPlan(defect) => write!(f, "corrupt plan: {defect}"),
             WireError::Io(e) => write!(f, "transport error: {e}"),
         }
     }
@@ -156,6 +173,7 @@ impl WireError {
             WireError::Truncated { .. } => "truncated",
             WireError::Oversized { .. } => "oversized",
             WireError::UnknownFrame { .. } => "unknown-frame",
+            WireError::CorruptPlan(_) => "corrupt-plan",
             WireError::Io(_) => "io",
         }
     }

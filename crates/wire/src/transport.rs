@@ -17,7 +17,7 @@ use std::time::Duration;
 
 /// Which byte stream the coordinator and workers rendezvous over.
 ///
-/// Both carry the identical `dlb-wire/2` frames; the choice is purely
+/// Both carry the identical `dlb-wire/3` frames; the choice is purely
 /// operational. Unix sockets are the default (no ports, no firewall,
 /// slightly lower per-byte cost); TCP binds loopback and exists to prove
 /// the frames survive a real network stack — pointing it at a remote

@@ -1,9 +1,10 @@
-//! Property tests: every `dlb-wire/2` frame type survives
+//! Property tests: every `dlb-wire/3` frame type survives
 //! encode → decode bit-for-bit, for arbitrary payload contents — the
 //! serialization half of the process backend's bit-identity guarantee.
 
 use dlb_wire::{
-    read_frame, DoneFrame, Frame, KernelPlan, LoadType, PlanFrame, RoundCmdFrame, RoundMode,
+    read_frame, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType, LocalCsrPlan,
+    PlanFrame, RoundCmdFrame, RoundMode,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,31 +20,44 @@ proptest! {
 
     #[test]
     fn plan_frames(
-        (seq, shard, n) in (0u64..u64::MAX, 0u32..64, 1u32..512),
-        owned in vec(0u32..512, 0..40),
-        interior in vec(0u32..512, 0..40),
-        boundary in vec(0u32..512, 0..40),
+        (seq, shard, owned) in (0u64..u64::MAX, 0u32..64, 0u32..512),
+        degrees in vec(0u32..64, 0..40),
+        slots in vec(0u32..512, 0..60),
         groups in vec((0u32..64, vec(0u32..512, 0..12)), 0..5),
-        kernel in (0u8..2, vec((0u32..512, 0u32..512), 0..30), 0u64..u64::MAX,
-                   0u64..u64::MAX),
+        (has_kernel, factor) in (0u8..2, 0u64..u64::MAX),
         load_f64 in 0u8..2,
     ) {
-        let (has_kernel, edges, fingerprint, factor) = kernel;
         round_trip(Frame::Plan(PlanFrame {
             seq,
             shard,
-            n,
             load_type: if load_f64 == 0 { LoadType::F64 } else { LoadType::I64 },
             owned,
-            interior,
-            boundary,
-            recv_groups: groups,
-            kernel: (has_kernel != 0).then_some(KernelPlan {
-                edges,
-                fingerprint,
-                factor,
-            }),
+            kernel: (has_kernel != 0)
+                .then(|| LocalCsrPlan::new(degrees, slots, groups, factor)),
         }));
+    }
+
+    #[test]
+    fn plan_truncation_at_every_boundary_is_typed(
+        degrees in vec(0u32..64, 0..20),
+        slots in vec(0u32..512, 0..20),
+        cut_frac in 0usize..100,
+    ) {
+        let bytes = Frame::Plan(PlanFrame {
+            seq: 1,
+            shard: 0,
+            load_type: LoadType::F64,
+            owned: degrees.len() as u32,
+            kernel: Some(LocalCsrPlan::new(degrees, slots, vec![(1, vec![0, 2])], 7)),
+        })
+        .encode();
+        let cut = cut_frac * bytes.len() / 100;
+        prop_assume!(cut < bytes.len());
+        match read_frame(&mut &bytes[..cut]).unwrap_err() {
+            dlb_wire::WireError::Closed if cut == 0 => {}
+            dlb_wire::WireError::Truncated { .. } if cut > 0 => {}
+            other => panic!("cut at {cut}: got {other:?}"),
+        }
     }
 
     #[test]
@@ -52,12 +66,14 @@ proptest! {
         round in 0u64..u64::MAX,
         mode in 0u8..2,
         halo_batches in 0u32..u32::MAX,
+        scalar in 0u8..2,
     ) {
         round_trip(Frame::RoundCmd(RoundCmdFrame {
             seq,
             round,
             mode: if mode == 0 { RoundMode::Precomputed } else { RoundMode::Diffusion },
             halo_batches,
+            kernel: if scalar == 0 { GatherKernel::Unrolled } else { GatherKernel::Scalar },
         }));
     }
 
@@ -96,15 +112,33 @@ proptest! {
     ) {
         // Chopping an encoded frame anywhere strictly inside it must
         // produce a typed error — Closed at offset 0, Truncated after —
-        // never a panic, a hang, or a bogus successful decode.
-        let bytes = Frame::OwnedValues { seq: 3, values }.encode();
-        let cut = cut_frac * bytes.len() / 100;
-        prop_assume!(cut < bytes.len());
-        let err = read_frame(&mut &bytes[..cut]).unwrap_err();
-        match (cut, err) {
-            (0, dlb_wire::WireError::Closed) => {}
-            (_, dlb_wire::WireError::Truncated { .. }) => {}
-            (c, other) => panic!("cut at {c}: got {other:?}"),
+        // never a panic, a hang, or a bogus successful decode; through
+        // the reused read buffer as well as through `read_frame`.
+        for frame in [
+            Frame::OwnedValues { seq: 3, values: values.clone() },
+            Frame::HaloBatch { seq: 3, src: 1, values: values.clone() },
+            Frame::Results { seq: 3, values: values.clone() },
+        ] {
+            let bytes = frame.encode();
+            let cut = cut_frac * bytes.len() / 100;
+            prop_assume!(cut < bytes.len());
+            let mut reused = FrameBuf::new();
+            let errs = [
+                read_frame(&mut &bytes[..cut]).unwrap_err(),
+                reused.read(&mut &bytes[..cut]).unwrap_err(),
+            ];
+            for err in errs {
+                match (cut, err) {
+                    (0, dlb_wire::WireError::Closed) => {}
+                    (c, dlb_wire::WireError::Truncated { .. }) if c > 0 => {}
+                    (c, other) => panic!("cut at {c}: got {other:?}"),
+                }
+            }
+            // The buffer that saw the truncation reads the whole frame.
+            match reused.read(&mut bytes.as_slice()).unwrap() {
+                FrameView::Values(v) => prop_assert_eq!(v.to_frame(), frame),
+                other => panic!("got {other:?}"),
+            }
         }
     }
 }

@@ -80,11 +80,11 @@ pub struct CommTotals {
     /// Workload delta values routed to their owner shards (resident
     /// rounds only).
     pub delta_values: u64,
-    /// Framed `dlb-wire/2` bytes the coordinator actually wrote to worker
+    /// Framed `dlb-wire/3` bytes the coordinator actually wrote to worker
     /// sockets over the whole run (process backend only; includes frame
     /// envelopes, so it is ≥ the value payloads alone).
     pub wire_bytes_out: u64,
-    /// Framed `dlb-wire/2` bytes the coordinator read back from worker
+    /// Framed `dlb-wire/3` bytes the coordinator read back from worker
     /// sockets over the whole run (process backend only).
     pub wire_bytes_in: u64,
     /// Collect phases executed (resident sessions only: stats-on rounds,
@@ -403,7 +403,7 @@ impl ScenarioReport {
             // framed onto a socket (the process backend).
             if c.wire_bytes_out > 0 || c.wire_bytes_in > 0 {
                 out.push_str(&format!(
-                    "wire: {} byte(s) out, {} byte(s) in (framed dlb-wire/2)\n",
+                    "wire: {} byte(s) out, {} byte(s) in (framed dlb-wire/3)\n",
                     c.wire_bytes_out, c.wire_bytes_in
                 ));
             }

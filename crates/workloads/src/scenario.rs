@@ -1242,7 +1242,7 @@ impl Scenario {
     ///   still bit-identical to `bursty-torus`;
     /// * `bursty-torus-process` — the same regime on the process backend
     ///   (8 BFS-grown shard worker *processes* over Unix-domain sockets
-    ///   speaking `dlb-wire/2`); trajectory bit-identical to
+    ///   speaking `dlb-wire/3`); trajectory bit-identical to
     ///   `bursty-torus`, with wire-level byte counters in its report;
     /// * `zipf-hypercube-drain` — discrete tokens on `Q_8` with Zipf
     ///   hotspot arrivals against a fixed per-node service capacity;

@@ -1,5 +1,5 @@
 //! Process-backend integration suite: shards as OS processes speaking
-//! `dlb-wire/2` over real sockets.
+//! `dlb-wire/3` over real sockets.
 //!
 //! (Per-protocol serial ≡ process bit-identity lives in
 //! `engine_properties.rs`; codec round-trips and truncation at every
@@ -7,15 +7,21 @@
 //! what only a live fleet can: the TCP transport, wire-level comm
 //! accounting, worker death mid-round surfacing as a *typed* engine
 //! error within bounded time, handshake rejection of malformed peers,
-//! and the scenario layer's gating of the new backend.)
+//! corrupt-plan rejection, the worker's halo-group accounting, the size
+//! of a shard-local plan, and the scenario layer's gating of the new
+//! backend.)
 
 use std::time::{Duration, Instant};
 
-use dlb_core::continuous::ContinuousDiffusion;
-use dlb_core::engine::{Backend, Engine, EnginePhase};
-use dlb_core::Transport;
-use dlb_graphs::{topology, PartitionSpec};
-use dlb_wire::{read_hello, WireError, WireListener, WireStream, MAGIC};
+use dlb_core::continuous::{ContinuousDiffusion, GeneralizedDiffusion};
+use dlb_core::discrete::DiscreteDiffusion;
+use dlb_core::engine::{Backend, Engine, EnginePhase, Protocol};
+use dlb_core::{KernelKind, Transport};
+use dlb_graphs::{topology, Csr, Graph, GraphBuilder, PartitionSpec, ShardPlan};
+use dlb_wire::{
+    read_frame, read_hello, DoneFrame, Frame, GatherKernel, LoadType, LocalCsrPlan, PlanDefect,
+    PlanFrame, RoundCmdFrame, RoundMode, WireError, WireListener, WireStream, MAGIC,
+};
 
 fn process(shards: usize, transport: Transport) -> Backend {
     Backend::Process {
@@ -121,10 +127,11 @@ fn killed_worker_mid_run_yields_typed_error_not_deadlock() {
 // Handshake rejection: each corruption mode is a distinct typed error
 // ---------------------------------------------------------------------------
 
-/// Runs `run_worker` against a scripted fake coordinator and returns the
-/// worker's error. The server closure receives the accepted stream
-/// *after* the worker's 16-byte hello has been consumed and validated.
-fn worker_against(server: impl FnOnce(&mut WireStream) + Send + 'static) -> WireError {
+/// Runs `run_worker` against a scripted fake coordinator and returns
+/// what the worker returned. The server closure receives the accepted
+/// stream *after* the worker's 16-byte hello has been consumed and
+/// validated.
+fn scripted_worker(server: impl FnOnce(&mut WireStream) + Send + 'static) -> Result<(), WireError> {
     let listener = WireListener::bind(Transport::Unix).expect("bind");
     let endpoint = listener.endpoint();
     let worker = std::thread::spawn(move || {
@@ -135,10 +142,18 @@ fn worker_against(server: impl FnOnce(&mut WireStream) + Send + 'static) -> Wire
     let hello = read_hello(&mut stream).expect("worker sends a valid hello");
     assert_eq!(hello.shard, 0);
     server(&mut stream);
-    worker
-        .join()
-        .expect("worker thread")
-        .expect_err("worker must reject the scripted coordinator")
+    worker.join().expect("worker thread")
+}
+
+/// [`scripted_worker`] for a coordinator the worker must reject: returns
+/// the worker's error.
+fn worker_against(server: impl FnOnce(&mut WireStream) + Send + 'static) -> WireError {
+    scripted_worker(server).expect_err("worker must reject the scripted coordinator")
+}
+
+fn send(stream: &mut WireStream, frame: Frame) {
+    use std::io::Write;
+    stream.write_all(&frame.encode()).expect("write frame");
 }
 
 #[test]
@@ -214,6 +229,292 @@ fn eof_between_frames_is_an_orderly_shutdown() {
         .join()
         .expect("worker thread")
         .expect("clean EOF exit");
+}
+
+// ---------------------------------------------------------------------------
+// Shard-local plans: validation and halo-group accounting
+// ---------------------------------------------------------------------------
+
+/// Shard 0 owns one node (frame position 0) of degree 2 whose two
+/// neighbours sit on shards 1 and 2 (halo positions 1 and 2, degree 3).
+fn one_row_plan() -> LocalCsrPlan {
+    LocalCsrPlan::new(
+        vec![2, 3, 3],
+        vec![1, 2],
+        vec![(1, vec![1]), (2, vec![2])],
+        4.0f64.to_bits(),
+    )
+}
+
+fn plan_frame(kernel: LocalCsrPlan) -> Frame {
+    Frame::Plan(PlanFrame {
+        seq: 1,
+        shard: 0,
+        load_type: LoadType::F64,
+        owned: 1,
+        kernel: Some(kernel),
+    })
+}
+
+#[test]
+fn worker_rejects_a_corrupt_local_plan_with_a_typed_error() {
+    let resealed = |edit: fn(&mut LocalCsrPlan)| {
+        let mut p = one_row_plan();
+        edit(&mut p);
+        LocalCsrPlan::new(p.degrees, p.slots, p.recv_groups, p.factor)
+    };
+    let mut tampered = one_row_plan();
+    tampered.factor = 2.0f64.to_bits();
+    let cases = [
+        (
+            resealed(|p| p.slots[1] = 3),
+            PlanDefect::SlotOutOfRange { slot: 3, local: 3 },
+        ),
+        (
+            resealed(|p| p.degrees[0] = 3),
+            PlanDefect::DegreeSum {
+                degree_sum: 3,
+                slots: 2,
+            },
+        ),
+        (
+            resealed(|p| p.recv_groups[1].1[0] = 0),
+            PlanDefect::RecvOutsideHalo { position: 0 },
+        ),
+        (
+            tampered,
+            PlanDefect::Fingerprint {
+                expected: one_row_plan().fingerprint,
+                actual: {
+                    let mut p = one_row_plan();
+                    p.factor = 2.0f64.to_bits();
+                    p.content_fingerprint()
+                },
+            },
+        ),
+    ];
+    for (plan, defect) in cases {
+        let err = worker_against(move |stream| {
+            dlb_wire::write_hello_ack(stream).unwrap();
+            send(stream, plan_frame(plan));
+        });
+        match err {
+            WireError::CorruptPlan(got) => assert_eq!(got, defect),
+            other => panic!("expected CorruptPlan({defect:?}), got {other:?}"),
+        }
+    }
+}
+
+/// Sends one diffusion round of the [`one_row_plan`] shard: the command
+/// announces `halos.len()` batches, each `(seq, src, value)`.
+fn send_round(stream: &mut WireStream, seq: u64, owned: f64, halos: &[(u64, u32, f64)]) {
+    send(
+        stream,
+        Frame::RoundCmd(RoundCmdFrame {
+            seq,
+            round: seq,
+            mode: RoundMode::Diffusion,
+            halo_batches: halos.len() as u32,
+            kernel: GatherKernel::Unrolled,
+        }),
+    );
+    send(
+        stream,
+        Frame::OwnedValues {
+            seq,
+            values: vec![owned.to_bits()],
+        },
+    );
+    for &(batch_seq, src, value) in halos {
+        send(
+            stream,
+            Frame::HaloBatch {
+                seq: batch_seq,
+                src,
+                values: vec![value.to_bits()],
+            },
+        );
+    }
+}
+
+#[test]
+fn worker_refuses_rounds_with_missing_or_duplicate_halo_groups() {
+    let outcome = scripted_worker(|stream| {
+        dlb_wire::write_hello_ack(stream).unwrap();
+        send(stream, plan_frame(one_row_plan()));
+        let (lv, a, b) = (10.0f64, 3.0f64, 25.0f64);
+
+        // A complete round computes Algorithm 1 for the one owned row:
+        // both slots divide by 4·max(2, 3).
+        send_round(stream, 1, lv, &[(1, 1, a), (1, 2, b)]);
+        let want = lv + (a - lv) / 12.0 + (b - lv) / 12.0;
+        assert_eq!(
+            read_frame(stream).unwrap(),
+            Frame::Results {
+                seq: 1,
+                values: vec![want.to_bits()]
+            }
+        );
+        assert_eq!(
+            read_frame(stream).unwrap(),
+            Frame::Done(DoneFrame { seq: 1, ok: true })
+        );
+
+        // Missing group (shard 2's batch never comes), a duplicated
+        // group (shard 1 twice), and a stale batch standing in for one:
+        // each would leave last round's halo value in the frame, so the
+        // worker must refuse the round rather than compute on it.
+        let broken: [&[(u64, u32, f64)]; 3] = [
+            &[(2, 1, a)],
+            &[(3, 1, a), (3, 1, a)],
+            &[(4, 1, a), (1, 2, b)],
+        ];
+        for (i, halos) in broken.into_iter().enumerate() {
+            let seq = 2 + i as u64;
+            send_round(stream, seq, lv, halos);
+            assert_eq!(
+                read_frame(stream).unwrap(),
+                Frame::Done(DoneFrame { seq, ok: false }),
+                "round {seq} with halo batches {halos:?}"
+            );
+        }
+
+        // The stream stayed in step: the next complete round runs.
+        send_round(stream, 5, lv, &[(5, 2, b), (5, 1, a)]);
+        assert!(matches!(
+            read_frame(stream).unwrap(),
+            Frame::Results { seq: 5, .. }
+        ));
+        assert_eq!(
+            read_frame(stream).unwrap(),
+            Frame::Done(DoneFrame { seq: 5, ok: true })
+        );
+        send(stream, Frame::Exit);
+    });
+    outcome.expect("worker serves until Exit");
+}
+
+// ---------------------------------------------------------------------------
+// Shard-local plans on a live fleet
+// ---------------------------------------------------------------------------
+
+/// Hubs of degree 8 and 10 linked to a degree-22 hub, each with leaves.
+/// Under a three-way split the two smaller hubs are boundary rows whose
+/// halo neighbour (the big hub) has the higher degree, so their slots
+/// divide by different divisors across the cut.
+fn hubs() -> Graph {
+    let mut b = GraphBuilder::new(39).unwrap();
+    let (a, c, big) = (0u32, 8u32, 18u32);
+    for leaf in 1..8 {
+        b.add_edge(a, leaf).unwrap();
+    }
+    for leaf in 9..18 {
+        b.add_edge(c, leaf).unwrap();
+    }
+    for leaf in 19..39 {
+        b.add_edge(big, leaf).unwrap();
+    }
+    b.add_edge(a, big).unwrap();
+    b.add_edge(c, big).unwrap();
+    b.build()
+}
+
+fn run_rounds<P: Protocol>(mut engine: Engine<P>, init: &[P::Load], rounds: usize) -> Vec<P::Load> {
+    let mut loads = init.to_vec();
+    for _ in 0..rounds {
+        engine.round(&mut loads);
+    }
+    loads
+}
+
+fn assert_hubs_identical<P, M>(make: M, init: &[P::Load])
+where
+    P: Protocol + Sync,
+    M: Fn() -> P,
+{
+    let serial = run_rounds(
+        Engine::serial(make()).with_kernel(KernelKind::Scalar),
+        init,
+        5,
+    );
+    for partition in [
+        PartitionSpec::Range { shards: 3 },
+        PartitionSpec::Bfs { shards: 3 },
+    ] {
+        for kind in KernelKind::ALL {
+            let backend = Backend::Process {
+                partition,
+                transport: Transport::Unix,
+            };
+            let engine = Engine::with_backend(make(), backend).with_kernel(kind);
+            assert_eq!(
+                serial,
+                run_rounds(engine, init, 5),
+                "{} over {partition:?} with the {} kernel diverged",
+                make().name(),
+                kind.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn irregular_cut_bit_identical_for_both_load_types_and_kernels() {
+    let g = hubs();
+    // The cut really separates a hub from a higher-degree halo neighbour.
+    let partition = PartitionSpec::Range { shards: 3 }.build(&g);
+    assert_ne!(partition.owner_of(0), partition.owner_of(18));
+    assert!(g.degree(18) > g.degree(0));
+
+    let loads: Vec<f64> = (0..g.n())
+        .map(|i| 1.0 + (i * 37 % 11) as f64 * 13.7)
+        .collect();
+    let tokens: Vec<i64> = (0..g.n()).map(|i| (i as i64 * 977) % 4021).collect();
+    assert_hubs_identical(|| ContinuousDiffusion::new(&g), &loads);
+    assert_hubs_identical(|| GeneralizedDiffusion::new(&g, 6.0), &loads);
+    assert_hubs_identical(|| DiscreteDiffusion::new(&g), &tokens);
+}
+
+#[test]
+fn plan_frame_ships_only_the_local_csr() {
+    let g = topology::torus2d(32, 32);
+    let spec = PartitionSpec::Bfs { shards: 2 };
+    let mut loads = spike(g.n());
+    let mut engine =
+        Engine::with_backend(ContinuousDiffusion::new(&g), process(2, Transport::Unix));
+    engine.round(&mut loads);
+    let comm = engine.comm_metrics().expect("process rounds report comm");
+
+    // Round 1 moves, per shard: the plan (a degree per local node, a
+    // slot per owned CSR slot, a position per halo node), the owned
+    // values and the halo values — plus a fixed header per frame.
+    let plan = ShardPlan::build(&g, &spec.build(&g));
+    let frame_headers = 256;
+    let bound: usize = plan
+        .views()
+        .iter()
+        .map(|v| {
+            let csr = v.local_csr();
+            4 * csr.len()
+                + 4 * csr.neighbor_slots().len()
+                + 4 * v.halo().len()
+                + 8 * v.owned().len()
+                + 8 * v.halo().len()
+                + frame_headers
+        })
+        .sum();
+    assert!(
+        comm.wire_bytes_out <= bound,
+        "round 1 wrote {} bytes, over the local-CSR bound {bound}",
+        comm.wire_bytes_out
+    );
+    // A global edge list per shard would not fit in that bound.
+    let edge_lists = 2 * 8 * g.m();
+    assert!(
+        comm.wire_bytes_out < edge_lists,
+        "round 1 wrote {} bytes, as much as two edge lists ({edge_lists})",
+        comm.wire_bytes_out
+    );
 }
 
 // ---------------------------------------------------------------------------
