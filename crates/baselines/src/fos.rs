@@ -59,12 +59,6 @@ impl<'g> FirstOrderContinuous<'g> {
 }
 
 impl Protocol for FirstOrderContinuous<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -131,12 +125,6 @@ impl<'g> FirstOrderDiscrete<'g> {
 }
 
 impl Protocol for FirstOrderDiscrete<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

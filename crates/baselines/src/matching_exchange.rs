@@ -113,12 +113,6 @@ impl<'g> MatchingExchangeContinuous<'g> {
 }
 
 impl Protocol for MatchingExchangeContinuous<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -184,12 +178,6 @@ impl<'g> MatchingExchangeDiscrete<'g> {
 }
 
 impl Protocol for MatchingExchangeDiscrete<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

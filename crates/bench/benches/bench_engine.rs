@@ -14,13 +14,13 @@
 //!   and `values_sent`, so the perf trajectory tracks communication
 //!   volume alongside per-round ms; the gap to `engine_round`'s pool is
 //!   the price of the ownership transfer plus the exchange itself. The
-//!   `resident-*`
-//!   variants run the same instances through `Engine::round_resident`
-//!   (workers keep their owned loads; steady-state stats-off rounds
-//!   move zero owned values through the coordinator, which the bench
-//!   asserts via the recorded `owned_values_in/out`, `delta_values`
-//!   and `collects` counters) — the legacy-vs-resident gap within this
-//!   group isolates the ownership-transfer tax alone;
+//!   `resident-*` variants run the same instances with resident
+//!   dispatch (a steady round sends each worker only its changed owned
+//!   values — none here, with no workload — while results still come
+//!   back every round, which the bench asserts via the recorded
+//!   `owned_values_in/out`, `delta_values` and `collects` counters) —
+//!   the legacy-vs-resident gap within this group isolates the inbound
+//!   half of the ownership-transfer tax;
 //! - **process_round** — one `Engine::round` on the process backend
 //!   (each shard a `dlb-shard-worker` OS process, all traffic framed
 //!   `dlb-wire/3` over Unix sockets; `range2p`/`bfs8p` × `full`/`off`).
@@ -98,7 +98,7 @@ struct Meta {
     values_sent: Option<usize>,
     /// Message variants: coordinator-transfer volume of the measured
     /// round (owned values in/out, routed deltas, collect phases) —
-    /// zero owned transfer on resident steady-state rounds.
+    /// zero owned values in on resident steady-state rounds.
     owned_values_in: Option<usize>,
     owned_values_out: Option<usize>,
     delta_values: Option<usize>,
@@ -244,12 +244,12 @@ fn message_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
         }
     }
 
-    // Shard-resident rounds: the workers keep their owned loads across
-    // rounds, so a steady-state round ships no owned values either way —
-    // only halo batches cross the channels. The warmup runs the seed
-    // round plus one steady round, so the recorded metadata is the
-    // per-round transfer the timed iterations actually pay (zero owned
-    // transfer on stats-off, delta-free rounds — the acceptance check).
+    // Resident dispatch: a steady-state round sends each worker only the
+    // owned values that changed since its last results — none, with no
+    // workload between rounds. The warmup runs the seed round plus one
+    // steady round, so the recorded metadata is the per-round transfer
+    // the timed iterations actually pay (zero owned values in and no
+    // deltas; results still come back as one collect).
     let mut specs = vec![PartitionSpec::Range {
         shards: workers.max(2),
     }];
@@ -272,10 +272,9 @@ fn message_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
                 },
             )
             .with_stats_mode(mode);
-            let loads = inst.init.clone();
-            engine.resident_begin(&loads);
-            engine.round_resident(); // seed round: ships owned slices once
-            engine.round_resident(); // steady round: the shape being timed
+            let mut loads = inst.init.clone();
+            engine.round(&mut loads); // seed round: ships owned slices once
+            engine.round(&mut loads); // steady round: the shape being timed
             let metrics = engine.shard_metrics().expect("plan derived");
             let comm = engine.comm_metrics().expect("comm recorded");
             let mut m = Meta::new("message_round", variant.clone(), 1, spec.shards());
@@ -287,19 +286,15 @@ fn message_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
             m.owned_values_out = Some(comm.owned_values_out);
             m.delta_values = Some(comm.delta_values);
             m.collects = Some(comm.collects);
-            if matches!(mode, StatsMode::Off) {
-                // The tentpole invariant, asserted where the numbers are
-                // made: a stats-off, delta-free resident round moves no
-                // owned values at all.
-                assert_eq!(comm.owned_values_in, 0, "{variant}: owned values sent");
-                assert_eq!(comm.owned_values_out, 0, "{variant}: owned values returned");
-                assert_eq!(comm.collects, 0, "{variant}: unexpected collect");
-            }
+            // Asserted where the numbers are made: a steady resident
+            // round with nothing changed sends no owned values in.
+            assert_eq!(comm.owned_values_in, 0, "{variant}: owned values sent");
+            assert_eq!(comm.delta_values, 0, "{variant}: unexpected deltas");
+            assert_eq!(comm.collects, 1, "{variant}: one collect per round");
             meta.insert(format!("message_round/{variant}"), m);
             group.bench_function(variant, |b| {
-                b.iter(|| black_box(engine.round_resident().map(|s| s.phi_after)));
+                b.iter(|| black_box(engine.round(&mut loads).map(|s| s.phi_after)));
             });
-            engine.resident_end();
         }
     }
     group.finish();

@@ -87,17 +87,17 @@ pub mod perf_json {
         /// per round.
         pub values_sent: Option<usize>,
         /// Message-backend only: owned load values the coordinator
-        /// shipped to workers in the measured round (zero on resident
-        /// steady-state rounds).
+        /// shipped to workers as full slices in the measured round (zero
+        /// on resident steady-state rounds).
         pub owned_values_in: Option<usize>,
         /// Message-backend only: owned load values workers shipped back
-        /// in the measured round (zero on resident collect-free rounds).
+        /// in the measured round.
         pub owned_values_out: Option<usize>,
-        /// Resident message rounds only: workload delta values routed to
-        /// owner shards in the measured round.
+        /// Resident message rounds only: changed owned values sent as
+        /// deltas in the measured round.
         pub delta_values: Option<usize>,
-        /// Resident message rounds only: collect phases in the measured
-        /// round.
+        /// Resident message rounds only: result scatters recorded as
+        /// `collect` phases in the measured round.
         pub collects: Option<usize>,
         /// Process-backend only: framed `dlb-wire/3` bytes the
         /// coordinator wrote to worker sockets in the measured round.

@@ -96,12 +96,6 @@ impl<'g> ContinuousDiffusion<'g> {
 }
 
 impl Protocol for ContinuousDiffusion<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -174,12 +168,6 @@ impl<'g> GeneralizedDiffusion<'g> {
 }
 
 impl Protocol for GeneralizedDiffusion<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 

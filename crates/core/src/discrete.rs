@@ -79,12 +79,6 @@ impl<'g> DiscreteDiffusion<'g> {
 }
 
 impl Protocol for DiscreteDiffusion<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

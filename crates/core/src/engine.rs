@@ -90,6 +90,7 @@ use std::time::Duration;
 use crate::faults::{FaultKind, FaultPlan, FaultStats};
 use crate::kernels::{self, DiffusionLoad, GatherSpec, KernelKind};
 use crate::potential::{self, BlockPartial};
+use crate::process::WireLoad;
 use dlb_graphs::partition::{graph_fingerprint, PartitionSpec, ShardPlan, ShardView};
 use dlb_graphs::{GatherPlan, Graph};
 use dlb_telemetry::{
@@ -127,7 +128,7 @@ pub trait Protocol {
         + std::fmt::Debug
         + LoadPotential
         + DiffusionLoad
-        + crate::process::WireLoad
+        + WireLoad
         + 'static;
 
     /// Per-round statistics produced by [`Protocol::compute_stats`].
@@ -161,22 +162,6 @@ pub trait Protocol {
     /// access to `self`. Default: nothing.
     fn finish_round(&mut self, snapshot: &[Self::Load], new_loads: &[Self::Load]) {
         let _ = (snapshot, new_loads);
-    }
-
-    /// Whether [`Protocol::begin_round`] / [`Protocol::finish_round`]
-    /// read the load *values* handed to them. The message backend's
-    /// resident sessions use this as the collect gate: when the hooks
-    /// are load-blind (graph draws, RNG advances, counters — or the
-    /// default no-ops), a stats-off resident round needs no owned values
-    /// on the coordinator at all, and [`Engine::round_resident`] skips
-    /// the collect entirely. When `true` (the conservative default),
-    /// every resident round collects so the hooks always see current
-    /// values. Overriding to `false` while a hook does read loads would
-    /// hand that hook stale values — the loads themselves stay
-    /// bit-identical either way (only hook inputs are at stake), but a
-    /// protocol with load-dependent hook state would diverge.
-    fn hooks_read_loads(&self) -> bool {
-        true
     }
 
     /// Round statistics from the snapshot and the gathered loads. Called
@@ -542,18 +527,15 @@ pub enum Backend {
     Message {
         /// How the node set is partitioned into shards (= workers).
         partition: PartitionSpec,
-        /// Run rounds **shard-resident**: workers keep their owned loads
-        /// across rounds, the coordinator ships only per-round workload
-        /// deltas in and collects owned values back only when something
-        /// needs them — a stats-on round, a caller reading loads, or
-        /// session end. Steady-state rounds then move halo-sized, not
-        /// `n`-sized, traffic. The flag is routing intent for
-        /// runners/benches: they drive the engine through
-        /// [`Engine::resident_begin`] / [`Engine::round_resident`]
-        /// instead of [`Engine::round`]. Incompatible with an armed
-        /// [`FaultPlan`] — recovery re-homes shards from the
-        /// coordinator's round-start snapshot, which resident rounds
-        /// deliberately don't hold.
+        /// Dispatch owned values **shard-resident**: a worker whose frame
+        /// still holds the results it returned last round is sent only
+        /// the owned values that changed since (bit-pattern compare), not
+        /// its whole owned slice. The first round, a round that
+        /// rebroadcasts the plan, every round after a failed round and a
+        /// respawned worker get the full slice. Rounds run through
+        /// [`Engine::round`] like legacy ones — the coordinator holds the
+        /// snapshot and gets results back every round — so loads, stats
+        /// and fault recovery are unchanged.
         resident: bool,
     },
     /// Distributed execution: one `dlb-shard-worker` **OS process** per
@@ -992,26 +974,6 @@ pub struct Engine<P: Protocol> {
     /// instrumentation site a no-op enum branch — no clock read, no
     /// allocation — so untraced rounds run the exact legacy path.
     telemetry: Telemetry,
-    /// Active resident message session, if any (see
-    /// [`Engine::resident_begin`]). While `Some`, [`Engine::round`] is
-    /// rejected — the caller's load vector is stale by construction.
-    resident: Option<ResidentSession<P::Load>>,
-}
-
-/// Coordinator-side state of a resident message session.
-#[derive(Debug)]
-struct ResidentSession<L> {
-    /// The coordinator's copy of the loads. Authoritative only when
-    /// `fresh`; otherwise the workers' frames hold the truth and the
-    /// mirror is a stale scratch vector awaiting the next collect.
-    mirror: Vec<L>,
-    /// Whether `mirror` currently equals the session's true loads
-    /// (workers' values with `pending` folded in).
-    fresh: bool,
-    /// Workload deltas queued since the last round dispatch: already
-    /// applied to `mirror` whenever it is fresh, not yet in any worker
-    /// frame. Routed out with the next round command.
-    pending: Vec<(u32, L)>,
 }
 
 /// Monomorphized pooled-gather entry point stored by parallel engines.
@@ -1290,21 +1252,19 @@ pub struct CommMetrics {
     /// Largest per-shard send volume (values) — the straggler bound on
     /// the exchange step.
     pub max_shard_values_sent: usize,
-    /// Owned values the coordinator shipped **to** workers this round:
-    /// `n` on legacy rounds (every shard's round-start slice) and on the
-    /// resident seeding round; zero on resident steady-state rounds —
-    /// the formerly hidden half of the ownership-transfer tax.
+    /// Owned values the coordinator shipped **to** workers as full
+    /// slices this round: `n` on legacy rounds and on resident seeding
+    /// rounds; on other resident rounds only the reseeded shards'
+    /// slices (zero in steady state).
     pub owned_values_in: usize,
-    /// Owned values workers shipped **back** this round: `n` on legacy
-    /// rounds (results), `2n` on resident collect rounds (round-start
-    /// snapshot + results, so stats stay bit-identical), zero on
-    /// stats-off, read-free resident rounds.
+    /// Owned values workers shipped **back** this round (their results):
+    /// `n` on every message round.
     pub owned_values_out: usize,
-    /// Workload delta assignments routed to resident workers this round.
+    /// Changed owned values sent to resident workers as `(node, value)`
+    /// deltas this round.
     pub delta_values: usize,
-    /// Collect operations folded into this round's metrics (an in-round
-    /// collect, or an explicit [`Engine::resident_sync`] since the last
-    /// round).
+    /// Result scatters recorded as a `collect` phase: 1 on every
+    /// resident round, 0 on legacy rounds.
     pub collects: usize,
     /// Process backend only: framed `dlb-wire/3` bytes the coordinator
     /// actually **wrote** to worker sockets this round — envelopes
@@ -1457,27 +1417,13 @@ const SUPERVISE_POLL: Duration = Duration::from_millis(25);
 enum OwnedIn<L> {
     /// The coordinator supplies the full owned slice (ascending global
     /// id, parallel to the view's owned list) — every legacy round, and
-    /// the seeding round of a resident session.
+    /// every resident reseed.
     Values(Vec<L>),
-    /// Resident steady state: the worker's frame already holds the
-    /// owned values from the previous round's scatter; apply only these
-    /// workload deltas — `(global id, new value)` assignments — before
+    /// Resident dispatch: the worker's frame already holds the results
+    /// it returned last round; apply only these `(global id, value)`
+    /// assignments for the owned values that changed since, before
     /// posting halos.
     Deltas(Vec<(u32, L)>),
-}
-
-/// Whether (and how much) a round's report carries owned values back to
-/// the coordinator.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CollectMode {
-    /// Report nothing — resident steady state (stats off, no reader).
-    None,
-    /// Report the gathered new loads (every legacy round).
-    New,
-    /// Report the new loads **and** the round-start owned values
-    /// (resident stats/collect rounds: `compute_stats` and load-reading
-    /// hooks need both sides of the snapshot swap).
-    Both,
 }
 
 /// One round's command to a shard worker.
@@ -1487,12 +1433,10 @@ struct RoundCmd<L> {
     kernel: MsgKernel<L>,
     /// Round-start owned values: a full slice, or resident deltas.
     owned: OwnedIn<L>,
-    /// What the round report carries back.
-    collect: CollectMode,
-    /// Freed buffers riding back to the worker's free list (the
-    /// coordinator returns the vectors it consumed from earlier reports,
-    /// so steady-state rounds recycle instead of allocating).
-    recycle: Vec<Vec<L>>,
+    /// A freed buffer riding back to the worker's free list: a resident
+    /// delta round returns the shard's previous results vector, so the
+    /// worker reuses it for this round's results instead of allocating.
+    recycle: Option<Vec<L>>,
     /// The coordinator's round-attempt sequence number. Halo batches and
     /// reports carry it so anything from a past attempt — a straggler's
     /// duplicate, a failed round's in-flight send — is discarded instead
@@ -1525,10 +1469,6 @@ enum ToWorker<L> {
     /// Batched halo values from shard `src` for round attempt `seq`,
     /// parallel to the id list both sides derive from the current plan.
     Halo { src: u32, seq: u64, values: Vec<L> },
-    /// Report the frame's current owned values (ascending global id) —
-    /// a resident session's out-of-round sync (a caller reading loads,
-    /// session end, or a plan change forcing a reseed).
-    Collect { seq: u64 },
     /// Shut down the worker loop.
     Exit,
 }
@@ -1540,9 +1480,6 @@ enum RoundOutcome<L> {
     Report {
         ok: bool,
         results: Vec<L>,
-        /// Round-start owned values (ascending global id) — nonempty
-        /// only under [`CollectMode::Both`].
-        prev: Vec<L>,
         messages: usize,
         values_sent: usize,
     },
@@ -1568,13 +1505,6 @@ enum RoundOutcome<L> {
 enum FromWorker<L> {
     /// The round barrier report.
     Done(WorkerDone<L>),
-    /// Answer to [`ToWorker::Collect`]: the frame's current owned
-    /// values, ascending global id.
-    Collected {
-        shard: usize,
-        seq: u64,
-        values: Vec<L>,
-    },
     /// Supervised receive timed out: shard `shard` is still missing the
     /// batch from `src` for round attempt `seq` — the coordinator
     /// rebuilds it from the round-start snapshot and retransmits.
@@ -1595,11 +1525,7 @@ struct WorkerDone<L> {
     ok: bool,
     /// New loads of the owned nodes in gather order
     /// (interior-then-boundary, exactly the shard's compute order).
-    /// Empty under [`CollectMode::None`].
     results: Vec<L>,
-    /// Round-start owned values (ascending global id), captured after
-    /// delta application — nonempty only under [`CollectMode::Both`].
-    prev: Vec<L>,
     /// Halo messages this shard posted this round.
     messages: usize,
     /// Values carried by those messages.
@@ -1607,8 +1533,8 @@ struct WorkerDone<L> {
 }
 
 /// Cap on a buffer free list (worker- and coordinator-side): enough to
-/// cover a round's working set — halo posts in flight, results, the
-/// collect capture — without hoarding `O(n)`-capacity vectors.
+/// cover a round's working set — halo posts in flight, results — without
+/// hoarding `O(n)`-capacity vectors.
 const MSG_FREE_CAP: usize = 8;
 
 /// Pops a recycled buffer (cleared) from a free list, or allocates.
@@ -1660,9 +1586,9 @@ fn message_worker_round<L: Copy>(
     let view = &plan.views()[shard];
     let mut ok = true;
 
-    // Freed buffers riding back from the coordinator replenish the free
-    // list before this round draws from it.
-    for v in cmd.recycle.drain(..) {
+    // A freed buffer riding back from the coordinator replenishes the
+    // free list before this round draws from it.
+    if let Some(v) = cmd.recycle.take() {
         recycle_into(free, v);
     }
 
@@ -1681,9 +1607,9 @@ fn message_worker_round<L: Copy>(
         }
     }
 
-    // 1. Own this round's values: a full coordinator slice (legacy and
-    // seeding rounds), or resident workload deltas applied on top of
-    // the frame the previous round's scatter left behind.
+    // 1. Own this round's values: a full coordinator slice (legacy
+    // rounds and resident reseeds), or resident deltas applied on top
+    // of the frame the previous round's scatter left behind.
     match std::mem::replace(&mut cmd.owned, OwnedIn::Deltas(Vec::new())) {
         OwnedIn::Values(values) => {
             debug_assert_eq!(values.len(), view.owned().len());
@@ -1697,16 +1623,6 @@ fn message_worker_round<L: Copy>(
                 frame[v as usize] = value;
             }
         }
-    }
-
-    // Collect rounds capture the round-start owned values (deltas
-    // included) before the gather's scatter overwrites them — the
-    // coordinator needs both sides of the snapshot swap for stats and
-    // load-reading hooks.
-    let mut prev: Vec<L> = Vec::new();
-    if cmd.collect == CollectMode::Both {
-        prev = pooled(free);
-        prev.extend(view.owned().iter().map(|&v| frame[v as usize]));
     }
 
     // 2. Post boundary loads (round-start values — independent of any
@@ -1877,11 +1793,10 @@ fn message_worker_round<L: Copy>(
     tel.record(lane, cmd.round, SpanPhase::GatherBoundary, t_bnd);
 
     // 6. Scatter the new loads into the frame's owned slots: this is
-    // what makes the frame *resident* — next round's halos and gathers
-    // read current values with no coordinator refresh. Results arrive
-    // in gather order (interior-then-boundary; owned order under full
-    // exchange). Skipped on a failed round, which keeps the frame at
-    // the round-start state the coordinator still knows about.
+    // what lets a resident coordinator send only changed values next
+    // round. Results arrive in gather order (interior-then-boundary;
+    // owned order under full exchange). Skipped on a failed round, after
+    // which the coordinator reseeds every shard anyway.
     if ok {
         if plan.full_exchange {
             for (&v, &value) in view.owned().iter().zip(results.iter()) {
@@ -1895,24 +1810,9 @@ fn message_worker_round<L: Copy>(
         }
     }
 
-    // 7. Report only what the coordinator asked for; unsent buffers stay
-    // in the free list for the next round.
-    let (results, prev) = match cmd.collect {
-        CollectMode::None => {
-            recycle_into(free, results);
-            debug_assert!(prev.is_empty());
-            (Vec::new(), Vec::new())
-        }
-        CollectMode::New => {
-            debug_assert!(prev.is_empty());
-            (results, Vec::new())
-        }
-        CollectMode::Both => (results, prev),
-    };
     RoundOutcome::Report {
         ok,
         results,
-        prev,
         messages,
         values_sent,
     }
@@ -1951,22 +1851,6 @@ fn message_worker<L: Copy + Default + Send + 'static>(
                 Ok(ToWorker::Plan(p)) => plan = Some(p),
                 Ok(ToWorker::Round(cmd)) => break cmd,
                 Ok(ToWorker::Halo { src, seq, values }) => stash.push((src, seq, values)),
-                Ok(ToWorker::Collect { seq }) => {
-                    // Out-of-round sync: report the frame's current owned
-                    // values (ascending global id). Only resident
-                    // sessions send this, between rounds, so the frame
-                    // is quiescent here.
-                    let current = plan.as_ref().expect("plan precedes the first collect");
-                    let view = &current.views()[shard];
-                    let mut values = pooled(&mut free);
-                    values.extend(view.owned().iter().map(|&v| frame[v as usize]));
-                    if done
-                        .send(FromWorker::Collected { shard, seq, values })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
                 Ok(ToWorker::Exit) | Err(_) => return,
             }
         };
@@ -1983,7 +1867,6 @@ fn message_worker<L: Copy + Default + Send + 'static>(
             RoundOutcome::Report {
                 ok,
                 results,
-                prev,
                 messages,
                 values_sent,
             } => (
@@ -1992,7 +1875,6 @@ fn message_worker<L: Copy + Default + Send + 'static>(
                     seq,
                     ok,
                     results,
-                    prev,
                     messages,
                     values_sent,
                 },
@@ -2006,7 +1888,6 @@ fn message_worker<L: Copy + Default + Send + 'static>(
                     seq,
                     ok: false,
                     results: Vec::new(),
-                    prev: Vec::new(),
                     messages: 0,
                     values_sent: 0,
                 },
@@ -2052,30 +1933,16 @@ struct MessageExec<L> {
     /// a retry after a failed attempt gets a fresh tag and any stale
     /// in-flight batch is discarded rather than consumed.
     round_seq: u64,
-    /// Whether this executor was declared [`Backend::Message`] with
-    /// `resident: true` (routing intent only — the resident session API
-    /// works either way; see [`Engine::resident_begin`]).
-    resident_backend: bool,
-    /// Resident-session seeding state: the plan the worker frames
-    /// currently hold owned values under, plus the owner map for delta
-    /// routing. `None` until the session's first round (and after any
-    /// [`Engine::resident_end`]).
-    seeded: Option<ResidentSeed>,
+    /// [`Backend::Message`]'s `resident` flag: dispatch deltas to
+    /// shards whose frame holds their last results.
+    resident: bool,
+    /// Resident dispatch reference: `last[s]` is the results vector
+    /// shard `s` returned last round (gather order) while its frame is
+    /// known to still hold those values; `None` forces a full reseed.
+    last: Vec<Option<Vec<L>>>,
     /// Coordinator-side buffer free list, fed by consumed report
-    /// vectors; drawn on for owned dispatch slices and recycle rides.
+    /// vectors; drawn on for owned dispatch slices.
     free: Vec<Vec<L>>,
-}
-
-/// What the worker frames are currently seeded under (resident sessions).
-struct ResidentSeed {
-    /// Fingerprint key of the seeded plan (mismatch with the current
-    /// plan forces a collect-then-reseed).
-    key: u64,
-    /// The seeded plan itself, retained so a post-change collect can
-    /// still scatter under the ownership the frames actually hold.
-    plan: Arc<MessagePlan>,
-    /// `owner[v]` = shard owning global node `v` (delta routing).
-    owner: Vec<u32>,
 }
 
 impl<L> std::fmt::Debug for MessageExec<L> {
@@ -2089,8 +1956,8 @@ impl<L> std::fmt::Debug for MessageExec<L> {
     }
 }
 
-impl<L: Copy + Default + Send + 'static> MessageExec<L> {
-    fn new(spec: PartitionSpec, n: usize, resident_backend: bool) -> MessageExec<L> {
+impl<L: WireLoad + Send + 'static> MessageExec<L> {
+    fn new(spec: PartitionSpec, n: usize, resident: bool) -> MessageExec<L> {
         let shards = spec.shards();
         let (done_tx, from_workers) = mpsc::channel::<FromWorker<L>>();
         let mut to_workers = Vec::with_capacity(shards);
@@ -2125,8 +1992,8 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             broadcast_key: None,
             last_comm: None,
             round_seq: 0,
-            resident_backend,
-            seeded: None,
+            resident,
+            last: (0..shards).map(|_| None).collect(),
             free: Vec::new(),
         }
     }
@@ -2139,9 +2006,10 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
     /// is installed in the dispatch table and the shared peer table (so
     /// peers' next posts reach the replacement), and the current plan is
     /// re-sent. No state transfer is needed — the coordinator's snapshot
-    /// is the authoritative store, and every slot a worker's kernel
-    /// reads is rewritten each round from it.
+    /// is the authoritative store, and the replacement's default frame
+    /// gets a full owned slice on its next round.
     fn respawn(&mut self, shard: usize, plan: &Arc<MessagePlan>) {
+        self.last[shard] = None;
         let (tx, rx) = mpsc::channel::<ToWorker<L>>();
         self.to_workers[shard] = tx.clone();
         self.peers.write().expect("peer table poisoned")[shard] = tx;
@@ -2158,9 +2026,10 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
     }
 
     /// One message-passing round: broadcast the plan if it changed,
-    /// command every worker with its owned round-start values, collect
-    /// the round barrier, and scatter the per-shard results into `out`.
-    /// Returns the first failed shard on a kernel failure.
+    /// command every worker with its owned round-start values (resident:
+    /// only the changed ones where its frame allows), collect the round
+    /// barrier, and scatter the per-shard results into `out`. Returns
+    /// the first failed shard on a kernel failure.
     ///
     /// With `faults` present the round runs **supervised**: the collect
     /// loop polls instead of blocking, retransmits missing halo batches
@@ -2208,56 +2077,74 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             shards,
             ..CommMetrics::default()
         };
-        // Dispatch: slice the snapshot into per-shard owned blocks and
-        // command every worker — the coordinator half of the scatter.
+        // Dispatch: command every worker with its round-start owned
+        // values — the coordinator half of the scatter. A resident shard
+        // whose frame holds last round's results gets only the values
+        // that differ from them; every other shard gets its full slice.
         let t_dispatch = tel.start();
         let rebroadcast = self.broadcast_key != Some(key);
+        let mut reseeded = false;
         for (s, pending_faults) in shard_faults.iter_mut().enumerate() {
-            if rebroadcast
-                && self.to_workers[s]
-                    .send(ToWorker::Plan(plan.clone()))
-                    .is_err()
-            {
-                // A worker found dead at dispatch (it died under a
-                // previous engine's... never normally: deaths are
-                // recovered in the round they happen). Defensive respawn
-                // under supervision; without it, keep the legacy panic.
-                assert!(supervised, "message worker exited early");
+            if supervised && self.handles[s].is_finished() {
+                // Defensive: deaths are recovered in the round they
+                // happen, so no worker should be found dead here.
                 self.respawn(s, &plan);
                 fault_stats.recoveries += 1;
+            } else if rebroadcast {
+                self.to_workers[s]
+                    .send(ToWorker::Plan(plan.clone()))
+                    .expect("message worker exited early");
             }
-            let mut owned = pooled(&mut self.free);
-            owned.extend(
-                plan.views()[s]
-                    .owned()
-                    .iter()
-                    .map(|&v| snapshot[v as usize]),
-            );
-            comm.owned_values_in += owned.len();
+            let view = &plan.views()[s];
+            let (owned, recycle) = match self.last[s].take().filter(|_| !rebroadcast) {
+                Some(last) => {
+                    let mut deltas = Vec::new();
+                    let order = view.interior().iter().chain(view.boundary());
+                    for (&v, &old) in order.zip(&last) {
+                        let now = snapshot[v as usize];
+                        if now.to_word() != old.to_word() {
+                            deltas.push((v, now));
+                        }
+                    }
+                    comm.delta_values += deltas.len();
+                    // The spent reference rides back as the worker's
+                    // results buffer for this round.
+                    (OwnedIn::Deltas(deltas), Some(last))
+                }
+                None => {
+                    let mut owned = pooled(&mut self.free);
+                    owned.extend(view.owned().iter().map(|&v| snapshot[v as usize]));
+                    comm.owned_values_in += owned.len();
+                    reseeded = true;
+                    (OwnedIn::Values(owned), None)
+                }
+            };
             let cmd = ToWorker::Round(Box::new(RoundCmd {
                 kernel: kernels(),
-                owned: OwnedIn::Values(owned),
-                collect: CollectMode::New,
-                recycle: Vec::new(),
+                owned,
+                recycle,
                 seq,
                 faults: std::mem::take(pending_faults),
                 nack_after,
                 telemetry: tel.clone(),
                 round: round_no,
             }));
-            if let Err(mpsc::SendError(cmd)) = self.to_workers[s].send(cmd) {
-                assert!(supervised, "message worker exited early");
-                self.respawn(s, &plan);
-                fault_stats.recoveries += 1;
-                self.to_workers[s]
-                    .send(cmd)
-                    .expect("respawned message worker exited early");
-            }
+            self.to_workers[s]
+                .send(cmd)
+                .expect("message worker exited early");
         }
         self.broadcast_key = Some(key);
-        tel.record(ENGINE_LANE, round_no, SpanPhase::ScatterOwned, t_dispatch);
+        let dispatch_phase = if self.resident && !reseeded {
+            SpanPhase::DeltaScatter
+        } else {
+            SpanPhase::ScatterOwned
+        };
+        tel.record(ENGINE_LANE, round_no, dispatch_phase, t_dispatch);
 
         let mut results: Vec<Option<Vec<L>>> = (0..shards).map(|_| None).collect();
+        // Shards the supervisor re-homed this round: their respawned
+        // workers' frames do not hold the results.
+        let mut rehomed: Vec<usize> = Vec::new();
         let mut outstanding = shards;
         let mut failed: Option<usize> = None;
         while outstanding > 0 {
@@ -2316,6 +2203,7 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                                 fault_stats.recoveries += 1;
                                 fault_stats.rehomed_values += view.owned().len() as u64;
                                 self.respawn(s, &plan);
+                                rehomed.push(s);
                                 *slot = Some(values);
                                 outstanding -= 1;
                                 tel.record(
@@ -2350,14 +2238,9 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
                     comm.messages += report.messages;
                     comm.values_sent += report.values_sent;
                     comm.max_shard_values_sent = comm.max_shard_values_sent.max(report.values_sent);
-                    comm.owned_values_out += report.results.len() + report.prev.len();
+                    comm.owned_values_out += report.results.len();
                     results[report.shard] = Some(report.results);
                     outstanding -= 1;
-                }
-                FromWorker::Collected { .. } => {
-                    // Stale resident-sync answer — impossible between a
-                    // synchronous collect and the next round, but cheap
-                    // to tolerate.
                 }
                 FromWorker::MissingHalo {
                     shard,
@@ -2386,16 +2269,22 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             }
         }
         comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
+        if failed.is_none() && self.resident {
+            comm.collects = 1;
+        }
         self.last_comm = Some(comm);
         if let Some(shard) = failed {
+            // Every `last` entry was taken at dispatch: the next round
+            // reseeds all shards.
             return Err(shard);
         }
 
         // Gather half of the scatter: fold the per-shard results back
-        // into the global vector. The spent report buffers feed the
-        // coordinator's free list for the next round's owned dispatch.
+        // into the global vector. Resident shards keep their results as
+        // next round's delta reference; otherwise the spent buffers feed
+        // the coordinator's free list for the next owned dispatch.
         let t_scatter = tel.start();
-        for (view, shard_results) in plan.views().iter().zip(results) {
+        for (s, (view, shard_results)) in plan.views().iter().zip(results).enumerate() {
             let shard_results = shard_results.expect("every shard reported");
             // Results arrive in the shard's gather order:
             // interior-then-boundary.
@@ -2404,257 +2293,20 @@ impl<L: Copy + Default + Send + 'static> MessageExec<L> {
             for (&v, &value) in order.zip(shard_results.iter()) {
                 out[v as usize] = value;
             }
-            recycle_into(&mut self.free, shard_results);
-        }
-        tel.record(ENGINE_LANE, round_no, SpanPhase::ScatterOwned, t_scatter);
-        Ok(())
-    }
-
-    /// One **resident** round: no owned values travel in (a seeding
-    /// round ships the mirror once; steady-state rounds ship only the
-    /// routed workload deltas) and owned values travel back only under
-    /// `collect` — [`CollectMode::Both`] scatters the round-start values
-    /// into `prev_out` and the new loads into `mirror`. Never
-    /// supervised: the engine rejects resident rounds under an armed
-    /// fault plan, because recovery re-homes shards from a round-start
-    /// snapshot the coordinator deliberately no longer holds.
-    #[allow(clippy::too_many_arguments)]
-    fn resident_round(
-        &mut self,
-        kernels: impl Fn() -> MsgKernel<L>,
-        seed: bool,
-        mirror: &mut [L],
-        prev_out: &mut [L],
-        pending: &mut Vec<(u32, L)>,
-        collect: CollectMode,
-        tel: &Telemetry,
-        round_no: u64,
-    ) -> Result<(), usize> {
-        let plan = self.plans.current().clone();
-        let key = self.plans.entries[self.plans.current].0;
-        assert_eq!(
-            mirror.len(),
-            plan.views().iter().map(|v| v.owned().len()).sum::<usize>(),
-            "message plan node count must equal the load vector length"
-        );
-        self.round_seq += 1;
-        let seq = self.round_seq;
-        let shards = self.shards();
-        let mut comm = CommMetrics {
-            shards,
-            ..CommMetrics::default()
-        };
-
-        // Route the queued workload deltas by the owner map (deltas are
-        // `(global id, value)` assignments — idempotent, so routing
-        // cannot perturb bit-identity).
-        let mut routed: Vec<Vec<(u32, L)>> = vec![Vec::new(); shards];
-        if !seed {
-            let owner = &self
-                .seeded
-                .as_ref()
-                .expect("steady resident rounds follow a seeded round")
-                .owner;
-            comm.delta_values = pending.len();
-            for (v, value) in pending.drain(..) {
-                routed[owner[v as usize] as usize].push((v, value));
-            }
-        } else {
-            // The seed slices below are drawn from the mirror, which
-            // already folds every queued delta in.
-            pending.clear();
-        }
-
-        // Dispatch: a compact command per worker — deltas (plus recycled
-        // buffers) in steady state, full owned slices when seeding.
-        let t_dispatch = tel.start();
-        if self.broadcast_key != Some(key) {
-            for tx in &self.to_workers {
-                tx.send(ToWorker::Plan(plan.clone()))
-                    .expect("message worker exited early");
-            }
-            self.broadcast_key = Some(key);
-        }
-        for (s, deltas) in routed.into_iter().enumerate() {
-            let owned = if seed {
-                let mut owned = pooled(&mut self.free);
-                owned.extend(plan.views()[s].owned().iter().map(|&v| mirror[v as usize]));
-                comm.owned_values_in += owned.len();
-                OwnedIn::Values(owned)
+            if self.resident && !rehomed.contains(&s) {
+                self.last[s] = Some(shard_results);
             } else {
-                OwnedIn::Deltas(deltas)
-            };
-            // Hand back as many buffers as this round's report will
-            // consume, so steady-state collect rounds stay allocation-free.
-            let rides = match collect {
-                CollectMode::None => 0,
-                CollectMode::New => 1,
-                CollectMode::Both => 2,
-            };
-            let mut recycle = Vec::new();
-            for _ in 0..rides {
-                match self.free.pop() {
-                    Some(v) => recycle.push(v),
-                    None => break,
-                }
+                recycle_into(&mut self.free, shard_results);
             }
-            let cmd = ToWorker::Round(Box::new(RoundCmd {
-                kernel: kernels(),
-                owned,
-                collect,
-                recycle,
-                seq,
-                faults: Vec::new(),
-                nack_after: None,
-                telemetry: tel.clone(),
-                round: round_no,
-            }));
-            self.to_workers[s]
-                .send(cmd)
-                .expect("message worker exited early");
         }
-        let dispatch_phase = if seed {
-            SpanPhase::ScatterOwned
+        let scatter_phase = if self.resident {
+            SpanPhase::Collect
         } else {
-            SpanPhase::DeltaScatter
+            SpanPhase::ScatterOwned
         };
-        tel.record(ENGINE_LANE, round_no, dispatch_phase, t_dispatch);
-        if seed {
-            self.seeded = Some(ResidentSeed {
-                key,
-                plan: plan.clone(),
-                owner: build_owner_map(&plan, mirror.len()),
-            });
-        }
-
-        // Barrier: always blocking — resident rounds are never
-        // supervised.
-        let mut reports: Vec<Option<WorkerDone<L>>> = (0..shards).map(|_| None).collect();
-        let mut outstanding = shards;
-        let mut failed: Option<usize> = None;
-        while outstanding > 0 {
-            match self
-                .from_workers
-                .recv()
-                .expect("message worker exited early")
-            {
-                FromWorker::Done(report) => {
-                    if report.seq != seq || reports[report.shard].is_some() {
-                        continue;
-                    }
-                    if !report.ok {
-                        failed.get_or_insert(report.shard);
-                    }
-                    comm.messages += report.messages;
-                    comm.values_sent += report.values_sent;
-                    comm.max_shard_values_sent = comm.max_shard_values_sent.max(report.values_sent);
-                    comm.owned_values_out += report.results.len() + report.prev.len();
-                    outstanding -= 1;
-                    let shard = report.shard;
-                    reports[shard] = Some(report);
-                }
-                FromWorker::Collected { .. } | FromWorker::MissingHalo { .. } => {
-                    // Stale sync answers / nacks cannot occur on the
-                    // unsupervised resident path; ignore defensively.
-                }
-            }
-        }
-        comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
-        if collect == CollectMode::Both {
-            comm.collects = 1;
-        }
-        self.last_comm = Some(comm);
-        if let Some(shard) = failed {
-            return Err(shard);
-        }
-
-        // Collect half (stats/read rounds only): scatter the round-start
-        // values into `prev_out` and the new loads into the mirror.
-        if collect == CollectMode::Both {
-            let t_collect = tel.start();
-            for (view, report) in plan.views().iter().zip(reports) {
-                let report = report.expect("every shard reported");
-                debug_assert_eq!(report.prev.len(), view.owned().len());
-                debug_assert_eq!(report.results.len(), view.owned().len());
-                for (&v, &value) in view.owned().iter().zip(report.prev.iter()) {
-                    prev_out[v as usize] = value;
-                }
-                let order = view.interior().iter().chain(view.boundary());
-                for (&v, &value) in order.zip(report.results.iter()) {
-                    mirror[v as usize] = value;
-                }
-                recycle_into(&mut self.free, report.prev);
-                recycle_into(&mut self.free, report.results);
-            }
-            tel.record(ENGINE_LANE, round_no, SpanPhase::Collect, t_collect);
-        }
+        tel.record(ENGINE_LANE, round_no, scatter_phase, t_scatter);
         Ok(())
     }
-
-    /// Out-of-round sync: collects every worker's current owned values
-    /// into `out` (global order) under the **seeded** plan — the
-    /// ownership the frames actually hold, which may lag the current
-    /// plan across a graph change. Traffic is folded into the last
-    /// round's [`CommMetrics`], where the next metrics read will see it.
-    fn collect_resident(&mut self, out: &mut [L], tel: &Telemetry, round_no: u64) {
-        let plan = self
-            .seeded
-            .as_ref()
-            .expect("resident sync requires a seeded session")
-            .plan
-            .clone();
-        self.round_seq += 1;
-        let seq = self.round_seq;
-        let t0 = tel.start();
-        for tx in &self.to_workers {
-            tx.send(ToWorker::Collect { seq })
-                .expect("message worker exited early");
-        }
-        let mut outstanding = self.shards();
-        while outstanding > 0 {
-            match self
-                .from_workers
-                .recv()
-                .expect("message worker exited early")
-            {
-                FromWorker::Collected {
-                    shard,
-                    seq: got,
-                    values,
-                } => {
-                    if got != seq {
-                        continue;
-                    }
-                    let view = &plan.views()[shard];
-                    debug_assert_eq!(values.len(), view.owned().len());
-                    for (&v, &value) in view.owned().iter().zip(values.iter()) {
-                        out[v as usize] = value;
-                    }
-                    recycle_into(&mut self.free, values);
-                    outstanding -= 1;
-                }
-                FromWorker::Done(_) | FromWorker::MissingHalo { .. } => {
-                    // No round is in flight between resident rounds.
-                }
-            }
-        }
-        if let Some(c) = self.last_comm.as_mut() {
-            c.owned_values_out += out.len();
-            c.collects += 1;
-        }
-        tel.record(ENGINE_LANE, round_no, SpanPhase::Collect, t0);
-    }
-}
-
-/// `owner[v]` = shard owning global node `v`, from the plan's views.
-fn build_owner_map(plan: &MessagePlan, n: usize) -> Vec<u32> {
-    let mut owner = vec![0u32; n];
-    for view in plan.views() {
-        for &v in view.owned() {
-            owner[v as usize] = view.shard() as u32;
-        }
-    }
-    owner
 }
 
 impl<L> Drop for MessageExec<L> {
@@ -2754,7 +2406,6 @@ impl<P: Protocol> Engine<P> {
             faults: None,
             fault_stats: FaultStats::default(),
             telemetry: Telemetry::Off,
-            resident: None,
         }
     }
 
@@ -2811,56 +2462,24 @@ impl<P: Protocol> Engine<P> {
     where
         P: Sync,
     {
+        Engine::message_with(protocol, partition, false)
+    }
+
+    /// [`Engine::message`] with [`Backend::Message`]'s `resident`
+    /// dispatch policy chosen explicitly.
+    fn message_with(protocol: P, partition: PartitionSpec, resident: bool) -> Self
+    where
+        P: Sync,
+    {
         assert!(partition.shards() >= 1, "message backend needs >= 1 shard");
         let n = protocol.n();
         Engine::from_exec(
             protocol,
             Exec::Message {
-                exec: Box::new(MessageExec::new(partition, n, false)),
+                exec: Box::new(MessageExec::new(partition, n, resident)),
                 make_kernel: make_message_kernel::<P>,
             },
         )
-    }
-
-    /// Message-passing executor declared **shard-resident** (see
-    /// [`Backend::Message`]'s `resident` flag): identical to
-    /// [`Engine::message`] except that [`Engine::backend`] reports
-    /// `resident: true`, so runners and benches route rounds through the
-    /// resident session API ([`Engine::resident_begin`] /
-    /// [`Engine::round_resident`]) instead of [`Engine::round`].
-    ///
-    /// ```
-    /// use dlb_core::continuous::ContinuousDiffusion;
-    /// use dlb_core::{Backend, Engine};
-    /// use dlb_graphs::partition::PartitionSpec;
-    /// use dlb_graphs::topology;
-    ///
-    /// let g = topology::torus2d(4, 4);
-    /// let mut engine = Engine::message_resident(
-    ///     ContinuousDiffusion::new(&g),
-    ///     PartitionSpec::Range { shards: 2 },
-    /// );
-    /// assert!(matches!(
-    ///     engine.backend(),
-    ///     Backend::Message { resident: true, .. }
-    /// ));
-    ///
-    /// let mut loads = vec![1.0_f64; 16];
-    /// loads[0] = 16.0;
-    /// engine.resident_begin(&loads);      // loads now live on the workers
-    /// engine.round_resident();
-    /// let finals = engine.resident_end(); // collected back from the shards
-    /// assert_eq!(finals.len(), 16);
-    /// ```
-    pub fn message_resident(protocol: P, partition: PartitionSpec) -> Self
-    where
-        P: Sync,
-    {
-        let mut engine = Engine::message(protocol, partition);
-        if let Exec::Message { exec, .. } = &mut engine.exec {
-            exec.resident_backend = true;
-        }
-        engine
     }
 
     /// Process executor: one `dlb-shard-worker` **OS process** per shard,
@@ -2913,12 +2532,8 @@ impl<P: Protocol> Engine<P> {
             Backend::Sharded { .. } => panic!("{}", Backend::SHARDED_REMOVED),
             Backend::Message {
                 partition,
-                resident: false,
-            } => Engine::message(protocol, partition),
-            Backend::Message {
-                partition,
-                resident: true,
-            } => Engine::message_resident(protocol, partition),
+                resident,
+            } => Engine::message_with(protocol, partition, resident),
             Backend::Process {
                 partition,
                 transport,
@@ -3100,7 +2715,7 @@ impl<P: Protocol> Engine<P> {
             },
             Exec::Message { exec, .. } => Backend::Message {
                 partition: exec.spec,
-                resident: exec.resident_backend,
+                resident: exec.resident,
             },
             Exec::Process(exec) => Backend::Process {
                 partition: exec.spec,
@@ -3239,11 +2854,6 @@ impl<P: Protocol> Engine<P> {
             loads.len(),
             self.protocol.n(),
             "load vector length must equal n"
-        );
-        assert!(
-            self.resident.is_none(),
-            "a resident session is active: drive rounds with round_resident() \
-             or close the session with resident_end() first"
         );
         let round_no = self.rounds_run + 1;
         let level = self.stats_mode.level_for(round_no);
@@ -3467,223 +3077,6 @@ impl<P: Protocol> Engine<P> {
             last = self.round(loads);
         }
         last
-    }
-
-    // -----------------------------------------------------------------
-    // Resident message sessions
-    // -----------------------------------------------------------------
-
-    /// Opens a **resident session** on a message-backend engine: the
-    /// shard workers take persistent ownership of their load slices, and
-    /// subsequent [`Engine::round_resident`] calls ship only a compact
-    /// command (plus any workload deltas queued through
-    /// [`Engine::resident_apply`]) instead of copying all `n` owned
-    /// values in and out every round. Owned values travel back only when
-    /// something needs them — a stats-on round per the [`StatsMode`], a
-    /// protocol whose hooks read loads ([`Protocol::hooks_read_loads`]),
-    /// an explicit [`Engine::resident_sync`] / [`Engine::resident_loads`]
-    /// read, or [`Engine::resident_end`] — so steady-state rounds move
-    /// halo-sized, not `n`-sized, traffic. Loads and statistics stay
-    /// bit-identical to [`Engine::round`] on every mode: the same kernel
-    /// runs per node from the same frame values, and collect rounds
-    /// reassemble the exact snapshot/new-loads pair the legacy swap
-    /// produces.
-    ///
-    /// `loads` seeds the session; the workers receive it on the first
-    /// resident round (plans resolve lazily against that round's graph).
-    /// While a session is active [`Engine::round`] panics — the caller's
-    /// vector would be stale by construction. Incompatible with an armed
-    /// [`FaultPlan`]: supervised recovery re-homes shards from the
-    /// coordinator's round-start snapshot, which resident rounds
-    /// deliberately no longer hold.
-    pub fn resident_begin(&mut self, loads: &[P::Load]) {
-        assert!(
-            matches!(self.exec, Exec::Message { .. }),
-            "resident sessions need the message backend"
-        );
-        assert!(
-            self.faults.is_none(),
-            "resident sessions are incompatible with an armed FaultPlan"
-        );
-        assert!(
-            self.resident.is_none(),
-            "a resident session is already active"
-        );
-        assert_eq!(
-            loads.len(),
-            self.protocol.n(),
-            "load vector length must equal n"
-        );
-        if let Exec::Message { exec, .. } = &mut self.exec {
-            exec.seeded = None; // force a seed on the first round
-        }
-        self.resident = Some(ResidentSession {
-            mirror: loads.to_vec(),
-            fresh: true,
-            pending: Vec::new(),
-        });
-    }
-
-    /// Whether a resident session is active.
-    pub fn resident_active(&self) -> bool {
-        self.resident.is_some()
-    }
-
-    /// Queues workload deltas — `(node, new value)` assignments to the
-    /// *round-start* loads of the next resident round. They are routed
-    /// to the owning workers with the next round command (the
-    /// delta-sized replacement for rewriting all owned values), exactly
-    /// as if the caller had mutated the load vector before a legacy
-    /// round.
-    pub fn resident_apply(&mut self, deltas: &[(u32, P::Load)]) {
-        let st = self.resident.as_mut().expect("no resident session active");
-        for &(v, value) in deltas {
-            assert!((v as usize) < st.mirror.len(), "delta node out of range");
-            if st.fresh {
-                st.mirror[v as usize] = value;
-            }
-            st.pending.push((v, value));
-        }
-    }
-
-    /// Brings the session mirror up to date: collects the workers'
-    /// current owned values if any steady-state round ran since the last
-    /// collect (the traffic is folded into [`Engine::comm_metrics`]),
-    /// then folds queued deltas in. A no-op when the mirror is fresh.
-    pub fn resident_sync(&mut self) {
-        let st = self.resident.as_mut().expect("no resident session active");
-        if st.fresh {
-            return;
-        }
-        let Exec::Message { exec, .. } = &mut self.exec else {
-            unreachable!("resident sessions exist only on the message backend");
-        };
-        exec.collect_resident(&mut st.mirror, &self.telemetry, self.rounds_run);
-        for &(v, value) in &st.pending {
-            st.mirror[v as usize] = value;
-        }
-        st.fresh = true;
-    }
-
-    /// The session's current loads (syncing first if needed).
-    pub fn resident_loads(&mut self) -> &[P::Load] {
-        self.resident_sync();
-        &self
-            .resident
-            .as_ref()
-            .expect("no resident session active")
-            .mirror
-    }
-
-    /// Closes the session and returns the final loads (collected from
-    /// the workers if needed). The engine is a plain message-backend
-    /// engine again: [`Engine::round`] works, with any vector.
-    pub fn resident_end(&mut self) -> Vec<P::Load> {
-        self.resident_sync();
-        if let Exec::Message { exec, .. } = &mut self.exec {
-            exec.seeded = None;
-        }
-        self.resident
-            .take()
-            .expect("no resident session active")
-            .mirror
-    }
-
-    /// Executes one resident round (see [`Engine::resident_begin`]),
-    /// panicking on worker failure like [`Engine::round`].
-    pub fn round_resident(&mut self) -> Option<P::Stats> {
-        match self.try_round_resident() {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Executes one resident round, returning a typed [`EngineError`]
-    /// instead of panicking when a worker's kernel fails. On `Err` the
-    /// workers' frames still hold the round-start values (the scatter
-    /// never ran), the session stays open, and the round counter does
-    /// not advance; as with [`Engine::try_round`],
-    /// [`Protocol::begin_round`] has already consumed the failed
-    /// round's graph.
-    pub fn try_round_resident(&mut self) -> Result<Option<P::Stats>, EngineError> {
-        assert!(
-            self.faults.is_none(),
-            "resident rounds are incompatible with an armed FaultPlan \
-             (recovery needs the coordinator's round-start snapshot)"
-        );
-        let mut st = self
-            .resident
-            .take()
-            .expect("no resident session active (call resident_begin first)");
-        let round_no = self.rounds_run + 1;
-        self.summary = None;
-        let hooks = self.protocol.hooks_read_loads();
-        let level = self.stats_mode.level_for(round_no);
-        // The collect gate: stats rounds need the snapshot/new pair on
-        // the coordinator; load-reading hooks need a fresh mirror every
-        // round. Everything else stays worker-resident.
-        let collect = if hooks || level.is_some() {
-            CollectMode::Both
-        } else {
-            CollectMode::None
-        };
-        debug_assert!(
-            !hooks || st.fresh,
-            "hooks_read_loads implies an always-fresh mirror"
-        );
-        self.protocol.begin_round(&st.mirror);
-        let outcome = {
-            let protocol = &self.protocol;
-            let tel = &self.telemetry;
-            let kind = self.kernel.kind;
-            let plan = self.kernel.resolve(protocol, tel, round_no);
-            self.exec.refresh_plan(protocol, tel, round_no);
-            let Exec::Message { exec, make_kernel } = &mut self.exec else {
-                panic!("resident sessions need the message backend");
-            };
-            let key = exec.plans.current_key();
-            let seed = exec.seeded.as_ref().map(|s| s.key) != Some(key);
-            if seed && !st.fresh {
-                // The graph — and with it the ownership map — changed
-                // under a stale mirror: collect under the *old* plan
-                // (the ownership the frames actually hold), fold queued
-                // deltas, and let the dispatch below reseed.
-                exec.collect_resident(&mut st.mirror, tel, round_no);
-                for &(v, value) in &st.pending {
-                    st.mirror[v as usize] = value;
-                }
-                st.fresh = true;
-            }
-            let make_kernel = *make_kernel;
-            exec.resident_round(
-                || make_kernel(protocol, kind, plan.clone()),
-                seed,
-                &mut st.mirror,
-                &mut self.back,
-                &mut st.pending,
-                collect,
-                tel,
-                round_no,
-            )
-        };
-        if let Err(shard) = outcome {
-            self.resident = Some(st);
-            return Err(EngineError {
-                shard,
-                round: round_no,
-                phase: EnginePhase::Exchange,
-            });
-        }
-        st.fresh = collect == CollectMode::Both;
-        self.rounds_run += 1;
-        // On collect rounds `back` holds the round-start snapshot and
-        // the mirror holds the new loads — exactly the legacy swap
-        // shape. On steady rounds both are stale, and the collect gate
-        // guarantees the hooks never read them.
-        self.protocol.finish_round(&self.back, &st.mirror);
-        let stats = level.map(|lvl| self.stats_pass(lvl, false, &st.mirror));
-        self.resident = Some(st);
-        Ok(stats)
     }
 }
 
@@ -3947,14 +3340,16 @@ mod tests {
 
     /// Toy protocol over an explicit cycle graph, so the message backend
     /// runs a real batched halo exchange instead of the full-exchange
-    /// fallback.
+    /// fallback. Its kernel panics on node `bad` (none by default).
     struct GraphToy {
         g: dlb_graphs::Graph,
+        bad: u32,
     }
 
     fn graph_toy(n: usize) -> GraphToy {
         GraphToy {
             g: dlb_graphs::topology::cycle(n),
+            bad: u32::MAX,
         }
     }
 
@@ -3971,6 +3366,7 @@ mod tests {
         }
 
         fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
+            assert!(v != self.bad, "injected failure");
             let mut acc = 0.5 * snapshot[v as usize];
             for &u in self.g.neighbors(v) {
                 acc += 0.25 * snapshot[u as usize];
@@ -4137,6 +3533,14 @@ mod tests {
         assert_eq!(loads, reference, "identity kernel after recovery");
     }
 
+    /// The message backend over `partition` under both dispatch policies.
+    fn message_backends(partition: PartitionSpec) -> [Backend; 2] {
+        [false, true].map(|resident| Backend::Message {
+            partition,
+            resident,
+        })
+    }
+
     #[test]
     fn try_round_reports_shard_round_and_phase() {
         // Pool: the failed chunk surfaces as a typed Gather error.
@@ -4148,30 +3552,56 @@ mod tests {
         assert!(err.to_string().contains("round 1"), "{err}");
 
         // Message: the failing worker's report carries its shard id.
-        let mut e = Engine::message(
-            PanickingToy { n: 12, bad: 7 },
-            PartitionSpec::Range { shards: 3 },
-        );
-        let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let err = e.try_round(&mut loads).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError {
-                shard: 1,
-                round: 1,
-                phase: EnginePhase::Exchange
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "engine worker panicked during exchange: shard 1, round 1"
-        );
-        // A failed round leaves the loads untouched and the counter
-        // frozen, so a fixed protocol retries the same round number.
-        assert_eq!(loads, (0..12).map(|i| i as f64).collect::<Vec<_>>());
-        e.protocol_mut().bad = u32::MAX;
-        let err = e.try_round(&mut loads); // identity kernel now
-        assert!(err.is_ok());
+        for backend in message_backends(PartitionSpec::Range { shards: 3 }) {
+            let mut e = Engine::with_backend(PanickingToy { n: 12, bad: 7 }, backend);
+            let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
+            let err = e.try_round(&mut loads).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError {
+                    shard: 1,
+                    round: 1,
+                    phase: EnginePhase::Exchange
+                },
+                "{backend:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "engine worker panicked during exchange: shard 1, round 1"
+            );
+            // A failed round leaves the loads untouched and the counter
+            // frozen, so a fixed protocol retries the same round number.
+            assert_eq!(loads, (0..12).map(|i| i as f64).collect::<Vec<_>>());
+            e.protocol_mut().bad = u32::MAX;
+            let err = e.try_round(&mut loads); // identity kernel now
+            assert!(err.is_ok(), "{backend:?}");
+        }
+
+        // A failure after the first round: every shard's retry ships its
+        // full owned slice (surviving shards' frames hold results the
+        // coordinator discarded), and the trajectory stays serial's.
+        let n = 48;
+        let init: Vec<f64> = (0..n).map(|i| ((i * 37 + 5) % 41) as f64 / 3.0).collect();
+        let mut serial = init.clone();
+        Engine::serial(graph_toy(n)).rounds(&mut serial, 3);
+        for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
+            let mut e = Engine::with_backend(graph_toy(n), backend);
+            let mut loads = init.clone();
+            e.round(&mut loads);
+            e.protocol_mut().bad = 30; // owned by shard 2
+            let err = e.try_round(&mut loads).unwrap_err();
+            assert_eq!((err.shard, err.round), (2, 2), "{backend:?}");
+            e.protocol_mut().bad = u32::MAX;
+            e.round(&mut loads);
+            let comm = e.comm_metrics().expect("comm recorded");
+            assert_eq!(comm.owned_values_in, n, "{backend:?}: retry reseeds");
+            assert_eq!(comm.delta_values, 0, "{backend:?}");
+            e.round(&mut loads);
+            let resident = matches!(backend, Backend::Message { resident: true, .. });
+            let comm = e.comm_metrics().expect("comm recorded");
+            assert_eq!(comm.owned_values_in, if resident { 0 } else { n });
+            assert_eq!(serial, loads, "{backend:?}: diverged after the failure");
+        }
     }
 
     #[test]
@@ -4193,21 +3623,39 @@ mod tests {
             .event(5, 3, FaultKind::ReorderHalo)
             .event(6, 1, FaultKind::Delay { ms: 30 })
             .with_patience(Duration::from_millis(25));
-        let mut faulted = init.clone();
-        let mut e =
-            Engine::message(graph_toy(n), PartitionSpec::Range { shards: 4 }).with_faults(plan);
-        let faulted_stats: Vec<_> = (0..rounds).map(|_| e.round(&mut faulted)).collect();
+        for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
+            let resident = matches!(backend, Backend::Message { resident: true, .. });
+            let mut faulted = init.clone();
+            let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(plan.clone());
+            let mut faulted_stats = Vec::new();
+            for round in 1..=rounds {
+                faulted_stats.push(e.round(&mut faulted));
+                // Resident: round 1 seeds every shard, and round 3
+                // reseeds shard 1 (12 values), whose worker died and was
+                // respawned in round 2; every other round ships deltas.
+                let expect = match (resident, round) {
+                    (false, _) | (true, 1) => n,
+                    (true, 3) => 12,
+                    (true, _) => 0,
+                };
+                let comm = e.comm_metrics().expect("comm recorded");
+                assert_eq!(comm.owned_values_in, expect, "{backend:?} round {round}");
+            }
 
-        assert_eq!(serial, faulted, "recovery must be exact");
-        assert_eq!(serial_stats, faulted_stats, "stats must survive faults");
-        let stats = e.fault_stats();
-        assert_eq!(stats.faults_injected, 5);
-        assert!(
-            stats.recoveries >= 2,
-            "panic re-home and halo retransmits: {stats:?}"
-        );
-        // Exactly one worker died: shard 1 owns 48/4 = 12 values.
-        assert_eq!(stats.rehomed_values, 12);
+            assert_eq!(serial, faulted, "{backend:?}: recovery must be exact");
+            assert_eq!(
+                serial_stats, faulted_stats,
+                "{backend:?}: stats must survive faults"
+            );
+            let stats = e.fault_stats();
+            assert_eq!(stats.faults_injected, 5);
+            assert!(
+                stats.recoveries >= 2,
+                "panic re-home and halo retransmits: {stats:?}"
+            );
+            // Exactly one worker died: shard 1 owns 48/4 = 12 values.
+            assert_eq!(stats.rehomed_values, 12);
+        }
     }
 
     #[test]
@@ -4228,12 +3676,16 @@ mod tests {
                 kind: FaultKind::DuplicateHalo,
             });
         }
-        let mut faulted = init.clone();
-        let mut e =
-            Engine::message(graph_toy(n), PartitionSpec::Range { shards: 4 }).with_faults(plan);
-        e.rounds(&mut faulted, 3);
-        assert_eq!(serial, faulted, "stale duplicates must be discarded");
-        assert_eq!(e.fault_stats().faults_injected, 4);
+        for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
+            let mut faulted = init.clone();
+            let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(plan.clone());
+            e.rounds(&mut faulted, 3);
+            assert_eq!(
+                serial, faulted,
+                "{backend:?}: stale duplicates must be discarded"
+            );
+            assert_eq!(e.fault_stats().faults_injected, 4);
+        }
     }
 
     #[test]
@@ -4258,20 +3710,22 @@ mod tests {
     fn supervised_round_still_surfaces_genuine_kernel_panics() {
         // Supervision must recover *injected* deaths, not mask real
         // kernel bugs: an armed (empty) plan still reports the panic.
-        let mut e = Engine::message(
-            PanickingToy { n: 12, bad: 7 },
-            PartitionSpec::Range { shards: 3 },
-        )
-        .with_faults(FaultPlan::new().with_patience(Duration::from_millis(25)));
-        let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let err = e.try_round(&mut loads).unwrap_err();
-        assert_eq!(err.shard, 1);
-        assert_eq!(err.phase, EnginePhase::Exchange);
-        // The engine stays usable afterwards.
-        e.protocol_mut().bad = u32::MAX;
-        let reference = loads.clone();
-        e.round(&mut loads);
-        assert_eq!(loads, reference, "identity kernel after the failure");
+        for backend in message_backends(PartitionSpec::Range { shards: 3 }) {
+            let mut e = Engine::with_backend(PanickingToy { n: 12, bad: 7 }, backend)
+                .with_faults(FaultPlan::new().with_patience(Duration::from_millis(25)));
+            let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
+            let err = e.try_round(&mut loads).unwrap_err();
+            assert_eq!(err.shard, 1, "{backend:?}");
+            assert_eq!(err.phase, EnginePhase::Exchange);
+            // The engine stays usable afterwards, and the next round
+            // reseeds every shard in full.
+            e.protocol_mut().bad = u32::MAX;
+            let reference = loads.clone();
+            e.round(&mut loads);
+            assert_eq!(loads, reference, "identity kernel after the failure");
+            let comm = e.comm_metrics().expect("comm recorded");
+            assert_eq!(comm.owned_values_in, 12, "{backend:?}");
+        }
     }
 
     #[test]

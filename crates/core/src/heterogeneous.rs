@@ -138,12 +138,6 @@ impl<'g> HeterogeneousDiffusion<'g> {
 }
 
 impl Protocol for HeterogeneousDiffusion<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -249,12 +243,6 @@ impl<'g> HeterogeneousDiscreteDiffusion<'g> {
 }
 
 impl Protocol for HeterogeneousDiscreteDiffusion<'_> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

@@ -81,9 +81,8 @@
 //! round returns a typed `EngineError` naming the shard within the
 //! timeout bound. There is no supervised respawn in this backend yet —
 //! a dead worker fails every subsequent round with the same typed error
-//! until the engine is rebuilt (the scenario layer rejects `faults` on
-//! the process backend for the same reason it rejects them on resident
-//! sessions).
+//! until the engine is rebuilt, so the scenario layer rejects `faults` on
+//! the process backend.
 //!
 //! The wire format itself is specified in `docs/WIRE.md`; the operator's
 //! view (spawning, transports, timeouts, kill semantics) is in the

@@ -194,12 +194,6 @@ impl RandomPartnerContinuous {
 }
 
 impl Protocol for RandomPartnerContinuous {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -273,12 +267,6 @@ impl RandomPartnerDiscrete {
 }
 
 impl Protocol for RandomPartnerDiscrete {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

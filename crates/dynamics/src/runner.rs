@@ -73,12 +73,6 @@ impl<'s, S: GraphSequence + ?Sized> DynamicContinuousDiffusion<'s, S> {
 }
 
 impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = f64;
     type Stats = RoundStats;
 
@@ -152,12 +146,6 @@ impl<'s, S: GraphSequence + ?Sized> DynamicDiscreteDiffusion<'s, S> {
 }
 
 impl<S: GraphSequence + ?Sized> Protocol for DynamicDiscreteDiffusion<'_, S> {
-    // `begin_round`/`finish_round` never read the snapshot, so resident
-    // message sessions may skip the collect phase on stats-off rounds.
-    fn hooks_read_loads(&self) -> bool {
-        false
-    }
-
     type Load = i64;
     type Stats = DiscreteRoundStats;
 

@@ -72,12 +72,13 @@ pub enum Phase {
     WorkloadApply,
     /// Fault handling: worker respawn, load re-homing, halo retransmit.
     FaultRecovery,
-    /// Coordinator routing per-shard workload deltas to resident workers
-    /// (the message backend's resident-session replacement for
-    /// [`Phase::ScatterOwned`] on steady-state rounds).
+    /// Coordinator dispatch of a resident message round that reseeds no
+    /// shard: each worker gets only its changed owned values (the
+    /// replacement for [`Phase::ScatterOwned`]'s dispatch).
     DeltaScatter,
-    /// Coordinator collecting owned values back from resident workers —
-    /// a stats-on round, a caller reading loads, or session end.
+    /// Coordinator scattering a resident message round's results into
+    /// the load vector (the replacement for [`Phase::ScatterOwned`]'s
+    /// result scatter).
     Collect,
     /// Process backend: encoding + writing a worker's inbound wire
     /// frames (plan, round command, owned seed, halo batches).
@@ -358,15 +359,15 @@ pub struct CommCounters {
     pub values_sent: u64,
     pub halo_bytes: u64,
     pub max_shard_values_sent: u64,
-    /// Owned values the coordinator shipped *to* workers (legacy rounds
-    /// and resident-session seeding; zero on resident steady-state rounds).
+    /// Owned values the coordinator shipped *to* workers as full slices
+    /// (legacy rounds and resident reseeds; zero on resident
+    /// steady-state rounds).
     pub owned_values_in: u64,
-    /// Owned values workers shipped *back* (legacy results, resident
-    /// collects — zero on stats-off, read-free resident rounds).
+    /// Owned values workers shipped *back* (their results, every round).
     pub owned_values_out: u64,
-    /// Workload delta assignments routed to resident workers.
+    /// Changed owned values sent to resident workers as deltas.
     pub delta_values: u64,
-    /// Collect operations (in-round or explicit sync) this round.
+    /// Result scatters recorded as `collect` phases (resident rounds).
     pub collects: u64,
 }
 

@@ -69,15 +69,15 @@ pub struct CommTotals {
     /// Largest single-round per-shard send volume (values) — the
     /// straggler bound on the exchange step.
     pub max_round_shard_values: u64,
-    /// Owned load values the coordinator shipped *to* workers over the
-    /// whole run (legacy rounds resend every shard's slice; resident
-    /// rounds ship only the seed round plus per-round deltas).
+    /// Owned load values the coordinator shipped *to* workers as full
+    /// slices over the whole run (legacy rounds resend every shard's
+    /// slice; resident rounds only reseed: the first round, plan
+    /// changes, and rounds after a failure or a respawn).
     pub owned_values_in: u64,
     /// Owned load values workers shipped *back* to the coordinator
-    /// (results and round-start snapshots; zero on resident rounds that
-    /// skip the collect phase).
+    /// (their results, every round).
     pub owned_values_out: u64,
-    /// Workload delta values routed to their owner shards (resident
+    /// Changed owned values sent to resident workers as deltas (resident
     /// rounds only).
     pub delta_values: u64,
     /// Framed `dlb-wire/3` bytes the coordinator actually wrote to worker
@@ -87,8 +87,8 @@ pub struct CommTotals {
     /// Framed `dlb-wire/3` bytes the coordinator read back from worker
     /// sockets over the whole run (process backend only).
     pub wire_bytes_in: u64,
-    /// Collect phases executed (resident sessions only: stats-on rounds,
-    /// load reads, and run end).
+    /// Result scatters recorded as `collect` phases (one per resident
+    /// round; zero otherwise).
     pub collects: u64,
 }
 
@@ -178,7 +178,7 @@ pub struct ScenarioReport {
     /// `process`).
     /// Trajectories are backend-independent; recorded for provenance.
     pub backend: String,
-    /// Whether the message backend ran shard-resident rounds (always
+    /// Whether the message backend ran with resident dispatch (always
     /// `false` on the other backends).
     pub resident: bool,
     /// Engine worker threads the run used (1 = serial executor).

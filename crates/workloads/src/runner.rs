@@ -160,21 +160,6 @@ where
     // One handle clone up front: a unit copy when telemetry is off, one
     // Arc increment when armed — either way the round loop borrows freely.
     let tel = engine.telemetry().clone();
-    // Shard-resident driving: workers keep their owned loads across
-    // rounds, the coordinator routes workload deltas by owner and reads
-    // loads back through the session's collect/sync phase. Fault-armed
-    // engines stay on the snapshot-based supervised path — recovery
-    // re-seeds workers from the coordinator's round-start snapshot,
-    // which a resident session by design does not hold.
-    let resident = matches!(
-        engine.backend(),
-        dlb_core::engine::Backend::Message { resident: true, .. }
-    ) && engine.faults().is_none();
-    if resident {
-        engine.resident_begin(loads);
-    }
-    let mut prev_loads: Vec<P::Load> = Vec::new();
-    let mut deltas: Vec<(u32, P::Load)> = Vec::new();
     let start = engine.summary(loads);
     let ctx = WorkloadCtx {
         initial_total: start.total,
@@ -199,39 +184,13 @@ where
         let delta = match workload.as_deref_mut() {
             Some(w) => {
                 let t0 = tel.start();
-                let delta = if resident {
-                    // Diff the in-place mutation into sparse per-node
-                    // deltas the session routes to their owner shards —
-                    // the workers' frames stay authoritative, the
-                    // coordinator never resends whole owned slices.
-                    prev_loads.clone_from(loads);
-                    let delta = w.apply(round, loads, &ctx);
-                    deltas.clear();
-                    for (i, (before, after)) in prev_loads.iter().zip(loads.iter()).enumerate() {
-                        if before != after {
-                            deltas.push((i as u32, *after));
-                        }
-                    }
-                    engine.resident_apply(&deltas);
-                    delta
-                } else {
-                    w.apply(round, loads, &ctx)
-                };
+                let delta = w.apply(round, loads, &ctx);
                 tel.record(ENGINE_LANE, round, SpanPhase::WorkloadApply, t0);
                 delta
             }
             None => Default::default(),
         };
-        let stats = if resident {
-            let stats = engine.round_resident();
-            // The record needs the post-round loads (imbalance, totals, Φ
-            // on stats-off rounds): sync the mirror — one collect on
-            // rounds whose stats level didn't already refresh it.
-            loads.copy_from_slice(engine.resident_loads());
-            stats
-        } else {
-            engine.round(loads)
-        };
+        let stats = engine.round(loads);
         if let Some(c) = engine.comm_metrics() {
             let totals = comm.get_or_insert_with(CommTotals::default);
             totals.messages += c.messages as u64;
@@ -294,12 +253,6 @@ where
         }
     }
 
-    if resident {
-        // End the session: the final sync is a no-op (the record loop
-        // left the mirror fresh) and the engine returns to snapshot-mode
-        // rounds for any caller reusing it.
-        engine.resident_end();
-    }
     let final_total = records.last().map_or(initial_total, |r| r.total);
     // An engine armed with a fault plan (even an empty one) reports its
     // executor-fault counters; unarmed engines omit the section.
@@ -323,7 +276,10 @@ where
         protocol: engine.protocol().name().to_string(),
         n: engine.protocol().n(),
         backend: engine.backend().name().to_string(),
-        resident,
+        resident: matches!(
+            engine.backend(),
+            dlb_core::engine::Backend::Message { resident: true, .. }
+        ),
         threads: engine.threads(),
         stats: stats_mode_name(engine.stats_mode()),
         rounds: records.len(),
@@ -492,11 +448,6 @@ impl ScenarioRunner {
         // The scenario's own exec was just validated; an override comes in
         // unchecked and must not panic inside the engine constructor.
         validate_exec(&exec)?;
-        if sc.faults.is_some() && matches!(exec, ExecSpec::Message { resident: true, .. }) {
-            return Err(
-                "faults need the snapshot-based message backend (drop resident = true)".into(),
-            );
-        }
         let g = sc.topology.build();
         let n = g.n();
         let stats = self.stats.unwrap_or(sc.stats);

@@ -1186,11 +1186,6 @@ impl Scenario {
                         .into(),
                 );
             }
-            if matches!(self.exec, ExecSpec::Message { resident: true, .. }) {
-                return Err(
-                    "faults need the snapshot-based message backend (drop resident = true)".into(),
-                );
-            }
             if faults.has_exec_kinds() && !matches!(self.exec, ExecSpec::Message { .. }) {
                 return Err(
                     "faults panic/drop/duplicate/reorder/delay need backend = \"message\"".into(),
@@ -1235,11 +1230,10 @@ impl Scenario {
     ///   only as batched messages); trajectory bit-identical to
     ///   `bursty-torus`, with per-round communication totals in its
     ///   report;
-    /// * `bursty-torus-resident` — `bursty-torus-message` with
-    ///   shard-resident rounds: workers keep their owned loads across
-    ///   rounds, the coordinator routes workload deltas by owner and
-    ///   collects owned values only on stats/read rounds; trajectory
-    ///   still bit-identical to `bursty-torus`;
+    /// * `bursty-torus-resident` — `bursty-torus-message` with resident
+    ///   dispatch: after the seeding round each worker is sent only the
+    ///   owned values the workload changed since its last results;
+    ///   trajectory still bit-identical to `bursty-torus`;
     /// * `bursty-torus-process` — the same regime on the process backend
     ///   (8 BFS-grown shard worker *processes* over Unix-domain sockets
     ///   speaking `dlb-wire/3`); trajectory bit-identical to

@@ -25,10 +25,10 @@
 //!   `--transport` — they are rejected like misplaced scenario-file keys);
 //! * `--transport <unix|tcp>` — process-backend byte transport (implies
 //!   `--backend process`; default `unix`);
-//! * `--resident` — message-backend shard-resident rounds: workers keep
-//!   their owned loads across rounds and the coordinator collects them
-//!   only on stats/read rounds (implies `--backend message`; rejected
-//!   with `--faults`, which needs the snapshot-based supervised path);
+//! * `--resident` — message-backend resident dispatch: after the
+//!   seeding round each worker is sent only the owned values that
+//!   changed since its last results (implies `--backend message`;
+//!   combines with `--faults` like the legacy message backend);
 //! * `--faults <spec>` — inject deterministic faults, overriding any
 //!   `[faults]` section: a comma list like
 //!   `"every=40,down=5,seed=7,panic,drop,delay=3"` (bare words enable

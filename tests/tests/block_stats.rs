@@ -128,21 +128,10 @@ fn drive<P, S: Eq + std::fmt::Debug>(
 where
     P: Protocol,
 {
-    let resident = matches!(engine.backend(), Backend::Message { resident: true, .. });
-    if resident {
-        engine.resident_begin(&loads);
-    }
     let mut trace = Vec::new();
     for _ in 0..ROUNDS {
-        let stats = if resident {
-            engine.round_resident()
-        } else {
-            engine.round(&mut loads)
-        };
+        let stats = engine.round(&mut loads);
         trace.push(stats.as_ref().map(&bits));
-    }
-    if resident {
-        loads = engine.resident_end();
     }
     (loads, trace)
 }
@@ -475,9 +464,6 @@ fn runner_records_are_bit_identical_across_backends_and_modes() {
 fn round_summary_matches_an_on_demand_summary() {
     let g = grid_with_star();
     for (name, backend) in backends() {
-        if matches!(backend, Backend::Message { resident: true, .. }) {
-            continue; // resident rounds are covered by the runner test
-        }
         let mut engine = Engine::with_backend(ContinuousDiffusion::new(&g), backend);
         let mut loads = continuous_loads(g.n());
         assert!(

@@ -76,25 +76,10 @@ fn run_collecting<P: Protocol>(
     (loads, stats)
 }
 
-/// Same collection through the message backend's resident-session API:
-/// workers keep their owned loads across rounds and the coordinator only
-/// collects them when the stats mode (or the final `resident_end`) needs
-/// them.
-fn run_collecting_resident<P: Protocol>(
-    mut engine: Engine<P>,
-    init: &[P::Load],
-    rounds: usize,
-) -> (Vec<P::Load>, Vec<Option<P::Stats>>) {
-    engine.resident_begin(init);
-    let stats = (0..rounds).map(|_| engine.round_resident()).collect();
-    let loads = engine.resident_end();
-    (loads, stats)
-}
-
 /// Runs `rounds` rounds on every backend — serial, pool, and the message
 /// backend (shard-isolated workers over channels, range and BFS
 /// partitions with one shard count near the thread count and one
-/// exceeding `n`, legacy and resident rounds) — from
+/// exceeding `n`, legacy and resident dispatch) — from
 /// the same state and asserts bitwise equality of the final vectors *and*
 /// of every round's statistics. The reference is the serial engine with
 /// the **scalar** kernel; the backend sweep then runs at the default
@@ -122,10 +107,12 @@ where
             ]
         });
     let mut backends = vec![Backend::Pool { threads }];
-    backends.extend(partitions.clone().map(|partition| Backend::Message {
-        partition,
-        resident: false,
-    }));
+    for resident in [false, true] {
+        backends.extend(partitions.clone().map(|partition| Backend::Message {
+            partition,
+            resident,
+        }));
+    }
     for backend in backends {
         let (loads, stats) = run_collecting(Engine::with_backend(make(), backend), init, rounds);
         assert_eq!(
@@ -135,26 +122,6 @@ where
         assert_eq!(
             serial_stats, stats,
             "{name}: serial and {backend:?} statistics diverged at {threads} threads"
-        );
-    }
-
-    // The resident-session axis: shard-resident rounds (workers keep
-    // their owned loads, the coordinator collects only when the stats
-    // mode needs them) must reproduce the identical loads and stats.
-    for partition in partitions {
-        let backend = Backend::Message {
-            partition,
-            resident: true,
-        };
-        let (loads, stats) =
-            run_collecting_resident(Engine::with_backend(make(), backend), init, rounds);
-        assert_eq!(
-            serial, loads,
-            "{name}: serial and resident {backend:?} loads diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial_stats, stats,
-            "{name}: serial and resident {backend:?} statistics diverged at {threads} threads"
         );
     }
 

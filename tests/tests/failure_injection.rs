@@ -5,10 +5,11 @@
 //!
 //! The second half covers the executor fault layer: random seeded
 //! [`FaultPlan`]s (worker panics, dropped/duplicated/reordered halo
-//! batches, slow workers) on the message backend must be
-//! recovered **exactly** — conservation holds on every intermediate
-//! round, Φ never increases across degraded rounds, and once the faults
-//! drain the load vector is bit-identical to a fault-free run — plus
+//! batches, slow workers) on the message backend, under legacy and
+//! resident dispatch, must be recovered **exactly** — conservation holds
+//! on every intermediate round, Φ never increases across degraded
+//! rounds, and once the faults drain the load vector is bit-identical to
+//! a fault-free run — plus
 //! shard-level fail/recover churn ([`ShardChurnSequence`]), where a
 //! failed shard freezes in place and rejoins without losing a bit.
 
@@ -218,14 +219,16 @@ proptest! {
         let n = g.n();
         let loads: Vec<f64> = (0..n).map(|i| ((i as u64 * 37 + seed) % 101) as f64).collect();
         let plan = plan_from(&events);
-        let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident: false };
-        let mut reference = Engine::with_backend(ContinuousDiffusion::new(&g), Backend::Serial);
-        let mut faulted = Engine::with_backend(ContinuousDiffusion::new(&g), backend)
-            .with_faults(plan);
-        assert_faults_invisible!(
-            reference, faulted, loads, FAULT_ROUNDS,
-            total_continuous, potential::phi, 1e-6
-        );
+        for resident in [false, true] {
+            let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident };
+            let mut reference = Engine::with_backend(ContinuousDiffusion::new(&g), Backend::Serial);
+            let mut faulted = Engine::with_backend(ContinuousDiffusion::new(&g), backend)
+                .with_faults(plan.clone());
+            assert_faults_invisible!(
+                reference, faulted, loads, FAULT_ROUNDS,
+                total_continuous, potential::phi, 1e-6
+            );
+        }
     }
 
     #[test]
@@ -236,14 +239,16 @@ proptest! {
         let n = g.n();
         let loads: Vec<i64> = (0..n).map(|i| ((i as u64 * 53 + seed) % 997) as i64).collect();
         let plan = plan_from(&events);
-        let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident: false };
-        let mut reference = Engine::with_backend(DiscreteDiffusion::new(&g), Backend::Serial);
-        let mut faulted = Engine::with_backend(DiscreteDiffusion::new(&g), backend)
-            .with_faults(plan);
-        assert_faults_invisible!(
-            reference, faulted, loads, FAULT_ROUNDS,
-            total_tokens, phi_tokens, 0.0
-        );
+        for resident in [false, true] {
+            let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident };
+            let mut reference = Engine::with_backend(DiscreteDiffusion::new(&g), Backend::Serial);
+            let mut faulted = Engine::with_backend(DiscreteDiffusion::new(&g), backend)
+                .with_faults(plan.clone());
+            assert_faults_invisible!(
+                reference, faulted, loads, FAULT_ROUNDS,
+                total_tokens, phi_tokens, 0.0
+            );
+        }
     }
 }
 

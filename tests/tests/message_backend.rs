@@ -274,19 +274,25 @@ fn stats_modes_remain_observers_on_the_message_backend() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-resident sessions: workers keep their owned loads across rounds,
-// the coordinator ships workload deltas in and collects owned values out
-// only when the stats mode (or a caller read) needs them. The trajectory
-// must stay bit-identical to serial in every mode, and the new
-// coordinator-transfer counters must prove steady-state rounds move only
-// halo-sized traffic.
+// Resident dispatch: after the seeding round each worker is sent only the
+// owned values that changed since the results it returned last round. The
+// trajectory must stay bit-identical to serial in every mode, and the
+// transfer counters must show the owned-in direction collapsed to the
+// seeding round plus sparse deltas.
 // ---------------------------------------------------------------------------
+
+fn resident(partition: PartitionSpec) -> Backend {
+    Backend::Message {
+        partition,
+        resident: true,
+    }
+}
 
 #[test]
 fn resident_stats_modes_and_dynamic_graphs_stay_identical() {
-    // Dynamic graphs force plan re-seeds mid-session (the collect-under-
-    // the-old-plan path); every stats mode must still reproduce the
-    // serial per-round stats and final loads bit for bit.
+    // Dynamic graphs force plan rebroadcasts, and with them full
+    // reseeds, between delta rounds; every stats mode must still
+    // reproduce the serial per-round stats and final loads bit for bit.
     let ground = topology::hypercube(5); // n = 32
     let init: Vec<f64> = (0..32).map(|i| ((i * 13 + 5) % 37) as f64).collect();
     for mode in [
@@ -304,63 +310,59 @@ fn resident_stats_modes_and_dynamic_graphs_stay_identical() {
             .collect();
 
         let mut seq = IidSubgraphSequence::new(ground.clone(), 0.6, 42);
-        let mut engine = Engine::message_resident(
+        let mut engine = Engine::with_backend(
             DynamicContinuousDiffusion::new(&mut seq),
-            PartitionSpec::Bfs { shards: 4 },
+            resident(PartitionSpec::Bfs { shards: 4 }),
         )
         .with_stats_mode(mode);
-        engine.resident_begin(&init);
-        let stats: Vec<_> = (0..12).map(|_| engine.round_resident()).collect();
-        let loads = engine.resident_end();
+        let mut loads = init.clone();
+        let stats: Vec<_> = (0..12).map(|_| engine.round(&mut loads)).collect();
         assert_eq!(serial_stats, stats, "{mode:?}: per-round stats diverged");
         assert_eq!(serial_loads, loads, "{mode:?}: final loads diverged");
     }
 }
 
 #[test]
-fn everyk_resident_rounds_collect_only_on_stats_rounds() {
-    // The collect gate, counted where it runs: `EveryK(3)` must ship
-    // owned values out on rounds 3, 6, 9 only — every other round moves
-    // halo traffic alone, and the seed round alone ships owned values in.
+fn resident_rounds_ship_only_changed_owned_values() {
+    // Round 1 seeds every shard; later rounds send exactly the owned
+    // values the caller changed between rounds, and results come back
+    // every round as one collect.
     let g = topology::torus2d(6, 6); // n = 36
-    let mut seq = StaticSequence::new(g);
-    let mut engine = Engine::message_resident(
+    let mut seq = StaticSequence::new(g.clone());
+    let mut engine = Engine::with_backend(
         DynamicContinuousDiffusion::new(&mut seq),
-        PartitionSpec::Bfs { shards: 4 },
+        resident(PartitionSpec::Bfs { shards: 4 }),
     )
     .with_stats_mode(StatsMode::EveryK(3));
+    let mut serial_seq = StaticSequence::new(g);
+    let mut serial = Engine::serial(DynamicContinuousDiffusion::new(&mut serial_seq))
+        .with_stats_mode(StatsMode::EveryK(3));
     let init: Vec<f64> = (0..36).map(|i| ((i * 7 + 1) % 23) as f64).collect();
-    engine.resident_begin(&init);
-    for round in 1..=9u64 {
-        let stats = engine.round_resident();
+    let (mut loads, mut reference) = (init.clone(), init);
+    for round in 1..=9usize {
+        // A workload touching `round % 4` nodes between rounds.
+        for v in 0..round % 4 {
+            loads[v * 9] += 1.5;
+            reference[v * 9] += 1.5;
+        }
+        let stats = engine.round(&mut loads);
+        assert_eq!(stats, serial.round(&mut reference), "round {round}");
         let comm = engine.comm_metrics().expect("comm recorded per round");
-        if round == 1 {
-            assert_eq!(comm.owned_values_in, 36, "seed round ships owned slices");
-        } else {
-            assert_eq!(comm.owned_values_in, 0, "round {round}: owned values sent");
-        }
-        assert_eq!(comm.delta_values, 0, "no workload deltas were queued");
-        if round.is_multiple_of(3) {
-            assert!(stats.is_some(), "round {round} computes stats");
-            assert_eq!(comm.collects, 1, "round {round}: stats round collects");
-            // Round-start snapshot plus results: 2n values back.
-            assert_eq!(comm.owned_values_out, 72, "round {round}");
-        } else {
-            assert!(stats.is_none(), "round {round} skips stats");
-            assert_eq!(comm.collects, 0, "round {round}: unexpected collect");
-            assert_eq!(comm.owned_values_out, 0, "round {round}");
-        }
+        let (owned_in, deltas) = if round == 1 { (36, 0) } else { (0, round % 4) };
+        assert_eq!(comm.owned_values_in, owned_in, "round {round}");
+        assert_eq!(comm.delta_values, deltas, "round {round}");
+        assert_eq!(comm.owned_values_out, 36, "round {round}");
+        assert_eq!(comm.collects, 1, "round {round}");
         let halo = engine.shard_metrics().expect("plan resolved").halo;
         assert_eq!(comm.values_sent, halo, "halo traffic is mode-independent");
     }
-    let final_loads = engine.resident_end();
-    assert_eq!(final_loads.len(), 36);
+    assert_eq!(loads, reference);
 }
 
 #[test]
 fn resident_builtin_matches_serial_twin_with_transfer_accounting() {
     // `bursty-torus-resident` is the driven-workload regime on resident
-    // workers: the trajectory must match `bursty-torus` (serial) and
+    // dispatch: the trajectory must match `bursty-torus` (serial) and
     // `bursty-torus-message` (legacy) bit for bit, while the transfer
     // counters show the owned-in direction collapsed to the seed round
     // plus sparse deltas.
@@ -390,34 +392,46 @@ fn resident_builtin_matches_serial_twin_with_transfer_accounting() {
     // transfer, not the shard-to-shard exchange.
     assert_eq!(comm.values_sent, legacy_comm.values_sent);
     assert_eq!(comm.messages, legacy_comm.messages);
-    // Legacy rounds re-ship every owned slice; the resident session
-    // ships them exactly once (256-node torus, one static plan) and
-    // routes sparse deltas afterwards.
+    // Legacy rounds re-ship every owned slice; resident dispatch ships
+    // them exactly once (256-node torus, one static plan) and sends
+    // sparse deltas afterwards. Results come back every round.
     assert_eq!(legacy_comm.owned_values_in, 256 * legacy.rounds as u64);
     assert_eq!(comm.owned_values_in, 256);
-    assert!(comm.delta_values > 0, "driven workload routes deltas");
-    assert!(comm.collects > 0, "stats/read rounds collect");
+    assert!(comm.delta_values > 0, "driven workload sends deltas");
+    assert_eq!(comm.owned_values_out, legacy_comm.owned_values_out);
+    assert_eq!(comm.collects, res.rounds as u64);
     assert_eq!(legacy_comm.delta_values, 0);
     assert_eq!(legacy_comm.collects, 0);
 }
 
 #[test]
-fn resident_sessions_reject_fault_arming() {
-    // Recovery re-seeds workers from the coordinator's round-start
-    // snapshot — which a resident session by design does not hold — so
-    // both validation layers must refuse the combination.
+fn resident_rounds_validate_and_run_under_faults() {
+    // Recovery re-homes shards from the coordinator's round-start
+    // snapshot, which resident rounds hold like legacy ones: a fault
+    // plan validates, runs and recovers onto the legacy trajectory.
     let resident_exec = ExecSpec::Message {
         partition: PartitionSpec::Bfs { shards: 8 },
         resident: true,
     };
     let faulty = Scenario::builtin("churn-shards-message").unwrap();
-    let err = ScenarioRunner::new(faulty.clone())
+    faulty.clone().with_exec(resident_exec).validate().unwrap();
+    let legacy = ScenarioRunner::new(faulty.clone()).run().unwrap();
+    let res = ScenarioRunner::new(faulty)
         .with_exec(resident_exec)
         .run()
-        .unwrap_err();
-    assert!(err.contains("snapshot-based"), "{err}");
-    let err = faulty.with_exec(resident_exec).validate().unwrap_err();
-    assert!(err.contains("resident"), "{err}");
+        .unwrap();
+    assert!(res.resident);
+    assert_eq!(res.rounds, legacy.rounds);
+    let bits = |r: &dlb_workloads::ScenarioReport| -> Vec<u64> {
+        r.phi_trace.iter().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(bits(&legacy), bits(&res), "Φ trace diverged under faults");
+    assert_eq!(legacy.final_total.to_bits(), res.final_total.to_bits());
+    let faults = res.faults.expect("fault totals reported");
+    assert!(
+        faults.faults_injected > 0 && faults.recoveries > 0,
+        "{faults:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
