@@ -64,6 +64,13 @@
 //!   workload-application overhead itself (`no-workload` vs
 //!   `bursty-drain` variants).
 //!
+//! - **graph_build** — topology construction, the setup cost every run
+//!   pays before round 1: the direct-CSR `torus2d` and `hypercube`
+//!   generators (rows emitted in order, no sort) against
+//!   `Graph::from_edges` on the same torus's edge list in generator
+//!   order, the `GraphBuilder` path (sort, dedup, degree count, fill)
+//!   the torus took before.
+//!
 //! Every result is also appended to `BENCH_engine.json` at the repo root
 //! (median/min ns per round, tagged with topology, `n`, threads, variant)
 //! so the perf trajectory is tracked across PRs. Set `DLB_BENCH_QUICK=1`
@@ -483,6 +490,43 @@ fn kernel_gather(c: &mut Criterion, quick: bool, meta: &mut HashMap<String, Meta
     group.finish();
 }
 
+/// Topology construction: one graph build per iteration. `from_edges`
+/// gets the torus edges in the order the generator visits them (right
+/// and down neighbour per node), so it pays the same sort the builder
+/// path paid.
+fn graph_build(c: &mut Criterion, quick: bool, side: usize, meta: &mut HashMap<String, Meta>) {
+    let dim = if quick { 12 } else { 18 };
+    let idx = |r: usize, c: usize| (r * side + c) as u32;
+    let torus_edges: Vec<(u32, u32)> = (0..side)
+        .flat_map(|r| {
+            (0..side).flat_map(move |c| {
+                [
+                    (idx(r, c), idx(r, (c + 1) % side)),
+                    (idx(r, c), idx((r + 1) % side, c)),
+                ]
+            })
+        })
+        .collect();
+    let n = side * side;
+    let torus = || topology::torus2d(side, side);
+    let cube = || topology::hypercube(dim);
+    let from_edges = || Graph::from_edges(n, torus_edges.iter().copied()).unwrap();
+    let builds: [(&str, &'static str, usize, &dyn Fn() -> Graph); 3] = [
+        ("torus2d/direct", "torus2d", n, &torus),
+        ("hypercube/direct", "hypercube", 1 << dim, &cube),
+        ("torus2d/from_edges", "torus2d", n, &from_edges),
+    ];
+    let mut group = c.benchmark_group("graph_build");
+    for (variant, topo, n, build) in builds {
+        let mut m = Meta::new("graph_build", variant.to_string(), 1, 1);
+        m.topology = Some(topo);
+        m.n = Some(n);
+        meta.insert(format!("graph_build/{variant}"), m);
+        group.bench_function(variant, |b| b.iter(|| black_box(build())));
+    }
+    group.finish();
+}
+
 /// The thread-scaling protocol: every backend at every worker count from
 /// 1 to the machine's available threads, stats off, on the shared torus
 /// instance. `main` joins the records with `speedup_vs_serial` —
@@ -643,6 +687,7 @@ fn main() {
 
     let mut meta: HashMap<String, Meta> = HashMap::new();
     kernel_gather(&mut c, quick, &mut meta);
+    graph_build(&mut c, quick, side, &mut meta);
     engine_rounds(&mut c, &inst, &mut meta);
     message_rounds(&mut c, &inst, &mut meta);
     process_rounds(&mut c, &inst, &mut meta);

@@ -59,6 +59,8 @@ pub struct Graph {
     edges: Vec<(u32, u32)>,
     /// Cached maximum degree `δ`.
     max_degree: u32,
+    /// Cached minimum degree.
+    min_degree: u32,
 }
 
 impl fmt::Debug for Graph {
@@ -87,6 +89,106 @@ impl Graph {
         Ok(b.build())
     }
 
+    /// Finishes a graph on `n` nodes from its neighbour rows, emitted in
+    /// node order: `row(v, buf)` appends `v`'s neighbours to `buf`.
+    /// `slots` (the expected `2m`) sizes the buffers up front.
+    ///
+    /// This is the structured generators' path: a row that arrives
+    /// unsorted is sorted in place (a torus emits only its wrap rows out
+    /// of order), and the canonical edge list is each row's upper part,
+    /// `(v, u)` for `u > v`, which in node order is already sorted — so
+    /// there is no global sort and no degree or cursor array. Validation
+    /// is `O(m)`: out-of-range and self-loop neighbours are the usual
+    /// [`GraphError`]s; a repeated neighbour panics, and so (with debug
+    /// assertions on) does a row without its mirror entry.
+    pub(crate) fn from_rows<F>(n: usize, slots: usize, mut row: F) -> Result<Graph, GraphError>
+    where
+        F: FnMut(u32, &mut Vec<u32>),
+    {
+        if n == 0 {
+            return Err(GraphError::Empty);
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(slots);
+        let mut edges = Vec::with_capacity(slots / 2);
+        let (mut min_degree, mut max_degree) = (usize::MAX, 0);
+        offsets.push(0);
+        for v in 0..n as u32 {
+            let start = neighbors.len();
+            row(v, &mut neighbors);
+            let r = &mut neighbors[start..];
+            if !r.is_sorted_by(|a, b| a < b) {
+                r.sort_unstable();
+                assert!(r.is_sorted_by(|a, b| a < b), "row {v} repeats a neighbour");
+            }
+            if let Some(&last) = r.last() {
+                if last as usize >= n {
+                    return Err(GraphError::NodeOutOfRange { node: last, n });
+                }
+            }
+            let upper = r.partition_point(|&u| u < v);
+            if r.get(upper) == Some(&v) {
+                return Err(GraphError::SelfLoop { node: v });
+            }
+            edges.extend(r[upper..].iter().map(|&u| (v, u)));
+            min_degree = min_degree.min(r.len());
+            max_degree = max_degree.max(r.len());
+            offsets.push(neighbors.len());
+        }
+        let g = Graph {
+            offsets,
+            neighbors,
+            edges,
+            max_degree: max_degree as u32,
+            min_degree: min_degree as u32,
+        };
+        debug_assert!(
+            g.nodes()
+                .all(|v| g.neighbors(v).iter().all(|&u| g.has_edge(u, v))),
+            "neighbour rows are not symmetric"
+        );
+        Ok(g)
+    }
+
+    /// CSR fill from a canonical edge list: `u < v`, sorted, no
+    /// duplicates, every endpoint `< n`. Filling row by row in edge order
+    /// leaves every row ascending — a row's lower neighbours arrive with
+    /// their own (earlier) edges, its upper ones in the order of its own
+    /// edges.
+    fn from_canonical_edges(n: usize, edges: Vec<(u32, u32)>) -> Graph {
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        let (mut min_degree, mut max_degree) = (usize::MAX, 0);
+        for v in 0..n {
+            let d = offsets[v + 1];
+            min_degree = min_degree.min(d);
+            max_degree = max_degree.max(d);
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; offsets[n]];
+        for &(u, v) in &edges {
+            neighbors[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            neighbors[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+        debug_assert!(
+            (0..n).all(|v| neighbors[offsets[v]..offsets[v + 1]].is_sorted_by(|a, b| a < b)),
+            "canonical fill left a row unsorted"
+        );
+        Graph {
+            offsets,
+            neighbors,
+            edges,
+            max_degree: max_degree as u32,
+            min_degree: min_degree as u32,
+        }
+    }
+
     /// Number of nodes `n`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -113,11 +215,9 @@ impl Graph {
     }
 
     /// Minimum degree over all nodes.
+    #[inline]
     pub fn min_degree(&self) -> u32 {
-        (0..self.n() as u32)
-            .map(|v| self.degree(v))
-            .min()
-            .unwrap_or(0)
+        self.min_degree
     }
 
     /// Sorted slice of neighbours of `v`.
@@ -182,6 +282,7 @@ impl Graph {
     where
         F: FnMut(usize, (u32, u32)) -> bool,
     {
+        // A filtered canonical list is still sorted and simple.
         let kept: Vec<(u32, u32)> = self
             .edges
             .iter()
@@ -189,8 +290,7 @@ impl Graph {
             .filter(|(k, &e)| keep(*k, e))
             .map(|(_, &e)| e)
             .collect();
-        // Edges come from an existing valid graph, so rebuilding cannot fail.
-        Graph::from_edges(self.n(), kept).expect("subgraph of a valid graph is valid")
+        Graph::from_canonical_edges(self.n(), kept)
     }
 
     /// Average degree `2m / n`.
@@ -323,40 +423,7 @@ impl GraphBuilder {
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = self.n;
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; acc];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Neighbour lists are filled in increasing order of the *other*
-        // endpoint only for the `u < v` direction; sort each list so
-        // `has_edge` can binary-search.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        let max_degree = degrees.iter().copied().max().unwrap_or(0) as u32;
-        Graph {
-            offsets,
-            neighbors,
-            edges: self.edges,
-            max_degree,
-        }
+        Graph::from_canonical_edges(self.n, self.edges)
     }
 }
 
@@ -485,6 +552,62 @@ mod tests {
         let h = g.edge_subgraph(|_, _| false);
         assert_eq!(h.m(), 0);
         assert_eq!(h.max_degree(), 0);
+    }
+
+    /// `from_rows` over fixed per-node rows.
+    fn rows_graph(rows: &[&[u32]]) -> Result<Graph, GraphError> {
+        let slots = rows.iter().map(|r| r.len()).sum();
+        Graph::from_rows(rows.len(), slots, |v, buf| {
+            buf.extend_from_slice(rows[v as usize])
+        })
+    }
+
+    #[test]
+    fn from_rows_sorts_rows_and_matches_builder() {
+        // Node 0's row arrives out of order, as a torus wrap row does.
+        let g = rows_graph(&[&[3, 1], &[0, 2], &[1, 3], &[0, 2]]).unwrap();
+        let reference = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        assert_eq!(g, reference);
+        assert_eq!(g.neighbors(0), &[1, 3]);
+        assert_eq!(g.edges(), &[(0, 1), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!((g.min_degree(), g.max_degree()), (2, 2));
+    }
+
+    #[test]
+    fn from_rows_rejects_empty_graph() {
+        assert_eq!(rows_graph(&[]).unwrap_err(), GraphError::Empty);
+    }
+
+    #[test]
+    fn from_rows_rejects_out_of_range() {
+        let err = rows_graph(&[&[1], &[0, 2]]).unwrap_err();
+        assert_eq!(err, GraphError::NodeOutOfRange { node: 2, n: 2 });
+    }
+
+    #[test]
+    fn from_rows_rejects_self_loop() {
+        let err = rows_graph(&[&[1], &[0, 1], &[]]).unwrap_err();
+        assert_eq!(err, GraphError::SelfLoop { node: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 repeats a neighbour")]
+    fn from_rows_rejects_duplicate_neighbour() {
+        let _ = rows_graph(&[&[1, 1], &[0]]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "neighbour rows are not symmetric")]
+    fn from_rows_rejects_asymmetric_rows_in_debug() {
+        let _ = rows_graph(&[&[1, 2], &[0], &[]]);
+    }
+
+    #[test]
+    fn builder_caches_min_degree() {
+        let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]).unwrap();
+        assert_eq!((g.min_degree(), g.max_degree()), (1, 3));
+        assert_eq!(g.edge_subgraph(|_, e| e != (0, 3)).min_degree(), 0);
     }
 
     #[test]

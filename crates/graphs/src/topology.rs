@@ -5,6 +5,20 @@
 //! the second-smallest Laplacian eigenvalue `λ₂`. The closed forms are
 //! implemented — and cross-checked against the numerical eigensolvers — in
 //! `dlb-spectral::closed_form`.
+//!
+//! Construction takes one of two paths:
+//!
+//! - **Direct CSR** — [`path`], [`cycle`], [`grid2d`], [`torus2d`],
+//!   [`torus3d`] and [`hypercube`] know every node's neighbours in closed
+//!   form, so they emit each neighbour row in node order and the graph's
+//!   crate-private row finisher derives the offsets and the canonical edge
+//!   list in one pass, with no global sort (only a torus's wrap rows,
+//!   which arrive out of order, are sorted — a handful of entries each).
+//! - **[`GraphBuilder`]** — every other family (the random generators,
+//!   the cliques, trees, wheels and other small fixtures) pushes an edge
+//!   list, which the builder sorts and deduplicates. This is also the
+//!   tests' reference: each direct generator must build a graph `==` to
+//!   the builder's on the same edges.
 
 use crate::graph::{Graph, GraphBuilder};
 use rand::seq::SliceRandom;
@@ -16,11 +30,16 @@ use rand::Rng;
 /// the paper's introductory example of a non-balanceable discrete instance
 /// (load `ℓ_i = i` is stable under the discrete protocol).
 pub fn path(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1)).expect("n >= 1");
-    for i in 1..n as u32 {
-        b.add_edge(i - 1, i).expect("valid path edge");
-    }
-    b.build()
+    let last = n.saturating_sub(1) as u32;
+    Graph::from_rows(n, 2 * last as usize, |v, row| {
+        if v > 0 {
+            row.push(v - 1);
+        }
+        if v < last {
+            row.push(v + 1);
+        }
+    })
+    .expect("n >= 1")
 }
 
 /// Cycle (ring) `C_n`: the path plus the wrap-around edge.
@@ -28,11 +47,12 @@ pub fn path(n: usize) -> Graph {
 /// `δ = 2`, `λ₂ = 2 − 2·cos(2π/n)`.
 pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "cycle needs n >= 3 (n = {n})");
-    let mut b = GraphBuilder::with_capacity(n, n).expect("n >= 3");
-    for i in 0..n as u32 {
-        b.add_edge(i, (i + 1) % n as u32).expect("valid cycle edge");
-    }
-    b.build()
+    let last = n as u32 - 1;
+    Graph::from_rows(n, 2 * n, |v, row| {
+        row.push(if v == 0 { last } else { v - 1 });
+        row.push(if v == last { 0 } else { v + 1 });
+    })
+    .expect("valid cycle rows")
 }
 
 /// Complete graph `K_n`. `δ = n − 1`, `λ₂ = n`.
@@ -87,21 +107,24 @@ pub fn binary_tree(n: usize) -> Graph {
 pub fn grid2d(rows: usize, cols: usize) -> Graph {
     assert!(rows >= 1 && cols >= 1);
     let n = rows * cols;
-    let idx = |r: usize, c: usize| (r * cols + c) as u32;
-    let mut b = GraphBuilder::with_capacity(n, 2 * n).expect("n >= 1");
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r, c + 1))
-                    .expect("valid grid edge");
-            }
-            if r + 1 < rows {
-                b.add_edge(idx(r, c), idx(r + 1, c))
-                    .expect("valid grid edge");
-            }
+    let slots = 2 * (rows * (cols - 1) + cols * (rows - 1));
+    let (rows, cols) = (rows as u32, cols as u32);
+    Graph::from_rows(n, slots, |v, row| {
+        let (r, c) = (v / cols, v % cols);
+        if r > 0 {
+            row.push(v - cols);
         }
-    }
-    b.build()
+        if c > 0 {
+            row.push(v - 1);
+        }
+        if c + 1 < cols {
+            row.push(v + 1);
+        }
+        if r + 1 < rows {
+            row.push(v + cols);
+        }
+    })
+    .expect("valid grid rows")
 }
 
 /// Two-dimensional torus `rows × cols` (grid with wrap-around).
@@ -113,17 +136,17 @@ pub fn grid2d(rows: usize, cols: usize) -> Graph {
 pub fn torus2d(rows: usize, cols: usize) -> Graph {
     assert!(rows >= 3 && cols >= 3, "torus needs both dimensions >= 3");
     let n = rows * cols;
-    let idx = |r: usize, c: usize| (r * cols + c) as u32;
-    let mut b = GraphBuilder::with_capacity(n, 2 * n).expect("n >= 9");
-    for r in 0..rows {
-        for c in 0..cols {
-            b.add_edge(idx(r, c), idx(r, (c + 1) % cols))
-                .expect("valid torus edge");
-            b.add_edge(idx(r, c), idx((r + 1) % rows, c))
-                .expect("valid torus edge");
-        }
-    }
-    b.build()
+    let (rows, cols) = (rows as u32, cols as u32);
+    // Up, left, right, down: ascending except on the wrap rows.
+    Graph::from_rows(n, 4 * n, |v, row| {
+        let (r, c) = (v / cols, v % cols);
+        let at = |r: u32, c: u32| r * cols + c;
+        row.push(at(if r == 0 { rows - 1 } else { r - 1 }, c));
+        row.push(at(r, if c == 0 { cols - 1 } else { c - 1 }));
+        row.push(at(r, if c + 1 == cols { 0 } else { c + 1 }));
+        row.push(at(if r + 1 == rows { 0 } else { r + 1 }, c));
+    })
+    .expect("valid torus rows")
 }
 
 /// `dim`-dimensional hypercube `Q_dim` on `n = 2^dim` nodes.
@@ -136,16 +159,23 @@ pub fn hypercube(dim: u32) -> Graph {
         "hypercube dimension out of range: {dim}"
     );
     let n = 1usize << dim;
-    let mut b = GraphBuilder::with_capacity(n, n * dim as usize / 2).expect("n >= 2");
-    for v in 0..n as u32 {
-        for bit in 0..dim {
-            let u = v ^ (1 << bit);
-            if v < u {
-                b.add_edge(v, u).expect("valid hypercube edge");
-            }
+    let mask = (n - 1) as u32;
+    // Ascending rows: clear the set bits high→low, then set the clear
+    // bits low→high.
+    Graph::from_rows(n, n * dim as usize, |v, row| {
+        let mut set = v;
+        while set != 0 {
+            let bit = 1 << (31 - set.leading_zeros());
+            row.push(v ^ bit);
+            set ^= bit;
         }
-    }
-    b.build()
+        let mut clear = !v & mask;
+        while clear != 0 {
+            row.push(v | 1 << clear.trailing_zeros());
+            clear &= clear - 1;
+        }
+    })
+    .expect("valid hypercube rows")
 }
 
 /// Undirected de Bruijn graph on `n = 2^dim` nodes: `v` is adjacent to
@@ -286,21 +316,21 @@ pub fn torus3d(a: usize, b: usize, c: usize) -> Graph {
         "torus3d needs all dimensions >= 3"
     );
     let n = a * b * c;
-    let idx = |x: usize, y: usize, z: usize| ((x * b + y) * c + z) as u32;
-    let mut g = GraphBuilder::with_capacity(n, 3 * n).expect("n >= 27");
-    for x in 0..a {
-        for y in 0..b {
-            for z in 0..c {
-                g.add_edge(idx(x, y, z), idx((x + 1) % a, y, z))
-                    .expect("valid torus3d edge");
-                g.add_edge(idx(x, y, z), idx(x, (y + 1) % b, z))
-                    .expect("valid torus3d edge");
-                g.add_edge(idx(x, y, z), idx(x, y, (z + 1) % c))
-                    .expect("valid torus3d edge");
-            }
-        }
-    }
-    g.build()
+    let (a, b, c) = (a as u32, b as u32, c as u32);
+    let prev = |i: u32, len: u32| if i == 0 { len - 1 } else { i - 1 };
+    let next = |i: u32, len: u32| if i + 1 == len { 0 } else { i + 1 };
+    // -x, -y, -z, +z, +y, +x: ascending except on the wrap rows.
+    Graph::from_rows(n, 6 * n, |v, row| {
+        let (x, y, z) = (v / (b * c), v / c % b, v % c);
+        let at = |x: u32, y: u32, z: u32| (x * b + y) * c + z;
+        row.push(at(prev(x, a), y, z));
+        row.push(at(x, prev(y, b), z));
+        row.push(at(x, y, prev(z, c)));
+        row.push(at(x, y, next(z, c)));
+        row.push(at(x, next(y, b), z));
+        row.push(at(next(x, a), y, z));
+    })
+    .expect("valid torus3d rows")
 }
 
 /// Wheel `W_n`: a hub (node 0) connected to every node of an outer
@@ -703,6 +733,94 @@ mod tests {
         let g = lollipop(3, 1);
         assert_eq!(g.n(), 4);
         assert!(is_connected(&g));
+    }
+
+    /// The `GraphBuilder` reference for a direct generator: the same
+    /// edge set, pushed as an edge list.
+    fn reference(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+        Graph::from_edges(n, edges.into_iter().map(|(u, v)| (u as u32, v as u32))).unwrap()
+    }
+
+    fn path_ref(n: usize) -> Graph {
+        reference(n, (1..n).map(|i| (i - 1, i)))
+    }
+
+    fn cycle_ref(n: usize) -> Graph {
+        reference(n, (0..n).map(|i| (i, (i + 1) % n)))
+    }
+
+    fn grid_ref(rows: usize, cols: usize) -> Graph {
+        let idx = |r, c| r * cols + c;
+        let right = (0..rows).flat_map(|r| (1..cols).map(move |c| (idx(r, c - 1), idx(r, c))));
+        let down = (1..rows).flat_map(|r| (0..cols).map(move |c| (idx(r - 1, c), idx(r, c))));
+        reference(rows * cols, right.chain(down))
+    }
+
+    fn torus_ref(rows: usize, cols: usize) -> Graph {
+        let idx = |r, c| r * cols + c;
+        let edges = (0..rows).flat_map(|r| {
+            (0..cols).flat_map(move |c| {
+                [
+                    (idx(r, c), idx(r, (c + 1) % cols)),
+                    (idx(r, c), idx((r + 1) % rows, c)),
+                ]
+            })
+        });
+        reference(rows * cols, edges)
+    }
+
+    fn torus3d_ref(a: usize, b: usize, c: usize) -> Graph {
+        let idx = |x, y, z| (x * b + y) * c + z;
+        let mut edges = Vec::new();
+        for x in 0..a {
+            for y in 0..b {
+                for z in 0..c {
+                    edges.push((idx(x, y, z), idx((x + 1) % a, y, z)));
+                    edges.push((idx(x, y, z), idx(x, (y + 1) % b, z)));
+                    edges.push((idx(x, y, z), idx(x, y, (z + 1) % c)));
+                }
+            }
+        }
+        reference(a * b * c, edges)
+    }
+
+    fn hypercube_ref(dim: u32) -> Graph {
+        let n = 1usize << dim;
+        let edges = (0..n).flat_map(|v| (0..dim).map(move |bit| (v, v ^ (1 << bit))));
+        reference(n, edges.filter(|&(v, u)| v < u))
+    }
+
+    #[test]
+    fn direct_generators_equal_builder_reference() {
+        for n in [1, 2, 3, 10] {
+            assert_eq!(path(n), path_ref(n), "path({n})");
+        }
+        for n in [3, 4, 11] {
+            assert_eq!(cycle(n), cycle_ref(n), "cycle({n})");
+        }
+        for (r, c) in [(1, 1), (1, 5), (4, 1), (2, 2), (3, 4), (7, 5)] {
+            assert_eq!(grid2d(r, c), grid_ref(r, c), "grid2d({r}, {c})");
+        }
+        for (r, c) in [(3, 3), (3, 7), (17, 3), (4, 5), (16, 16)] {
+            assert_eq!(torus2d(r, c), torus_ref(r, c), "torus2d({r}, {c})");
+        }
+        for (a, b, c) in [(3, 3, 3), (3, 4, 5), (5, 4, 3), (6, 6, 6)] {
+            assert_eq!(
+                torus3d(a, b, c),
+                torus3d_ref(a, b, c),
+                "torus3d({a}, {b}, {c})"
+            );
+        }
+        for dim in 1..=12 {
+            assert_eq!(hypercube(dim), hypercube_ref(dim), "hypercube({dim})");
+        }
+    }
+
+    #[test]
+    #[ignore = "benchmark scale: run in release with --ignored"]
+    fn direct_generators_equal_builder_reference_at_benchmark_scale() {
+        assert_eq!(torus2d(1000, 1000), torus_ref(1000, 1000));
+        assert_eq!(hypercube(18), hypercube_ref(18));
     }
 
     #[test]

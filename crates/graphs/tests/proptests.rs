@@ -53,6 +53,8 @@ proptest! {
     fn edge_subgraph_is_monotone((n, edges) in arb_edge_list()) {
         let g = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
         let h = g.edge_subgraph(|k, _| k % 2 == 0);
+        let kept = g.edges().iter().copied().step_by(2);
+        prop_assert_eq!(&h, &Graph::from_edges(n, kept).expect("valid edges"));
         prop_assert!(h.m() <= g.m());
         prop_assert_eq!(h.n(), g.n());
         for &(u, v) in h.edges() {
