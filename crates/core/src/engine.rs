@@ -214,13 +214,17 @@ pub trait Protocol {
     }
 
     /// Monotone counter that changes whenever [`Protocol::current_graph`]
-    /// *may* have started returning a different graph. Fixed-topology
-    /// protocols keep the default constant `0`, so a partitioned backend
-    /// derives its plan exactly once and never re-examines the graph.
+    /// or the graph of [`Protocol::gather_spec`] *may* have started
+    /// returning a different graph. Fixed-topology protocols keep the
+    /// default constant `0`, so a partitioned backend derives its plan
+    /// exactly once and never re-examines either graph: the process
+    /// backend checks that the gather spec's graph is the plan's graph
+    /// once per version, not once per round.
     ///
     /// Conservative over-bumping is allowed: each bump costs the backend
     /// one `O(m)` fingerprint pass to re-resolve the plan (memoized per
-    /// *distinct* graph, so periodic schedules still reuse plans). The
+    /// *distinct* graph, so periodic schedules still reuse plans), plus
+    /// one over the gather spec's graph on the process backend. The
     /// dynamic protocols bump every round — their `GraphSequence` already
     /// materializes a fresh `O(n + m)` graph per round, so the
     /// fingerprint adds a constant factor, not a new asymptotic cost.
@@ -1360,6 +1364,10 @@ impl MessagePlan {
 
     pub(crate) fn views(&self) -> &[ShardView] {
         self.plan.views()
+    }
+
+    pub(crate) fn shard_plan(&self) -> &ShardPlan {
+        &self.plan
     }
 }
 
@@ -2868,9 +2876,14 @@ impl<P: Protocol> Engine<P> {
             // Resolve the kernel selection *after* begin_round: dynamic
             // protocols draw their round graph there, and the gather plan
             // must analyse that graph. A `Plan` span is emitted only when
-            // the fingerprint cache actually built a new plan.
+            // the fingerprint cache actually built a new plan. Process
+            // workers build their own gather plans from their local CSRs,
+            // so that backend resolves none here.
             let kind = self.kernel.kind;
-            let plan = self.kernel.resolve(protocol, tel, round_no);
+            let plan = match self.exec {
+                Exec::Process(_) => None,
+                _ => self.kernel.resolve(protocol, tel, round_no),
+            };
             // Stats rounds of a canonical protocol on the shared-memory
             // executors fuse the first statistics pass into the gather.
             fused = level.is_some()
@@ -2959,6 +2972,7 @@ impl<P: Protocol> Engine<P> {
                         snapshot,
                         &mut self.back,
                         protocol.gather_spec(),
+                        protocol.graph_version(),
                         kind,
                         &mut |nodes, out| {
                             out.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))

@@ -861,8 +861,9 @@ mod tests {
             };
             let global: Vec<L> = g.nodes().map(|v| gather_node(&spec, snap, v)).collect();
             for partition in [Partition::range(g.n(), 3), Partition::bfs(g, 4)] {
-                for view in ShardPlan::build(g, &partition).views() {
-                    let csr = view.local_csr();
+                let shard_plan = ShardPlan::build(g, &partition);
+                for (s, view) in shard_plan.views().iter().enumerate() {
+                    let csr = &shard_plan.local_csr(g, s);
                     let plan = GatherPlan::build(csr);
                     let local = GatherSpec {
                         graph: csr,

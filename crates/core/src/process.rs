@@ -14,7 +14,7 @@
 //! ## Shard-local workers
 //!
 //! A worker holds only its shard. Its plan frame carries the owned node
-//! count and, for diffusion sessions, the view's [`LocalCsr`]: every
+//! count and, for diffusion sessions, the shard's [`LocalCsr`]: every
 //! local node's global degree (owned, then halo), the owned rows'
 //! neighbours as local frame positions in global CSR slot order, and the
 //! halo fill order as frame positions. Its frame is a vector of
@@ -22,6 +22,14 @@
 //! an `n`-length vector. Owned values and results travel in owned order
 //! (ascending global id, [`ShardView::owned`]), and the coordinator
 //! scatters results by that list.
+//!
+//! The coordinator never builds that local CSR. Its shard plan holds the
+//! exchange schedule and each node's rank in its owner's owned list, and
+//! [`encode_plan_frame`] streams each shard's degrees, local slots
+//! ([`ShardPlan::local_row`]), recv positions and content fingerprint
+//! straight from the global graph into the worker's outbox. When a plan
+//! changes, every shard's plan frame goes out before any round command,
+//! so the workers decode, validate and install their plans in parallel.
 //!
 //! Steady rounds copy each value once per direction between the load
 //! vectors and the socket: the coordinator encodes `owned-values` and
@@ -93,16 +101,18 @@
 //! [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
 //! [`ShardView::owned`]: dlb_graphs::partition::ShardView::owned
 //! [`LocalCsr`]: dlb_graphs::partition::LocalCsr
+//! [`LocalCsrPlan::validate`]: dlb_wire::LocalCsrPlan::validate
+//! [`ShardPlan::local_row`]: dlb_graphs::partition::ShardPlan::local_row
 
 use crate::engine::{CommMetrics, MessagePlan, PlanCache};
 use crate::kernels::{gather_contiguous, DiffusionLoad, GatherSpec, KernelKind, NoStats};
-use dlb_graphs::partition::{graph_fingerprint, LocalCsr, PartitionSpec};
+use dlb_graphs::partition::{graph_fingerprint, LocalCsr, PartitionSpec, ShardPlan};
 use dlb_graphs::structure::GatherPlan;
 use dlb_graphs::Csr;
 use dlb_telemetry::{Phase as SpanPhase, Telemetry};
 use dlb_wire::{
-    encode_values, read_hello, read_hello_ack, values_frame_mut, write_hello, write_hello_ack,
-    CountingStream, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType, LocalCsrPlan,
+    encode_values, plan_frame_mut, read_hello, read_hello_ack, values_frame_mut, write_hello,
+    write_hello_ack, CountingStream, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType,
     PlanDefect, PlanFrame, RoundCmdFrame, RoundMode, Transport, ValueKind, WireError, WireListener,
     WireStream,
 };
@@ -223,6 +233,10 @@ pub(crate) struct ProcessExec<L: WireLoad> {
     /// Fingerprint of the plan last broadcast; rounds re-ship plan
     /// frames only when it changes (dynamic graphs).
     broadcast_key: Option<u64>,
+    /// The diffusion check's last answer, for the `(graph_version, plan
+    /// key)` it was made under: whether the gather spec's graph is the
+    /// plan's graph.
+    diffusion_check: Option<((u64, u64), bool)>,
     workers: Vec<Worker>,
     pub(crate) last_comm: Option<CommMetrics>,
     round_seq: u64,
@@ -308,6 +322,7 @@ impl<L: WireLoad> ProcessExec<L> {
             transport,
             plans: PlanCache::new(),
             broadcast_key: None,
+            diffusion_check: None,
             workers,
             last_comm: None,
             round_seq: 0,
@@ -340,15 +355,17 @@ impl<L: WireLoad> ProcessExec<L> {
 
     /// One legacy round over the wire. `gather_spec` selects diffusion
     /// mode (workers evaluate the shipped kernel, in flavour `kind`) when
-    /// present and consistent with the current plan's graph;
-    /// `precompute` is the coordinator-side kernel every other protocol's
-    /// rounds are evaluated with. Returns the first failed shard.
+    /// present and consistent with the current plan's graph, a check made
+    /// once per `graph_version`; `precompute` is the coordinator-side
+    /// kernel every other protocol's rounds are evaluated with. Returns
+    /// the first failed shard.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn round(
         &mut self,
         snapshot: &[L],
         out: &mut [L],
         gather_spec: Option<GatherSpec<'_, L>>,
+        graph_version: u64,
         kind: KernelKind,
         precompute: &mut dyn FnMut(&[u32], &mut Vec<L>),
         tel: &Telemetry,
@@ -370,11 +387,20 @@ impl<L: WireLoad> ProcessExec<L> {
         };
         // Diffusion mode requires the spec's graph to be the plan's
         // graph (same fingerprint): the worker gathers over the graph the
-        // plan ships. A mismatch (a protocol gathering
-        // over a different graph than it partitions by) falls back to
-        // precomputed rounds rather than shipping an inconsistent plan.
+        // plan ships. A mismatch (a protocol gathering over a different
+        // graph than it partitions by) falls back to precomputed rounds
+        // rather than shipping an inconsistent plan. The fingerprint is a
+        // pass over every edge, so its answer is kept for as long as the
+        // protocol's `graph_version` and the plan stay put.
         let diffusion = match gather_spec {
-            Some(spec) if !plan.full_exchange => graph_fingerprint(spec.graph) == key,
+            Some(spec) if !plan.full_exchange => match self.diffusion_check {
+                Some((at, same)) if at == (graph_version, key) => same,
+                _ => {
+                    let same = graph_fingerprint(spec.graph) == key;
+                    self.diffusion_check = Some(((graph_version, key), same));
+                    same
+                }
+            },
             _ => false,
         };
         let mode = if diffusion {
@@ -386,12 +412,34 @@ impl<L: WireLoad> ProcessExec<L> {
             w.conn.reset_counts();
         }
 
-        // Dispatch: plan (when changed), round command, owned seed, and
-        // — in diffusion mode — the halo batches, per shard. Serialize
-        // spans land on the shard's own telemetry lane: this encode/write
-        // is that worker's inbound traffic.
-        let rebroadcast = self.broadcast_key != Some(key);
-        let factor = gather_spec.filter(|_| diffusion).map(|spec| spec.factor);
+        // A changed plan goes out to every shard before any round data,
+        // so each worker decodes, validates and installs its plan while
+        // the coordinator is still writing the others'. Serialize spans
+        // land on the shard's own telemetry lane: this encode/write is
+        // that worker's inbound traffic.
+        if self.broadcast_key != Some(key) {
+            let kernel = gather_spec.filter(|_| diffusion);
+            for s in 0..shards {
+                let t0 = tel.start();
+                let Worker {
+                    conn,
+                    alive,
+                    outbox,
+                    ..
+                } = &mut self.workers[s];
+                outbox.clear();
+                encode_plan_frame(outbox, plan.shard_plan(), s, seq, kernel);
+                if !(*alive && send(conn, alive, outbox)) {
+                    self.fail_comm(comm);
+                    return Err(s);
+                }
+                tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
+            }
+            self.broadcast_key = Some(key);
+        }
+
+        // Dispatch: round command, owned seed, and — in diffusion mode —
+        // the halo batches, per shard.
         let mut per_src_sent = vec![0usize; shards];
         for s in 0..shards {
             let t0 = tel.start();
@@ -403,13 +451,7 @@ impl<L: WireLoad> ProcessExec<L> {
                 outbox,
                 ..
             } = &mut self.workers[s];
-            let mut sent = *alive
-                && (!rebroadcast
-                    || send(
-                        conn,
-                        alive,
-                        &Frame::Plan(plan_frame_for(&plan, s, seq, factor)).encode(),
-                    ));
+            let mut sent = *alive;
             if sent && !diffusion {
                 // In precomputed mode the protocol kernel runs *here*, on
                 // the coordinator; a panicking kernel becomes this
@@ -463,7 +505,6 @@ impl<L: WireLoad> ProcessExec<L> {
             }
             tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
         }
-        self.broadcast_key = Some(key);
         comm.max_shard_values_sent = per_src_sent.iter().copied().max().unwrap_or(0);
 
         // Collect: every worker answers Results + Done (or a lone
@@ -607,37 +648,53 @@ fn accept_with_deadline(
     }
 }
 
-/// Builds shard `s`'s plan frame: its owned count, plus — when the
-/// round runs diffusion mode (`factor` present) — its view's local CSR,
-/// its recv groups as local frame positions and the divisor factor.
-fn plan_frame_for<L: WireLoad>(
-    plan: &MessagePlan,
+/// Appends shard `s`'s plan frame to `buf`: its owned count, plus — when
+/// the round runs diffusion mode (`kernel` present) — its local CSR over
+/// the kernel's graph, its recv groups as local frame positions and the
+/// divisor factor. The arrays are streamed from the global graph through
+/// [`ShardPlan::local_row`] and never materialized; the bytes are exactly
+/// `Frame::Plan(..).encode()` of the [`dlb_wire::LocalCsrPlan`] built from
+/// [`ShardPlan::local_csr`] and [`ShardView::halo_groups`].
+///
+/// `kernel.graph` must be the graph `plan` was built from.
+///
+/// [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
+pub fn encode_plan_frame<L: WireLoad>(
+    buf: &mut Vec<u8>,
+    plan: &ShardPlan,
     s: usize,
     seq: u64,
-    factor: Option<L>,
-) -> PlanFrame {
+    kernel: Option<GatherSpec<'_, L>>,
+) {
     let view = &plan.views()[s];
-    let kernel = factor.map(|factor| {
-        let csr = view.local_csr();
-        let position = |v: u32| view.local_of(v).expect("recv ids are halo nodes");
-        let recv_groups = plan.recv[s]
+    let owned = view.owned().len();
+    let Some(spec) = kernel else {
+        let frame = Frame::Plan(PlanFrame {
+            seq,
+            shard: s as u32,
+            load_type: L::LOAD_TYPE,
+            owned: owned as u32,
+            kernel: None,
+        });
+        return frame.encode_into(buf);
+    };
+    let g = spec.graph;
+    let slots: usize = view.owned().iter().map(|&v| g.degree(v) as usize).sum();
+    let groups = view.halo_groups();
+    // Every array word plus the headers, group sources and list counts.
+    buf.reserve(4 * (view.local_len() + slots + view.halo().len() + 2 * groups.len()) + 64);
+    let mut w = plan_frame_mut(buf, seq, s as u32, L::LOAD_TYPE, owned as u32);
+    w.list(view.local_len(), plan.local_degrees(g, s));
+    w.list(slots, (0..owned).flat_map(|row| plan.local_row(g, s, row)));
+    w.u32(groups.len() as u32);
+    for (src, ids) in &groups {
+        w.u32(*src as u32);
+        let positions = ids
             .iter()
-            .map(|(src, ids)| (*src as u32, ids.iter().map(|&v| position(v)).collect()))
-            .collect();
-        LocalCsrPlan::new(
-            csr.degrees().to_vec(),
-            csr.neighbor_slots().to_vec(),
-            recv_groups,
-            factor.to_word(),
-        )
-    });
-    PlanFrame {
-        seq,
-        shard: s as u32,
-        load_type: L::LOAD_TYPE,
-        owned: view.owned().len() as u32,
-        kernel,
+            .map(|&h| plan.local_id(s, h).expect("recv ids are halo nodes"));
+        w.list(ids.len(), positions);
     }
+    w.finish(spec.factor.to_word());
 }
 
 // ---------------------------------------------------------------------------
@@ -748,8 +805,8 @@ impl<L: WireLoad> ShardState<L> {
     ) -> Result<bool, WireError> {
         let diffusion = cmd.mode == RoundMode::Diffusion;
         // The stream is ordered, so the installed plan is always the one
-        // this command was built against (the coordinator writes Plan
-        // immediately before the RoundCmd that first uses it);
+        // this command was built against (the coordinator writes every
+        // shard's Plan before the first RoundCmd that uses it);
         // `self.seq` records when it arrived, not a per-round token.
         let mut ok = cmd.seq >= self.seq && (!diffusion || self.kernel.is_some());
         match inbox.read(conn)? {

@@ -27,8 +27,9 @@
 //! * [`partition`] — graph partitioning for sharded execution: contiguous
 //!   range and BFS-grown region partitioners with edge-cut/imbalance
 //!   metrics, and per-shard [`ShardView`]s (owned interior/boundary node
-//!   sets, halo of remote neighbours, and a [`LocalCsr`] of the owned
-//!   rows) that the engine's message and process backends execute from;
+//!   sets and the halo of remote neighbours) that the engine's message and
+//!   process backends execute from, with each shard's [`LocalCsr`] of its
+//!   owned rows derived on demand;
 //! * [`structure`] — degree-structure analysis ([`GatherPlan`]): maximal
 //!   equal-degree node runs with strided CSR bases, the iteration
 //!   schedule behind the engine's degree-specialized gather kernels.

@@ -301,15 +301,18 @@ impl Partition {
     }
 }
 
-/// One shard's view of the graph, reindexed for shard-local execution.
+/// One shard's view of the graph: its owned nodes, their split into
+/// interior and boundary, and the halo it receives — the exchange
+/// schedule of shard-local execution.
 ///
-/// The local index space is `[owned nodes (ascending global id), halo
-/// nodes (ascending global id)]`: local ids `0..owned.len()` are owned,
-/// the rest are halo. [`ShardView::local_csr`] gives each owned row's
-/// neighbour list in local ids and every local node's global degree, so a
-/// distributed worker holding only `owned.len() + halo.len()` load values
-/// (packed by [`ShardView::assemble`]) can evaluate the gather kernel for
-/// every owned node without any global-indexed memory.
+/// The shard's local index space is `[owned nodes (ascending global id),
+/// halo nodes (ascending global id)]`: local ids `0..owned.len()` are
+/// owned, the rest are halo. [`ShardPlan::local_csr`] derives, on
+/// demand, each owned row's neighbour list in local ids and every local
+/// node's global degree, so a distributed worker holding only
+/// `owned.len() + halo.len()` load values (packed by
+/// [`ShardView::assemble`]) can evaluate the gather kernel for every
+/// owned node without any global-indexed memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardView {
     shard: usize,
@@ -321,9 +324,6 @@ pub struct ShardView {
     /// exchange schedule: shard `s` receives `halo_from(src)` values from
     /// each source shard per round.
     halo_owner: Vec<u32>,
-    /// The owned rows' neighbour lists in local ids, with the global
-    /// degree of every local node.
-    csr: LocalCsr,
 }
 
 impl ShardView {
@@ -400,27 +400,9 @@ impl ShardView {
         }
     }
 
-    /// Local id of global node `v`, if `v` is owned or in the halo.
-    pub fn local_of(&self, v: u32) -> Option<u32> {
-        if let Ok(i) = self.owned.binary_search(&v) {
-            return Some(i as u32);
-        }
-        self.halo
-            .binary_search(&v)
-            .ok()
-            .map(|i| (self.owned.len() + i) as u32)
-    }
-
-    /// Neighbour list (local ids) of the owned row with local id
-    /// `local_row < owned().len()`.
-    pub fn local_neighbors_of(&self, local_row: usize) -> &[u32] {
-        self.csr.neighbors(local_row as u32)
-    }
-
-    /// The shard-local CSR: owned rows in local ids, in the global CSR's
-    /// slot order, and the global degree of every local node.
-    pub fn local_csr(&self) -> &LocalCsr {
-        &self.csr
+    /// Number of local nodes: owned, then halo.
+    pub fn local_len(&self) -> usize {
+        self.owned.len() + self.halo.len()
     }
 
     /// Packs the shard-local value vector `[owned values, halo values]`
@@ -542,46 +524,52 @@ impl Csr for LocalCsr {
     }
 }
 
-/// A complete sharded execution plan: one [`ShardView`] per shard plus the
-/// plan-level quality metrics. Built once per distinct graph and reused
-/// every round (the engine memoizes plans by graph fingerprint).
+/// A complete sharded execution plan: one [`ShardView`] per shard, each
+/// node's rank in its owner's owned list, and the plan-level quality
+/// metrics. Built once per distinct graph and reused every round (the
+/// engine memoizes plans by graph fingerprint). It holds the exchange
+/// schedule only: a shard's local CSR is derived from the graph on
+/// demand ([`ShardPlan::local_csr`], [`ShardPlan::local_row`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     n: usize,
     views: Vec<ShardView>,
+    /// `rank[v]` = position of node `v` in its owner's owned list.
+    rank: Vec<u32>,
     edge_cut: usize,
     halo_total: usize,
     interior_total: usize,
 }
 
 impl ShardPlan {
-    /// Derives the plan of `partition` over `g`: interior/boundary/halo
-    /// sets and the reindexed local CSR of every shard. One global→local
-    /// index, reused across shards, maps every neighbour slot in `O(1)`:
-    /// each shard writes the entries of its own owned and halo nodes
-    /// before it reads them, so no entry needs resetting.
+    /// Derives the plan of `partition` over `g`: every shard's
+    /// interior/boundary/halo sets and every node's rank. The edge cut is
+    /// counted from the boundary rows' remote slots, which the halo scan
+    /// visits anyway: each cut edge is one remote slot on either side.
     pub fn build(g: &Graph, partition: &Partition) -> ShardPlan {
         assert_eq!(g.n(), partition.n(), "partition/graph node count mismatch");
         let owner = partition.owners();
         let members = partition.member_lists();
-        let mut local_of = vec![0u32; g.n()];
+        let mut rank = vec![0u32; g.n()];
         let mut views = Vec::with_capacity(partition.shards());
         let mut halo_total = 0usize;
         let mut interior_total = 0usize;
+        let mut remote_slots = 0usize;
         for (s, owned) in members.into_iter().enumerate() {
             let shard = s as u32;
             let mut interior = Vec::new();
             let mut boundary = Vec::new();
             let mut halo: Vec<u32> = Vec::new();
-            for &v in &owned {
-                let mut is_boundary = false;
+            for (i, &v) in owned.iter().enumerate() {
+                rank[v as usize] = i as u32;
+                let before = halo.len();
                 for &u in g.neighbors(v) {
                     if owner[u as usize] != shard {
-                        is_boundary = true;
                         halo.push(u);
                     }
                 }
-                if is_boundary {
+                if halo.len() > before {
+                    remote_slots += halo.len() - before;
                     boundary.push(v);
                 } else {
                     interior.push(v);
@@ -590,17 +578,6 @@ impl ShardPlan {
             halo.sort_unstable();
             halo.dedup();
             let halo_owner: Vec<u32> = halo.iter().map(|&h| owner[h as usize]).collect();
-
-            for (lid, &v) in owned.iter().chain(&halo).enumerate() {
-                local_of[v as usize] = lid as u32;
-            }
-            let degrees: Vec<u32> = owned.iter().chain(&halo).map(|&v| g.degree(v)).collect();
-            let slots_len: usize = degrees[..owned.len()].iter().map(|&d| d as usize).sum();
-            let mut slots = Vec::with_capacity(slots_len);
-            for &v in &owned {
-                slots.extend(g.neighbors(v).iter().map(|&u| local_of[u as usize]));
-            }
-            let csr = LocalCsr::from_parts(owned.len(), degrees, slots);
 
             halo_total += halo.len();
             interior_total += interior.len();
@@ -611,16 +588,17 @@ impl ShardPlan {
                 boundary,
                 halo,
                 halo_owner,
-                csr,
             });
         }
         let plan = ShardPlan {
             n: g.n(),
             views,
-            edge_cut: partition.edge_cut(g),
+            rank,
+            edge_cut: remote_slots / 2,
             halo_total,
             interior_total,
         };
+        debug_assert_eq!(plan.edge_cut, partition.edge_cut(g));
         debug_assert_eq!(
             plan.views.iter().map(|v| v.owned.len()).sum::<usize>(),
             plan.n,
@@ -637,6 +615,10 @@ impl ShardPlan {
     pub fn trivial(n: usize, shards: usize) -> ShardPlan {
         let partition = Partition::range(n, shards);
         let members = partition.member_lists();
+        let mut rank = Vec::with_capacity(n);
+        for owned in &members {
+            rank.extend(0..owned.len() as u32);
+        }
         let views = members
             .into_iter()
             .enumerate()
@@ -646,13 +628,13 @@ impl ShardPlan {
                 boundary: Vec::new(),
                 halo: Vec::new(),
                 halo_owner: Vec::new(),
-                csr: LocalCsr::from_parts(owned.len(), vec![0; owned.len()], Vec::new()),
                 owned,
             })
             .collect();
         ShardPlan {
             n,
             views,
+            rank,
             edge_cut: 0,
             halo_total: 0,
             interior_total: n,
@@ -685,6 +667,72 @@ impl ShardPlan {
     pub fn interior_total(&self) -> usize {
         self.interior_total
     }
+
+    /// Position of every node in its owner's owned list.
+    pub fn rank(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// Local id of global node `u` in shard `s`'s index space, if `u` is
+    /// owned by `s` (its rank, found in `O(1)`) or in its halo (owned
+    /// count plus its index in the sorted halo).
+    pub fn local_id(&self, s: usize, u: u32) -> Option<u32> {
+        local_id(&self.views[s], &self.rank, u)
+    }
+
+    /// Shard `s`'s owned row `row` (global node `owned()[row]`): its
+    /// neighbours in `g`, the graph this plan was built from, as local
+    /// ids in `g`'s slot order. The one row mapping behind
+    /// [`ShardPlan::local_csr`] and the process backend's streamed plan
+    /// frames.
+    pub fn local_row<'a>(
+        &'a self,
+        g: &'a Graph,
+        s: usize,
+        row: usize,
+    ) -> impl ExactSizeIterator<Item = u32> + 'a {
+        debug_assert_eq!(g.n(), self.n, "plan/graph node count mismatch");
+        let (view, rank) = (&self.views[s], &self.rank[..]);
+        g.neighbors(view.owned[row]).iter().map(move |&u| {
+            local_id(view, rank, u).expect("an owned row's neighbours are owned or halo")
+        })
+    }
+
+    /// The global degree in `g` of every local node of shard `s`: owned
+    /// rows, then halo.
+    pub fn local_degrees<'a>(&'a self, g: &'a Graph, s: usize) -> impl Iterator<Item = u32> + 'a {
+        let view = &self.views[s];
+        view.owned.iter().chain(&view.halo).map(|&v| g.degree(v))
+    }
+
+    /// Shard `s`'s local CSR over `g`, the graph this plan was built
+    /// from: owned rows in local ids, in `g`'s slot order, and the global
+    /// degree of every local node. Derived on demand from
+    /// [`ShardPlan::local_row`]; the plan itself does not hold it.
+    pub fn local_csr(&self, g: &Graph, s: usize) -> LocalCsr {
+        assert_eq!(g.n(), self.n, "plan/graph node count mismatch");
+        let owned = self.views[s].owned.len();
+        let degrees = self.local_degrees(g, s).collect();
+        let mut slots = Vec::new();
+        for row in 0..owned {
+            slots.extend(self.local_row(g, s, row));
+        }
+        LocalCsr::from_parts(owned, degrees, slots)
+    }
+}
+
+/// [`ShardPlan::local_id`] for one view: `u`'s rank if the view owns it,
+/// else its halo position.
+#[inline]
+fn local_id(view: &ShardView, rank: &[u32], u: u32) -> Option<u32> {
+    let r = *rank.get(u as usize)?;
+    if view.owned.get(r as usize) == Some(&u) {
+        return Some(r);
+    }
+    view.halo
+        .binary_search(&u)
+        .ok()
+        .map(|i| (view.owned.len() + i) as u32)
 }
 
 /// A cheap structural fingerprint of a graph (FNV-1a over `n`, `m`, and
@@ -868,31 +916,42 @@ mod tests {
     #[test]
     fn local_csr_reproduces_global_neighbourhoods() {
         let g = topology::hypercube(4);
-        let plan = ShardPlan::build(&g, &Partition::bfs(&g, 3));
-        for view in plan.views() {
+        let p = Partition::bfs(&g, 3);
+        let plan = ShardPlan::build(&g, &p);
+        for (s, view) in plan.views().iter().enumerate() {
+            let csr = plan.local_csr(&g, s);
+            assert_eq!(csr.len(), view.local_len());
             for (row, &v) in view.owned().iter().enumerate() {
-                let mut local: Vec<u32> = view
-                    .local_neighbors_of(row)
+                let mut local: Vec<u32> = csr
+                    .neighbors(row as u32)
                     .iter()
                     .map(|&lid| view.global_of(lid))
                     .collect();
                 local.sort_unstable();
                 assert_eq!(&local[..], g.neighbors(v), "row {v}");
                 // And the inverse mapping agrees.
-                assert_eq!(view.local_of(v), Some(row as u32));
+                assert_eq!(plan.local_id(s, v), Some(row as u32));
+                assert_eq!(plan.rank()[v as usize], row as u32);
             }
             for &h in view.halo() {
-                let lid = view.local_of(h).expect("halo indexed");
+                let lid = plan.local_id(s, h).expect("halo indexed");
                 assert_eq!(view.global_of(lid), h);
             }
-            assert_eq!(view.local_of(u32::MAX), None);
+            assert_eq!(plan.local_id(s, u32::MAX), None);
+            // A node neither owned nor in the halo has no local id.
+            let outside = g
+                .nodes()
+                .find(|&u| p.owner_of(u) != s && view.halo().binary_search(&u).is_err());
+            if let Some(u) = outside {
+                assert_eq!(plan.local_id(s, u), None);
+            }
         }
     }
 
-    /// The views `ShardPlan::build` derives, rebuilt the slow and obvious
-    /// way: a shard's owned nodes from the owner vector, its halo as the
-    /// sorted remote neighbours, local ids by linear search.
-    fn brute_force_view(g: &Graph, p: &Partition, s: usize) -> ShardView {
+    /// A shard's view and local CSR, rebuilt the slow and obvious way: a
+    /// shard's owned nodes from the owner vector, its halo as the sorted
+    /// remote neighbours, local ids by linear search.
+    fn brute_force_view(g: &Graph, p: &Partition, s: usize) -> (ShardView, LocalCsr) {
         let owned: Vec<u32> = g.nodes().filter(|&v| p.owner_of(v) == s).collect();
         let remote = |v: u32| g.neighbors(v).iter().any(|&u| p.owner_of(u) != s);
         let interior: Vec<u32> = owned.iter().copied().filter(|&v| !remote(v)).collect();
@@ -911,15 +970,16 @@ mod tests {
             .map(|u| local.iter().position(|w| w == u).unwrap() as u32)
             .collect();
         let degrees = local.iter().map(|&v| g.degree(v)).collect();
-        ShardView {
+        let csr = LocalCsr::from_parts(owned.len(), degrees, slots);
+        let view = ShardView {
             shard: s,
             halo_owner: halo.iter().map(|&h| p.owner_of(h) as u32).collect(),
-            csr: LocalCsr::from_parts(owned.len(), degrees, slots),
             owned,
             interior,
             boundary,
             halo,
-        }
+        };
+        (view, csr)
     }
 
     #[test]
@@ -945,8 +1005,14 @@ mod tests {
             Partition::bfs(&g, 5),
         ] {
             let plan = ShardPlan::build(&g, &p);
+            assert_eq!(plan.edge_cut(), p.edge_cut(&g));
             for (s, view) in plan.views().iter().enumerate() {
-                assert_eq!(view, &brute_force_view(&g, &p, s), "shard {s}");
+                let (want_view, want_csr) = brute_force_view(&g, &p, s);
+                assert_eq!(view, &want_view, "shard {s}");
+                assert_eq!(plan.local_csr(&g, s), want_csr, "shard {s}");
+                for (row, &v) in view.owned().iter().enumerate() {
+                    assert_eq!(plan.rank()[v as usize], row as u32);
+                }
             }
         }
     }
@@ -960,13 +1026,12 @@ mod tests {
         let global: Vec<f64> = (0..16).map(|i| ((i * 31 + 7) % 13) as f64).collect();
         let plan = ShardPlan::build(&g, &Partition::bfs(&g, 4));
         let mut local_vals = Vec::new();
-        for view in plan.views() {
+        for (s, view) in plan.views().iter().enumerate() {
             view.assemble(&global, &mut local_vals);
             for (row, &v) in view.owned().iter().enumerate() {
-                let local_sum: f64 = view
-                    .local_neighbors_of(row)
-                    .iter()
-                    .map(|&lid| local_vals[lid as usize])
+                let local_sum: f64 = plan
+                    .local_row(&g, s, row)
+                    .map(|lid| local_vals[lid as usize])
                     .sum();
                 let global_sum: f64 = g.neighbors(v).iter().map(|&u| global[u as usize]).sum();
                 assert_eq!(local_sum.to_bits(), global_sum.to_bits(), "node {v}");
@@ -1037,6 +1102,7 @@ mod tests {
     fn trivial_plan_covers_without_graph_info() {
         let plan = ShardPlan::trivial(10, 3);
         assert_eq!(plan.n(), 10);
+        assert_eq!(plan.rank(), &[0, 1, 2, 3, 0, 1, 2, 0, 1, 2]);
         assert_eq!(plan.edge_cut(), 0);
         assert_eq!(plan.halo_total(), 0);
         assert_eq!(plan.interior_total(), 10);

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use dlb_graphs::partition::{Partition, PartitionSpec, ShardPlan};
-use dlb_graphs::{matching, topology, traversal, Graph, GraphBuilder};
+use dlb_graphs::{matching, topology, traversal, Csr, Graph, GraphBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -198,7 +198,7 @@ proptest! {
         let mut covered = 0usize;
         let mut halo_sum = 0usize;
         let mut interior_sum = 0usize;
-        for view in plan.views() {
+        for (s, view) in plan.views().iter().enumerate() {
             covered += view.owned().len();
             halo_sum += view.halo().len();
             interior_sum += view.interior().len();
@@ -219,14 +219,16 @@ proptest! {
             expect_halo.sort_unstable();
             expect_halo.dedup();
             prop_assert_eq!(view.halo(), &expect_halo[..]);
+            let csr = plan.local_csr(&g, s);
             for (row, &v) in view.owned().iter().enumerate() {
-                let mut neigh: Vec<u32> = view
-                    .local_neighbors_of(row)
+                let mut neigh: Vec<u32> = csr
+                    .neighbors(row as u32)
                     .iter()
                     .map(|&lid| view.global_of(lid))
                     .collect();
                 neigh.sort_unstable();
                 prop_assert_eq!(&neigh[..], g.neighbors(v));
+                prop_assert!(csr.neighbors(row as u32).iter().copied().eq(plan.local_row(&g, s, row)));
             }
         }
         prop_assert_eq!(covered, n);

@@ -228,23 +228,21 @@ impl LocalCsrPlan {
     }
 
     /// FNV-1a over every shipped array and the factor (not over the
-    /// `fingerprint` field itself).
+    /// `fingerprint` field itself): every `u32` of the encoded kernel
+    /// section — list counts, group sources and list words, in wire
+    /// order — then the factor. [`PlanFrameMut`] folds the same words as
+    /// it writes them.
     pub fn content_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, x: u64) -> u64 {
-            (h ^ x).wrapping_mul(PRIME)
-        }
-        fn mix_list(h: u64, xs: &[u32]) -> u64 {
-            xs.iter()
-                .fold(mix(h, xs.len() as u64), |h, &x| mix(h, x as u64))
-        }
-        let mut h = mix_list(mix_list(OFFSET, &self.degrees), &self.slots);
-        h = mix(h, self.recv_groups.len() as u64);
+        let mut h = Fnv::new();
+        h.list(&self.degrees);
+        h.list(&self.slots);
+        h.mix(self.recv_groups.len() as u64);
         for (src, positions) in &self.recv_groups {
-            h = mix_list(mix(h, *src as u64), positions);
+            h.mix(*src as u64);
+            h.list(positions);
         }
-        mix(h, self.factor)
+        h.mix(self.factor);
+        h.0
     }
 
     /// Checks everything a worker relies on before it indexes anything:
@@ -492,6 +490,32 @@ const T_COLLECTED: u8 = 9;
 const T_STATS: u8 = 10;
 const T_EXIT: u8 = 11;
 
+/// The FNV-1a state behind [`LocalCsrPlan::content_fingerprint`].
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn step(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        self.0 = Fnv::step(self.0, x);
+    }
+
+    fn list(&mut self, xs: &[u32]) {
+        self.mix(xs.len() as u64);
+        for &x in xs {
+            self.mix(x as u64);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload writer: appends little-endian primitives to a Vec<u8>.
 
@@ -512,17 +536,34 @@ impl Enc<'_> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// The plan payload's fields before the kernel tag.
+    fn plan_header(&mut self, seq: u64, shard: u32, load_type: LoadType, owned: u32) {
+        self.u64(seq);
+        self.u32(shard);
+        self.u8(load_type.to_u8());
+        self.u32(owned);
+    }
+
+    /// Grows the buffer by `count` zeroed `N`-byte words and returns
+    /// them, so a list is written with one resize instead of one
+    /// `extend_from_slice` per element.
+    fn words<const N: usize>(&mut self, count: usize) -> std::slice::ChunksExactMut<'_, u8> {
+        let at = self.buf.len();
+        self.buf.resize(at + N * count, 0);
+        self.buf[at..].chunks_exact_mut(N)
+    }
+
     fn u32_list(&mut self, vs: &[u32]) {
         self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u32(v);
+        for (w, v) in self.words::<4>(vs.len()).zip(vs) {
+            w.copy_from_slice(&v.to_le_bytes());
         }
     }
 
     fn u64_list(&mut self, vs: &[u64]) {
         self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
+        for (w, v) in self.words::<8>(vs.len()).zip(vs) {
+            w.copy_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -582,12 +623,19 @@ impl<'a> Dec<'a> {
 
     fn u32_list(&mut self) -> Result<Vec<u32>, WireError> {
         let count = self.len(4)?;
-        (0..count).map(|_| self.u32()).collect()
+        let bytes = self.take(4 * count)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
 
     fn u64_list(&mut self) -> Result<Vec<u64>, WireError> {
-        let count = self.len(8)?;
-        (0..count).map(|_| self.u64()).collect()
+        let bytes = self.word_bytes()?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
 
     /// A `list<u64>` as its raw little-endian bytes, not decoded.
@@ -669,10 +717,7 @@ impl Frame {
         e.u32(0);
         match self {
             Frame::Plan(p) => {
-                e.u64(p.seq);
-                e.u32(p.shard);
-                e.u8(p.load_type.to_u8());
-                e.u32(p.owned);
+                e.plan_header(p.seq, p.shard, p.load_type, p.owned);
                 match &p.kernel {
                     None => e.u8(0),
                     Some(k) => {
@@ -888,6 +933,90 @@ impl WordsMut<'_> {
     #[inline]
     pub fn set(&mut self, i: usize, word: u64) {
         self.0[8 * i..8 * i + 8].copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Plan frames without intermediate vectors: a local CSR kernel streamed
+// from the sender's own data and sealed with its fingerprint as it goes.
+
+/// Appends the envelope and header of a `plan` frame carrying a local
+/// CSR kernel to `buf`, and returns the writer that streams the kernel
+/// arrays after them. Write, in wire order, the `degrees` list, the
+/// `slots` list, the recv group count, and each group's source and
+/// position list; then [`PlanFrameMut::finish`] writes the factor and
+/// the content fingerprint and patches the envelope length. The bytes
+/// are exactly what [`Frame::encode`] writes for the [`PlanFrame`] whose
+/// kernel [`LocalCsrPlan::new`] builds from the same arrays — without
+/// materializing those arrays. A writer dropped unfinished leaves a
+/// frame whose envelope declares an empty payload.
+pub fn plan_frame_mut(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    shard: u32,
+    load_type: LoadType,
+    owned: u32,
+) -> PlanFrameMut<'_> {
+    let start = buf.len();
+    let mut e = Enc { buf };
+    e.u8(T_PLAN);
+    e.u32(0);
+    e.plan_header(seq, shard, load_type, owned);
+    e.u8(1);
+    PlanFrameMut {
+        buf,
+        start,
+        hash: Fnv::new(),
+    }
+}
+
+/// A plan frame under construction ([`plan_frame_mut`]): every `u32` it
+/// writes is also folded into the content fingerprint.
+pub struct PlanFrameMut<'a> {
+    buf: &'a mut Vec<u8>,
+    start: usize,
+    hash: Fnv,
+}
+
+impl PlanFrameMut<'_> {
+    /// Writes one `u32` of the kernel section: the recv group count or a
+    /// group's source shard.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.hash.mix(v as u64);
+    }
+
+    /// Writes one `list<u32>`: `count`, then the words `words` yields.
+    ///
+    /// # Panics
+    ///
+    /// If `words` does not yield exactly `count` words.
+    pub fn list(&mut self, count: usize, words: impl IntoIterator<Item = u32>) {
+        self.u32(count as u32);
+        self.buf.reserve(4 * count);
+        let buf = &mut *self.buf;
+        // Internal iteration: a caller's nested iterators (rows of slots)
+        // run as nested loops, not one `next()` call per word.
+        let (filled, hash) = words.into_iter().fold((0, self.hash.0), |(filled, h), w| {
+            buf.extend_from_slice(&w.to_le_bytes());
+            (filled + 1, Fnv::step(h, w as u64))
+        });
+        assert_eq!(
+            filled, count,
+            "plan list yielded a different number of words than its count"
+        );
+        self.hash.0 = hash;
+    }
+
+    /// Writes the divisor factor's bit pattern and the fingerprint, and
+    /// closes the frame.
+    pub fn finish(mut self, factor: u64) {
+        self.hash.mix(factor);
+        let mut e = Enc { buf: self.buf };
+        e.u64(factor);
+        e.u64(self.hash.0);
+        let len = (self.buf.len() - self.start - 5) as u32;
+        self.buf[self.start + 1..self.start + 5].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -1301,6 +1430,13 @@ mod tests {
             vec![(1, vec![3, 4])],
             4.0f64.to_bits(),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "different number of words")]
+    fn streamed_plan_list_must_match_its_count() {
+        let mut buf = Vec::new();
+        plan_frame_mut(&mut buf, 1, 0, LoadType::I64, 0).list(3, [1, 2]);
     }
 
     #[test]

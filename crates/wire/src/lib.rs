@@ -45,7 +45,10 @@
 //!   into a reused buffer, and [`FrameBuf`] reads them into a reused
 //!   buffer as [`ValuesFrame`] views the receiver decodes into its own
 //!   memory. Both produce and accept exactly the bytes of
-//!   [`Frame::encode`] / [`read_frame`].
+//!   [`Frame::encode`] / [`read_frame`]. Plan frames have the same
+//!   sender-side path: [`plan_frame_mut`] streams a local CSR kernel
+//!   straight from the coordinator's graph and partition, sealing its
+//!   fingerprint as it writes.
 //!
 //! [`Transport`] selects the byte stream underneath — Unix domain
 //! sockets first, TCP loopback behind the same enum — and
@@ -70,10 +73,10 @@ mod frame;
 mod transport;
 
 pub use frame::{
-    encode_values, read_frame, read_hello, read_hello_ack, values_frame_mut, write_hello,
-    write_hello_ack, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, Hello, HelloAck,
-    LoadType, LocalCsrPlan, PlanDefect, PlanFrame, RoundCmdFrame, RoundMode, ValueKind,
-    ValuesFrame, WordsMut, MAGIC, MAX_FRAME_LEN, WIRE_SCHEMA, WIRE_VERSION,
+    encode_values, plan_frame_mut, read_frame, read_hello, read_hello_ack, values_frame_mut,
+    write_hello, write_hello_ack, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, Hello,
+    HelloAck, LoadType, LocalCsrPlan, PlanDefect, PlanFrame, PlanFrameMut, RoundCmdFrame,
+    RoundMode, ValueKind, ValuesFrame, WordsMut, MAGIC, MAX_FRAME_LEN, WIRE_SCHEMA, WIRE_VERSION,
 };
 pub use transport::{CountingStream, Transport, WireListener, WireStream};
 

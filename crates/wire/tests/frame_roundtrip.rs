@@ -1,10 +1,12 @@
 //! Property tests: every `dlb-wire/3` frame type survives
 //! encode → decode bit-for-bit, for arbitrary payload contents — the
-//! serialization half of the process backend's bit-identity guarantee.
+//! serialization half of the process backend's bit-identity guarantee —
+//! and a plan frame streamed through `plan_frame_mut` is byte-equal to
+//! the encoded `Frame::Plan`.
 
 use dlb_wire::{
-    read_frame, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType, LocalCsrPlan,
-    PlanFrame, RoundCmdFrame, RoundMode,
+    plan_frame_mut, read_frame, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType,
+    LocalCsrPlan, PlanFrame, RoundCmdFrame, RoundMode,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,13 +29,33 @@ proptest! {
         (has_kernel, factor) in (0u8..2, 0u64..u64::MAX),
         load_f64 in 0u8..2,
     ) {
+        let load_type = if load_f64 == 0 { LoadType::F64 } else { LoadType::I64 };
+        let kernel = LocalCsrPlan::new(degrees, slots, groups, factor);
+        // The streaming writer emits the bytes `Frame::encode` does.
+        let mut streamed = vec![0xEE];
+        let mut w = plan_frame_mut(&mut streamed, seq, shard, load_type, owned);
+        w.list(kernel.degrees.len(), kernel.degrees.iter().copied());
+        w.list(kernel.slots.len(), kernel.slots.iter().copied());
+        w.u32(kernel.recv_groups.len() as u32);
+        for (src, positions) in &kernel.recv_groups {
+            w.u32(*src);
+            w.list(positions.len(), positions.iter().copied());
+        }
+        w.finish(kernel.factor);
+        let with_kernel = Frame::Plan(PlanFrame {
+            seq,
+            shard,
+            load_type,
+            owned,
+            kernel: Some(kernel.clone()),
+        });
+        prop_assert_eq!(&streamed[1..], &with_kernel.encode()[..]);
         round_trip(Frame::Plan(PlanFrame {
             seq,
             shard,
-            load_type: if load_f64 == 0 { LoadType::F64 } else { LoadType::I64 },
+            load_type,
             owned,
-            kernel: (has_kernel != 0)
-                .then(|| LocalCsrPlan::new(degrees, slots, groups, factor)),
+            kernel: (has_kernel != 0).then_some(kernel),
         }));
     }
 
@@ -57,6 +79,39 @@ proptest! {
             dlb_wire::WireError::Closed if cut == 0 => {}
             dlb_wire::WireError::Truncated { .. } if cut > 0 => {}
             other => panic!("cut at {cut}: got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plan_payload_truncated_at_any_byte_is_truncated(
+        degrees in vec(0u32..64, 0..20),
+        slots in vec(0u32..512, 0..20),
+        groups in vec((0u32..64, vec(0u32..512, 0..6)), 0..4),
+        cut_frac in 0usize..100,
+    ) {
+        // The envelope is patched to the shortened payload, so the cut
+        // lands inside the plan decoder's own reads — its bulk list
+        // reads included — and never in the stream read.
+        let bytes = Frame::Plan(PlanFrame {
+            seq: 2,
+            shard: 1,
+            load_type: LoadType::I64,
+            owned: degrees.len() as u32,
+            kernel: Some(LocalCsrPlan::new(degrees, slots, groups, 11)),
+        })
+        .encode();
+        let payload = bytes.len() - 5;
+        let cut = cut_frac * payload / 100;
+        let mut short = bytes[..5 + cut].to_vec();
+        short[1..5].copy_from_slice(&(cut as u32).to_le_bytes());
+        for err in [
+            read_frame(&mut short.as_slice()).unwrap_err(),
+            FrameBuf::new().read(&mut short.as_slice()).unwrap_err(),
+        ] {
+            match err {
+                dlb_wire::WireError::Truncated { frame: Some(1) } => {}
+                other => panic!("payload cut at {cut} of {payload}: got {other:?}"),
+            }
         }
     }
 

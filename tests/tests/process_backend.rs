@@ -8,20 +8,23 @@
 //! accounting, worker death mid-round surfacing as a *typed* engine
 //! error within bounded time, handshake rejection of malformed peers,
 //! corrupt-plan rejection, the worker's halo-group accounting, the size
-//! of a shard-local plan, and the scenario layer's gating of the new
-//! backend.)
+//! and bytes of a shard-local plan, the diffusion check across graph
+//! versions, and the scenario layer's gating of the new backend.)
 
 use std::time::{Duration, Instant};
 
-use dlb_core::continuous::{ContinuousDiffusion, GeneralizedDiffusion};
+use dlb_core::continuous::{self, ContinuousDiffusion, GeneralizedDiffusion};
 use dlb_core::discrete::DiscreteDiffusion;
-use dlb_core::engine::{Backend, Engine, EnginePhase, Protocol};
-use dlb_core::{KernelKind, Transport};
+use dlb_core::engine::{Backend, Engine, EnginePhase, Protocol, StatsCtx};
+use dlb_core::process::encode_plan_frame;
+use dlb_core::{GatherSpec, KernelKind, Transport};
+use dlb_dynamics::sequence::{GraphSequence, PeriodicSequence};
 use dlb_graphs::{topology, Csr, Graph, GraphBuilder, PartitionSpec, ShardPlan};
 use dlb_wire::{
     read_frame, read_hello, DoneFrame, Frame, GatherKernel, LoadType, LocalCsrPlan, PlanDefect,
     PlanFrame, RoundCmdFrame, RoundMode, WireError, WireListener, WireStream, MAGIC,
 };
+use rand::SeedableRng;
 
 fn process(shards: usize, transport: Transport) -> Backend {
     Backend::Process {
@@ -493,8 +496,9 @@ fn plan_frame_ships_only_the_local_csr() {
     let bound: usize = plan
         .views()
         .iter()
-        .map(|v| {
-            let csr = v.local_csr();
+        .enumerate()
+        .map(|(s, v)| {
+            let csr = plan.local_csr(&g, s);
             4 * csr.len()
                 + 4 * csr.neighbor_slots().len()
                 + 4 * v.halo().len()
@@ -514,6 +518,232 @@ fn plan_frame_ships_only_the_local_csr() {
         comm.wire_bytes_out < edge_lists,
         "round 1 wrote {} bytes, as much as two edge lists ({edge_lists})",
         comm.wire_bytes_out
+    );
+}
+
+#[test]
+fn streamed_plan_frames_equal_the_encoded_local_csr_plan() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let graphs = [
+        topology::torus2d(9, 7),
+        hubs(),
+        topology::gnp_connected(60, 0.08, &mut rng),
+    ];
+    for g in &graphs {
+        for shards in 1..=8 {
+            for spec in [
+                PartitionSpec::Range { shards },
+                PartitionSpec::Bfs { shards },
+            ] {
+                let plan = ShardPlan::build(g, &spec.build(g));
+                for (s, view) in plan.views().iter().enumerate() {
+                    // The reference: the on-demand local CSR, and recv
+                    // positions found by searching the sorted halo.
+                    let csr = plan.local_csr(g, s);
+                    let owned = view.owned().len();
+                    let recv_groups = view
+                        .halo_groups()
+                        .into_iter()
+                        .map(|(src, ids)| {
+                            let positions = ids
+                                .iter()
+                                .map(|h| (owned + view.halo().binary_search(h).unwrap()) as u32)
+                                .collect();
+                            (src as u32, positions)
+                        })
+                        .collect();
+                    let kernel = LocalCsrPlan::new(
+                        csr.degrees().to_vec(),
+                        csr.neighbor_slots().to_vec(),
+                        recv_groups,
+                        4.0f64.to_bits(),
+                    );
+                    let frame = |kernel| {
+                        Frame::Plan(PlanFrame {
+                            seq: 3,
+                            shard: s as u32,
+                            load_type: LoadType::F64,
+                            owned: owned as u32,
+                            kernel,
+                        })
+                        .encode()
+                    };
+                    let spec = GatherSpec {
+                        graph: g,
+                        factor: 4.0f64,
+                    };
+                    let mut streamed = Vec::new();
+                    encode_plan_frame(&mut streamed, &plan, s, 3, Some(spec));
+                    assert_eq!(streamed, frame(Some(kernel)), "{spec:?} shard {s} of {g:?}");
+                    streamed.clear();
+                    encode_plan_frame::<f64>(&mut streamed, &plan, s, 3, None);
+                    assert_eq!(streamed, frame(None), "{spec:?} shard {s} without a kernel");
+                }
+            }
+        }
+    }
+}
+
+/// Algorithm 1 over a periodic schedule of graphs, exposing its gather
+/// spec (the dynamics crate's drivers do not), so the process backend
+/// runs diffusion rounds on a graph that changes every round.
+struct PeriodicDiffusion {
+    seq: PeriodicSequence,
+    g: Graph,
+    version: u64,
+}
+
+impl PeriodicDiffusion {
+    fn new(graphs: Vec<Graph>) -> PeriodicDiffusion {
+        let g = graphs[0].clone();
+        PeriodicDiffusion {
+            seq: PeriodicSequence::new(graphs),
+            g,
+            version: 0,
+        }
+    }
+}
+
+impl Protocol for PeriodicDiffusion {
+    type Load = f64;
+    type Stats = ();
+
+    fn n(&self) -> usize {
+        self.g.n()
+    }
+
+    fn name(&self) -> &'static str {
+        "periodic-diffusion"
+    }
+
+    fn begin_round(&mut self, _snapshot: &[f64]) {
+        self.g = self.seq.next_graph();
+        self.version += 1;
+    }
+
+    fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
+        continuous::node_new_load(&self.g, snapshot, v)
+    }
+
+    fn compute_stats(&mut self, _: &[f64], _: &[f64], _: &StatsCtx<'_>) {}
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(&self.g)
+    }
+
+    fn graph_version(&self) -> u64 {
+        self.version
+    }
+
+    fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+        Some(GatherSpec {
+            graph: &self.g,
+            factor: 4.0,
+        })
+    }
+}
+
+#[test]
+fn periodic_graphs_run_diffusion_rounds_bit_identical_to_serial() {
+    let graphs = || vec![topology::torus2d(8, 8), topology::hypercube(6)];
+    let loads = spike(64);
+    let rounds = 7;
+    let serial = run_rounds(
+        Engine::serial(PeriodicDiffusion::new(graphs())),
+        &loads,
+        rounds,
+    );
+
+    let mut engine = Engine::with_backend(
+        PeriodicDiffusion::new(graphs()),
+        process(2, Transport::Unix),
+    );
+    let mut got = loads.clone();
+    for round in 1..=rounds {
+        engine.round(&mut got);
+        // Halo batches are shipped only on diffusion rounds: the check
+        // made for each new graph version found the spec's graph to be
+        // the plan's graph.
+        let comm = engine.comm_metrics().expect("process rounds report comm");
+        assert!(comm.messages > 0, "round {round} ran precomputed");
+    }
+    assert_eq!(
+        serial, got,
+        "process diverged from serial over a periodic schedule"
+    );
+    let shard = engine.shard_metrics().expect("plan resolved");
+    assert_eq!(shard.plans_built, 2, "one plan per distinct graph");
+}
+
+/// Partitions by one graph and gathers over another: the diffusion check
+/// must refuse it on every round, not only on the round it was made.
+struct MismatchedSpec {
+    partitioned: Graph,
+    gathered: Graph,
+}
+
+impl Protocol for MismatchedSpec {
+    type Load = f64;
+    type Stats = ();
+
+    fn n(&self) -> usize {
+        self.partitioned.n()
+    }
+
+    fn name(&self) -> &'static str {
+        "mismatched-spec"
+    }
+
+    fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
+        continuous::node_new_load(&self.gathered, snapshot, v)
+    }
+
+    fn compute_stats(&mut self, _: &[f64], _: &[f64], _: &StatsCtx<'_>) {}
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(&self.partitioned)
+    }
+
+    fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+        Some(GatherSpec {
+            graph: &self.gathered,
+            factor: 4.0,
+        })
+    }
+}
+
+#[test]
+fn a_gather_graph_other_than_the_plan_graph_runs_precomputed_every_round() {
+    let make = || MismatchedSpec {
+        partitioned: topology::torus2d(8, 8),
+        gathered: topology::hypercube(6),
+    };
+    let loads = spike(64);
+    let rounds = 4;
+    // The serial engine trusts the contract and would plan its gather by
+    // the partitioned graph; the reference is plain diffusion on the
+    // gathered one.
+    let gathered = topology::hypercube(6);
+    let serial = run_rounds(
+        Engine::serial(ContinuousDiffusion::new(&gathered)),
+        &loads,
+        rounds,
+    );
+
+    let mut engine = Engine::with_backend(make(), process(2, Transport::Unix));
+    let mut got = loads.clone();
+    for round in 1..=rounds {
+        engine.round(&mut got);
+        let comm = engine.comm_metrics().expect("process rounds report comm");
+        assert_eq!(comm.messages, 0, "round {round} shipped halo batches");
+        assert_eq!(
+            comm.owned_values_out, 64,
+            "round {round} collected no results"
+        );
+    }
+    assert_eq!(
+        serial, got,
+        "precomputed rounds diverged from diffusion on the gathered graph"
     );
 }
 
