@@ -8,8 +8,9 @@
 //!   is zero-copy double-buffered, so `off` measures the gather alone and
 //!   the gap to `full` is exactly the statistics cost;
 //! - **message_round** — one `Engine::round` on the message-passing
-//!   backend (one shard-isolated worker per shard, halo values crossing
-//!   shards only as batched channel messages). Each record carries the
+//!   backend (the shard runtime over its in-memory link: one worker
+//!   thread per shard holding only its owned and halo values, which the
+//!   coordinator sends as typed vectors). Each record carries the
 //!   plan's `edge_cut` and `halo` size and the round's actual `messages`
 //!   and `values_sent`, so the perf trajectory tracks communication
 //!   volume alongside per-round ms; the gap to `engine_round`'s pool is
@@ -30,11 +31,10 @@
 //!   syscalls in place of in-process channels);
 //! - **fault_overhead** — one `Engine::round` (stats off) on the message
 //!   backend with fault injection `absent` vs. `armed_idle`
-//!   (a `FaultPlan` installed whose only event never fires). `absent`
-//!   runs the legacy unsupervised path and must stay at parity with the
-//!   prior trajectory (the robustness acceptance: ≤ 1% on the fault-free
-//!   hot path); the gap to `armed_idle` is the explicit price of arming
-//!   supervision (timeout-based receives) even when nothing fires;
+//!   (a `FaultPlan` installed whose only event never fires). The round
+//!   is the same either way — the plan only decides whether a failed
+//!   shard is recovered — so the two rows should sit in each other's
+//!   noise band;
 //! - **telemetry_overhead** — one `Engine::round` (stats off) with the
 //!   telemetry recorder `off` (the no-op branch, must sit in the noise
 //!   band of the pre-telemetry trajectory) vs. `armed` (every per-phase
@@ -365,13 +365,11 @@ fn process_rounds(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String,
 }
 
 /// The fault-tolerance overhead check: one `Engine::round` (stats off) on
-/// the message backend with no [`FaultPlan`] installed
-/// (`absent` — the unsupervised fast path) vs. a plan armed whose single
-/// event sits at a round the run never reaches (`armed_idle` —
-/// supervision active, nothing ever fires). `absent` must hold the
-/// prior trajectory's medians (the robustness acceptance: an engine
-/// without a plan pays ≤ 1% for the feature existing); the gap to
-/// `armed_idle` quantifies what explicitly arming supervision costs.
+/// the message backend with no [`FaultPlan`] installed (`absent`) vs. a
+/// plan armed whose single event sits at a round the run never reaches
+/// (`armed_idle` — recovery armed, nothing ever fires). The coordinator
+/// consults the plan once per round, so the gap is the price of that
+/// lookup.
 fn fault_overhead(c: &mut Criterion, inst: &Instance, meta: &mut HashMap<String, Meta>) {
     let threads = pool_sizes().last().copied().unwrap_or(2);
     let shards = threads.max(2);

@@ -19,10 +19,11 @@
 //!    loop, and the only step the executors differ on: the serial backend
 //!    walks `0..n`, the pool backend splits the node range into contiguous
 //!    chunks over a persistent [`WorkerPool`], and the two partitioned
-//!    backends — message (one shard-owning worker thread per shard) and
-//!    process (one worker OS process per shard) — gather each shard
-//!    interior-then-boundary with boundary loads crossing shards as
-//!    batched messages (see [`Engine::shard_metrics`] and
+//!    backends — message (one worker thread per shard) and process (one
+//!    worker OS process per shard) — run the one shard runtime
+//!    ([`crate::shard`]): each worker gathers its owned rows over its
+//!    shard-local CSR, with boundary loads sent to it as batches cut from
+//!    the snapshot (see [`Engine::shard_metrics`] and
 //!    [`Engine::comm_metrics`]). Because all four evaluate the *same*
 //!    kernel per node in the *same* per-node operation order, their
 //!    results are **bit-identical** — the workspace's serial ≡ pool ≡
@@ -82,16 +83,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::sync::OnceLock;
-use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::faults::{FaultKind, FaultPlan, FaultStats};
+use crate::faults::{FaultPlan, FaultStats};
 use crate::kernels::{self, DiffusionLoad, GatherSpec, KernelKind};
 use crate::potential::{self, BlockPartial};
-use crate::process::WireLoad;
-use dlb_graphs::partition::{graph_fingerprint, PartitionSpec, ShardPlan, ShardView};
+use crate::process::{WireLink, WireLoad};
+use crate::shard::{MessagePlan, ShardExec, ShardLink, ThreadLink};
+use dlb_graphs::partition::{graph_fingerprint, PartitionSpec};
 use dlb_graphs::{GatherPlan, Graph};
 use dlb_telemetry::{
     CommCounters, FaultCounters, MetricsSnapshot, Phase as SpanPhase, ShardCounters, Telemetry,
@@ -114,7 +115,7 @@ use dlb_telemetry::{
 /// tables), so this holds even for `!Sync` protocols.
 pub trait Protocol {
     /// The load value type: `f64` for continuous schemes, `i64` tokens for
-    /// discrete ones. (`'static` because the message-passing backend's
+    /// discrete ones. (`'static` because the partitioned backends'
     /// long-lived shard workers own load buffers beyond any one round's
     /// borrows — trivially satisfied by the plain scalar load types.
     /// [`DiffusionLoad`] supplies the generic quotient/accumulate
@@ -195,17 +196,16 @@ pub trait Protocol {
     /// is graph-based. The message and process backends derive their
     /// shard plan (interior/boundary/halo sets, edge cut) from this graph;
     /// `None` (the default) makes them fall back to a locality-blind
-    /// contiguous range plan with a full exchange — still bit-identical,
-    /// just without halo accounting (e.g. random-partner schemes, whose
-    /// reads are not neighbourhood-local).
+    /// contiguous range plan without halo accounting (e.g. random-partner
+    /// schemes, whose reads are not neighbourhood-local).
     ///
     /// Returning `Some(g)` is a **locality contract**, not just a hint:
     /// [`Protocol::node_new_load`] for node `v` must read the snapshot
-    /// only at `v` and `v`'s neighbours in `g`. The message backend
-    /// relies on it hard — a shard worker's frame holds *only* its owned
-    /// and halo values, so a kernel reading outside `{v} ∪ N(v)` would
-    /// see stale data. Protocols with wider reads must return `None`
-    /// (the message backend then runs a full exchange).
+    /// only at `v` and `v`'s neighbours in `g`. A shard worker's frame
+    /// holds *only* its owned and halo values, so when the protocol's
+    /// [`Protocol::gather_spec`] runs on the workers, a read outside
+    /// `{v} ∪ N(v)` would see stale data. Protocols with wider reads must
+    /// return `None`.
     ///
     /// Only meaningful after [`Protocol::begin_round`] has run for the
     /// round (dynamic protocols draw their graph there).
@@ -520,39 +520,39 @@ pub enum Backend {
         /// Worker count.
         threads: usize,
     },
-    /// Message-passing execution: one long-lived worker **per shard**,
-    /// each owning only its shard's loads. During a round no worker
-    /// touches the global load vector — boundary loads travel as batched
-    /// per-neighbour-shard messages over typed channels (the
+    /// Message-passing execution: the shard runtime ([`crate::shard`])
+    /// over its in-memory link — one long-lived worker thread **per
+    /// shard**, holding only its shard's owned and halo values. The
+    /// coordinator sends each worker typed vectors over a channel: its
+    /// owned values and one halo batch per neighbour shard (the
     /// [`dlb_graphs::partition::ShardView::halo_groups`] schedule), with
     /// per-round communication accounting via [`Engine::comm_metrics`].
-    /// The shared-memory rehearsal for a true distributed backend: after
-    /// this, "distributed" is a transport swap, not a redesign.
     Message {
         /// How the node set is partitioned into shards (= workers).
         partition: PartitionSpec,
-        /// Dispatch owned values **shard-resident**: a worker whose frame
-        /// still holds the results it returned last round is sent only
-        /// the owned values that changed since (bit-pattern compare), not
-        /// its whole owned slice. The first round, a round that
-        /// rebroadcasts the plan, every round after a failed round and a
-        /// respawned worker get the full slice. Rounds run through
-        /// [`Engine::round`] like legacy ones — the coordinator holds the
-        /// snapshot and gets results back every round — so loads, stats
-        /// and fault recovery are unchanged.
+        /// Dispatch owned values **shard-resident**: on diffusion rounds,
+        /// a worker that kept the results it returned last round in its
+        /// owned prefix is sent only the owned values that changed since
+        /// (bit-pattern compare), as `(owned rank, value)` deltas, not
+        /// its whole owned slice. The first round, a new plan, a
+        /// respawned worker and a worker that refused its last round get
+        /// the full slice. The coordinator holds the snapshot and gets
+        /// results back every round, so loads, stats and fault recovery
+        /// are unchanged.
         resident: bool,
     },
-    /// Distributed execution: one `dlb-shard-worker` **OS process** per
-    /// shard, exchanging the message backend's round protocol as
-    /// `dlb-wire/3` frames over a byte transport (Unix domain sockets or
-    /// TCP loopback — see [`Transport`](dlb_wire::Transport) and
-    /// `docs/WIRE.md`). Same partition planning, same ordering contract,
-    /// same bit-identical results; serialization is the only new moving
-    /// part, and [`Engine::comm_metrics`] additionally reports the
-    /// framed bytes that actually crossed the sockets. A worker that
-    /// dies mid-round surfaces as a typed [`EngineError`] naming the
-    /// shard (phase [`EnginePhase::Wire`]) within the wire timeout —
-    /// never a deadlock. See the `process` module docs for the failure
+    /// Distributed execution: the shard runtime over its socket link —
+    /// one `dlb-shard-worker` **OS process** per shard, the same round
+    /// framed as `dlb-wire/3` over a byte transport (Unix domain sockets
+    /// or TCP loopback — see [`Transport`](dlb_wire::Transport) and
+    /// `docs/WIRE.md`). Same partition planning, same coordinator, same
+    /// bit-identical results; serialization is the only new moving part,
+    /// and [`Engine::comm_metrics`] additionally reports the framed bytes
+    /// that actually crossed the sockets. A worker that dies mid-round
+    /// surfaces as a typed [`EngineError`] naming the shard (phase
+    /// [`EnginePhase::Wire`]) within the wire timeout — never a deadlock
+    /// — or, with a fault plan armed, is respawned while the coordinator
+    /// re-homes its shard. See the `process` module docs for the failure
     /// model and round modes.
     Process {
         /// How the node set is partitioned into shards (= worker
@@ -569,6 +569,17 @@ impl Backend {
     pub const SHARDED_REMOVED: &'static str = "the sharded backend was removed: use \
          backend = \"pool\" (shared-memory parallelism, faster end to end) or \
          backend = \"message\" (partitioned execution with communication metrics)";
+
+    /// The partition of the shard runtime's backends (message and
+    /// process); `None` for every other backend.
+    pub fn partition(&self) -> Option<PartitionSpec> {
+        match *self {
+            Backend::Message { partition, .. } | Backend::Process { partition, .. } => {
+                Some(partition)
+            }
+            Backend::Serial | Backend::Pool { .. } | Backend::Sharded { .. } => None,
+        }
+    }
 
     /// Stable backend name (`serial`, `pool`, `message`, `process`) for
     /// reports and scenario files.
@@ -602,11 +613,12 @@ impl Backend {
 pub enum EnginePhase {
     /// The pool backend's chunked gather.
     Gather,
-    /// The message backend's exchange round.
+    /// The message backend's round: a worker thread died or refused
+    /// the round, or the coordinator's precompute kernel panicked.
     Exchange,
     /// The process backend's wire round: a worker process died (EOF /
     /// broken pipe), timed out, or reported a failed round body over
-    /// `dlb-wire/3`.
+    /// `dlb-wire/3`, or the coordinator's precompute kernel panicked.
     Wire,
 }
 
@@ -946,11 +958,11 @@ pub struct Engine<P: Protocol> {
     /// it holds the round-start snapshot the hooks read. The caller's
     /// vector is the other half.
     back: Vec<P::Load>,
-    /// The executor strategy (serial walk, flat pool, message threads, or
-    /// worker processes).
+    /// The executor strategy (serial walk, flat pool, or the shard
+    /// runtime over threads or worker processes).
     ///
-    /// The gather fn pointers inside are instantiated in the constructors
-    /// — the only places that know `P: Sync` — so [`Engine::round`] needs
+    /// The pool's gather fn pointer is instantiated in its constructor —
+    /// the only place that knows `P: Sync` — so [`Engine::round`] needs
     /// no thread-safety bounds and serial-only protocols stay `?Sync`.
     exec: Exec<P>,
     /// Per-block first-pass statistics the serial and pool executors fill
@@ -966,10 +978,9 @@ pub struct Engine<P: Protocol> {
     stats_mode: StatsMode,
     /// Rounds executed since construction (drives [`StatsMode::EveryK`]).
     rounds_run: u64,
-    /// The armed fault-injection schedule, if any. `None` keeps every
-    /// backend on its exact legacy code path (no supervision polling);
-    /// `Some` — even of an empty plan — runs the message backend
-    /// supervised.
+    /// The armed fault-injection schedule, if any. `Some` — even of an
+    /// empty plan — makes the partitioned backends recover failed shards
+    /// instead of failing the round.
     faults: Option<FaultPlan>,
     /// Cumulative injection/recovery counters (see
     /// [`Engine::fault_stats`]).
@@ -1185,16 +1196,6 @@ impl<T> PlanCache<T> {
     }
 }
 
-/// Builds the [`ShardPlan`] for a graph (or the trivial range plan when
-/// the protocol exposes none) — the `build` closure of both backends'
-/// [`PlanCache`].
-fn build_shard_plan(spec: &PartitionSpec, graph: Option<&Graph>, n: usize) -> ShardPlan {
-    match graph {
-        Some(g) => ShardPlan::build(g, &spec.build(g)),
-        None => ShardPlan::trivial(n, spec.shards()),
-    }
-}
-
 /// The engine's kernel dispatcher: the selected [`KernelKind`] and the
 /// memoized per-graph [`GatherPlan`]s (same fingerprint cache as the
 /// shard plans, so dynamic sequences that revisit graphs reuse their
@@ -1237,18 +1238,21 @@ impl KernelState {
     }
 }
 
-/// Per-round communication metrics of the message backend's most recent
-/// round (see [`Engine::comm_metrics`]). This is the telemetry a
+/// Per-round communication metrics of the message or process backend's
+/// most recent round (see [`Engine::comm_metrics`]), counted once, by the
+/// shard runtime's coordinator, for both links. This is the telemetry a
 /// distributed deployment pays for real: the per-round exchange volume
 /// that communication-aware diffusive balancers optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommMetrics {
     /// Shard workers in the round.
     pub shards: usize,
-    /// Batched halo messages sent shard→shard this round (one per
-    /// ordered neighbour-shard pair with a nonempty exchange group).
+    /// Halo batches the coordinator wrote this round (one per ordered
+    /// neighbour-shard pair with a nonempty exchange group on diffusion
+    /// rounds; none on precomputed rounds). Each batch is attributed to
+    /// the shard whose owned values it carries.
     pub messages: usize,
-    /// Total load values carried by those messages.
+    /// Total load values carried by those batches.
     pub values_sent: usize,
     /// `values_sent` in bytes of the load type — the wire volume a
     /// distributed transport would move per round.
@@ -1257,18 +1261,19 @@ pub struct CommMetrics {
     /// the exchange step.
     pub max_shard_values_sent: usize,
     /// Owned values the coordinator shipped **to** workers as full
-    /// slices this round: `n` on legacy rounds and on resident seeding
-    /// rounds; on other resident rounds only the reseeded shards'
-    /// slices (zero in steady state).
+    /// slices this round: round-start values on diffusion rounds, new
+    /// values on precomputed rounds. `n` on legacy rounds; under
+    /// resident dispatch only the slices of shards whose owned prefix
+    /// does not hold their last results (zero in steady state).
     pub owned_values_in: usize,
     /// Owned values workers shipped **back** this round (their results):
-    /// `n` on every message round.
+    /// `n` on every round in which no shard failed.
     pub owned_values_out: usize,
-    /// Changed owned values sent to resident workers as `(node, value)`
-    /// deltas this round.
+    /// Changed owned values sent to resident workers as `(owned rank,
+    /// value)` deltas this round.
     pub delta_values: usize,
     /// Result scatters recorded as a `collect` phase: 1 on every
-    /// resident round, 0 on legacy rounds.
+    /// resident round, 0 on legacy rounds and on the process backend.
     pub collects: usize,
     /// Process backend only: framed `dlb-wire/3` bytes the coordinator
     /// actually **wrote** to worker sockets this round — envelopes
@@ -1281,1061 +1286,6 @@ pub struct CommMetrics {
     pub wire_bytes_in: usize,
 }
 
-/// One batched exchange group's id list. Shared (`Arc`) because every
-/// list appears in two schedules — the receiver's `recv` and the mirror
-/// entry in the sender's `send` — and because full-exchange plans post
-/// the *same* owned block to every other shard: sharing keeps the
-/// schedule `O(halo)` / `O(n)` instead of materializing per-pair copies.
-type ExchangeIds = std::sync::Arc<Vec<u32>>;
-
-/// The exchange schedule of one message-backend plan, wrapped around the
-/// [`ShardPlan`] it was derived from and memoized per distinct graph
-/// exactly like the kernel dispatcher's gather plans.
-#[derive(Debug)]
-pub(crate) struct MessagePlan {
-    /// The underlying shard plan: one view per shard
-    /// (interior/boundary classification and owned lists — the gather
-    /// order within a shard) plus the locality metrics.
-    plan: ShardPlan,
-    /// `send[s]` = this shard's posting schedule: `(dest, global ids)`
-    /// per neighbour shard, the mirror image of `recv[dest]`.
-    send: Vec<Vec<(usize, ExchangeIds)>>,
-    /// `recv[s]` = [`ShardView::halo_groups`] of shard `s` — one batched
-    /// message expected per entry.
-    pub(crate) recv: Vec<Vec<(usize, ExchangeIds)>>,
-    /// True for graph-less protocols (trivial plan): reads are not
-    /// neighbourhood-local, so every shard broadcasts its whole owned
-    /// block to every other computing shard and the gather waits for the
-    /// full exchange before computing anything.
-    pub(crate) full_exchange: bool,
-}
-
-impl MessagePlan {
-    pub(crate) fn build(spec: &PartitionSpec, graph: Option<&Graph>, n: usize) -> MessagePlan {
-        let plan = build_shard_plan(spec, graph, n);
-        let shards = plan.views().len();
-        let full_exchange = graph.is_none();
-        let recv: Vec<Vec<(usize, ExchangeIds)>> = if full_exchange {
-            // Non-local reads: every computing shard needs the whole
-            // vector, so its "halo" is every other shard's owned block —
-            // one shared id list per source, not one copy per pair.
-            let owned_blocks: Vec<ExchangeIds> = plan
-                .views()
-                .iter()
-                .map(|v| std::sync::Arc::new(v.owned().to_vec()))
-                .collect();
-            plan.views()
-                .iter()
-                .map(|view| {
-                    if view.owned().is_empty() {
-                        return Vec::new(); // nothing to compute, receive nothing
-                    }
-                    plan.views()
-                        .iter()
-                        .filter(|src| src.shard() != view.shard() && !src.owned().is_empty())
-                        .map(|src| (src.shard(), owned_blocks[src.shard()].clone()))
-                        .collect()
-                })
-                .collect()
-        } else {
-            plan.views()
-                .iter()
-                .map(|v| {
-                    v.halo_groups()
-                        .into_iter()
-                        .map(|(src, ids)| (src, std::sync::Arc::new(ids)))
-                        .collect()
-                })
-                .collect()
-        };
-        let mut send: Vec<Vec<(usize, ExchangeIds)>> = vec![Vec::new(); shards];
-        for (dest, groups) in recv.iter().enumerate() {
-            for (src, ids) in groups {
-                send[*src].push((dest, ids.clone()));
-            }
-        }
-        MessagePlan {
-            plan,
-            send,
-            recv,
-            full_exchange,
-        }
-    }
-
-    pub(crate) fn views(&self) -> &[ShardView] {
-        self.plan.views()
-    }
-
-    pub(crate) fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-}
-
-/// A lifetime-erased gather kernel shipped to a shard worker for one
-/// round: `(frame, nodes, out)` appends one new load per listed node, in
-/// list order. The list form lets a worker hand whole interior/boundary
-/// batches to the planned run kernels ([`kernels::gather_list`]) instead
-/// of paying a dynamic dispatch per node. See the safety argument at the
-/// erasure site ([`make_message_kernel`]).
-type MsgKernel<L> = Box<dyn Fn(&[L], &[u32], &mut Vec<L>) + Send + 'static>;
-
-/// [`MsgKernel`] before the lifetime erasure: still borrowing the
-/// protocol it wraps.
-type BorrowedMsgKernel<'p, L> = Box<dyn Fn(&[L], &[u32], &mut Vec<L>) + Send + 'p>;
-
-/// Wraps the protocol's gather for one round, erasing the `&P` borrow to
-/// `'static`. With a resolved [`GatherPlan`] and a protocol-supplied
-/// [`GatherSpec`], the kernel runs the planned batch gather (identical
-/// lane order, so bit-identity holds); otherwise it falls back to
-/// per-node `node_new_load`.
-///
-/// SAFETY (of the erasure, discharged by the caller protocol):
-/// [`Engine::round`] blocks until every worker has reported its round
-/// completion, and workers drop their kernel box *before* reporting — so
-/// the borrow of `protocol` never outlives the `round` call that created
-/// it. Same argument as [`WorkerPool::gather`]'s task erasure.
-fn make_message_kernel<P: Protocol + Sync>(
-    protocol: &P,
-    kind: KernelKind,
-    plan: Option<std::sync::Arc<GatherPlan>>,
-) -> MsgKernel<P::Load> {
-    let kernel: BorrowedMsgKernel<'_, P::Load> = match plan {
-        Some(plan) if protocol.gather_spec().is_some() => Box::new(move |frame, nodes, out| {
-            let spec = protocol
-                .gather_spec()
-                .expect("spec checked at kernel construction");
-            kernels::gather_list(kind, &plan, &spec, frame, nodes, &mut |_, value| {
-                out.push(value)
-            });
-        }),
-        _ => Box::new(move |frame, nodes, out| {
-            out.extend(nodes.iter().map(|&v| protocol.node_new_load(frame, v)));
-        }),
-    };
-    unsafe { std::mem::transmute::<BorrowedMsgKernel<'_, P::Load>, MsgKernel<P::Load>>(kernel) }
-}
-
-/// How often a supervising coordinator's collect loop wakes to scan for
-/// dead worker threads. Worker-side retransmit requests are governed by
-/// the armed plan's [`FaultPlan::patience`] instead; unsupervised rounds
-/// (no plan armed) never poll at all — they block exactly as before.
-const SUPERVISE_POLL: Duration = Duration::from_millis(25);
-
-/// How a round command establishes the shard's round-start owned values.
-enum OwnedIn<L> {
-    /// The coordinator supplies the full owned slice (ascending global
-    /// id, parallel to the view's owned list) — every legacy round, and
-    /// every resident reseed.
-    Values(Vec<L>),
-    /// Resident dispatch: the worker's frame already holds the results
-    /// it returned last round; apply only these `(global id, value)`
-    /// assignments for the owned values that changed since, before
-    /// posting halos.
-    Deltas(Vec<(u32, L)>),
-}
-
-/// One round's command to a shard worker.
-struct RoundCmd<L> {
-    /// The round's gather kernel (lifetime-erased; see
-    /// [`make_message_kernel`]).
-    kernel: MsgKernel<L>,
-    /// Round-start owned values: a full slice, or resident deltas.
-    owned: OwnedIn<L>,
-    /// A freed buffer riding back to the worker's free list: a resident
-    /// delta round returns the shard's previous results vector, so the
-    /// worker reuses it for this round's results instead of allocating.
-    recycle: Option<Vec<L>>,
-    /// The coordinator's round-attempt sequence number. Halo batches and
-    /// reports carry it so anything from a past attempt — a straggler's
-    /// duplicate, a failed round's in-flight send — is discarded instead
-    /// of being consumed by a later round.
-    seq: u64,
-    /// Faults injected into this worker this round (empty when no
-    /// [`FaultPlan`] is armed — an empty `Vec` does not allocate).
-    faults: Vec<FaultKind>,
-    /// `Some(patience)` when supervision is on: how long to wait on a
-    /// missing halo batch before asking the coordinator to retransmit
-    /// it. `None` keeps the legacy blocking receive.
-    nack_after: Option<Duration>,
-    /// Span recording for this round. Workers spawn before the engine's
-    /// telemetry can be armed, so the handle rides in with each command:
-    /// an `Off` copy is a unit-variant move, an armed one costs one Arc
-    /// increment per shard per round.
-    telemetry: Telemetry,
-    /// The engine round number the command executes (spans are tagged
-    /// with it; the attempt-scoped `seq` stays the dedup key).
-    round: u64,
-}
-
-/// Everything a shard worker can receive: plan updates and round
-/// commands from the coordinator, batched halo values from peer shards.
-enum ToWorker<L> {
-    /// A new exchange schedule (sent before the round that first uses it).
-    Plan(Arc<MessagePlan>),
-    /// Execute one round.
-    Round(Box<RoundCmd<L>>),
-    /// Batched halo values from shard `src` for round attempt `seq`,
-    /// parallel to the id list both sides derive from the current plan.
-    Halo { src: u32, seq: u64, values: Vec<L> },
-    /// Shut down the worker loop.
-    Exit,
-}
-
-/// What one shard-worker round produced.
-enum RoundOutcome<L> {
-    /// Normal completion (whether or not the kernel succeeded): the
-    /// worker reports and parks for the next round.
-    Report {
-        ok: bool,
-        results: Vec<L>,
-        messages: usize,
-        values_sent: usize,
-    },
-    /// The worker consumed `Exit` (or its channel closed) mid-round —
-    /// the engine is going away. It must still report a failed round to
-    /// release the coordinator's barrier, and then **terminate** rather
-    /// than re-park: its own `peers` clone of its sender keeps the
-    /// channel alive, so no disconnect (and no second `Exit`) would
-    /// ever wake it again, and `MessageExec::drop`'s join would hang.
-    Shutdown,
-    /// An injected [`FaultKind::Panic`]: the worker thread dies *without
-    /// reporting*, before posting any halo batch — modeling a crashed
-    /// worker. The kernel box is dropped on the way out (thread-local
-    /// destruction completes before `JoinHandle::is_finished` turns
-    /// true, so the erased protocol borrow never outlives the round
-    /// that is supervising it). The coordinator detects the death via
-    /// the thread handle, recomputes the shard from its snapshot,
-    /// retransmits the dead shard's outbound batches, and respawns.
-    Die,
-}
-
-/// A shard worker's message to the coordinator.
-enum FromWorker<L> {
-    /// The round barrier report.
-    Done(WorkerDone<L>),
-    /// Supervised receive timed out: shard `shard` is still missing the
-    /// batch from `src` for round attempt `seq` — the coordinator
-    /// rebuilds it from the round-start snapshot and retransmits.
-    /// Receiver-side dedup makes a re-request for a merely-late batch
-    /// harmless, so correctness is independent of timing.
-    MissingHalo { shard: usize, src: usize, seq: u64 },
-}
-
-/// A shard worker's round report to the coordinator.
-struct WorkerDone<L> {
-    shard: usize,
-    /// The round attempt this report answers (stale reports are
-    /// discarded by the coordinator).
-    seq: u64,
-    /// False when the kernel panicked or a halo message was malformed;
-    /// the coordinator surfaces this as an [`EngineError`] after the
-    /// barrier.
-    ok: bool,
-    /// New loads of the owned nodes in gather order
-    /// (interior-then-boundary, exactly the shard's compute order).
-    results: Vec<L>,
-    /// Halo messages this shard posted this round.
-    messages: usize,
-    /// Values carried by those messages.
-    values_sent: usize,
-}
-
-/// Cap on a buffer free list (worker- and coordinator-side): enough to
-/// cover a round's working set — halo posts in flight, results — without
-/// hoarding `O(n)`-capacity vectors.
-const MSG_FREE_CAP: usize = 8;
-
-/// Pops a recycled buffer (cleared) from a free list, or allocates.
-fn pooled<L>(free: &mut Vec<Vec<L>>) -> Vec<L> {
-    match free.pop() {
-        Some(mut v) => {
-            v.clear();
-            v
-        }
-        None => Vec::new(),
-    }
-}
-
-/// Returns a spent buffer to a bounded free list (dropped when full).
-fn recycle_into<L>(free: &mut Vec<Vec<L>>, v: Vec<L>) {
-    if free.len() < MSG_FREE_CAP {
-        free.push(v);
-    }
-}
-
-/// One round of the shard worker, after its `Round` command arrived.
-/// Returns the round report, or signals worker shutdown.
-///
-/// The phase order is the message-passing round shape — and it is also
-/// what makes a kernel panic unable to deadlock the barrier: halo
-/// messages carry round-*start* owned values, so every send completes
-/// before the first kernel evaluation can run (and possibly panic).
-///
-/// 1. refresh the frame's owned slots from the round command;
-/// 2. **post** boundary loads, batched per neighbour shard;
-/// 3. gather **interior** nodes (owned reads only — overlaps the
-///    receives); skipped under full exchange, where no node is
-///    computable before the receives;
-/// 4. **receive** the expected halo batches, scattering each into the
-///    frame at the ids both sides derive from the plan;
-/// 5. gather **boundary** nodes (halo reads now satisfied).
-#[allow(clippy::too_many_arguments)]
-fn message_worker_round<L: Copy>(
-    shard: usize,
-    plan: &MessagePlan,
-    cmd: &mut RoundCmd<L>,
-    frame: &mut [L],
-    stash: &mut Vec<(u32, u64, Vec<L>)>,
-    free: &mut Vec<Vec<L>>,
-    rx: &mpsc::Receiver<ToWorker<L>>,
-    peers: &RwLock<Vec<mpsc::Sender<ToWorker<L>>>>,
-    supervisor: &mpsc::Sender<FromWorker<L>>,
-) -> RoundOutcome<L> {
-    let view = &plan.views()[shard];
-    let mut ok = true;
-
-    // A freed buffer riding back from the coordinator replenishes the
-    // free list before this round draws from it.
-    if let Some(v) = cmd.recycle.take() {
-        recycle_into(free, v);
-    }
-
-    // 0. Injected faults for this worker this round (the list is empty —
-    // and free to scan — when no plan is armed).
-    let mut drop_halos = false;
-    let mut duplicate = false;
-    let mut reorder = false;
-    for fault in &cmd.faults {
-        match *fault {
-            FaultKind::Panic => return RoundOutcome::Die,
-            FaultKind::Delay { ms } => std::thread::sleep(Duration::from_millis(ms)),
-            FaultKind::DropHalo => drop_halos = true,
-            FaultKind::DuplicateHalo => duplicate = true,
-            FaultKind::ReorderHalo => reorder = true,
-        }
-    }
-
-    // 1. Own this round's values: a full coordinator slice (legacy
-    // rounds and resident reseeds), or resident deltas applied on top
-    // of the frame the previous round's scatter left behind.
-    match std::mem::replace(&mut cmd.owned, OwnedIn::Deltas(Vec::new())) {
-        OwnedIn::Values(values) => {
-            debug_assert_eq!(values.len(), view.owned().len());
-            for (&v, &value) in view.owned().iter().zip(&values) {
-                frame[v as usize] = value;
-            }
-            recycle_into(free, values);
-        }
-        OwnedIn::Deltas(deltas) => {
-            for &(v, value) in &deltas {
-                frame[v as usize] = value;
-            }
-        }
-    }
-
-    // 2. Post boundary loads (round-start values — independent of any
-    // later kernel outcome, so peers can never be starved by a panic).
-    let tel = &cmd.telemetry;
-    let lane = shard as u32;
-    let mut messages = 0usize;
-    let mut values_sent = 0usize;
-    let t_post = tel.start();
-    if !drop_halos {
-        // One uncontended read-lock per round: the coordinator only
-        // write-locks the peer table when it respawns a dead worker.
-        let peers = peers.read().expect("peer table poisoned");
-        let schedule = &plan.send[shard];
-        for i in 0..schedule.len() {
-            // ReorderHalo posts in reversed schedule order — semantically
-            // invisible, since batches are keyed by source shard.
-            let i = if reorder { schedule.len() - 1 - i } else { i };
-            let (dest, ids) = &schedule[i];
-            let mut values = pooled(free);
-            values.extend(ids.iter().map(|&v| frame[v as usize]));
-            if duplicate {
-                messages += 1;
-                values_sent += values.len();
-                let _ = peers[*dest].send(ToWorker::Halo {
-                    src: shard as u32,
-                    seq: cmd.seq,
-                    values: values.clone(),
-                });
-            }
-            messages += 1;
-            values_sent += values.len();
-            // A dead peer means the round is already doomed; the
-            // coordinator surfaces that through the missing Done (or
-            // recovers it under supervision), not here.
-            let _ = peers[*dest].send(ToWorker::Halo {
-                src: shard as u32,
-                seq: cmd.seq,
-                values,
-            });
-        }
-    }
-    tel.record(lane, cmd.round, SpanPhase::PostHalo, t_post);
-
-    let kernel = &cmd.kernel;
-    let mut results = pooled(free);
-    results.reserve(view.owned().len());
-    let gather = |nodes: &[u32], results: &mut Vec<L>, frame: &[L], ok: &mut bool| {
-        // Gather straight into the (pooled) report buffer — no
-        // per-segment staging vector. A panicking kernel may leave a
-        // partial tail, but a failed round's results are discarded
-        // wholesale by the coordinator, so the tail is never read.
-        if catch_unwind(AssertUnwindSafe(|| kernel(frame, nodes, results))).is_err() {
-            *ok = false;
-        }
-    };
-
-    // 3. Interior gather overlaps the halo receive (graph plans only:
-    // interior nodes read owned values alone by construction).
-    if !plan.full_exchange {
-        let t0 = tel.start();
-        gather(view.interior(), &mut results, frame, &mut ok);
-        tel.record(lane, cmd.round, SpanPhase::GatherInterior, t0);
-    }
-
-    // 4. Receive the expected batches (early arrivals were stashed while
-    // waiting for the round command). Batches are deduplicated per
-    // source within the round, and matched by sequence tag: stale
-    // batches (a past attempt's stragglers) are dropped, future ones
-    // (defensive — the barrier should make them impossible) re-stashed.
-    let recv_sched = &plan.recv[shard];
-    let expected = recv_sched.len();
-    let mut got = vec![false; expected];
-    let mut received = 0usize;
-    let deliver = |src: u32,
-                   values: Vec<L>,
-                   frame: &mut [L],
-                   got: &mut [bool],
-                   received: &mut usize,
-                   free: &mut Vec<Vec<L>>,
-                   ok: &mut bool| {
-        match recv_sched.iter().position(|(s, _)| *s == src as usize) {
-            Some(i) if got[i] => recycle_into(free, values), // duplicate batch: drop
-            Some(i) => {
-                got[i] = true;
-                *received += 1;
-                let ids = &recv_sched[i].1;
-                if ids.len() == values.len() {
-                    for (&v, &value) in ids.iter().zip(values.iter()) {
-                        frame[v as usize] = value;
-                    }
-                } else {
-                    *ok = false; // wrong batch size
-                }
-                // The sender's buffer stays with this worker: received
-                // batches are the free list's steady-state refill.
-                recycle_into(free, values);
-            }
-            None => {
-                // Unscheduled source: count it toward the barrier (so the
-                // round still completes and reports the failure) and fail.
-                *received += 1;
-                *ok = false;
-            }
-        }
-    };
-    let t_recv = tel.start();
-    let pending = std::mem::take(stash);
-    for (src, seq, values) in pending {
-        match seq.cmp(&cmd.seq) {
-            std::cmp::Ordering::Less => {} // stale: discard
-            std::cmp::Ordering::Greater => stash.push((src, seq, values)),
-            std::cmp::Ordering::Equal => {
-                deliver(src, values, frame, &mut got, &mut received, free, &mut ok)
-            }
-        }
-    }
-    while received < expected {
-        let msg = match cmd.nack_after {
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => return RoundOutcome::Shutdown,
-            },
-            Some(patience) => match rx.recv_timeout(patience) {
-                Ok(msg) => msg,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Ask the coordinator to retransmit whatever is still
-                    // missing; it rebuilds any batch from its round-start
-                    // snapshot. Repeats every `patience` until satisfied.
-                    for (i, (src, _)) in recv_sched.iter().enumerate() {
-                        if !got[i] {
-                            let _ = supervisor.send(FromWorker::MissingHalo {
-                                shard,
-                                src: *src,
-                                seq: cmd.seq,
-                            });
-                        }
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return RoundOutcome::Shutdown,
-            },
-        };
-        match msg {
-            ToWorker::Halo { src, seq, values } => match seq.cmp(&cmd.seq) {
-                std::cmp::Ordering::Less => {} // stale: discard
-                std::cmp::Ordering::Greater => stash.push((src, seq, values)),
-                std::cmp::Ordering::Equal => {
-                    deliver(src, values, frame, &mut got, &mut received, free, &mut ok)
-                }
-            },
-            // Exit (engine dropped mid-round) or an unexpected command:
-            // abandon the round and terminate rather than blocking
-            // forever (or re-parking with no wake-up left).
-            _ => return RoundOutcome::Shutdown,
-        }
-    }
-    tel.record(lane, cmd.round, SpanPhase::RecvHalo, t_recv);
-
-    // 5. Boundary gather (everything under full exchange).
-    let t_bnd = tel.start();
-    if plan.full_exchange {
-        gather(view.owned(), &mut results, frame, &mut ok);
-        debug_assert!(view.boundary().is_empty(), "trivial views have no boundary");
-    } else {
-        gather(view.boundary(), &mut results, frame, &mut ok);
-    }
-    tel.record(lane, cmd.round, SpanPhase::GatherBoundary, t_bnd);
-
-    // 6. Scatter the new loads into the frame's owned slots: this is
-    // what lets a resident coordinator send only changed values next
-    // round. Results arrive in gather order (interior-then-boundary;
-    // owned order under full exchange). Skipped on a failed round, after
-    // which the coordinator reseeds every shard anyway.
-    if ok {
-        if plan.full_exchange {
-            for (&v, &value) in view.owned().iter().zip(results.iter()) {
-                frame[v as usize] = value;
-            }
-        } else {
-            let order = view.interior().iter().chain(view.boundary());
-            for (&v, &value) in order.zip(results.iter()) {
-                frame[v as usize] = value;
-            }
-        }
-    }
-
-    RoundOutcome::Report {
-        ok,
-        results,
-        messages,
-        values_sent,
-    }
-}
-
-/// The long-lived shard worker loop: parks on its channel between rounds,
-/// holding its frame (the shard-local value store) across rounds.
-fn message_worker<L: Copy + Default + Send + 'static>(
-    shard: usize,
-    n: usize,
-    rx: mpsc::Receiver<ToWorker<L>>,
-    peers: Arc<RwLock<Vec<mpsc::Sender<ToWorker<L>>>>>,
-    done: mpsc::Sender<FromWorker<L>>,
-) {
-    // The shard's value store, addressed by global node id so the
-    // protocol kernel (a global-index function) runs unchanged. Only the
-    // owned and halo slots are ever written — its *information content*
-    // is exactly the ShardView-local state; global addressing is the
-    // price of reusing one kernel across 16 protocols instead of
-    // reimplementing each over the local CSR. A respawned worker starts
-    // from a default frame: no state transfer is needed, because every
-    // slot a round's kernel reads is rewritten that round from the
-    // coordinator's snapshot (owned values) and the halo exchange.
-    let mut frame: Vec<L> = vec![L::default(); n];
-    let mut plan: Option<Arc<MessagePlan>> = None;
-    // Halo batches that arrived before this worker's round command (peer
-    // shards may start a round earlier), tagged with their round-attempt
-    // sequence so stale leftovers are discarded at the next round start.
-    let mut stash: Vec<(u32, u64, Vec<L>)> = Vec::new();
-    // Spent halo/report buffers recycled across rounds (fed by received
-    // batches and the coordinator's `recycle` rides).
-    let mut free: Vec<Vec<L>> = Vec::new();
-    loop {
-        let mut cmd = loop {
-            match rx.recv() {
-                Ok(ToWorker::Plan(p)) => plan = Some(p),
-                Ok(ToWorker::Round(cmd)) => break cmd,
-                Ok(ToWorker::Halo { src, seq, values }) => stash.push((src, seq, values)),
-                Ok(ToWorker::Exit) | Err(_) => return,
-            }
-        };
-        let current = plan.as_ref().expect("plan precedes the first round");
-        let outcome = message_worker_round(
-            shard, current, &mut cmd, &mut frame, &mut stash, &mut free, &rx, &peers, &done,
-        );
-        let seq = cmd.seq;
-        // Drop the kernel before reporting: the coordinator's round
-        // returns (releasing the protocol borrow) once every report is
-        // in, so the erased borrow must be dead by then.
-        drop(cmd);
-        let (report, terminate) = match outcome {
-            RoundOutcome::Report {
-                ok,
-                results,
-                messages,
-                values_sent,
-            } => (
-                WorkerDone {
-                    shard,
-                    seq,
-                    ok,
-                    results,
-                    messages,
-                    values_sent,
-                },
-                false,
-            ),
-            // Shutdown mid-round: still release the coordinator's
-            // barrier with a failed report, then terminate.
-            RoundOutcome::Shutdown => (
-                WorkerDone {
-                    shard,
-                    seq,
-                    ok: false,
-                    results: Vec::new(),
-                    messages: 0,
-                    values_sent: 0,
-                },
-                true,
-            ),
-            // Injected crash: vanish without reporting. The kernel box
-            // was just dropped above, and the thread's locals are fully
-            // destroyed before `is_finished()` turns true — so the
-            // supervisor's death detection doubles as proof the erased
-            // protocol borrow is dead.
-            RoundOutcome::Die => return,
-        };
-        if done.send(FromWorker::Done(report)).is_err() || terminate {
-            return; // engine gone
-        }
-    }
-}
-
-/// The message backend's coordinator-side state: channels to the
-/// long-lived shard workers and the memoized exchange plans.
-struct MessageExec<L> {
-    to_workers: Vec<mpsc::Sender<ToWorker<L>>>,
-    from_workers: mpsc::Receiver<FromWorker<L>>,
-    /// The coordinator's own clone of the workers' report sender. Kept
-    /// for respawns — and so `from_workers` never observes a full
-    /// disconnect even if every worker dies at once.
-    done_tx: mpsc::Sender<FromWorker<L>>,
-    /// The peer dispatch table workers post halo batches through, shared
-    /// so a respawn can swap in the replacement's sender in place.
-    peers: Arc<RwLock<Vec<mpsc::Sender<ToWorker<L>>>>>,
-    handles: Vec<JoinHandle<()>>,
-    /// Node count (respawned workers need it for their frame).
-    n: usize,
-    spec: PartitionSpec,
-    plans: PlanCache<Arc<MessagePlan>>,
-    /// Fingerprint of the plan last broadcast to the workers; a round
-    /// only re-broadcasts when the current plan's fingerprint differs.
-    broadcast_key: Option<u64>,
-    /// The most recent round's communication metrics.
-    last_comm: Option<CommMetrics>,
-    /// Round-attempt counter stamped on every command, halo batch, and
-    /// report. Incremented per attempt (not per *successful* round), so
-    /// a retry after a failed attempt gets a fresh tag and any stale
-    /// in-flight batch is discarded rather than consumed.
-    round_seq: u64,
-    /// [`Backend::Message`]'s `resident` flag: dispatch deltas to
-    /// shards whose frame holds their last results.
-    resident: bool,
-    /// Resident dispatch reference: `last[s]` is the results vector
-    /// shard `s` returned last round (gather order) while its frame is
-    /// known to still hold those values; `None` forces a full reseed.
-    last: Vec<Option<Vec<L>>>,
-    /// Coordinator-side buffer free list, fed by consumed report
-    /// vectors; drawn on for owned dispatch slices.
-    free: Vec<Vec<L>>,
-}
-
-impl<L> std::fmt::Debug for MessageExec<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MessageExec")
-            .field("spec", &self.spec)
-            .field("shards", &self.to_workers.len())
-            .field("plans", &self.plans.entries.len())
-            .field("plans_built", &self.plans.built)
-            .finish()
-    }
-}
-
-impl<L: WireLoad + Send + 'static> MessageExec<L> {
-    fn new(spec: PartitionSpec, n: usize, resident: bool) -> MessageExec<L> {
-        let shards = spec.shards();
-        let (done_tx, from_workers) = mpsc::channel::<FromWorker<L>>();
-        let mut to_workers = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel::<ToWorker<L>>();
-            to_workers.push(tx);
-            receivers.push(rx);
-        }
-        let peers = Arc::new(RwLock::new(to_workers.clone()));
-        let handles = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| {
-                let peers = Arc::clone(&peers);
-                let done = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("dlb-msg-{s}"))
-                    .spawn(move || message_worker(s, n, rx, peers, done))
-                    .expect("spawn message shard worker")
-            })
-            .collect();
-        MessageExec {
-            to_workers,
-            from_workers,
-            done_tx,
-            peers,
-            handles,
-            n,
-            spec,
-            plans: PlanCache::new(),
-            broadcast_key: None,
-            last_comm: None,
-            round_seq: 0,
-            resident,
-            last: (0..shards).map(|_| None).collect(),
-            free: Vec::new(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        self.to_workers.len()
-    }
-
-    /// Replaces a dead shard worker with a fresh thread: a new channel
-    /// is installed in the dispatch table and the shared peer table (so
-    /// peers' next posts reach the replacement), and the current plan is
-    /// re-sent. No state transfer is needed — the coordinator's snapshot
-    /// is the authoritative store, and the replacement's default frame
-    /// gets a full owned slice on its next round.
-    fn respawn(&mut self, shard: usize, plan: &Arc<MessagePlan>) {
-        self.last[shard] = None;
-        let (tx, rx) = mpsc::channel::<ToWorker<L>>();
-        self.to_workers[shard] = tx.clone();
-        self.peers.write().expect("peer table poisoned")[shard] = tx;
-        let peers = Arc::clone(&self.peers);
-        let done = self.done_tx.clone();
-        let n = self.n;
-        self.handles[shard] = std::thread::Builder::new()
-            .name(format!("dlb-msg-{shard}"))
-            .spawn(move || message_worker(shard, n, rx, peers, done))
-            .expect("respawn message shard worker");
-        self.to_workers[shard]
-            .send(ToWorker::Plan(plan.clone()))
-            .expect("freshly respawned worker must be alive");
-    }
-
-    /// One message-passing round: broadcast the plan if it changed,
-    /// command every worker with its owned round-start values (resident:
-    /// only the changed ones where its frame allows), collect the round
-    /// barrier, and scatter the per-shard results into `out`. Returns
-    /// the first failed shard on a kernel failure.
-    ///
-    /// With `faults` present the round runs **supervised**: the collect
-    /// loop polls instead of blocking, retransmits missing halo batches
-    /// on worker nacks (any batch is reconstructible from `snapshot` and
-    /// the plan), and recovers dead workers — recompute the shard's
-    /// owned values from the snapshot (bit-identical: the snapshot is a
-    /// superset of any worker frame and the kernel is pure per node),
-    /// retransmit the dead shard's outbound batches, respawn the thread.
-    /// Recovery traffic is charged to the round's [`CommMetrics`].
-    /// Without `faults` every receive is the legacy blocking path.
-    #[allow(clippy::too_many_arguments)]
-    fn round(
-        &mut self,
-        kernels: impl Fn() -> MsgKernel<L>,
-        snapshot: &[L],
-        out: &mut [L],
-        faults: Option<(&FaultPlan, u64)>,
-        fault_stats: &mut FaultStats,
-        tel: &Telemetry,
-        round_no: u64,
-    ) -> Result<(), usize> {
-        let plan = self.plans.current().clone();
-        let key = self.plans.entries[self.plans.current].0;
-        assert_eq!(
-            out.len(),
-            plan.views().iter().map(|v| v.owned().len()).sum::<usize>(),
-            "message plan node count must equal the load vector length"
-        );
-        self.round_seq += 1;
-        let seq = self.round_seq;
-        let shards = self.shards();
-        let supervised = faults.is_some();
-        let nack_after = faults.map(|(fault_plan, _)| fault_plan.patience());
-        let mut shard_faults: Vec<Vec<FaultKind>> = vec![Vec::new(); shards];
-        if let Some((fault_plan, round_no)) = faults {
-            for event in fault_plan.events_at(round_no) {
-                if event.shard < shards {
-                    shard_faults[event.shard].push(event.kind);
-                    fault_stats.faults_injected += 1;
-                }
-            }
-        }
-
-        let mut comm = CommMetrics {
-            shards,
-            ..CommMetrics::default()
-        };
-        // Dispatch: command every worker with its round-start owned
-        // values — the coordinator half of the scatter. A resident shard
-        // whose frame holds last round's results gets only the values
-        // that differ from them; every other shard gets its full slice.
-        let t_dispatch = tel.start();
-        let rebroadcast = self.broadcast_key != Some(key);
-        let mut reseeded = false;
-        for (s, pending_faults) in shard_faults.iter_mut().enumerate() {
-            if supervised && self.handles[s].is_finished() {
-                // Defensive: deaths are recovered in the round they
-                // happen, so no worker should be found dead here.
-                self.respawn(s, &plan);
-                fault_stats.recoveries += 1;
-            } else if rebroadcast {
-                self.to_workers[s]
-                    .send(ToWorker::Plan(plan.clone()))
-                    .expect("message worker exited early");
-            }
-            let view = &plan.views()[s];
-            let (owned, recycle) = match self.last[s].take().filter(|_| !rebroadcast) {
-                Some(last) => {
-                    let mut deltas = Vec::new();
-                    let order = view.interior().iter().chain(view.boundary());
-                    for (&v, &old) in order.zip(&last) {
-                        let now = snapshot[v as usize];
-                        if now.to_word() != old.to_word() {
-                            deltas.push((v, now));
-                        }
-                    }
-                    comm.delta_values += deltas.len();
-                    // The spent reference rides back as the worker's
-                    // results buffer for this round.
-                    (OwnedIn::Deltas(deltas), Some(last))
-                }
-                None => {
-                    let mut owned = pooled(&mut self.free);
-                    owned.extend(view.owned().iter().map(|&v| snapshot[v as usize]));
-                    comm.owned_values_in += owned.len();
-                    reseeded = true;
-                    (OwnedIn::Values(owned), None)
-                }
-            };
-            let cmd = ToWorker::Round(Box::new(RoundCmd {
-                kernel: kernels(),
-                owned,
-                recycle,
-                seq,
-                faults: std::mem::take(pending_faults),
-                nack_after,
-                telemetry: tel.clone(),
-                round: round_no,
-            }));
-            self.to_workers[s]
-                .send(cmd)
-                .expect("message worker exited early");
-        }
-        self.broadcast_key = Some(key);
-        let dispatch_phase = if self.resident && !reseeded {
-            SpanPhase::DeltaScatter
-        } else {
-            SpanPhase::ScatterOwned
-        };
-        tel.record(ENGINE_LANE, round_no, dispatch_phase, t_dispatch);
-
-        let mut results: Vec<Option<Vec<L>>> = (0..shards).map(|_| None).collect();
-        // Shards the supervisor re-homed this round: their respawned
-        // workers' frames do not hold the results.
-        let mut rehomed: Vec<usize> = Vec::new();
-        let mut outstanding = shards;
-        let mut failed: Option<usize> = None;
-        while outstanding > 0 {
-            let msg = if supervised {
-                match self.from_workers.recv_timeout(SUPERVISE_POLL) {
-                    Ok(msg) => msg,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Scan the silent shards for dead worker threads.
-                        // `is_finished()` implies the thread's locals —
-                        // including any round command left in its queue —
-                        // are destroyed, so no erased kernel borrow
-                        // survives past this round.
-                        for (s, slot) in results.iter_mut().enumerate() {
-                            if slot.is_none() && self.handles[s].is_finished() {
-                                let t_recover = tel.start();
-                                let view = &plan.views()[s];
-                                // Re-home the dead shard: recompute its
-                                // owned values from the snapshot (the
-                                // injected-death path never reaches the
-                                // kernel, so a genuine kernel panic here
-                                // reproduces and fails the round).
-                                let kernel = kernels();
-                                let mut values: Vec<L> = Vec::new();
-                                let computed = catch_unwind(AssertUnwindSafe(|| {
-                                    let mut out = Vec::with_capacity(view.owned().len());
-                                    if plan.full_exchange {
-                                        kernel(snapshot, view.owned(), &mut out);
-                                    } else {
-                                        kernel(snapshot, view.interior(), &mut out);
-                                        kernel(snapshot, view.boundary(), &mut out);
-                                    }
-                                    out
-                                }));
-                                match computed {
-                                    Ok(out) => values = out,
-                                    Err(_) => {
-                                        failed.get_or_insert(s);
-                                    }
-                                }
-                                // Retransmit the dead shard's outbound
-                                // batches so its starved peers don't wait
-                                // out their patience (receiver dedup makes
-                                // any overlap with a nack-triggered
-                                // retransmission harmless).
-                                for (dest, ids) in &plan.send[s] {
-                                    let halo: Vec<L> =
-                                        ids.iter().map(|&v| snapshot[v as usize]).collect();
-                                    comm.messages += 1;
-                                    comm.values_sent += halo.len();
-                                    let _ = self.to_workers[*dest].send(ToWorker::Halo {
-                                        src: s as u32,
-                                        seq,
-                                        values: halo,
-                                    });
-                                }
-                                fault_stats.recoveries += 1;
-                                fault_stats.rehomed_values += view.owned().len() as u64;
-                                self.respawn(s, &plan);
-                                rehomed.push(s);
-                                *slot = Some(values);
-                                outstanding -= 1;
-                                tel.record(
-                                    ENGINE_LANE,
-                                    round_no,
-                                    SpanPhase::FaultRecovery,
-                                    t_recover,
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        unreachable!("coordinator holds its own report sender")
-                    }
-                }
-            } else {
-                self.from_workers
-                    .recv()
-                    .expect("message worker exited early")
-            };
-            match msg {
-                FromWorker::Done(report) => {
-                    // Stale attempts and shards already recovered by the
-                    // supervisor are discarded, not consumed.
-                    if report.seq != seq || results[report.shard].is_some() {
-                        continue;
-                    }
-                    if !report.ok {
-                        failed.get_or_insert(report.shard);
-                    }
-                    comm.messages += report.messages;
-                    comm.values_sent += report.values_sent;
-                    comm.max_shard_values_sent = comm.max_shard_values_sent.max(report.values_sent);
-                    comm.owned_values_out += report.results.len();
-                    results[report.shard] = Some(report.results);
-                    outstanding -= 1;
-                }
-                FromWorker::MissingHalo {
-                    shard,
-                    src,
-                    seq: want,
-                } => {
-                    if want != seq {
-                        continue; // stale nack from a past attempt
-                    }
-                    // Rebuild the missing batch from the snapshot and
-                    // retransmit it; charged as recovery traffic.
-                    if let Some((_, ids)) = plan.recv[shard].iter().find(|(g, _)| *g == src) {
-                        let t_recover = tel.start();
-                        let values: Vec<L> = ids.iter().map(|&v| snapshot[v as usize]).collect();
-                        comm.messages += 1;
-                        comm.values_sent += values.len();
-                        let _ = self.to_workers[shard].send(ToWorker::Halo {
-                            src: src as u32,
-                            seq,
-                            values,
-                        });
-                        fault_stats.recoveries += 1;
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::FaultRecovery, t_recover);
-                    }
-                }
-            }
-        }
-        comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
-        if failed.is_none() && self.resident {
-            comm.collects = 1;
-        }
-        self.last_comm = Some(comm);
-        if let Some(shard) = failed {
-            // Every `last` entry was taken at dispatch: the next round
-            // reseeds all shards.
-            return Err(shard);
-        }
-
-        // Gather half of the scatter: fold the per-shard results back
-        // into the global vector. Resident shards keep their results as
-        // next round's delta reference; otherwise the spent buffers feed
-        // the coordinator's free list for the next owned dispatch.
-        let t_scatter = tel.start();
-        for (s, (view, shard_results)) in plan.views().iter().zip(results).enumerate() {
-            let shard_results = shard_results.expect("every shard reported");
-            // Results arrive in the shard's gather order:
-            // interior-then-boundary.
-            let order = view.interior().iter().chain(view.boundary());
-            debug_assert_eq!(shard_results.len(), view.owned().len());
-            for (&v, &value) in order.zip(shard_results.iter()) {
-                out[v as usize] = value;
-            }
-            if self.resident && !rehomed.contains(&s) {
-                self.last[s] = Some(shard_results);
-            } else {
-                recycle_into(&mut self.free, shard_results);
-            }
-        }
-        let scatter_phase = if self.resident {
-            SpanPhase::Collect
-        } else {
-            SpanPhase::ScatterOwned
-        };
-        tel.record(ENGINE_LANE, round_no, scatter_phase, t_scatter);
-        Ok(())
-    }
-}
-
-impl<L> Drop for MessageExec<L> {
-    fn drop(&mut self) {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Exit);
-        }
-        self.to_workers.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Monomorphized per-round kernel factory stored by message engines —
-/// instantiated in the constructor, the only place that knows `P: Sync`.
-/// The trailing pair is the round's kernel selection, exactly as in
-/// [`GatherFn`].
-type MessageKernelFn<P> =
-    fn(&P, KernelKind, Option<std::sync::Arc<GatherPlan>>) -> MsgKernel<<P as Protocol>::Load>;
-
 /// The executor strategy of an engine, with everything monomorphized at
 /// construction time.
 #[derive(Debug)]
@@ -2345,11 +1295,8 @@ enum Exec<P: Protocol> {
         pool: WorkerPool,
         gather: GatherFn<P>,
     },
-    Message {
-        exec: Box<MessageExec<<P as Protocol>::Load>>,
-        make_kernel: MessageKernelFn<P>,
-    },
-    Process(Box<crate::process::ProcessExec<<P as Protocol>::Load>>),
+    Message(Box<ShardExec<<P as Protocol>::Load, ThreadLink<<P as Protocol>::Load>>>),
+    Process(Box<ShardExec<<P as Protocol>::Load, WireLink>>),
 }
 
 impl<P: Protocol> Exec<P> {
@@ -2360,7 +1307,7 @@ impl<P: Protocol> Exec<P> {
     /// channel/socket servers, not a gather pool.
     fn stats_pool(&self) -> Option<&WorkerPool> {
         match self {
-            Exec::Serial | Exec::Message { .. } | Exec::Process(_) => None,
+            Exec::Serial | Exec::Message(_) | Exec::Process(_) => None,
             Exec::Pool { pool, .. } => Some(pool),
         }
     }
@@ -2369,7 +1316,7 @@ impl<P: Protocol> Exec<P> {
     /// serial and pool backends).
     fn plans(&self) -> Option<&PlanCache<Arc<MessagePlan>>> {
         match self {
-            Exec::Message { exec, .. } => Some(&exec.plans),
+            Exec::Message(exec) => Some(&exec.plans),
             Exec::Process(exec) => Some(&exec.plans),
             Exec::Serial | Exec::Pool { .. } => None,
         }
@@ -2382,7 +1329,7 @@ impl<P: Protocol> Exec<P> {
     /// pool backends.
     fn refresh_plan(&mut self, protocol: &P, tel: &Telemetry, round_no: u64) {
         let (spec, plans) = match self {
-            Exec::Message { exec, .. } => (exec.spec, &mut exec.plans),
+            Exec::Message(exec) => (exec.spec, &mut exec.plans),
             Exec::Process(exec) => (exec.spec, &mut exec.plans),
             Exec::Serial | Exec::Pool { .. } => return,
         };
@@ -2390,6 +1337,39 @@ impl<P: Protocol> Exec<P> {
             Arc::new(MessagePlan::build(&spec, graph, n))
         });
     }
+}
+
+/// One round of a partitioned backend over either link: the shard
+/// runtime's coordinator with the protocol's gather spec and its
+/// `node_new_load` as the precompute kernel.
+fn shard_round<P: Protocol, K: ShardLink<P::Load>>(
+    exec: &mut ShardExec<P::Load, K>,
+    protocol: &P,
+    (snapshot, out): (&[P::Load], &mut [P::Load]),
+    kind: KernelKind,
+    (faults, fault_stats): (Option<&FaultPlan>, &mut FaultStats),
+    tel: &Telemetry,
+    round_no: u64,
+) -> Result<(), EngineError> {
+    exec.round(
+        snapshot,
+        out,
+        protocol.gather_spec(),
+        protocol.graph_version(),
+        kind,
+        &mut |nodes, values| {
+            values.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))
+        },
+        faults,
+        fault_stats,
+        tel,
+        round_no,
+    )
+    .map_err(|shard| EngineError {
+        shard,
+        round: round_no,
+        phase: K::PHASE,
+    })
 }
 
 impl<P: Protocol> Engine<P> {
@@ -2451,54 +1431,48 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Message-passing executor: one long-lived worker thread per shard,
-    /// each owning only its shard's loads. During a round the workers
-    /// never read the global load vector — the coordinator hands each its
-    /// owned round-start values, boundary loads cross shards as batched
-    /// per-neighbour-shard messages over typed channels (the
-    /// [`ShardView::halo_groups`] schedule), and each shard gathers
-    /// interior-then-boundary locally. Per-round exchange volume is
-    /// reported by [`Engine::comm_metrics`].
+    /// each holding only its shard's owned and halo values. This is the
+    /// shard runtime (see [`crate::shard`]) over its in-memory link: the
+    /// coordinator sends each worker its plan (the shard's local CSR),
+    /// then every round its owned round-start values and one halo batch
+    /// per neighbour shard (the [`ShardView::halo_groups`] schedule), cut
+    /// from the snapshot; the worker gathers its owned rows and sends its
+    /// results back. Per-round exchange volume is reported by
+    /// [`Engine::comm_metrics`].
     ///
     /// Loads, Φ traces, and statistics are bit-identical to every other
-    /// backend: the same pure kernel runs per node, each worker's frame
-    /// holds exactly the snapshot values the kernel reads (owned + halo),
-    /// and statistics fold through the identical block-ordered
-    /// [`StatsCtx`] reductions. Protocols exposing no graph fall back to
-    /// a full exchange (their reads are not neighbourhood-local), which
-    /// the communication metrics make visible rather than hide.
-    pub fn message(protocol: P, partition: PartitionSpec) -> Self
-    where
-        P: Sync,
-    {
+    /// backend: the workers run the same kernel over a local CSR that
+    /// keeps the global slot order and degrees, and statistics fold
+    /// through the identical block-ordered [`StatsCtx`] reductions.
+    /// Protocols without a [`Protocol::gather_spec`] cannot ship their
+    /// kernel, so the coordinator evaluates their `node_new_load` and the
+    /// workers return the values it sent. Protocol code never runs on a
+    /// worker thread, so `P` need not be `Sync`.
+    ///
+    /// [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
+    pub fn message(protocol: P, partition: PartitionSpec) -> Self {
         Engine::message_with(protocol, partition, false)
     }
 
     /// [`Engine::message`] with [`Backend::Message`]'s `resident`
     /// dispatch policy chosen explicitly.
-    fn message_with(protocol: P, partition: PartitionSpec, resident: bool) -> Self
-    where
-        P: Sync,
-    {
+    fn message_with(protocol: P, partition: PartitionSpec, resident: bool) -> Self {
         assert!(partition.shards() >= 1, "message backend needs >= 1 shard");
-        let n = protocol.n();
-        Engine::from_exec(
-            protocol,
-            Exec::Message {
-                exec: Box::new(MessageExec::new(partition, n, resident)),
-                make_kernel: make_message_kernel::<P>,
-            },
-        )
+        let link = ThreadLink::spawn(partition.shards(), resident);
+        let exec = ShardExec::new(partition, link);
+        Engine::from_exec(protocol, Exec::Message(Box::new(exec)))
     }
 
     /// Process executor: one `dlb-shard-worker` **OS process** per shard,
     /// spawned here and connected over `transport` (the fleet lives for
     /// the engine's lifetime; [`Drop`] shuts it down and reaps every
-    /// child). Rounds run the message backend's exchange shape as
-    /// `dlb-wire/3` frames — see [`Backend::Process`] and the
+    /// child). This is the shard runtime of [`Engine::message`] over the
+    /// socket link: the same coordinator, plans and recovery, with every
+    /// value framed as `dlb-wire/3` — see [`Backend::Process`] and the
     /// [`process`](crate::process) module docs.
     ///
-    /// Unlike the thread backends this does **not** require `P: Sync`:
-    /// the coordinator is single-threaded and the workers are separate
+    /// Like [`Engine::message`] this does not require `P: Sync`: the
+    /// coordinator is single-threaded and the workers are separate
     /// processes. Panics if the worker binary cannot be found (build it
     /// with `cargo build -p dlb-worker`, or set `DLB_WORKER_BIN`) or a
     /// worker fails its handshake.
@@ -2523,7 +1497,8 @@ impl<P: Protocol> Engine<P> {
     /// ```
     pub fn process(protocol: P, partition: PartitionSpec, transport: dlb_wire::Transport) -> Self {
         assert!(partition.shards() >= 1, "process backend needs >= 1 shard");
-        let exec = crate::process::ProcessExec::new(partition, transport);
+        let link = WireLink::spawn(partition.shards(), transport);
+        let exec = ShardExec::new(partition, link);
         Engine::from_exec(protocol, Exec::Process(Box::new(exec)))
     }
 
@@ -2590,16 +1565,19 @@ impl<P: Protocol> Engine<P> {
 
     /// Arms a deterministic [`FaultPlan`], builder-style.
     ///
-    /// With a plan armed — even an empty one — the message backend runs
-    /// **supervised**: worker deaths are detected and recovered (respawn
-    /// and re-homing from the round-start snapshot), missing halo batches
-    /// are retransmitted, and injected faults fire per the plan's
-    /// schedule. Recovery is exact, so an armed engine's loads stay
-    /// bit-identical to an unarmed one's. Without a plan every backend
-    /// takes its legacy code path unchanged — absence is zero-cost. The
-    /// serial, pool and process backends have no in-process shard
-    /// workers to fault, so they ignore injection (pool kernel panics
-    /// still surface through [`Engine::try_round`] either way).
+    /// With a plan armed — even an empty one — the message and process
+    /// backends recover failed shards instead of failing the round: the
+    /// coordinator injects the plan's faults (killing a worker, holding a
+    /// shard's dispatch back, dropping, duplicating or reordering the
+    /// halo batches it writes), and re-homes every shard whose worker
+    /// died, refused the round or answered with the wrong number of
+    /// values, recomputing its owned values from the round-start
+    /// snapshot; a dead worker is respawned. Recovery is exact, so an
+    /// armed engine's loads stay bit-identical to an unarmed one's.
+    /// Without a plan every shard failure is the round's typed
+    /// [`EngineError`]. The serial and pool backends have no shard
+    /// workers, so they ignore the plan (pool kernel panics still
+    /// surface through [`Engine::try_round`] either way).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.set_faults(Some(plan));
         self
@@ -2624,7 +1602,8 @@ impl<P: Protocol> Engine<P> {
 
     /// Arms span recording, builder-style. An armed engine records one
     /// typed span per round section — plan builds, per-shard gathers, the
-    /// message workers' post/receive phases, stats, fault recovery — into
+    /// shard workers' halo-fill and gather phases, the coordinator's
+    /// scatters and wire encode/decode, stats, fault recovery — into
     /// the handle's per-lane ring buffers. Recording never touches loads:
     /// armed rounds stay bit-identical to [`Telemetry::Off`] rounds, and
     /// `Off` (the default) is a no-op enum branch at every site.
@@ -2703,11 +1682,11 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Worker count (1 for the serial executor; the shard count for the
-    /// message backend — one worker per shard).
+    /// message and process backends — one worker per shard).
     pub fn threads(&self) -> usize {
         match &self.exec {
-            Exec::Message { exec, .. } => exec.shards(),
-            Exec::Process(exec) => exec.shards(),
+            Exec::Message(exec) => exec.link.shards(),
+            Exec::Process(exec) => ShardLink::<P::Load>::shards(&exec.link),
             other => other.stats_pool().map_or(1, WorkerPool::threads),
         }
     }
@@ -2721,13 +1700,13 @@ impl<P: Protocol> Engine<P> {
             Exec::Pool { pool, .. } => Backend::Pool {
                 threads: pool.threads(),
             },
-            Exec::Message { exec, .. } => Backend::Message {
+            Exec::Message(exec) => Backend::Message {
                 partition: exec.spec,
-                resident: exec.resident,
+                resident: exec.link.resident,
             },
             Exec::Process(exec) => Backend::Process {
                 partition: exec.spec,
-                transport: exec.transport,
+                transport: exec.link.transport,
             },
         }
     }
@@ -2794,7 +1773,7 @@ impl<P: Protocol> Engine<P> {
     /// ```
     pub fn comm_metrics(&self) -> Option<CommMetrics> {
         match &self.exec {
-            Exec::Message { exec, .. } => exec.last_comm,
+            Exec::Message(exec) => exec.last_comm,
             Exec::Process(exec) => exec.last_comm,
             _ => None,
         }
@@ -2805,21 +1784,22 @@ impl<P: Protocol> Engine<P> {
     /// `ps`/`/proc` inspection and for external chaos tooling.
     pub fn process_worker_pids(&self) -> Option<Vec<u32>> {
         match &self.exec {
-            Exec::Process(exec) => Some(exec.worker_pids()),
+            Exec::Process(exec) => Some(exec.link.worker_pids()),
             _ => None,
         }
     }
 
     /// Kills the given shard's worker process (SIGKILL) — the chaos-
-    /// testing entry point proving the no-deadlock design: the next
-    /// [`Engine::try_round`] returns a typed [`EngineError`] naming the
-    /// shard (phase [`EnginePhase::Wire`]) within the wire timeout,
-    /// instead of hanging on a barrier. Panics on non-process backends;
-    /// there is no respawn — the engine stays typed-failed for that
-    /// shard until rebuilt.
+    /// testing entry point proving the no-deadlock design. Without a
+    /// [`FaultPlan`] armed, the next [`Engine::try_round`] returns a
+    /// typed [`EngineError`] naming the shard (phase
+    /// [`EnginePhase::Wire`]) within the wire timeout instead of hanging
+    /// on a barrier, and so does every later round. With a plan armed
+    /// (see [`Engine::with_faults`]) the next round re-homes the shard
+    /// and respawns its worker instead. Panics on non-process backends.
     pub fn process_kill_worker(&mut self, shard: usize) {
         match &mut self.exec {
-            Exec::Process(exec) => exec.kill_worker(shard),
+            Exec::Process(exec) => ShardLink::<P::Load>::kill(&mut exec.link, shard),
             _ => panic!("process_kill_worker needs the process backend"),
         }
     }
@@ -2876,13 +1856,13 @@ impl<P: Protocol> Engine<P> {
             // Resolve the kernel selection *after* begin_round: dynamic
             // protocols draw their round graph there, and the gather plan
             // must analyse that graph. A `Plan` span is emitted only when
-            // the fingerprint cache actually built a new plan. Process
+            // the fingerprint cache actually built a new plan. Shard
             // workers build their own gather plans from their local CSRs,
-            // so that backend resolves none here.
+            // so the partitioned backends resolve none here.
             let kind = self.kernel.kind;
             let plan = match self.exec {
-                Exec::Process(_) => None,
-                _ => self.kernel.resolve(protocol, tel, round_no),
+                Exec::Serial | Exec::Pool { .. } => self.kernel.resolve(protocol, tel, round_no),
+                Exec::Message(_) | Exec::Process(_) => None,
             };
             // Stats rounds of a canonical protocol on the shared-memory
             // executors fuse the first statistics pass into the gather.
@@ -2898,8 +1878,7 @@ impl<P: Protocol> Engine<P> {
             };
             self.partials.clear();
             self.partials.resize(blocks, BlockPartial::default());
-            // The message and process backends share one exchange plan
-            // (the wire round reuses the message schedule wholesale).
+            // The message and process backends share one exchange plan.
             self.exec.refresh_plan(protocol, tel, round_no);
             match &mut self.exec {
                 Exec::Serial => match (plan.as_deref(), protocol.gather_spec()) {
@@ -2944,48 +1923,24 @@ impl<P: Protocol> Engine<P> {
                     })?;
                     tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
                 }
-                Exec::Message { exec, make_kernel } => {
-                    let make_kernel = *make_kernel;
-                    exec.round(
-                        || make_kernel(protocol, kind, plan.clone()),
-                        snapshot,
-                        &mut self.back,
-                        faults.map(|fault_plan| (fault_plan, round_no)),
-                        &mut self.fault_stats,
-                        tel,
-                        round_no,
-                    )
-                    .map_err(|shard| EngineError {
-                        shard,
-                        round: round_no,
-                        phase: EnginePhase::Exchange,
-                    })?;
-                }
-                Exec::Process(exec) => {
-                    // Fault injection targets in-process shard workers;
-                    // the process backend's failure surface is real OS
-                    // processes (kill via Engine::process_kill_worker),
-                    // so injected executor faults are ignored here like
-                    // on the serial/pool backends — the scenario layer
-                    // rejects the combination outright.
-                    exec.round(
-                        snapshot,
-                        &mut self.back,
-                        protocol.gather_spec(),
-                        protocol.graph_version(),
-                        kind,
-                        &mut |nodes, out| {
-                            out.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))
-                        },
-                        tel,
-                        round_no,
-                    )
-                    .map_err(|shard| EngineError {
-                        shard,
-                        round: round_no,
-                        phase: EnginePhase::Wire,
-                    })?;
-                }
+                Exec::Message(exec) => shard_round(
+                    exec,
+                    protocol,
+                    (snapshot, &mut self.back),
+                    kind,
+                    (faults, &mut self.fault_stats),
+                    tel,
+                    round_no,
+                )?,
+                Exec::Process(exec) => shard_round(
+                    exec,
+                    protocol,
+                    (snapshot, &mut self.back),
+                    kind,
+                    (faults, &mut self.fault_stats),
+                    tel,
+                    round_no,
+                )?,
             }
         }
         // O(1) ping-pong: the caller's vector becomes the back buffer
@@ -3113,10 +2068,7 @@ pub trait IntoEngine: Protocol + Sized {
 
     /// Wraps the protocol in a message-passing [`Engine`] (see
     /// [`Engine::message`]).
-    fn engine_message(self, partition: PartitionSpec) -> Engine<Self>
-    where
-        Self: Sync,
-    {
+    fn engine_message(self, partition: PartitionSpec) -> Engine<Self> {
         Engine::message(self, partition)
     }
 
@@ -3285,7 +2237,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultEvent;
+    use crate::faults::{FaultEvent, FaultKind};
 
     /// Toy protocol: every node averages with its ring neighbours' parity
     /// sign — enough structure to detect chunking bugs.
@@ -3293,6 +2245,8 @@ mod tests {
         n: usize,
         rounds_begun: usize,
         rounds_finished: usize,
+        /// A node whose kernel panics (none by default).
+        bad: u32,
     }
 
     fn toy(n: usize) -> Toy {
@@ -3300,6 +2254,7 @@ mod tests {
             n,
             rounds_begun: 0,
             rounds_finished: 0,
+            bad: u32::MAX,
         }
     }
 
@@ -3320,6 +2275,7 @@ mod tests {
         }
 
         fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
+            assert!(v != self.bad, "injected failure");
             let v = v as usize;
             let left = snapshot[(v + self.n - 1) % self.n];
             let right = snapshot[(v + 1) % self.n];
@@ -3352,18 +2308,16 @@ mod tests {
         }
     }
 
-    /// Toy protocol over an explicit cycle graph, so the message backend
-    /// runs a real batched halo exchange instead of the full-exchange
-    /// fallback. Its kernel panics on node `bad` (none by default).
+    /// Diffusion over an explicit cycle graph, exposing its gather spec,
+    /// so the partitioned backends ship the kernel to their workers and
+    /// run a real batched halo exchange.
     struct GraphToy {
         g: dlb_graphs::Graph,
-        bad: u32,
     }
 
     fn graph_toy(n: usize) -> GraphToy {
         GraphToy {
             g: dlb_graphs::topology::cycle(n),
-            bad: u32::MAX,
         }
     }
 
@@ -3380,12 +2334,7 @@ mod tests {
         }
 
         fn node_new_load(&self, snapshot: &[f64], v: u32) -> f64 {
-            assert!(v != self.bad, "injected failure");
-            let mut acc = 0.5 * snapshot[v as usize];
-            for &u in self.g.neighbors(v) {
-                acc += 0.25 * snapshot[u as usize];
-            }
-            acc
+            kernels::gather_node(&self.gather_spec().expect("spec"), snapshot, v)
         }
 
         fn compute_stats(&mut self, _s: &[f64], new: &[f64], ctx: &StatsCtx<'_>) -> u64 {
@@ -3394,6 +2343,13 @@ mod tests {
 
         fn current_graph(&self) -> Option<&dlb_graphs::Graph> {
             Some(&self.g)
+        }
+
+        fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+            Some(GatherSpec {
+                graph: &self.g,
+                factor: 4.0,
+            })
         }
     }
 
@@ -3464,10 +2420,10 @@ mod tests {
     }
 
     #[test]
-    fn message_backend_full_exchange_without_a_graph() {
-        // Toy exposes no graph but reads ring neighbours, i.e. arbitrary
-        // remote slots under a range split — exactly the case the
-        // full-exchange fallback exists for.
+    fn message_backend_without_a_graph_precomputes_on_the_coordinator() {
+        // Toy exposes no gather spec, so its kernel cannot ship: the
+        // coordinator evaluates it, every shard gets its new owned values
+        // and returns them, and no halo batch moves.
         let n = 30;
         let init: Vec<f64> = (0..n).map(|i| ((i * 13 + 1) % 17) as f64).collect();
         let mut serial = init.clone();
@@ -3479,11 +2435,13 @@ mod tests {
             e.rounds(&mut msg, 5);
             assert_eq!(serial, msg, "shards = {shards}");
             let comm = e.comm_metrics().expect("comm recorded");
-            // k non-empty shards broadcast their owned blocks to the
-            // k − 1 other computing shards.
-            let k = shards.min(n);
-            assert_eq!(comm.messages, k * (k - 1), "shards = {shards}");
-            assert_eq!(comm.values_sent, n * (k - 1), "shards = {shards}");
+            assert_eq!(
+                (comm.messages, comm.values_sent),
+                (0, 0),
+                "shards = {shards}"
+            );
+            assert_eq!(comm.owned_values_in, n, "shards = {shards}");
+            assert_eq!(comm.owned_values_out, n, "shards = {shards}");
         }
     }
 
@@ -3501,7 +2459,9 @@ mod tests {
         assert!(e.comm_metrics().is_none());
     }
 
-    /// Kernel that panics on one node — for the barrier-safety test.
+    /// Identity kernel that panics on one node. It has no gather spec,
+    /// so on the partitioned backends the panic fires in the
+    /// coordinator's precompute.
     struct PanickingToy {
         n: usize,
         bad: u32,
@@ -3528,7 +2488,10 @@ mod tests {
     }
 
     #[test]
-    fn message_worker_panic_propagates_without_deadlocking_the_barrier() {
+    fn message_kernel_panic_propagates_without_deadlocking_the_barrier() {
+        // The kernel panic surfaces as the round's error after every
+        // dispatched worker has answered, so the next round finds the
+        // workers idle and the links clean.
         let mut e = Engine::message(
             PanickingToy { n: 12, bad: 7 },
             PartitionSpec::Range { shards: 3 },
@@ -3555,6 +2518,17 @@ mod tests {
         })
     }
 
+    /// Both links of the shard runtime over `partition`: the message
+    /// backend under both dispatch policies, and the process backend.
+    fn shard_backends(partition: PartitionSpec) -> [Backend; 3] {
+        let [legacy, resident] = message_backends(partition);
+        let process = Backend::Process {
+            partition,
+            transport: dlb_wire::Transport::Unix,
+        };
+        [legacy, resident, process]
+    }
+
     #[test]
     fn try_round_reports_shard_round_and_phase() {
         // Pool: the failed chunk surfaces as a typed Gather error.
@@ -3565,7 +2539,7 @@ mod tests {
         assert_eq!(err.round, 1);
         assert!(err.to_string().contains("round 1"), "{err}");
 
-        // Message: the failing worker's report carries its shard id.
+        // Message: the coordinator's precompute fails on shard 1's list.
         for backend in message_backends(PartitionSpec::Range { shards: 3 }) {
             let mut e = Engine::with_backend(PanickingToy { n: 12, bad: 7 }, backend);
             let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
@@ -3591,29 +2565,23 @@ mod tests {
             assert!(err.is_ok(), "{backend:?}");
         }
 
-        // A failure after the first round: every shard's retry ships its
-        // full owned slice (surviving shards' frames hold results the
-        // coordinator discarded), and the trajectory stays serial's.
+        // A failure after the first round: the retry ships every shard
+        // its values again, and the trajectory stays serial's.
         let n = 48;
         let init: Vec<f64> = (0..n).map(|i| ((i * 37 + 5) % 41) as f64 / 3.0).collect();
         let mut serial = init.clone();
-        Engine::serial(graph_toy(n)).rounds(&mut serial, 3);
+        Engine::serial(toy(n)).rounds(&mut serial, 3);
         for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
-            let mut e = Engine::with_backend(graph_toy(n), backend);
+            let mut e = Engine::with_backend(toy(n), backend);
             let mut loads = init.clone();
             e.round(&mut loads);
             e.protocol_mut().bad = 30; // owned by shard 2
             let err = e.try_round(&mut loads).unwrap_err();
             assert_eq!((err.shard, err.round), (2, 2), "{backend:?}");
             e.protocol_mut().bad = u32::MAX;
-            e.round(&mut loads);
+            e.rounds(&mut loads, 2);
             let comm = e.comm_metrics().expect("comm recorded");
-            assert_eq!(comm.owned_values_in, n, "{backend:?}: retry reseeds");
-            assert_eq!(comm.delta_values, 0, "{backend:?}");
-            e.round(&mut loads);
-            let resident = matches!(backend, Backend::Message { resident: true, .. });
-            let comm = e.comm_metrics().expect("comm recorded");
-            assert_eq!(comm.owned_values_in, if resident { 0 } else { n });
+            assert_eq!(comm.owned_values_in, n, "{backend:?}: precomputed rounds");
             assert_eq!(serial, loads, "{backend:?}: diverged after the failure");
         }
     }
@@ -3627,29 +2595,33 @@ mod tests {
         let mut s = Engine::serial(graph_toy(n));
         let serial_stats: Vec<_> = (0..rounds).map(|_| s.round(&mut serial)).collect();
 
-        // One of every fault kind, across distinct rounds and shards. The
-        // delay (30 ms) exceeds the patience (25 ms), so starved peers
-        // exercise the nack → retransmit path too.
+        // One of every fault kind, across distinct rounds and shards, on
+        // a cycle cut into four 12-node ranges: shard s sends its two
+        // end nodes to shards s ± 1.
         let plan = FaultPlan::new()
             .event(2, 1, FaultKind::Panic)
             .event(3, 0, FaultKind::DropHalo)
             .event(4, 2, FaultKind::DuplicateHalo)
             .event(5, 3, FaultKind::ReorderHalo)
-            .event(6, 1, FaultKind::Delay { ms: 30 })
-            .with_patience(Duration::from_millis(25));
-        for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
+            .event(6, 1, FaultKind::Delay { ms: 30 });
+        for backend in shard_backends(PartitionSpec::Range { shards: 4 }) {
             let resident = matches!(backend, Backend::Message { resident: true, .. });
             let mut faulted = init.clone();
             let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(plan.clone());
+            let pids = e.process_worker_pids();
             let mut faulted_stats = Vec::new();
             for round in 1..=rounds {
                 faulted_stats.push(e.round(&mut faulted));
-                // Resident: round 1 seeds every shard, and round 3
-                // reseeds shard 1 (12 values), whose worker died and was
-                // respawned in round 2; every other round ships deltas.
+                // Round 2 kills shard 1 before its dispatch. Rounds 3
+                // and 4 starve (drop) and double-feed (duplicate) shards
+                // 1 and 3, which refuse. Resident dispatch sends full
+                // owned slices only to shards that are new or refused
+                // their last round; everyone else gets deltas.
                 let expect = match (resident, round) {
+                    (_, 2) if !resident => 36,
                     (false, _) | (true, 1) => n,
                     (true, 3) => 12,
+                    (true, 4) | (true, 5) => 24,
                     (true, _) => 0,
                 };
                 let comm = e.comm_metrics().expect("comm recorded");
@@ -3663,20 +2635,22 @@ mod tests {
             );
             let stats = e.fault_stats();
             assert_eq!(stats.faults_injected, 5);
-            assert!(
-                stats.recoveries >= 2,
-                "panic re-home and halo retransmits: {stats:?}"
-            );
-            // Exactly one worker died: shard 1 owns 48/4 = 12 values.
-            assert_eq!(stats.rehomed_values, 12);
+            // Re-homed: shard 1 (killed), shards 1 and 3 (a dropped
+            // batch each) and again 1 and 3 (a duplicated batch each).
+            assert_eq!(stats.recoveries, 5, "{backend:?}");
+            assert_eq!(stats.rehomed_values, 5 * 12, "{backend:?}");
+            if let (Some(before), Some(after)) = (pids, e.process_worker_pids()) {
+                assert_ne!(before[1], after[1], "the killed worker was respawned");
+                assert_eq!(before[0], after[0]);
+            }
         }
     }
 
     #[test]
     fn duplicated_batches_never_leak_into_later_rounds() {
-        // Regression for the stale-batch hazard: every shard duplicates
-        // every halo batch on round 1; rounds 2..3 must not consume any
-        // leftover (sequence tags + per-round dedup discard them).
+        // Every shard is written every halo batch twice on round 1: each
+        // worker refuses the round and is re-homed, and rounds 2..3 must
+        // run clean on the same workers.
         let n = 32;
         let init: Vec<f64> = (0..n).map(|i| ((i * 13 + 1) % 23) as f64).collect();
         let mut serial = init.clone();
@@ -3690,7 +2664,7 @@ mod tests {
                 kind: FaultKind::DuplicateHalo,
             });
         }
-        for backend in message_backends(PartitionSpec::Range { shards: 4 }) {
+        for backend in shard_backends(PartitionSpec::Range { shards: 4 }) {
             let mut faulted = init.clone();
             let mut e = Engine::with_backend(graph_toy(n), backend).with_faults(plan.clone());
             e.rounds(&mut faulted, 3);
@@ -3698,7 +2672,9 @@ mod tests {
                 serial, faulted,
                 "{backend:?}: stale duplicates must be discarded"
             );
-            assert_eq!(e.fault_stats().faults_injected, 4);
+            let stats = e.fault_stats();
+            assert_eq!(stats.faults_injected, 4);
+            assert_eq!(stats.rehomed_values, n as u64, "{backend:?}");
         }
     }
 
@@ -3722,17 +2698,17 @@ mod tests {
 
     #[test]
     fn supervised_round_still_surfaces_genuine_kernel_panics() {
-        // Supervision must recover *injected* deaths, not mask real
-        // kernel bugs: an armed (empty) plan still reports the panic.
+        // Recovery re-homes shards by running the protocol's kernel on
+        // the coordinator; a kernel that panics there is a real bug, and
+        // an armed (empty) plan still reports it.
         for backend in message_backends(PartitionSpec::Range { shards: 3 }) {
             let mut e = Engine::with_backend(PanickingToy { n: 12, bad: 7 }, backend)
-                .with_faults(FaultPlan::new().with_patience(Duration::from_millis(25)));
+                .with_faults(FaultPlan::new());
             let mut loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
             let err = e.try_round(&mut loads).unwrap_err();
             assert_eq!(err.shard, 1, "{backend:?}");
             assert_eq!(err.phase, EnginePhase::Exchange);
-            // The engine stays usable afterwards, and the next round
-            // reseeds every shard in full.
+            // The engine stays usable afterwards.
             e.protocol_mut().bad = u32::MAX;
             let reference = loads.clone();
             e.round(&mut loads);

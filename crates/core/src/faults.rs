@@ -1,58 +1,56 @@
-//! Deterministic fault injection for the message backend.
+//! Deterministic fault injection for the partitioned backends.
 //!
 //! A [`FaultPlan`] is a seeded, reproducible schedule of executor-level
-//! faults — worker panics, dropped/duplicated/reordered halo batches,
+//! faults — killed workers, dropped/duplicated/reordered halo batches,
 //! slow workers — armed on an engine via [`Engine::with_faults`]. The
-//! message backend consults the plan at the start of each
-//! round and hand every worker its injected faults for that round; an
-//! engine without a plan takes exactly the legacy code path (blocking
-//! receives, no supervision polling), so absence is zero-cost.
+//! message and process backends share one coordinator (the shard
+//! runtime, [`crate::shard`]), which injects the plan's faults itself at
+//! the start of each round; an engine without a plan never consults one.
 //!
 //! Injected faults are **recovered exactly**: the coordinator holds the
-//! complete round-start snapshot, so it can recompute a dead shard's
-//! owned values, retransmit a dropped halo batch, and discard stale or
-//! duplicated batches by sequence tag. The post-recovery load vector is
-//! therefore bit-identical to a fault-free run — the invariant the
-//! failure-injection test-suite pins. Faults that model *capacity* loss
-//! (a shard actually out of service for some rounds) belong at the
-//! scenario layer instead, as shard churn on the graph sequence
-//! (`dlb_dynamics::ShardChurnSequence`), where a down shard reduces to
-//! outage semantics on its cut edges and the paper's conservation and
-//! Φ-monotonicity invariants carry over by construction.
+//! complete round-start snapshot, so it can recompute the owned values
+//! of any shard whose worker died or refused the round, and respawn a
+//! dead worker. The post-recovery load vector is therefore bit-identical
+//! to a fault-free run — the invariant the failure-injection test-suite
+//! pins. Faults that model *capacity* loss (a shard actually out of
+//! service for some rounds) belong at the scenario layer instead, as
+//! shard churn on the graph sequence (`dlb_dynamics::ShardChurnSequence`),
+//! where a down shard reduces to outage semantics on its cut edges and
+//! the paper's conservation and Φ-monotonicity invariants carry over by
+//! construction.
 //!
 //! [`Engine::with_faults`]: crate::engine::Engine::with_faults
-
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One kind of injected executor fault.
 ///
-/// Every kind targets the message backend's shard workers; the other
-/// backends ignore an armed plan.
+/// Every kind targets a shard of the message or process backend; the
+/// serial and pool backends ignore an armed plan. The coordinator
+/// injects each fault itself, since every halo batch a shard's
+/// neighbours receive is cut from its snapshot and written by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker thread dies at round start, before posting its halo
-    /// batches — the supervisor detects the death, respawns the worker,
-    /// and re-homes the shard's owned values from the round-start
-    /// snapshot.
+    /// The shard's worker is killed before the round's dispatch — a
+    /// thread returns without replying, a worker process gets SIGKILL.
+    /// The coordinator sees the closed link, re-homes the shard's owned
+    /// values from the round-start snapshot and respawns the worker.
     Panic,
-    /// The worker posts none of its halo batches this round; starved
-    /// receivers nack the coordinator, which retransmits from the
-    /// snapshot.
+    /// The shard's outbound halo batches are not written this round.
+    /// Each receiver refuses the round (a recv group stayed empty) and
+    /// is re-homed.
     DropHalo,
-    /// Every halo batch is posted twice; receivers deduplicate by
-    /// source shard within the round.
+    /// The shard's outbound halo batches are written twice. Each
+    /// receiver refuses the round (a recv group was filled twice) and is
+    /// re-homed.
     DuplicateHalo,
-    /// Halo batches are posted in reversed schedule order; batches are
-    /// keyed by source shard, so ordering is semantically invisible.
+    /// Every receiver of the shard's outbound batches gets its batches
+    /// in reversed order; batches are keyed by source shard, so ordering
+    /// is semantically invisible.
     ReorderHalo,
-    /// The worker sleeps this long at round start. The round waits for
-    /// the straggler; its starved peers nack the coordinator after the
-    /// plan's [`FaultPlan::patience`] and receive the missing batches
-    /// retransmitted from the round-start snapshot, so only the slow
-    /// shard itself — never the whole barrier — pays the delay.
+    /// The coordinator holds the shard's dispatch back this long. The
+    /// round waits for it; nothing needs recovering.
     Delay {
         /// Sleep duration in milliseconds.
         ms: u64,
@@ -79,30 +77,16 @@ pub struct FaultEvent {
 /// plan is plain data — the same plan against the same engine and
 /// initial loads reproduces the same faults, recoveries, and (by the
 /// exact-recovery guarantee) the same final loads as a fault-free run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
-    patience: Duration,
-}
-
-/// How long a supervised worker waits on a missing halo batch before
-/// nacking the coordinator for a retransmission — the default for
-/// [`FaultPlan::patience`].
-pub const DEFAULT_PATIENCE: Duration = Duration::from_millis(200);
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new()
-    }
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults; arming it still enables supervision).
+    /// An empty plan (no faults; arming it still makes the partitioned
+    /// backends recover failed shards).
     pub fn new() -> Self {
-        FaultPlan {
-            events: Vec::new(),
-            patience: DEFAULT_PATIENCE,
-        }
+        FaultPlan::default()
     }
 
     /// Adds one fault event, builder-style.
@@ -136,22 +120,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Sets the supervision patience, builder-style (see
-    /// [`FaultPlan::patience`]).
-    pub fn with_patience(mut self, patience: Duration) -> Self {
-        self.patience = patience;
-        self
-    }
-
-    /// How long a supervised worker waits on a missing halo batch before
-    /// asking the coordinator to retransmit it from the round-start
-    /// snapshot. Defaults to [`DEFAULT_PATIENCE`]. Receiver-side
-    /// deduplication makes an over-eager retransmission harmless, so a
-    /// small patience trades a little recovery traffic for liveness.
-    pub fn patience(&self) -> Duration {
-        self.patience
-    }
-
     /// All scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -181,11 +149,11 @@ pub struct FaultStats {
     /// Fault events that fired (events naming an out-of-range shard do
     /// not count).
     pub faults_injected: u64,
-    /// Completed recoveries: worker respawns, coordinator recomputes of
-    /// a dead or degraded shard, and halo-batch retransmissions.
+    /// Completed recoveries: one per shard the coordinator re-homed (and,
+    /// when its worker had died, respawned).
     pub recoveries: u64,
     /// Owned load values the coordinator re-homed (recomputed from its
-    /// round-start snapshot) on behalf of dead or degraded shards.
+    /// round-start snapshot) on behalf of dead or refusing shards.
     pub rehomed_values: u64,
 }
 
@@ -237,12 +205,5 @@ mod tests {
             plan.events_at(5).next().unwrap().kind,
             FaultKind::DuplicateHalo
         );
-    }
-
-    #[test]
-    fn patience_defaults_and_overrides() {
-        assert_eq!(FaultPlan::new().patience(), DEFAULT_PATIENCE);
-        let fast = FaultPlan::new().with_patience(Duration::from_millis(50));
-        assert_eq!(fast.patience(), Duration::from_millis(50));
     }
 }

@@ -15,8 +15,8 @@
 //!   graph plus the divisor factor `k`;
 //! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
 //!   `unrolled`), overridable via the `DLB_KERNEL` environment variable;
-//! * the batch entry points `gather_span` / `gather_list`, which walk a
-//!   [`GatherPlan`]'s degree runs in L2-sized tiles and dispatch a
+//! * the batch entry points `gather_span` / `gather_contiguous`, which
+//!   walk a [`GatherPlan`]'s degree runs in L2-sized tiles and dispatch a
 //!   fixed-degree unrolled kernel (d = 2, 3, 4, 8), a chunked-lanes
 //!   kernel for other uniform degrees, or the per-node scalar loop.
 //!
@@ -608,31 +608,6 @@ pub(crate) fn gather_span<L: DiffusionLoad, S: GatherSink<L>>(
     gather_contiguous(kind, plan, spec, snapshot, start, hi, &mut emit, sink);
 }
 
-/// Batch gather over an arbitrary node list (a shard's interior or
-/// boundary, a message worker's owned set), detecting maximal contiguous
-/// ascending segments so range/contiguous partitions still hit the
-/// strided run kernels. `emit` is called once per node **in list order**.
-pub(crate) fn gather_list<L: DiffusionLoad, F: FnMut(u32, L)>(
-    kind: KernelKind,
-    plan: &GatherPlan,
-    spec: &GatherSpec<'_, L>,
-    snapshot: &[L],
-    nodes: &[u32],
-    emit: &mut F,
-) {
-    let mut i = 0;
-    while i < nodes.len() {
-        let lo = nodes[i];
-        let mut j = i + 1;
-        while j < nodes.len() && nodes[j] == nodes[j - 1] + 1 {
-            j += 1;
-        }
-        let hi = lo + (j - i) as u32;
-        gather_contiguous(kind, plan, spec, snapshot, lo, hi, emit, &mut NoStats);
-        i = j;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,39 +874,6 @@ mod tests {
         for g in adversarial_graphs() {
             check(&g, &f64_loads(g.n()), 4.0);
             check(&g, &i64_loads(g.n()), 4);
-        }
-    }
-
-    #[test]
-    fn list_gather_detects_contiguous_segments() {
-        let g = topology::star(23);
-        let spec = GatherSpec {
-            graph: &g,
-            factor: 4.0,
-        };
-        let plan = GatherPlan::build(&g);
-        let snap = f64_loads(g.n());
-        // Shard-shaped list: a contiguous leaf range, a gap, the hub last
-        // (boundary-after-interior ordering).
-        let nodes: Vec<u32> = (3..9).chain(12..19).chain([0]).collect();
-        for kind in KernelKind::ALL {
-            let mut got = Vec::new();
-            gather_list(kind, &plan, &spec, &snap, &nodes, &mut |v, val: f64| {
-                got.push((v, val))
-            });
-            let want: Vec<(u32, f64)> = nodes
-                .iter()
-                .map(|&v| (v, gather_node(&spec, &snap, v)))
-                .collect();
-            assert_eq!(
-                want.len(),
-                got.len(),
-                "{kind:?} emitted a different node count"
-            );
-            for (w, g2) in want.iter().zip(&got) {
-                assert_eq!(w.0, g2.0, "{kind:?} emission order");
-                assert_eq!(w.1.to_bits(), g2.1.to_bits(), "{kind:?} value");
-            }
         }
     }
 

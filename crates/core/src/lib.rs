@@ -84,6 +84,7 @@ pub mod process;
 pub mod random_partner;
 pub mod runner;
 pub mod seq;
+pub mod shard;
 
 /// Span recording, aggregation, and trace export (re-exported
 /// `dlb_telemetry`): arm an engine with [`Engine::with_telemetry`]

@@ -1,15 +1,14 @@
 //! The **process backend**: shards as OS processes over the `dlb-wire/3`
-//! byte protocol.
+//! byte protocol — the socket `ShardLink` of the shard runtime.
 //!
-//! [`Backend::Process`](crate::engine::Backend::Process) runs the message
-//! backend's round shape — plan broadcast, owned seed, halo batches,
-//! results, `Done` barrier — with each shard served by a
-//! `dlb-shard-worker` **process** instead of a thread, connected over a
-//! pluggable byte transport ([`Transport`]: Unix domain sockets or TCP
-//! loopback). Planning is reused wholesale: the coordinator derives the
-//! same `MessagePlan` (shard views + [`ShardView::halo_groups`] exchange
-//! schedule, memoized per graph fingerprint) the message backend uses,
-//! so serialization is the only new moving part.
+//! [`Backend::Process`](crate::engine::Backend::Process) runs the shard
+//! runtime's round (see [`crate::shard`]) with each shard served by a
+//! `dlb-shard-worker` **process**, connected over a pluggable byte
+//! transport ([`Transport`]: Unix domain sockets or TCP loopback). The
+//! coordinator, the plans, the diffusion check and the recovery rule are
+//! the ones the in-memory link of [`Backend::Message`] uses; this module
+//! adds the framing, the worker binary's loop and the fleet's process
+//! management.
 //!
 //! ## Shard-local workers
 //!
@@ -41,13 +40,11 @@
 //! ## Topology: hub-and-spoke
 //!
 //! The coordinator holds one socket per worker and no worker↔worker
-//! connections exist. During a legacy round the coordinator owns the
-//! round-start snapshot anyway, so it materializes each shard's halo
-//! batches itself — one [`Frame::HaloBatch`] per `recv` group, byte-for-
-//! byte the values a peer shard would have posted, and attributed to the
-//! *source* shard in [`CommMetrics`] so the accounting stays comparable
-//! with the message backend. A peer-to-peer mesh changes who writes the
-//! frame, not the frame: it is the designed next step, not a redesign.
+//! connections exist. The coordinator owns the round-start snapshot, so
+//! it materializes each shard's halo batches itself — one
+//! [`Frame::HaloBatch`] per `recv` group, byte-for-byte the values a peer
+//! shard would have posted, and attributed to the *source* shard in
+//! [`CommMetrics`].
 //!
 //! ## Two round modes, one bit-identity proof
 //!
@@ -67,8 +64,7 @@
 //! Either way **every load value of every round crosses the wire twice**
 //! (encode → decode in, encode → decode out), so the equivalence suite's
 //! serial ≡ process assertion proves bit-identity *survives
-//! serialization* for all protocols — the same honesty policy as the
-//! message backend's full-exchange fallback.
+//! serialization* for all protocols.
 //!
 //! A worker validates every plan before it indexes anything
 //! ([`LocalCsrPlan::validate`]) and answers a corrupt one with
@@ -85,41 +81,46 @@
 //! write, and every blocking socket operation carries a deadline
 //! ([`wire_timeout`], default 30 s, `DLB_WIRE_TIMEOUT_MS` override). In
 //! the hub topology workers only ever wait on the coordinator, never on
-//! each other, so a dead worker can never deadlock the barrier: the
-//! round returns a typed `EngineError` naming the shard within the
-//! timeout bound. There is no supervised respawn in this backend yet —
-//! a dead worker fails every subsequent round with the same typed error
-//! until the engine is rebuilt, so the scenario layer rejects `faults` on
-//! the process backend.
+//! each other, so a dead worker can never deadlock the barrier.
+//!
+//! What happens next is the shard runtime's one recovery rule. Without a
+//! fault plan the round returns a typed `EngineError` naming the shard
+//! (phase `Wire`) within the timeout bound, and the dead worker fails
+//! every later round the same way. With a [`FaultPlan`] armed the
+//! coordinator re-homes the shard from its round-start snapshot, spawns
+//! a new `dlb-shard-worker` that dials the listener the link keeps open,
+//! handshakes it and sends it its plan; an injected
+//! [`FaultKind::Panic`] is a real SIGKILL of the worker process.
 //!
 //! The wire format itself is specified in `docs/WIRE.md`; the operator's
 //! view (spawning, transports, timeouts, kill semantics) is in the
-//! repository `README.md` and the ARCHITECTURE "Process backend"
-//! section.
+//! repository `README.md` and the ARCHITECTURE "Shard runtime" section.
 //!
+//! [`Backend::Message`]: crate::engine::Backend::Message
 //! [`Protocol::gather_spec`]: crate::engine::Protocol::gather_spec
-//! [`ShardView::halo_groups`]: dlb_graphs::partition::ShardView::halo_groups
+//! [`FaultPlan`]: crate::faults::FaultPlan
+//! [`FaultKind::Panic`]: crate::faults::FaultKind::Panic
 //! [`ShardView::owned`]: dlb_graphs::partition::ShardView::owned
 //! [`LocalCsr`]: dlb_graphs::partition::LocalCsr
 //! [`LocalCsrPlan::validate`]: dlb_wire::LocalCsrPlan::validate
+//! [`RoundMode::Diffusion`]: dlb_wire::RoundMode::Diffusion
+//! [`RoundMode::Precomputed`]: dlb_wire::RoundMode::Precomputed
 //! [`ShardPlan::local_row`]: dlb_graphs::partition::ShardPlan::local_row
 
-use crate::engine::{CommMetrics, MessagePlan, PlanCache};
-use crate::kernels::{gather_contiguous, DiffusionLoad, GatherSpec, KernelKind, NoStats};
-use dlb_graphs::partition::{graph_fingerprint, LocalCsr, PartitionSpec, ShardPlan};
-use dlb_graphs::structure::GatherPlan;
-use dlb_graphs::Csr;
+use crate::engine::{CommMetrics, EnginePhase};
+use crate::kernels::{DiffusionLoad, GatherSpec, KernelKind};
+use crate::shard::{Dispatch, Reply, RoundFill, ShardLink, ShardState};
+use dlb_graphs::partition::ShardPlan;
 use dlb_telemetry::{Phase as SpanPhase, Telemetry};
 use dlb_wire::{
     encode_values, plan_frame_mut, read_hello, read_hello_ack, values_frame_mut, write_hello,
     write_hello_ack, CountingStream, DoneFrame, Frame, FrameBuf, FrameView, GatherKernel, LoadType,
-    PlanDefect, PlanFrame, RoundCmdFrame, RoundMode, Transport, ValueKind, WireError, WireListener,
+    PlanDefect, PlanFrame, RoundCmdFrame, Transport, ValueKind, WireError, WireListener,
     WireStream,
 };
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A load scalar that can cross the `dlb-wire/3` protocol: every value
@@ -222,89 +223,52 @@ struct Worker {
     outbox: Vec<u8>,
 }
 
-/// The process backend's coordinator: spawns one `dlb-shard-worker` per
-/// shard at construction, keeps the framed connections for the engine's
-/// lifetime, and drives the legacy round protocol over them. Mirrors
-/// `MessageExec` with serialization in place of channels.
-pub(crate) struct ProcessExec<L: WireLoad> {
-    pub(crate) spec: PartitionSpec,
+/// The process backend's [`ShardLink`]: one `dlb-shard-worker` process
+/// per shard, spawned at construction and connected over `transport`.
+/// The listener stays open for the link's lifetime, so a dead worker can
+/// be respawned and handshaken again.
+pub(crate) struct WireLink {
     pub(crate) transport: Transport,
-    pub(crate) plans: PlanCache<Arc<MessagePlan>>,
-    /// Fingerprint of the plan last broadcast; rounds re-ship plan
-    /// frames only when it changes (dynamic graphs).
-    broadcast_key: Option<u64>,
-    /// The diffusion check's last answer, for the `(graph_version, plan
-    /// key)` it was made under: whether the gather spec's graph is the
-    /// plan's graph.
-    diffusion_check: Option<((u64, u64), bool)>,
+    listener: WireListener,
+    bin: PathBuf,
+    timeout: Duration,
     workers: Vec<Worker>,
-    pub(crate) last_comm: Option<CommMetrics>,
-    round_seq: u64,
     /// Reused read buffer for the workers' replies.
     inbox: FrameBuf,
-    /// Precomputed rounds' coordinator-evaluated owned values, reused.
-    precomputed: Vec<L>,
 }
 
-impl<L: WireLoad> std::fmt::Debug for ProcessExec<L> {
+impl std::fmt::Debug for WireLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProcessExec")
-            .field("spec", &self.spec)
+        f.debug_struct("WireLink")
             .field("transport", &self.transport)
             .field("shards", &self.workers.len())
-            .field("plans_built", &self.plans.built)
             .finish()
     }
 }
 
-impl<L: WireLoad> ProcessExec<L> {
+impl WireLink {
     /// Spawns the worker fleet and completes the handshakes. Panics on
     /// spawn/handshake failure (missing binary, dead child, version
     /// mismatch) — construction is the fail-fast moment, exactly like
-    /// the thread backends' pool spawns.
-    pub(crate) fn new(spec: PartitionSpec, transport: Transport) -> ProcessExec<L> {
-        let shards = spec.shards();
+    /// the thread backends' spawns.
+    pub(crate) fn spawn(shards: usize, transport: Transport) -> WireLink {
         let timeout = wire_timeout();
         let listener = WireListener::bind(transport)
             .unwrap_or_else(|e| panic!("bind {} listener: {e}", transport.name()));
-        let endpoint = listener.endpoint();
         let bin = worker_binary();
         let mut children: Vec<Option<Child>> = (0..shards)
-            .map(|s| {
-                let child = Command::new(&bin)
-                    .arg("--shard")
-                    .arg(s.to_string())
-                    .arg("--connect")
-                    .arg(&endpoint)
-                    .spawn()
-                    .unwrap_or_else(|e| panic!("spawn {bin:?} for shard {s}: {e}"));
-                Some(child)
-            })
+            .map(|s| Some(spawn_worker(&bin, &listener, s)))
             .collect();
-
         // Accept + handshake every worker, slotted by the shard id its
-        // Hello announces (connection order is scheduler-dependent). The
-        // deadline turns a worker that never dials in into a panic with
-        // the child's exit status, not a hang.
+        // Hello announces (connection order is scheduler-dependent).
         let deadline = Instant::now() + timeout;
         let mut conns: Vec<Option<CountingStream>> = (0..shards).map(|_| None).collect();
         for _ in 0..shards {
-            let stream = accept_with_deadline(&listener, deadline, &mut children);
-            let mut conn = CountingStream::new(stream);
-            conn.stream()
-                .set_read_timeout(Some(timeout))
-                .expect("set accept read timeout");
-            let hello = read_hello(&mut conn)
-                .unwrap_or_else(|e| panic!("worker handshake on {endpoint}: {e}"));
-            write_hello_ack(&mut conn).expect("write handshake ack");
-            let s = hello.shard as usize;
+            let (s, conn) = handshake(&listener, deadline, timeout, &mut children);
             assert!(
                 s < shards && conns[s].is_none(),
                 "worker announced unexpected shard {s} (of {shards})"
             );
-            conn.stream()
-                .set_write_timeout(Some(timeout))
-                .expect("set worker write timeout");
             conns[s] = Some(conn);
         }
         let workers = conns
@@ -317,22 +281,14 @@ impl<L: WireLoad> ProcessExec<L> {
                 outbox: Vec::new(),
             })
             .collect();
-        ProcessExec {
-            spec,
+        WireLink {
             transport,
-            plans: PlanCache::new(),
-            broadcast_key: None,
-            diffusion_check: None,
+            listener,
+            bin,
+            timeout,
             workers,
-            last_comm: None,
-            round_seq: 0,
             inbox: FrameBuf::new(),
-            precomputed: Vec::new(),
         }
-    }
-
-    pub(crate) fn shards(&self) -> usize {
-        self.workers.len()
     }
 
     /// OS process ids of the shard workers, in shard order — the
@@ -341,240 +297,170 @@ impl<L: WireLoad> ProcessExec<L> {
     pub(crate) fn worker_pids(&self) -> Vec<u32> {
         self.workers.iter().map(|w| w.child.id()).collect()
     }
+}
+
+impl<L: WireLoad> ShardLink<L> for WireLink {
+    const PHASE: EnginePhase = EnginePhase::Wire;
+
+    fn shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn send_plan(
+        &mut self,
+        s: usize,
+        plan: &ShardPlan,
+        seq: u64,
+        kernel: Option<GatherSpec<'_, L>>,
+        tel: &Telemetry,
+        round: u64,
+    ) -> bool {
+        // Serialize spans land on the shard's own telemetry lane: this
+        // encode/write is that worker's inbound traffic.
+        let t0 = tel.start();
+        let Worker {
+            conn,
+            alive,
+            outbox,
+            ..
+        } = &mut self.workers[s];
+        if !*alive {
+            return false;
+        }
+        outbox.clear();
+        encode_plan_frame(outbox, plan, s, seq, kernel);
+        let sent = send(conn, alive, outbox);
+        tel.record(s as u32, round, SpanPhase::Serialize, t0);
+        sent
+    }
+
+    fn send_round(&mut self, s: usize, d: &Dispatch<'_, L>, comm: &mut CommMetrics) -> bool {
+        let t0 = d.tel.start();
+        let Worker {
+            conn,
+            alive,
+            outbox,
+            ..
+        } = &mut self.workers[s];
+        if !*alive {
+            return false;
+        }
+        outbox.clear();
+        Frame::RoundCmd(RoundCmdFrame {
+            seq: d.seq,
+            round: d.round,
+            mode: d.mode(),
+            halo_batches: d.batches.len() as u32,
+            kernel: match d.kind {
+                KernelKind::Scalar => GatherKernel::Scalar,
+                KernelKind::Unrolled => GatherKernel::Unrolled,
+            },
+        })
+        .encode_into(outbox);
+        // Owned seed: round-start values in diffusion mode, the
+        // coordinator-evaluated *new* values in precomputed mode — both
+        // in the view's owned order.
+        match d.precomputed {
+            Some(values) => {
+                let words = values.iter().map(|v| v.to_word());
+                encode_values(outbox, ValueKind::Owned, d.seq, words);
+            }
+            None => {
+                let words = d.owned.iter().map(|&v| d.snapshot[v as usize].to_word());
+                encode_values(outbox, ValueKind::Owned, d.seq, words);
+            }
+        }
+        for &i in d.batches {
+            let (src, ids) = &d.groups[i];
+            let words = ids.iter().map(|&v| d.snapshot[v as usize].to_word());
+            encode_values(outbox, ValueKind::Halo { src: *src as u32 }, d.seq, words);
+        }
+        comm.owned_values_in += d.owned.len();
+        let sent = send(conn, alive, outbox);
+        d.tel.record(s as u32, d.round, SpanPhase::Serialize, t0);
+        sent
+    }
+
+    fn recv_round(
+        &mut self,
+        s: usize,
+        seq: u64,
+        owned: &[u32],
+        out: &mut [L],
+        comm: &mut CommMetrics,
+        tel: &Telemetry,
+        round: u64,
+    ) -> Reply {
+        // The worker answers Results + Done, or a lone not-ok Done; its
+        // results are decoded straight into `out` by the owned list.
+        let t0 = tel.start();
+        let worker = &mut self.workers[s];
+        let mut reported = false;
+        let reply = loop {
+            match self.inbox.read(&mut worker.conn) {
+                Ok(FrameView::Values(v))
+                    if v.kind == ValueKind::Results && v.seq == seq && v.len() == owned.len() =>
+                {
+                    for (&node, word) in owned.iter().zip(v.words()) {
+                        out[node as usize] = L::from_word(word);
+                    }
+                    reported = true;
+                }
+                Ok(FrameView::Other(Frame::Done(DoneFrame { seq: got, ok }))) if got == seq => {
+                    if !ok || !reported {
+                        break Reply::Refused;
+                    }
+                    comm.owned_values_out += owned.len();
+                    break Reply::Done;
+                }
+                Ok(_) | Err(_) => {
+                    worker.alive = false;
+                    break Reply::Lost;
+                }
+            }
+        };
+        tel.record(s as u32, round, SpanPhase::Deserialize, t0);
+        reply
+    }
 
     /// Kills the given shard's worker process (SIGKILL) and reaps it.
-    /// The next round on that shard fails with a typed error — the
-    /// chaos-testing entry point behind
-    /// [`Engine::process_kill_worker`](crate::engine::Engine::process_kill_worker).
-    pub(crate) fn kill_worker(&mut self, shard: usize) {
-        let w = &mut self.workers[shard];
+    fn kill(&mut self, s: usize) {
+        let w = &mut self.workers[s];
         let _ = w.child.kill();
         let _ = w.child.wait();
         w.alive = false;
     }
 
-    /// One legacy round over the wire. `gather_spec` selects diffusion
-    /// mode (workers evaluate the shipped kernel, in flavour `kind`) when
-    /// present and consistent with the current plan's graph, a check made
-    /// once per `graph_version`; `precompute` is the coordinator-side
-    /// kernel every other protocol's rounds are evaluated with. Returns
-    /// the first failed shard.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn round(
-        &mut self,
-        snapshot: &[L],
-        out: &mut [L],
-        gather_spec: Option<GatherSpec<'_, L>>,
-        graph_version: u64,
-        kind: KernelKind,
-        precompute: &mut dyn FnMut(&[u32], &mut Vec<L>),
-        tel: &Telemetry,
-        round_no: u64,
-    ) -> Result<(), usize> {
-        let plan = self.plans.current().clone();
-        let key = self.plans.current_key();
-        assert_eq!(
-            out.len(),
-            plan.views().iter().map(|v| v.owned().len()).sum::<usize>(),
-            "process plan node count must equal the load vector length"
-        );
-        self.round_seq += 1;
-        let seq = self.round_seq;
-        let shards = self.shards();
-        let mut comm = CommMetrics {
-            shards,
-            ..CommMetrics::default()
+    /// Kills what is left of shard `s`'s worker, spawns a new
+    /// `dlb-shard-worker` and handshakes it on the kept listener.
+    /// Panics if the new worker fails its handshake.
+    fn respawn(&mut self, s: usize) {
+        ShardLink::<L>::kill(self, s);
+        let mut child = [Some(spawn_worker(&self.bin, &self.listener, s))];
+        let deadline = Instant::now() + self.timeout;
+        let (got, conn) = handshake(&self.listener, deadline, self.timeout, &mut child);
+        assert_eq!(got, s, "respawned worker announced the wrong shard");
+        self.workers[s] = Worker {
+            child: child[0].take().expect("child handle"),
+            conn,
+            alive: true,
+            outbox: std::mem::take(&mut self.workers[s].outbox),
         };
-        // Diffusion mode requires the spec's graph to be the plan's
-        // graph (same fingerprint): the worker gathers over the graph the
-        // plan ships. A mismatch (a protocol gathering over a different
-        // graph than it partitions by) falls back to precomputed rounds
-        // rather than shipping an inconsistent plan. The fingerprint is a
-        // pass over every edge, so its answer is kept for as long as the
-        // protocol's `graph_version` and the plan stay put.
-        let diffusion = match gather_spec {
-            Some(spec) if !plan.full_exchange => match self.diffusion_check {
-                Some((at, same)) if at == (graph_version, key) => same,
-                _ => {
-                    let same = graph_fingerprint(spec.graph) == key;
-                    self.diffusion_check = Some(((graph_version, key), same));
-                    same
-                }
-            },
-            _ => false,
-        };
-        let mode = if diffusion {
-            RoundMode::Diffusion
-        } else {
-            RoundMode::Precomputed
-        };
-        for w in &mut self.workers {
-            w.conn.reset_counts();
-        }
-
-        // A changed plan goes out to every shard before any round data,
-        // so each worker decodes, validates and installs its plan while
-        // the coordinator is still writing the others'. Serialize spans
-        // land on the shard's own telemetry lane: this encode/write is
-        // that worker's inbound traffic.
-        if self.broadcast_key != Some(key) {
-            let kernel = gather_spec.filter(|_| diffusion);
-            for s in 0..shards {
-                let t0 = tel.start();
-                let Worker {
-                    conn,
-                    alive,
-                    outbox,
-                    ..
-                } = &mut self.workers[s];
-                outbox.clear();
-                encode_plan_frame(outbox, plan.shard_plan(), s, seq, kernel);
-                if !(*alive && send(conn, alive, outbox)) {
-                    self.fail_comm(comm);
-                    return Err(s);
-                }
-                tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
-            }
-            self.broadcast_key = Some(key);
-        }
-
-        // Dispatch: round command, owned seed, and — in diffusion mode —
-        // the halo batches, per shard.
-        let mut per_src_sent = vec![0usize; shards];
-        for s in 0..shards {
-            let t0 = tel.start();
-            let view = &plan.views()[s];
-            let recv = if diffusion { &plan.recv[s][..] } else { &[] };
-            let Worker {
-                conn,
-                alive,
-                outbox,
-                ..
-            } = &mut self.workers[s];
-            let mut sent = *alive;
-            if sent && !diffusion {
-                // In precomputed mode the protocol kernel runs *here*, on
-                // the coordinator; a panicking kernel becomes this
-                // shard's typed error — parity with the other backends'
-                // supervised gathers.
-                let values = &mut self.precomputed;
-                values.clear();
-                sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    precompute(view.owned(), values)
-                }))
-                .is_ok();
-            }
-            if sent {
-                outbox.clear();
-                Frame::RoundCmd(RoundCmdFrame {
-                    seq,
-                    round: round_no,
-                    mode,
-                    halo_batches: recv.len() as u32,
-                    kernel: match kind {
-                        KernelKind::Scalar => GatherKernel::Scalar,
-                        KernelKind::Unrolled => GatherKernel::Unrolled,
-                    },
-                })
-                .encode_into(outbox);
-                // Owned seed: round-start values in diffusion mode, the
-                // coordinator-evaluated *new* values in precomputed mode —
-                // both in the view's owned order.
-                if diffusion {
-                    let words = view.owned().iter().map(|&v| snapshot[v as usize].to_word());
-                    encode_values(outbox, ValueKind::Owned, seq, words);
-                } else {
-                    let words = self.precomputed.iter().map(|v| v.to_word());
-                    encode_values(outbox, ValueKind::Owned, seq, words);
-                }
-                for (src, ids) in recv {
-                    let words = ids.iter().map(|&v| snapshot[v as usize].to_word());
-                    encode_values(outbox, ValueKind::Halo { src: *src as u32 }, seq, words);
-                }
-                sent = send(conn, alive, outbox);
-            }
-            if !sent {
-                self.fail_comm(comm);
-                return Err(s);
-            }
-            comm.owned_values_in += view.owned().len();
-            for (src, ids) in recv {
-                comm.messages += 1;
-                comm.values_sent += ids.len();
-                per_src_sent[*src] += ids.len();
-            }
-            tel.record(s as u32, round_no, SpanPhase::Serialize, t0);
-        }
-        comm.max_shard_values_sent = per_src_sent.iter().copied().max().unwrap_or(0);
-
-        // Collect: every worker answers Results + Done (or a lone
-        // not-ok Done), and its results are decoded straight into `out`
-        // by the view's owned list. Workers only ever wait on the
-        // coordinator — all inbound frames for the round are already
-        // written — so a dead worker is an EOF/timeout *here*, never a
-        // stalled peer elsewhere: the barrier cannot deadlock.
-        let mut failed: Option<usize> = None;
-        'collect: for (s, view) in plan.views().iter().enumerate() {
-            let t0 = tel.start();
-            let owned = view.owned();
-            let worker = &mut self.workers[s];
-            let mut reported = false;
-            loop {
-                match self.inbox.read(&mut worker.conn) {
-                    Ok(FrameView::Values(v))
-                        if v.kind == ValueKind::Results
-                            && v.seq == seq
-                            && v.len() == owned.len() =>
-                    {
-                        for (&node, word) in owned.iter().zip(v.words()) {
-                            out[node as usize] = L::from_word(word);
-                        }
-                        reported = true;
-                    }
-                    Ok(FrameView::Other(Frame::Done(DoneFrame { seq: got, ok }))) if got == seq => {
-                        if !ok || !reported {
-                            failed = Some(s);
-                            break 'collect;
-                        }
-                        comm.owned_values_out += owned.len();
-                        break;
-                    }
-                    // Stale frames from a previous failed attempt are
-                    // drained, mirroring the message backend's seq dedup.
-                    Ok(FrameView::Values(v)) if v.kind == ValueKind::Results && v.seq != seq => {
-                        continue
-                    }
-                    Ok(FrameView::Other(Frame::Done(_))) => continue,
-                    Ok(_) | Err(_) => {
-                        worker.alive = false;
-                        failed = Some(s);
-                        break 'collect;
-                    }
-                }
-            }
-            tel.record(s as u32, round_no, SpanPhase::Deserialize, t0);
-        }
-        comm.halo_bytes = comm.values_sent * std::mem::size_of::<L>();
-        self.fail_comm(comm);
-        match failed {
-            Some(shard) => Err(shard),
-            None => Ok(()),
-        }
     }
 
-    /// Folds the wire byte counters into `comm` and publishes it as the
-    /// round's metrics (also on failed rounds, so the bytes spent on a
-    /// doomed round stay visible).
-    fn fail_comm(&mut self, mut comm: CommMetrics) {
-        for w in &self.workers {
+    /// Folds the wire byte counters into `comm` (also on failed rounds,
+    /// so the bytes spent on a doomed round stay visible) and resets
+    /// them.
+    fn count_bytes(&mut self, comm: &mut CommMetrics) {
+        for w in &mut self.workers {
             comm.wire_bytes_out += w.conn.bytes_out() as usize;
             comm.wire_bytes_in += w.conn.bytes_in() as usize;
+            w.conn.reset_counts();
         }
-        self.last_comm = Some(comm);
     }
 }
 
-impl<L: WireLoad> Drop for ProcessExec<L> {
+impl Drop for WireLink {
     fn drop(&mut self) {
         // Orderly shutdown: Exit frame, then EOF; escalate to SIGKILL if
         // a worker lingers so drop never hangs, and reap every child.
@@ -599,6 +485,42 @@ impl<L: WireLoad> Drop for ProcessExec<L> {
             }
         }
     }
+}
+
+/// Starts the worker process for shard `s`, dialing `listener`.
+fn spawn_worker(bin: &PathBuf, listener: &WireListener, s: usize) -> Child {
+    Command::new(bin)
+        .arg("--shard")
+        .arg(s.to_string())
+        .arg("--connect")
+        .arg(listener.endpoint())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {bin:?} for shard {s}: {e}"))
+}
+
+/// Accepts one worker and completes its handshake, returning the shard
+/// its Hello announces and its connection, with read/write deadlines
+/// set. The deadline turns a worker that never dials in into a panic
+/// with the child's exit status, not a hang.
+fn handshake(
+    listener: &WireListener,
+    deadline: Instant,
+    timeout: Duration,
+    children: &mut [Option<Child>],
+) -> (usize, CountingStream) {
+    let stream = accept_with_deadline(listener, deadline, children);
+    let mut conn = CountingStream::new(stream);
+    conn.stream()
+        .set_read_timeout(Some(timeout))
+        .expect("set accept read timeout");
+    let hello = read_hello(&mut conn)
+        .unwrap_or_else(|e| panic!("worker handshake on {}: {e}", listener.endpoint()));
+    write_hello_ack(&mut conn).expect("write handshake ack");
+    conn.stream()
+        .set_write_timeout(Some(timeout))
+        .expect("set worker write timeout");
+    conn.reset_counts();
+    (hello.shard as usize, conn)
 }
 
 /// Writes `bytes` to a worker's connection, marking the worker dead on
@@ -712,7 +634,7 @@ pub fn encode_plan_frame<L: WireLoad>(
 /// ([`WireError::CorruptPlan`]) or a transport failure; the binary maps
 /// that to a nonzero exit. A kernel panic inside a round is caught and
 /// reported as `Done { ok: false }` instead — the coordinator turns it
-/// into a typed `EngineError` while the worker stays up.
+/// into a typed `EngineError` (or a re-home) while the worker stays up.
 pub fn run_worker(mut conn: WireStream, shard: u32) -> Result<(), WireError> {
     write_hello(&mut conn, shard)?;
     read_hello_ack(&mut conn)?;
@@ -741,145 +663,40 @@ fn protocol_violation(shard: u32, expected: &str, got: &FrameView<'_>) -> WireEr
     WireError::UnknownFrame { kind: got.kind() }
 }
 
-/// A diffusion session's kernel: the shard's local CSR, its gather plan,
-/// the typed divisor factor and the halo fill order.
-struct ShardKernel<L> {
-    csr: LocalCsr,
-    plan: GatherPlan,
-    factor: L,
-    /// `(src shard, frame positions)` per recv group.
-    recv_groups: Vec<(u32, Vec<u32>)>,
-}
-
-/// A worker's installed plan and its frame.
-struct ShardState<L> {
-    seq: u64,
-    owned: usize,
-    kernel: Option<ShardKernel<L>>,
-    /// Owned values at positions `0..owned`, then (diffusion sessions)
-    /// the halo: all a shard ever holds.
-    frame: Vec<L>,
-}
-
-impl<L: WireLoad> ShardState<L> {
-    /// Validates `plan` and builds the state it describes; a plan that
-    /// would index outside the frame is refused before anything is
-    /// allocated from it.
-    fn install(shard: u32, plan: PlanFrame) -> Result<ShardState<L>, WireError> {
-        plan.validate(shard).map_err(WireError::CorruptPlan)?;
-        let owned = plan.owned as usize;
-        let kernel = match plan.kernel {
-            None => None,
-            Some(k) => {
-                let csr = LocalCsr::from_parts(owned, k.degrees, k.slots);
-                Some(ShardKernel {
-                    plan: GatherPlan::build(&csr),
-                    csr,
-                    factor: L::from_word(k.factor),
-                    recv_groups: k.recv_groups,
-                })
+/// Reads the round's owned seed and its `cmd.halo_batches` halo batches
+/// straight into the frame. Every inbound frame of the round is drained,
+/// so a refused round leaves the stream at a frame boundary.
+fn receive<L: WireLoad>(
+    state: &mut ShardState<L>,
+    conn: &mut impl Read,
+    inbox: &mut FrameBuf,
+    shard: u32,
+    cmd: &RoundCmdFrame,
+) -> Result<RoundFill, WireError> {
+    let mut fill = state.begin(cmd.seq, cmd.mode);
+    match inbox.read(conn)? {
+        FrameView::Values(v) if v.kind == ValueKind::Owned => {
+            if v.seq != cmd.seq {
+                fill.refuse();
             }
+            state.fill_owned(&mut fill, v.words().map(L::from_word));
+        }
+        other => return Err(protocol_violation(shard, "owned-values", &other)),
+    }
+    for _ in 0..cmd.halo_batches {
+        let v = match inbox.read(conn)? {
+            FrameView::Values(v) if matches!(v.kind, ValueKind::Halo { .. }) => v,
+            other => return Err(protocol_violation(shard, "halo-batch", &other)),
         };
-        let len = kernel.as_ref().map_or(owned, |k| k.csr.len());
-        Ok(ShardState {
-            seq: plan.seq,
-            owned,
-            kernel,
-            frame: vec![L::default(); len],
-        })
-    }
-
-    /// Reads the round's owned seed and its `cmd.halo_batches` halo
-    /// batches straight into the frame. Every inbound frame of the round
-    /// is drained, so a rejected round leaves the stream at a frame
-    /// boundary. Returns whether the round may run: the seed matches the
-    /// round and the plan, and in diffusion mode every recv group was
-    /// filled exactly once — a stale, missing, duplicated or mis-sized
-    /// batch would leave last round's halo in the frame.
-    fn receive(
-        &mut self,
-        conn: &mut impl Read,
-        inbox: &mut FrameBuf,
-        shard: u32,
-        cmd: &RoundCmdFrame,
-    ) -> Result<bool, WireError> {
-        let diffusion = cmd.mode == RoundMode::Diffusion;
-        // The stream is ordered, so the installed plan is always the one
-        // this command was built against (the coordinator writes every
-        // shard's Plan before the first RoundCmd that uses it);
-        // `self.seq` records when it arrived, not a per-round token.
-        let mut ok = cmd.seq >= self.seq && (!diffusion || self.kernel.is_some());
-        match inbox.read(conn)? {
-            FrameView::Values(v) if v.kind == ValueKind::Owned => {
-                if v.seq == cmd.seq && v.len() == self.owned {
-                    for (slot, word) in self.frame[..self.owned].iter_mut().zip(v.words()) {
-                        *slot = L::from_word(word);
-                    }
-                } else {
-                    ok = false;
-                }
-            }
-            other => return Err(protocol_violation(shard, "owned-values", &other)),
+        let ValueKind::Halo { src } = v.kind else {
+            unreachable!("matched a halo batch above")
+        };
+        if v.seq != cmd.seq {
+            fill.refuse();
         }
-        let groups = self.kernel.as_ref().map_or(&[][..], |k| &k.recv_groups[..]);
-        let mut filled = vec![false; groups.len()];
-        for _ in 0..cmd.halo_batches {
-            let v = match inbox.read(conn)? {
-                FrameView::Values(v) if matches!(v.kind, ValueKind::Halo { .. }) => v,
-                other => return Err(protocol_violation(shard, "halo-batch", &other)),
-            };
-            let group = groups
-                .iter()
-                .position(|(src, _)| v.kind == ValueKind::Halo { src: *src });
-            match group {
-                Some(g) if v.seq == cmd.seq && !filled[g] && v.len() == groups[g].1.len() => {
-                    for (&position, word) in groups[g].1.iter().zip(v.words()) {
-                        self.frame[position as usize] = L::from_word(word);
-                    }
-                    filled[g] = true;
-                }
-                _ => ok = false,
-            }
-        }
-        Ok(ok && (!diffusion || filled.iter().all(|&f| f)))
+        state.fill_halo(&mut fill, src, v.words().map(L::from_word));
     }
-
-    /// The round body: gathers the owned rows (diffusion) or reads the
-    /// owned values back (precomputed), encoding each result straight
-    /// into a `results` frame appended to `reply`.
-    fn compute_into(&self, cmd: &RoundCmdFrame, reply: &mut Vec<u8>) {
-        let owned = self.owned;
-        let mut words = values_frame_mut(reply, ValueKind::Results, cmd.seq, owned);
-        match (cmd.mode, &self.kernel) {
-            (RoundMode::Diffusion, Some(k)) => {
-                let spec = GatherSpec {
-                    graph: &k.csr,
-                    factor: k.factor,
-                };
-                let mut emit = |row: u32, value: L| words.set(row as usize, value.to_word());
-                let rows = k.csr.rows() as u32;
-                let kind = match cmd.kernel {
-                    GatherKernel::Scalar => KernelKind::Scalar,
-                    GatherKernel::Unrolled => KernelKind::Unrolled,
-                };
-                gather_contiguous(
-                    kind,
-                    &k.plan,
-                    &spec,
-                    &self.frame,
-                    0,
-                    rows,
-                    &mut emit,
-                    &mut NoStats,
-                );
-            }
-            _ => {
-                for (i, value) in self.frame[..owned].iter().enumerate() {
-                    words.set(i, value.to_word());
-                }
-            }
-        }
-    }
+    Ok(fill)
 }
 
 fn worker_loop<L: WireLoad>(
@@ -904,13 +721,22 @@ fn worker_loop<L: WireLoad>(
             Ok(other) => return Err(protocol_violation(shard, "round-cmd", &other)),
             Err(e) => return Err(e),
         };
-        let ok = state.receive(&mut conn, &mut inbox, shard, &cmd)?;
-        // A panic in the round body — kernel bug, poisoned values — is
-        // caught and reported, keeping the worker serving.
+        let fill = receive(&mut state, &mut conn, &mut inbox, shard, &cmd)?;
+        // The round body encodes each result straight into a `results`
+        // frame. A panic in it — kernel bug, poisoned values — is caught
+        // and reported, keeping the worker serving.
         reply.clear();
-        let computed = ok
+        let kind = match cmd.kernel {
+            GatherKernel::Scalar => KernelKind::Scalar,
+            GatherKernel::Unrolled => KernelKind::Unrolled,
+        };
+        let computed = fill.ready()
             && std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                state.compute_into(&cmd, &mut reply)
+                let mut words =
+                    values_frame_mut(&mut reply, ValueKind::Results, cmd.seq, state.owned());
+                state.compute(cmd.mode, kind, |rank, value| {
+                    words.set(rank, value.to_word())
+                });
             }))
             .is_ok();
         if !computed {

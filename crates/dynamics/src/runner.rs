@@ -17,7 +17,7 @@
 use crate::sequence::GraphSequence;
 use dlb_core::engine::{Backend, Engine, Protocol, StatsCtx};
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
-use dlb_core::{continuous, discrete};
+use dlb_core::{continuous, discrete, GatherSpec};
 use dlb_graphs::Graph;
 use dlb_spectral::eigen::laplacian_lambda2;
 
@@ -103,6 +103,14 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
         continuous::node_new_load(g, snapshot, v)
     }
 
+    /// The round graph's diffusion gather, so the partitioned backends
+    /// ship the kernel to their shard workers.
+    fn gather_spec(&self) -> Option<GatherSpec<'_, f64>> {
+        self.g
+            .as_ref()
+            .map(|graph| GatherSpec { graph, factor: 4.0 })
+    }
+
     fn compute_stats(
         &mut self,
         snapshot: &[f64],
@@ -174,6 +182,12 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicDiscreteDiffusion<'_, S> {
     fn node_new_load(&self, snapshot: &[i64], v: u32) -> i64 {
         let g = self.g.as_ref().expect("begin_round ran");
         discrete::node_new_load(g, snapshot, v)
+    }
+
+    /// The round graph's token gather, so the partitioned backends ship
+    /// the kernel to their shard workers.
+    fn gather_spec(&self) -> Option<GatherSpec<'_, i64>> {
+        self.g.as_ref().map(|graph| GatherSpec { graph, factor: 4 })
     }
 
     fn compute_stats(

@@ -54,23 +54,30 @@ pub const DEFAULT_BINS: usize = 16;
 pub enum Phase {
     /// Partition/exchange plan (re)build — emitted only on cache misses.
     Plan,
-    /// Coordinator scattering owned slices to workers and collecting
-    /// results (message backend; the process backend's collect is its
-    /// [`Phase::Deserialize`]).
+    /// Coordinator handing one shard its owned values and halo batches,
+    /// or scattering its results (message backend; the process
+    /// backend's are its [`Phase::Serialize`] / [`Phase::Deserialize`]).
     ScatterOwned,
-    /// Worker posting halo values to its neighbours.
+    /// Worker posting halo values to its neighbours. No backend records
+    /// it since the hub coordinator writes every halo batch; the name
+    /// stays in the taxonomy so older traces still parse.
     PostHalo,
-    /// Gather over interior nodes (no halo dependencies).
+    /// A gather: the whole range on the serial and pool backends, a
+    /// shard worker's owned rows, or the coordinator's precompute of a
+    /// shard's new values.
     GatherInterior,
-    /// Worker waiting on / receiving neighbour halos.
+    /// Shard worker filling its frame: owned values and halo batches.
     RecvHalo,
-    /// Gather over boundary nodes once halos are in.
+    /// Gather over boundary nodes once halos are in. No backend records
+    /// it since shard workers gather all owned rows in one pass; kept in
+    /// the taxonomy like [`Phase::PostHalo`].
     GatherBoundary,
     /// Potential/summary statistics computation.
     Stats,
     /// Workload mutation applied between rounds.
     WorkloadApply,
-    /// Fault handling: worker respawn, load re-homing, halo retransmit.
+    /// Fault handling: re-homing a failed shard's owned values and
+    /// respawning its worker.
     FaultRecovery,
     /// Coordinator dispatch of a resident message round that reseeds no
     /// shard: each worker gets only its changed owned values (the

@@ -1506,13 +1506,19 @@ sede = 42
             );
         }
         // Parsed scenarios hit the same validation as built ones: halo
-        // fault kinds need the message backend.
+        // fault kinds need a partitioned backend (message or process).
         let pool = base("drop = true\nshards = 4\n").replace(
             "backend = \"message\"\nshards = 4\n",
             "backend = \"pool\"\n",
         );
         let err = Scenario::from_toml(&pool).unwrap_err();
-        assert!(err.contains("need backend = \"message\""), "{err}");
+        assert!(
+            err.contains("need backend = \"message\" or \"process\""),
+            "{err}"
+        );
+        let process = base("drop = true\nshards = 4\n")
+            .replace("backend = \"message\"\n", "backend = \"process\"\n");
+        Scenario::from_toml(&process).expect("halo faults run on the process backend");
     }
 
     #[test]

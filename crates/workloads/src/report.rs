@@ -95,7 +95,8 @@ pub struct CommTotals {
 /// Run-total fault and recovery counters of a fault-injected run: the
 /// executor faults the engine's [`FaultPlan`](dlb_core::FaultPlan)
 /// delivered plus the scenario-level shard churn failures, and what the
-/// supervisor (or the churn model's re-homing accounting) did about them.
+/// coordinator's recovery (or the churn model's re-homing accounting) did
+/// about them.
 /// Reports carry this only when the scenario declared a `[faults]`
 /// section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

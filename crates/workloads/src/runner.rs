@@ -329,10 +329,10 @@ struct FaultSetup {
 fn compile_faults(sc: &Scenario, g: &dlb_graphs::Graph) -> Result<Option<FaultSetup>, String> {
     let Some(f) = &sc.faults else { return Ok(None) };
     let shards = f.resolved_shards(&sc.exec)?;
-    let partition = match &sc.exec {
-        ExecSpec::Message { partition, .. } => *partition,
-        _ => dlb_graphs::PartitionSpec::Range { shards },
-    };
+    let partition = sc
+        .exec
+        .partition()
+        .unwrap_or(dlb_graphs::PartitionSpec::Range { shards });
     let part = partition.build(g);
     let members = part.member_lists().iter().map(|m| m.len() as u64).collect();
     let plan = f
@@ -925,7 +925,8 @@ mod tests {
         assert!(t.busy_imbalance_mean.is_none());
 
         // Message backend: per-shard lanes yield imbalance ratios ≥ 1 and
-        // the boundary-gather phase, with the trajectory still identical.
+        // the shard workers' halo-fill phase, with the trajectory still
+        // identical.
         let msg = ScenarioRunner::new(traced)
             .with_exec(ExecSpec::Message {
                 partition: dlb_graphs::PartitionSpec::Bfs { shards: 4 },
@@ -938,7 +939,7 @@ mod tests {
         let mean = mt.busy_imbalance_mean.expect("shard lanes present");
         let max = mt.busy_imbalance_max.unwrap();
         assert!(mean >= 1.0 && max >= mean, "mean {mean}, max {max}");
-        assert!(mt.phases.iter().any(|(p, ..)| p == "gather-boundary"));
+        assert!(mt.phases.iter().any(|(p, ..)| p == "recv-halo"));
         let header = msg.to_jsonl();
         let header = header.lines().next().unwrap();
         assert!(header.contains("\"telemetry_spans\""), "{header}");

@@ -693,7 +693,7 @@ pub fn exec_spec_from_parts(
 /// flags, a deterministic executor [`dlb_core::FaultPlan`] fires worker
 /// panics / dropped / duplicated / reordered halo batches / delays on
 /// the same failure rounds. Executor faults are recovered bit-exactly by
-/// the engine's supervision and never change the trajectory; shard churn
+/// the engine's shard re-homing and never change the trajectory; shard churn
 /// *is* part of the (degraded) trajectory. Together they reproduce the
 /// headline guarantee: the run matches a fault-free run over the same
 /// effective round sequence.
@@ -705,22 +705,25 @@ pub struct FaultsSpec {
     /// Each failure lasts `down` consecutive rounds.
     pub down: usize,
     /// Shard count the churn draws from; `0` derives it from the
-    /// message backend's partition (and must match it when both
-    /// are set explicitly).
+    /// message or process backend's partition (and must match it when
+    /// both are set explicitly).
     pub shards: usize,
     /// Seed of the churn schedule (which shard fails when).
     pub seed: u64,
     /// Kill the failed shard's worker on each failure round (message
-    /// backend).
+    /// and process backends).
     pub panic: bool,
-    /// Drop the failed shard's outgoing halo batches (message backend).
+    /// Drop the failed shard's outgoing halo batches (message and
+    /// process backends).
     pub drop: bool,
-    /// Duplicate every halo batch of the failed shard (message backend).
+    /// Duplicate every halo batch of the failed shard (message and
+    /// process backends).
     pub duplicate: bool,
-    /// Reorder the failed shard's halo batches (message backend).
+    /// Reorder the failed shard's halo batches (message and process
+    /// backends).
     pub reorder: bool,
-    /// Delay the failed shard's worker by this many milliseconds
-    /// (message backend).
+    /// Hold the failed shard's dispatch back by this many milliseconds
+    /// (message and process backends).
     pub delay_ms: Option<u64>,
 }
 
@@ -769,13 +772,10 @@ impl FaultsSpec {
     }
 
     /// Resolves the churn shard count against the backend: an explicit
-    /// `shards` wins (but must match a message partition), `0` derives
-    /// from the partition.
+    /// `shards` wins (but must match a message or process partition),
+    /// `0` derives from the partition.
     pub fn resolved_shards(&self, exec: &ExecSpec) -> Result<usize, String> {
-        let backend_shards = match exec {
-            ExecSpec::Message { partition, .. } => Some(partition.shards()),
-            _ => None,
-        };
+        let backend_shards = exec.partition().map(|p| p.shards());
         match (self.shards, backend_shards) {
             (0, Some(s)) => Ok(s),
             (0, None) => {
@@ -1180,15 +1180,11 @@ impl Scenario {
             if faults.down == 0 {
                 return Err("faults down must be >= 1".into());
             }
-            if matches!(self.exec, ExecSpec::Process { .. }) {
+            if faults.has_exec_kinds() && self.exec.partition().is_none() {
                 return Err(
-                    "faults are not supported on the process backend (use backend = \"message\")"
+                    "faults panic/drop/duplicate/reorder/delay need backend = \"message\" \
+                     or \"process\""
                         .into(),
-                );
-            }
-            if faults.has_exec_kinds() && !matches!(self.exec, ExecSpec::Message { .. }) {
-                return Err(
-                    "faults panic/drop/duplicate/reorder/delay need backend = \"message\"".into(),
                 );
             }
             faults.resolved_shards(&self.exec)?;
@@ -1250,7 +1246,7 @@ impl Scenario {
     ///   shard fail/recover churn (one of the 8 shards down for 5 rounds
     ///   every 40) with worker panics and dropped halo batches injected
     ///   on each failure round; the report carries the fault/recovery
-    ///   counters, and the engine's supervision keeps the trajectory
+    ///   counters, and the engine's recovery keeps the trajectory
     ///   bit-identical to a fault-free run over the same degraded
     ///   sequence.
     pub fn builtin(name: &str) -> Option<Scenario> {

@@ -4,10 +4,11 @@
 //! shard counts exceeding `n`) — must produce bit-identical load vectors
 //! **and per-round statistics** on arbitrary graphs, initial loads, and
 //! thread counts — the structural guarantee the unified engine owes the
-//! paper's determinism story. For the message backend this additionally pins that
-//! shard-isolated workers exchanging only batched halo messages (or the
-//! full exchange, for non-neighbourhood-local protocols) reconstruct the
-//! shared-memory rounds exactly.
+//! paper's determinism story. For the message and process backends this
+//! additionally pins that shard-local workers fed only their owned values
+//! and halo batches (or the coordinator's precomputed values, for
+//! protocols without a gather spec) reconstruct the shared-memory rounds
+//! exactly.
 //!
 //! Randomized protocols participate too: their RNG lives inside the
 //! protocol and `begin_round` runs before the gather fans out, so equal

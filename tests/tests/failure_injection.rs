@@ -4,16 +4,15 @@
 //! connected on average.
 //!
 //! The second half covers the executor fault layer: random seeded
-//! [`FaultPlan`]s (worker panics, dropped/duplicated/reordered halo
-//! batches, slow workers) on the message backend, under legacy and
-//! resident dispatch, must be recovered **exactly** — conservation holds
+//! [`FaultPlan`]s (killed workers, dropped/duplicated/reordered halo
+//! batches, held-back dispatches) on both links of the shard runtime —
+//! the message backend under legacy and resident dispatch, and the
+//! process backend — must be recovered **exactly** — conservation holds
 //! on every intermediate round, Φ never increases across degraded
 //! rounds, and once the faults drain the load vector is bit-identical to
 //! a fault-free run — plus
 //! shard-level fail/recover churn ([`ShardChurnSequence`]), where a
 //! failed shard freezes in place and rejoins without losing a bit.
-
-use std::time::Duration;
 
 use dlb_core::continuous::ContinuousDiffusion;
 use dlb_core::discrete::DiscreteDiffusion;
@@ -111,14 +110,34 @@ fn mostly_dead_network_still_converges_eventually() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor faults: seeded FaultPlans on the message backend
+// Executor faults: seeded FaultPlans on the message and process backends
 // ---------------------------------------------------------------------------
+
+/// Legacy and resident message dispatch, and worker processes, over a
+/// range partition into `shards`.
+fn shard_backends(shards: usize) -> [Backend; 3] {
+    let partition = PartitionSpec::Range { shards };
+    [
+        Backend::Message {
+            partition,
+            resident: false,
+        },
+        Backend::Message {
+            partition,
+            resident: true,
+        },
+        Backend::Process {
+            partition,
+            transport: dlb_core::Transport::Unix,
+        },
+    ]
+}
 
 /// A raw fault event for the strategy: `(round, shard, kind tag)`.
 type RawEvent = (u64, usize, u8);
 
 fn plan_from(events: &[RawEvent]) -> FaultPlan {
-    let mut plan = FaultPlan::new().with_patience(Duration::from_millis(25));
+    let mut plan = FaultPlan::new();
     for &(round, shard, tag) in events {
         let kind = match tag {
             0 => FaultKind::Panic,
@@ -219,8 +238,7 @@ proptest! {
         let n = g.n();
         let loads: Vec<f64> = (0..n).map(|i| ((i as u64 * 37 + seed) % 101) as f64).collect();
         let plan = plan_from(&events);
-        for resident in [false, true] {
-            let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident };
+        for backend in shard_backends(shards) {
             let mut reference = Engine::with_backend(ContinuousDiffusion::new(&g), Backend::Serial);
             let mut faulted = Engine::with_backend(ContinuousDiffusion::new(&g), backend)
                 .with_faults(plan.clone());
@@ -239,8 +257,7 @@ proptest! {
         let n = g.n();
         let loads: Vec<i64> = (0..n).map(|i| ((i as u64 * 53 + seed) % 997) as i64).collect();
         let plan = plan_from(&events);
-        for resident in [false, true] {
-            let backend = Backend::Message { partition: PartitionSpec::Range { shards }, resident };
+        for backend in shard_backends(shards) {
             let mut reference = Engine::with_backend(DiscreteDiffusion::new(&g), Backend::Serial);
             let mut faulted = Engine::with_backend(DiscreteDiffusion::new(&g), backend)
                 .with_faults(plan.clone());

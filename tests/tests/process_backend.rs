@@ -6,7 +6,8 @@
 //! byte boundary are property-tested inside `dlb-wire`. This file covers
 //! what only a live fleet can: the TCP transport, wire-level comm
 //! accounting, worker death mid-round surfacing as a *typed* engine
-//! error within bounded time, handshake rejection of malformed peers,
+//! error within bounded time (or, with a fault plan armed, a re-homed
+//! shard and a respawned worker), handshake rejection of malformed peers,
 //! corrupt-plan rejection, the worker's halo-group accounting, the size
 //! and bytes of a shard-local plan, the diffusion check across graph
 //! versions, and the scenario layer's gating of the new backend.)
@@ -124,6 +125,47 @@ fn killed_worker_mid_run_yields_typed_error_not_deadlock() {
     // Failed rounds still publish their comm metrics (the bytes spent on
     // the doomed round stay visible).
     assert!(engine.comm_metrics().is_some());
+}
+
+#[test]
+fn armed_panic_fault_sigkills_a_worker_process_and_respawns_it() {
+    use dlb_core::{FaultKind, FaultPlan};
+    let g = topology::torus2d(6, 6);
+    let rounds = 4;
+    let mut serial = spike(g.n());
+    Engine::serial(ContinuousDiffusion::new(&g)).rounds(&mut serial, rounds);
+
+    let plan = FaultPlan::new().event(2, 1, FaultKind::Panic);
+    let mut engine =
+        Engine::with_backend(ContinuousDiffusion::new(&g), process(3, Transport::Unix))
+            .with_faults(plan);
+    let mut loads = spike(g.n());
+    engine.round(&mut loads);
+    let before = engine.process_worker_pids().expect("process backend");
+    // Round 2 kills shard 1's worker before dispatch; the coordinator
+    // re-homes its owned values from the snapshot and respawns it.
+    engine.try_round(&mut loads).expect("recovered round");
+    let after = engine.process_worker_pids().expect("process backend");
+    assert_ne!(before[1], after[1], "shard 1 runs a new worker process");
+    assert_eq!((before[0], before[2]), (after[0], after[2]));
+    let owned_1 = PartitionSpec::Bfs { shards: 3 }.build(&g).shard_size(1) as u64;
+    let stats = engine.fault_stats();
+    assert_eq!(stats.faults_injected, 1);
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(stats.rehomed_values, owned_1);
+    // The respawned worker serves the next rounds.
+    engine.rounds(&mut loads, rounds - 2);
+    assert_eq!(serial, loads, "recovery must be bit-identical to serial");
+    assert_eq!(engine.fault_stats().recoveries, 1);
+
+    // An armed plan also recovers a worker killed from outside.
+    engine.process_kill_worker(0);
+    let mut more = loads.clone();
+    engine.round(&mut more);
+    let mut reference = loads.clone();
+    Engine::serial(ContinuousDiffusion::new(&g)).round(&mut reference);
+    assert_eq!(reference, more);
+    assert_eq!(engine.fault_stats().recoveries, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -752,19 +794,49 @@ fn a_gather_graph_other_than_the_plan_graph_runs_precomputed_every_round() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn scenario_faults_and_process_backend_are_mutually_exclusive() {
-    use dlb_workloads::{ExecSpec, FaultsSpec, Scenario};
-    let sc = Scenario::builtin("bursty-torus")
+fn scenario_executor_faults_on_the_process_backend_match_the_fault_free_trace() {
+    use dlb_workloads::{ExecSpec, FaultsSpec, Scenario, ScenarioRunner, StopSpec};
+    // Shard churn every 10 rounds, each failure also firing one executor
+    // fault on the failed shard: a SIGKILLed worker, dropped halo
+    // batches, a held-back dispatch.
+    let sc = Scenario::builtin("bursty-torus-process")
         .expect("builtin")
-        .with_exec(ExecSpec::Process {
-            partition: PartitionSpec::Range { shards: 4 },
-            transport: Transport::Unix,
-        })
-        .with_faults(FaultsSpec::default());
-    let err = sc
-        .validate()
-        .expect_err("faults x process must be rejected");
-    assert!(err.contains("process"), "unhelpful error: {err}");
+        .with_stop(StopSpec::Rounds { rounds: 30 })
+        .with_faults(FaultsSpec {
+            every: 10,
+            down: 3,
+            seed: 5,
+            panic: true,
+            drop: true,
+            delay_ms: Some(2),
+            ..FaultsSpec::default()
+        });
+    sc.validate().expect("faults x process validates");
+    let process = ScenarioRunner::new(sc.clone()).run().expect("process run");
+    assert_eq!(process.backend, "process");
+    // The serial replay runs the same churned round sequence with no
+    // executor faults: recovery is exact, so the traces agree bit for
+    // bit.
+    let serial = ScenarioRunner::new(sc)
+        .with_exec(ExecSpec::Serial)
+        .run()
+        .expect("serial replay");
+    let bits = |r: &dlb_workloads::ScenarioReport| -> Vec<u64> {
+        r.phi_trace.iter().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(process.rounds, serial.rounds);
+    assert_eq!(
+        bits(&serial),
+        bits(&process),
+        "Φ trace diverged under faults"
+    );
+    assert_eq!(serial.final_total.to_bits(), process.final_total.to_bits());
+    let (pf, sf) = (process.faults.unwrap(), serial.faults.unwrap());
+    assert!(
+        pf.faults_injected > sf.faults_injected,
+        "executor faults fired on top of the churn: {pf:?} vs {sf:?}"
+    );
+    assert!(pf.rehomed_values > sf.rehomed_values, "{pf:?} vs {sf:?}");
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! per-round statistics, communication counters, and fault counters are
 //! **bit-identical with telemetry armed vs off on every backend** — the
 //! recorder is a pure observer, and `Telemetry::Off` is a no-op branch
-//! rather than a dynamic call. The suite also pins the message worker's
+//! rather than a dynamic call. The suite also pins the shard worker's
 //! span protocol: each worker round arrives as a well-nested
-//! post-halo → gather-interior → recv-halo → gather-boundary sequence on
-//! the worker's own lane, with the coordinator's scatter and plan spans
-//! on the engine lane.
+//! recv-halo → gather-interior sequence on the worker's own lane (fill
+//! the owned and halo frame, then gather the owned rows), with the
+//! coordinator's per-shard scatter spans and its plan span on the engine
+//! lane.
 
 use dlb_core::continuous::ContinuousDiffusion;
 use dlb_core::engine::{Backend, Engine, StatsMode};
@@ -130,12 +131,7 @@ fn message_worker_spans_are_well_nested_per_round() {
     }
     let events = tel.recorder().unwrap().events();
 
-    let worker_order = [
-        Phase::PostHalo,
-        Phase::GatherInterior,
-        Phase::RecvHalo,
-        Phase::GatherBoundary,
-    ];
+    let worker_order = [Phase::RecvHalo, Phase::GatherInterior];
     for shard in 0..SHARDS as u32 {
         for round in 1..=rounds {
             let lane: Vec<_> = events
@@ -148,8 +144,8 @@ fn message_worker_spans_are_well_nested_per_round() {
                 "shard {shard} round {round}: worker phases out of protocol order"
             );
             // Well-nested at the sequence level: each span begins at or
-            // after the previous one ended — the worker's five-phase round
-            // is strictly sequential, so its spans never overlap.
+            // after the previous one ended — the worker's round is
+            // strictly sequential, so its spans never overlap.
             for w in lane.windows(2) {
                 assert!(
                     w[1].start_ns >= w[0].start_ns + w[0].dur_ns,
@@ -160,11 +156,12 @@ fn message_worker_spans_are_well_nested_per_round() {
             }
         }
     }
-    // The coordinator's side of the round rides the engine lane: the
-    // result scatter every round, plan builds only in round 1 (the kernel
-    // plan and the message exec's shard plan each build once — the graph
-    // never changes, so steady-state rounds emit no plan spans), and the
-    // stats reduction for every full-stats round.
+    // The coordinator's side of the round rides the engine lane: one
+    // dispatch and one result scatter per shard every round, one plan
+    // build in round 1 (the shard plan; the workers build their own
+    // gather plans, and the graph never changes, so steady-state rounds
+    // emit no plan spans), and the stats reduction for every full-stats
+    // round.
     let engine_lane: Vec<_> = events.iter().filter(|e| e.lane == ENGINE_LANE).collect();
     let plans: Vec<u64> = engine_lane
         .iter()
@@ -173,15 +170,19 @@ fn message_worker_spans_are_well_nested_per_round() {
         .collect();
     assert_eq!(
         plans,
-        vec![1, 1],
-        "plan spans must be the kernel + shard builds of round 1 only"
+        vec![1],
+        "plan spans must be the shard plan build of round 1 only"
     );
     for round in 1..=rounds {
         let scatters = engine_lane
             .iter()
             .filter(|e| e.phase == Phase::ScatterOwned && e.round == round)
             .count();
-        assert_eq!(scatters, 2, "round {round}: dispatch + result scatter");
+        assert_eq!(
+            scatters,
+            2 * SHARDS,
+            "round {round}: dispatch + result scatter per shard"
+        );
         assert_eq!(
             engine_lane
                 .iter()
