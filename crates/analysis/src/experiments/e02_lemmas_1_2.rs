@@ -54,8 +54,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
             let edge_sq: f64 = inst
                 .graph
                 .edges()
-                .iter()
-                .map(|&(u, v)| (loads[u as usize] - loads[v as usize]).powi(2))
+                .map(|(u, v)| (loads[u as usize] - loads[v as usize]).powi(2))
                 .sum();
             let l2_bound = edge_sq / (4.0 * inst.delta() as f64);
             if phi(&loads) < 1e-15 {

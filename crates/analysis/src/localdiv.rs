@@ -59,8 +59,7 @@ pub fn local_divergence(g: &Graph, source: u32, max_rounds: usize, tol: f64) -> 
     for round in 0..max_rounds {
         let contribution: f64 = g
             .edges()
-            .iter()
-            .map(|&(u, v)| (x[u as usize] - x[v as usize]).abs())
+            .map(|(u, v)| (x[u as usize] - x[v as usize]).abs())
             .sum();
         psi += contribution;
         if contribution < tol {

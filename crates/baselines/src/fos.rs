@@ -11,7 +11,7 @@
 //! The diffusion factor is uniform, so there is no per-edge table to
 //! precompute — the kernels are the plainest gathers in the workspace.
 
-use dlb_core::engine::{FlowTally, Protocol, StatsCtx};
+use dlb_core::engine::{FlowTally, Protocol, StatsCtx, TokenTally};
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
 use dlb_graphs::Graph;
 
@@ -92,16 +92,15 @@ impl Protocol for FirstOrderContinuous<'_> {
 
 /// Flow statistics of one first-order step (`α·|ℓᵤ − ℓᵥ|` per edge) —
 /// shared by FOS, SOS and Chebyshev, whose reported flows are all the
-/// first-order component's. Reduced in blocked order through `ctx`.
+/// first-order component's. Reduced in the one node-block order through
+/// `ctx`.
 pub(crate) fn fos_flow_tally(
     g: &Graph,
     alpha: f64,
     snapshot: &[f64],
     ctx: &StatsCtx<'_>,
 ) -> FlowTally {
-    let edges = g.edges();
-    ctx.flow_tally(edges.len(), |k| {
-        let (u, v) = edges[k];
+    ctx.graph_tally(g, |u, v, _| {
         alpha * (snapshot[u as usize] - snapshot[v as usize]).abs()
     })
 }
@@ -158,10 +157,8 @@ impl Protocol for FirstOrderDiscrete<'_> {
         new_loads: &[i64],
         ctx: &StatsCtx<'_>,
     ) -> DiscreteRoundStats {
-        let edges = self.g.edges();
         let divisor = self.divisor as u128;
-        let tally = ctx.token_tally(edges.len(), |k| {
-            let (u, v) = edges[k];
+        let tally: TokenTally = ctx.graph_tally(self.g, |u, v, _| {
             let diff = (snapshot[u as usize] as i128 - snapshot[v as usize] as i128).unsigned_abs();
             (diff / divisor) as u64
         });

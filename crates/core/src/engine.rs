@@ -313,8 +313,9 @@ impl StatsMode {
 enum StatsLevel {
     /// Potentials and the per-edge flow tally.
     Flows,
-    /// Potentials only; [`StatsCtx::flow_tally`]/[`StatsCtx::token_tally`]
-    /// return zeroed tallies without evaluating the flow closure.
+    /// Potentials only; [`StatsCtx::graph_tally`], [`StatsCtx::flow_tally`]
+    /// and [`StatsCtx::token_tally`] return zeroed tallies without
+    /// evaluating the flow closure.
     PhiOnly,
 }
 
@@ -446,47 +447,59 @@ impl<'a> StatsCtx<'a> {
         )
     }
 
-    /// Tallies `flow(k)` over `m` edges in blocked order, or returns a
-    /// zeroed tally (without evaluating `flow`) when flows are not wanted.
-    pub fn flow_tally(&self, m: usize, flow: impl Fn(usize) -> f64 + Sync) -> FlowTally {
-        if !self.flows_wanted() {
-            return FlowTally::default();
-        }
-        potential::blocked_reduce(
-            m,
-            self.pool,
-            |b| {
-                let (s, e) = potential::block_bounds(b, m);
-                let mut tally = FlowTally::default();
-                for k in s..e {
-                    tally.add(flow(k));
-                }
-                tally
-            },
-            FlowTally::merge,
-            FlowTally::default(),
-        )
+    /// Tallies the transfer `amount(u, v, slot)` of every edge of `g` in
+    /// the one reduction order of [`crate::potential`]: node blocks, and in
+    /// each node `u` its CSR upper slots (neighbours `v > u`, sorted; `slot`
+    /// is `v`'s CSR slot in `u`'s row), so each edge is tallied once, by
+    /// the block of its lower endpoint — as the canonical protocols' fused
+    /// tally is. Zeroed (without evaluating `amount`) when flows are not
+    /// wanted.
+    pub fn graph_tally<T: Tally>(
+        &self,
+        g: &Graph,
+        amount: impl Fn(u32, u32, usize) -> T::Amount + Sync,
+    ) -> T {
+        self.blocked_tally(g.n(), |s, e, tally: &mut T| {
+            for u in s as u32..e as u32 {
+                potential::upper_slots(g, u, |v, slot| tally.add(amount(u, v, slot)));
+            }
+        })
     }
 
-    /// Tallies `tokens(k)` over `m` edges in blocked order, or returns a
-    /// zeroed tally when flows are not wanted.
+    /// Tallies `flow(k)` over a list of `m` links or pairs (random-partner
+    /// links, matching pairs, greedy transfers) in blocks of list items;
+    /// zeroed (without evaluating `flow`) when flows are not wanted. A
+    /// graph's edges go through [`StatsCtx::graph_tally`] instead.
+    pub fn flow_tally(&self, m: usize, flow: impl Fn(usize) -> f64 + Sync) -> FlowTally {
+        self.blocked_tally(m, |s, e, tally: &mut FlowTally| {
+            (s..e).for_each(|k| tally.add(flow(k)))
+        })
+    }
+
+    /// The token twin of [`StatsCtx::flow_tally`].
     pub fn token_tally(&self, m: usize, tokens: impl Fn(usize) -> u64 + Sync) -> TokenTally {
+        self.blocked_tally(m, |s, e, tally: &mut TokenTally| {
+            (s..e).for_each(|k| tally.add(tokens(k)))
+        })
+    }
+
+    /// Folds `block(start, end, tally)` over the blocks of `0..n` in block
+    /// order, or returns a zeroed tally when flows are not wanted.
+    fn blocked_tally<T: Tally>(&self, n: usize, block: impl Fn(usize, usize, &mut T) + Sync) -> T {
         if !self.flows_wanted() {
-            return TokenTally::default();
+            return T::default();
         }
         potential::blocked_reduce(
-            m,
+            n,
             self.pool,
             |b| {
-                let (s, e) = potential::block_bounds(b, m);
-                let mut tally = TokenTally::default();
-                for k in s..e {
-                    tally.add(tokens(k));
-                }
+                let (s, e) = potential::block_bounds(b, n);
+                let mut tally = T::default();
+                block(s, e, &mut tally);
                 tally
             },
-            TokenTally::merge,
-            TokenTally::default(),
+            T::merge,
+            T::default(),
         )
     }
 }
@@ -2098,8 +2111,9 @@ pub struct FlowTally {
 impl FlowTally {
     /// Tallies an iterator of per-edge transfer amounts — the linear form
     /// used by the reference (per-link) round implementations. Engine
-    /// statistics go through [`StatsCtx::flow_tally`] instead, whose
-    /// blocked combine keeps serial and parallel stats bit-identical.
+    /// statistics go through [`StatsCtx::graph_tally`] or
+    /// [`StatsCtx::flow_tally`] instead, whose blocked combine keeps
+    /// serial and parallel stats bit-identical.
     pub fn from_flows(flows: impl IntoIterator<Item = f64>) -> Self {
         let mut tally = FlowTally::default();
         for w in flows {
@@ -2108,9 +2122,37 @@ impl FlowTally {
         tally
     }
 
+    /// Finishes the round's [`crate::model::RoundStats`].
+    pub fn stats(self, phi_before: f64, phi_after: f64) -> crate::model::RoundStats {
+        crate::model::RoundStats {
+            phi_before,
+            phi_after,
+            active_edges: self.active,
+            total_flow: self.total,
+            max_flow: self.max,
+        }
+    }
+}
+
+/// A per-edge transfer accumulator — [`FlowTally`] or [`TokenTally`] —
+/// that the blocked tallies of [`StatsCtx`] fold one block at a time.
+pub trait Tally: Copy + Default + Send + Sync + std::fmt::Debug {
+    /// One edge's transfer: load (`f64`) or whole tokens (`u64`).
+    type Amount;
+
+    /// Records one edge's transfer.
+    fn add(&mut self, amount: Self::Amount);
+
+    /// Combines two block partials (in block order: `self` is the prefix).
+    fn merge(self, other: Self) -> Self;
+}
+
+impl Tally for FlowTally {
+    type Amount = f64;
+
     /// Records one edge's transfer amount.
     #[inline]
-    pub fn add(&mut self, w: f64) {
+    fn add(&mut self, w: f64) {
         if w > 0.0 {
             self.active += 1;
             self.total += w;
@@ -2122,23 +2164,11 @@ impl FlowTally {
         }
     }
 
-    /// Combines two block partials (in block order: `self` is the prefix).
-    pub(crate) fn merge(self, other: Self) -> Self {
+    fn merge(self, other: Self) -> Self {
         FlowTally {
             active: self.active + other.active,
             total: self.total + other.total,
             max: self.max.max(other.max),
-        }
-    }
-
-    /// Finishes the round's [`crate::model::RoundStats`].
-    pub fn stats(self, phi_before: f64, phi_after: f64) -> crate::model::RoundStats {
-        crate::model::RoundStats {
-            phi_before,
-            phi_after,
-            active_edges: self.active,
-            total_flow: self.total,
-            max_flow: self.max,
         }
     }
 }
@@ -2156,32 +2186,14 @@ pub struct TokenTally {
 
 impl TokenTally {
     /// Tallies an iterator of per-edge token counts (reference rounds;
-    /// engine statistics use [`StatsCtx::token_tally`]).
+    /// engine statistics use [`StatsCtx::graph_tally`] or
+    /// [`StatsCtx::token_tally`]).
     pub fn from_tokens(tokens: impl IntoIterator<Item = u64>) -> Self {
         let mut tally = TokenTally::default();
         for t in tokens {
             tally.add(t);
         }
         tally
-    }
-
-    /// Records one edge's token count.
-    #[inline]
-    pub fn add(&mut self, t: u64) {
-        if t > 0 {
-            self.active += 1;
-            self.total += t;
-            self.max = self.max.max(t);
-        }
-    }
-
-    /// Combines two block partials (exact integer sums — order-free).
-    pub(crate) fn merge(self, other: Self) -> Self {
-        TokenTally {
-            active: self.active + other.active,
-            total: self.total + other.total,
-            max: self.max.max(other.max),
-        }
     }
 
     /// Finishes the round's [`crate::model::DiscreteRoundStats`].
@@ -2196,6 +2208,29 @@ impl TokenTally {
             active_edges: self.active,
             total_tokens: self.total,
             max_tokens: self.max,
+        }
+    }
+}
+
+impl Tally for TokenTally {
+    type Amount = u64;
+
+    /// Records one edge's token count.
+    #[inline]
+    fn add(&mut self, t: u64) {
+        if t > 0 {
+            self.active += 1;
+            self.total += t;
+            self.max = self.max.max(t);
+        }
+    }
+
+    /// Exact integer sums — order-free.
+    fn merge(self, other: Self) -> Self {
+        TokenTally {
+            active: self.active + other.active,
+            total: self.total + other.total,
+            max: self.max.max(other.max),
         }
     }
 }

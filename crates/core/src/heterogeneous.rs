@@ -20,10 +20,11 @@
 //! bit-equality in that case.
 //!
 //! Both the capacity coefficient `min(cᵢ, cⱼ)` and the degree divisor are
-//! round-invariant, so they are precomputed per CSR slot at construction,
-//! exactly like the homogeneous protocols.
+//! round-invariant, so they are precomputed per CSR slot at construction.
+//! The gather reads every slot of a node's row; the flow tally reads each
+//! edge's upper slot ([`StatsCtx::graph_tally`]), so one table serves both.
 
-use crate::engine::{Protocol, StatsCtx};
+use crate::engine::{FlowTally, Protocol, StatsCtx, TokenTally};
 use crate::model::{DiscreteRoundStats, RoundStats};
 use dlb_graphs::{weights, Graph};
 
@@ -98,14 +99,6 @@ fn csr_capacity_coefs(g: &Graph, caps: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Edge-list-aligned capacity coefficients `min(cᵤ, cᵥ)`.
-fn edge_capacity_coefs(g: &Graph, caps: &[f64]) -> Vec<f64> {
-    g.edges()
-        .iter()
-        .map(|&(u, v)| caps[u as usize].min(caps[v as usize]))
-        .collect()
-}
-
 /// Continuous heterogeneous diffusion protocol.
 #[derive(Debug)]
 pub struct HeterogeneousDiffusion<'g> {
@@ -113,8 +106,6 @@ pub struct HeterogeneousDiffusion<'g> {
     capacities: Vec<f64>,
     slot_coef: Vec<f64>,
     slot_div: Vec<f64>,
-    edge_coef: Vec<f64>,
-    edge_div: Vec<f64>,
 }
 
 impl<'g> HeterogeneousDiffusion<'g> {
@@ -125,8 +116,6 @@ impl<'g> HeterogeneousDiffusion<'g> {
             g,
             slot_coef: csr_capacity_coefs(g, &capacities),
             slot_div: weights::csr_divisors(g, 4.0),
-            edge_coef: edge_capacity_coefs(g, &capacities),
-            edge_div: weights::edge_divisors(g, 4.0),
             capacities,
         }
     }
@@ -168,13 +157,11 @@ impl Protocol for HeterogeneousDiffusion<'_> {
         new_loads: &[f64],
         ctx: &StatsCtx<'_>,
     ) -> RoundStats {
-        let edges = self.g.edges();
         let caps = &self.capacities;
-        let tally = ctx.flow_tally(edges.len(), |k| {
-            let (u, v) = edges[k];
+        let tally: FlowTally = ctx.graph_tally(self.g, |u, v, slot| {
             let wu = snapshot[u as usize] / caps[u as usize];
             let wv = snapshot[v as usize] / caps[v as usize];
-            self.edge_coef[k] * (wu - wv).abs() / self.edge_div[k]
+            self.slot_coef[slot] * (wu - wv).abs() / self.slot_div[slot]
         });
         tally.stats(
             weighted_phi_ctx(snapshot, caps, ctx),
@@ -201,8 +188,6 @@ pub struct HeterogeneousDiscreteDiffusion<'g> {
     capacities: Vec<f64>,
     slot_coef: Vec<f64>,
     slot_div: Vec<f64>,
-    edge_coef: Vec<f64>,
-    edge_div: Vec<f64>,
 }
 
 impl<'g> HeterogeneousDiscreteDiffusion<'g> {
@@ -213,8 +198,6 @@ impl<'g> HeterogeneousDiscreteDiffusion<'g> {
             g,
             slot_coef: csr_capacity_coefs(g, &capacities),
             slot_div: weights::csr_divisors(g, 4.0),
-            edge_coef: edge_capacity_coefs(g, &capacities),
-            edge_div: weights::edge_divisors(g, 4.0),
             capacities,
         }
     }
@@ -273,13 +256,11 @@ impl Protocol for HeterogeneousDiscreteDiffusion<'_> {
         // The weighted potential is not integral under real capacities;
         // report it scaled by n² to keep the DiscreteRoundStats contract
         // (callers comparing drops only need consistency).
-        let edges = self.g.edges();
         let caps = &self.capacities;
-        let tally = ctx.token_tally(edges.len(), |k| {
-            let (u, v) = edges[k];
+        let tally: TokenTally = ctx.graph_tally(self.g, |u, v, slot| {
             let wu = snapshot[u as usize] as f64 / caps[u as usize];
             let wv = snapshot[v as usize] as f64 / caps[v as usize];
-            (self.edge_coef[k] * (wu - wv).abs() / self.edge_div[k]).floor() as u64
+            (self.slot_coef[slot] * (wu - wv).abs() / self.slot_div[slot]).floor() as u64
         });
         tally.stats(
             self.potential_of(snapshot, ctx),

@@ -35,7 +35,11 @@
 //!   adding `|ℓᵤ − ℓᵥ| / div(u, v)`, where `div(u, v) = k·max(dᵤ, dᵥ)` is
 //!   the gather's degree-derived divisor (`GatherSpec::divisor`).
 //!   Every undirected edge is therefore tallied exactly once, by the
-//!   block of its lower endpoint.
+//!   block of its lower endpoint. Protocols without a gather spec tally
+//!   their own per-edge amount over the same blocks and the same slot
+//!   walk ([`StatsCtx::graph_tally`], over `upper_slots`); only a
+//!   tally over a *list* — random-partner links, matching pairs —
+//!   blocks by list position ([`StatsCtx::flow_tally`]).
 //! * **Across blocks**, partials are combined in block order, starting
 //!   from zero (`FlowTally::merge`, `TokenTally::merge`, `+`).
 //! * **`Φ` is mean-first and two-pass**: the first pass yields the total
@@ -60,8 +64,9 @@
 //! reports **bit-identical** statistics. Vectors no longer than
 //! [`REDUCE_BLOCK`] are a single block, i.e. the plain linear sum.
 
-use crate::engine::{FlowTally, StatsCtx, TokenTally, WorkerPool};
+use crate::engine::{FlowTally, StatsCtx, Tally, TokenTally, WorkerPool};
 use crate::kernels::{DiffusionLoad, GatherSink, GatherSpec};
+use dlb_graphs::Graph;
 
 /// Nodes per reduction block. Fixed (never thread-derived) so serial
 /// and parallel reductions share one deterministic summation order; large
@@ -122,7 +127,7 @@ pub trait LoadPotential: DiffusionLoad {
     /// A block sum (`f64`, or exact `i128` for tokens).
     type Sum: Copy + Default + Send + Sync + std::fmt::Debug + std::ops::Add<Output = Self::Sum>;
     /// The per-edge transfer tally ([`FlowTally`] or [`TokenTally`]).
-    type Tally: Copy + Default + Send + Sync + std::fmt::Debug;
+    type Tally: Tally;
 
     /// The default potential of `loads` (`Φ` or `Φ̂`), computed through
     /// `ctx`'s blocked (optionally pooled) reduction. This is what
@@ -149,9 +154,6 @@ pub trait LoadPotential: DiffusionLoad {
     /// Tallies one edge from the gather's quotient for it: the quotient's
     /// magnitude is the load the edge moves this round.
     fn tally_quotient(tally: &mut Self::Tally, q: Self::Acc);
-
-    /// Combines two tally partials (`a` is the prefix in block order).
-    fn merge_tally(a: Self::Tally, b: Self::Tally) -> Self::Tally;
 
     /// The load as `f64` (exact for tokens within the mantissa).
     fn to_f64(self) -> f64;
@@ -184,10 +186,6 @@ impl LoadPotential for f64 {
     #[inline]
     fn tally_quotient(tally: &mut FlowTally, q: f64) {
         tally.add(q.abs());
-    }
-
-    fn merge_tally(a: FlowTally, b: FlowTally) -> FlowTally {
-        a.merge(b)
     }
 
     #[inline]
@@ -227,10 +225,6 @@ impl LoadPotential for i64 {
         // |q| = ⌊|lu − lv| / div⌋ ≤ 2⁶⁴ − 1, the historical u128
         // division's value.
         tally.add(q.unsigned_abs() as u64);
-    }
-
-    fn merge_tally(a: TokenTally, b: TokenTally) -> TokenTally {
-        a.merge(b)
     }
 
     #[inline]
@@ -309,7 +303,7 @@ impl<L: LoadPotential> BlockPartial<L> {
             new: self.new + other.new,
             min: self.min.min(other.min),
             max: self.max.max(other.max),
-            tally: L::merge_tally(self.tally, other.tally),
+            tally: self.tally.merge(other.tally),
         }
     }
 }
@@ -384,25 +378,31 @@ pub(crate) fn block_partial<L: LoadPotential>(
         }
         return p;
     };
-    let g = spec.graph;
-    let flat = g.neighbor_slots();
-    let mut off = g.neighbor_offset(lo as u32);
     for (i, (&x, &y)) in snap_block.iter().zip(new).enumerate() {
         p.node(x, y);
         let u = (lo + i) as u32;
-        let end = g.neighbor_offset(u + 1);
-        let du = (end - off) as u32;
-        // Neighbour lists are sorted, so the upper slots are a suffix; a
-        // filtered scan beats searching for its start on short lists.
-        for &v in &flat[off..end] {
-            if v > u {
-                let div = spec.divisor_to(du, v);
-                p.upper(L::quotient(x, snapshot[v as usize], div));
-            }
-        }
-        off = end;
+        let du = spec.graph.degree(u);
+        upper_slots(spec.graph, u, |v, _| {
+            p.upper(L::quotient(x, snapshot[v as usize], spec.divisor_to(du, v)));
+        });
     }
     p
+}
+
+/// Calls `f(v, slot)` for each CSR upper slot of node `u` — its
+/// neighbours `v > u`, in sorted order, with `slot` the global CSR slot of
+/// `v` in `u`'s row. This is the slot walk of the one reduction order:
+/// every undirected edge is visited once, from its lower endpoint.
+#[inline(always)]
+pub(crate) fn upper_slots(g: &Graph, u: u32, mut f: impl FnMut(u32, usize)) {
+    let off = g.neighbor_offset(u);
+    // Neighbour lists are sorted, so the upper slots are a suffix; a
+    // filtered scan beats searching for its start on short lists.
+    for (i, &v) in g.neighbors(u).iter().enumerate() {
+        if v > u {
+            f(v, off + i);
+        }
+    }
 }
 
 /// First-pass partials of a whole round, blocked and folded in block

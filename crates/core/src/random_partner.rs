@@ -19,7 +19,7 @@
 //! gather reaches the same state as the paper's per-link formulation, and
 //! serial ≡ parallel bit-identity holds like for every engine protocol.
 
-use crate::engine::{FlowTally, Protocol, StatsCtx, TokenTally};
+use crate::engine::{FlowTally, Protocol, StatsCtx, Tally, TokenTally};
 use crate::model::{DiscreteRoundStats, RoundStats};
 use crate::potential::{phi, phi_hat};
 use rand::rngs::StdRng;

@@ -100,7 +100,7 @@ pub fn sequentialized_round(g: &Graph, loads: &mut [f64]) -> SeqRound {
     let phi_before = phi(&snapshot);
 
     // Weights from round-start loads; activation order = ascending weight.
-    let edges = g.edges();
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut order: Vec<u32> = (0..edges.len() as u32).collect();
     let weight = |k: u32| {
         let (u, v) = edges[k as usize];
@@ -182,7 +182,7 @@ pub fn sequentialized_round_discrete(g: &Graph, loads: &mut [i64]) -> DiscreteSe
     let n = g.n() as i128;
     let s = total_discrete(&snapshot);
 
-    let edges = g.edges();
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut order: Vec<u32> = (0..edges.len() as u32).collect();
     let tokens = |k: u32| {
         crate::discrete::edge_tokens(g, &snapshot, edges[k as usize].0, edges[k as usize].1)
@@ -247,7 +247,7 @@ pub fn adaptive_sequential_round<R: Rng + ?Sized>(
     assert_eq!(loads.len(), g.n(), "load vector length must equal n");
     let snapshot: Vec<f64> = loads.to_vec();
     let phi_before = phi(&snapshot);
-    let edges = g.edges();
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut idx: Vec<u32> = (0..edges.len() as u32).collect();
     match order {
         AdaptiveOrder::EdgeIndex => {}
@@ -380,8 +380,7 @@ mod tests {
         for _ in 0..20 {
             let edge_sq: f64 = g
                 .edges()
-                .iter()
-                .map(|&(u, v)| (loads[u as usize] - loads[v as usize]).powi(2))
+                .map(|(u, v)| (loads[u as usize] - loads[v as usize]).powi(2))
                 .sum();
             let bound = edge_sq / (4.0 * g.max_degree() as f64);
             let round = sequentialized_round(&g, &mut loads);

@@ -15,7 +15,7 @@
 //! `Φ* = 64·n·max_k (δ⁽ᵏ⁾)³/λ₂⁽ᵏ⁾`.
 
 use crate::sequence::GraphSequence;
-use dlb_core::engine::{Backend, Engine, Protocol, StatsCtx};
+use dlb_core::engine::{Backend, Engine, FlowTally, Protocol, StatsCtx, TokenTally};
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
 use dlb_core::{continuous, discrete, GatherSpec};
 use dlb_graphs::Graph;
@@ -118,9 +118,7 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
         ctx: &StatsCtx<'_>,
     ) -> RoundStats {
         let g = self.g.as_ref().expect("begin_round ran");
-        let edges = g.edges();
-        let tally = ctx.flow_tally(edges.len(), |k| {
-            let (u, v) = edges[k];
+        let tally: FlowTally = ctx.graph_tally(g, |u, v, _| {
             (snapshot[u as usize] - snapshot[v as usize]).abs() / continuous::edge_divisor(g, u, v)
         });
         tally.stats(ctx.phi(snapshot), ctx.phi(new_loads))
@@ -197,11 +195,8 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicDiscreteDiffusion<'_, S> {
         ctx: &StatsCtx<'_>,
     ) -> DiscreteRoundStats {
         let g = self.g.as_ref().expect("begin_round ran");
-        let edges = g.edges();
-        let tally = ctx.token_tally(edges.len(), |k| {
-            let (u, v) = edges[k];
-            discrete::edge_tokens(g, snapshot, u, v) as u64
-        });
+        let tally: TokenTally =
+            ctx.graph_tally(g, |u, v, _| discrete::edge_tokens(g, snapshot, u, v) as u64);
         tally.stats(ctx.phi_hat(snapshot), ctx.phi_hat(new_loads))
     }
 }

@@ -437,7 +437,7 @@ mod tests {
         let mut s = StaticSequence::new(topology::cycle(6));
         let g1 = s.next_graph();
         let g2 = s.next_graph();
-        assert_eq!(g1.edges(), g2.edges());
+        assert_eq!(g1, g2);
         assert_eq!(s.n(), 6);
     }
 
@@ -568,15 +568,15 @@ mod tests {
                 Some(failed) => {
                     assert!(g.m() < ground.m(), "round {round}: edges removed");
                     for (u, v) in g.edges() {
-                        assert_ne!(owners[*u as usize] as usize, failed, "round {round}");
-                        assert_ne!(owners[*v as usize] as usize, failed, "round {round}");
+                        assert_ne!(owners[u as usize] as usize, failed, "round {round}");
+                        assert_ne!(owners[v as usize] as usize, failed, "round {round}");
                     }
                     // Only the failed shard's incident edges are gone.
                     let expect = ground.edge_subgraph(|_, (u, v)| {
                         owners[u as usize] as usize != failed
                             && owners[v as usize] as usize != failed
                     });
-                    assert_eq!(g.edges(), expect.edges(), "round {round}");
+                    assert_eq!(g, expect, "round {round}");
                 }
             }
         }
@@ -607,7 +607,7 @@ mod tests {
                     owners[u as usize] as usize != failed && owners[v as usize] as usize != failed
                 }),
             };
-            assert_eq!(g.edges(), expect.edges());
+            assert_eq!(g, expect);
         }
     }
 }

@@ -30,7 +30,7 @@ pub fn exact_edge_expansion(g: &Graph) -> (f64, u32) {
         n <= EXACT_EXPANSION_MAX_N,
         "exact expansion is exponential; n = {n} exceeds {EXACT_EXPANSION_MAX_N}"
     );
-    let edges = g.edges();
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut best = f64::INFINITY;
     let mut best_mask = 0u32;
     // Node 0 always in the complement: masks over nodes 1..n.
@@ -39,7 +39,7 @@ pub fn exact_edge_expansion(g: &Graph) -> (f64, u32) {
         let size = mask.count_ones() as usize; // |S|, S never contains node 0
         let small = size.min(n - size);
         let mut cut = 0usize;
-        for &(u, v) in edges {
+        for &(u, v) in &edges {
             let in_s = |w: u32| w != 0 && (mask >> (w - 1)) & 1 == 1;
             if in_s(u) != in_s(v) {
                 cut += 1;
@@ -75,8 +75,7 @@ pub fn expansion_upper_bound(lambda2: f64, max_degree: u32, min_degree: u32) -> 
 pub fn cut_size(g: &Graph, in_s: &[bool]) -> usize {
     assert_eq!(in_s.len(), g.n(), "mask length must equal n");
     g.edges()
-        .iter()
-        .filter(|&&(u, v)| in_s[u as usize] != in_s[v as usize])
+        .filter(|&(u, v)| in_s[u as usize] != in_s[v as usize])
         .count()
 }
 

@@ -1,11 +1,12 @@
 //! Compact undirected graph representation.
 //!
-//! The balancing algorithms in `dlb-core` iterate over *edges* (to compute
-//! pairwise flows) and over *neighbourhoods* (to compute degrees and
-//! per-node fan-out), so [`Graph`] stores both a CSR adjacency structure and
-//! a canonical edge list `(u, v)` with `u < v`. Graphs are immutable after
-//! construction; dynamic-network models (Section 5 of the paper) are
-//! modelled as sequences of immutable graphs.
+//! The balancing algorithms in `dlb-core` iterate over *neighbourhoods*
+//! (the gather, degrees) and over *edges* (pairwise flows). [`Graph`]
+//! stores only the CSR adjacency: every undirected edge `(u, v)` with
+//! `u < v` is node `u`'s **upper slot** `v`, so the canonical edge list is
+//! a walk over the upper slots ([`Graph::edges`]) rather than a second
+//! array. Graphs are immutable after construction; dynamic-network models
+//! (Section 5 of the paper) are modelled as sequences of immutable graphs.
 
 use std::fmt;
 
@@ -44,7 +45,8 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// An immutable, undirected, simple graph in CSR form.
+/// An immutable, undirected, simple graph in CSR form — the only store of
+/// its edges.
 ///
 /// Node identifiers are `u32` (the literature's instances are at most a few
 /// million nodes; `u32` halves the memory traffic of the hot edge loops
@@ -55,8 +57,6 @@ pub struct Graph {
     offsets: Vec<usize>,
     /// Concatenated sorted neighbour lists, length `2m`.
     neighbors: Vec<u32>,
-    /// Canonical edge list with `u < v`, sorted lexicographically.
-    edges: Vec<(u32, u32)>,
     /// Cached maximum degree `δ`.
     max_degree: u32,
     /// Cached minimum degree.
@@ -95,12 +95,11 @@ impl Graph {
     ///
     /// This is the structured generators' path: a row that arrives
     /// unsorted is sorted in place (a torus emits only its wrap rows out
-    /// of order), and the canonical edge list is each row's upper part,
-    /// `(v, u)` for `u > v`, which in node order is already sorted — so
-    /// there is no global sort and no degree or cursor array. Validation
-    /// is `O(m)`: out-of-range and self-loop neighbours are the usual
-    /// [`GraphError`]s; a repeated neighbour panics, and so (with debug
-    /// assertions on) does a row without its mirror entry.
+    /// of order), so there is no global sort, no edge array and no degree
+    /// or cursor array. Validation is `O(m)`: out-of-range and self-loop
+    /// neighbours are the usual [`GraphError`]s; a repeated neighbour
+    /// panics, and so (with debug assertions on) does a row without its
+    /// mirror entry.
     pub(crate) fn from_rows<F>(n: usize, slots: usize, mut row: F) -> Result<Graph, GraphError>
     where
         F: FnMut(u32, &mut Vec<u32>),
@@ -110,7 +109,6 @@ impl Graph {
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(slots);
-        let mut edges = Vec::with_capacity(slots / 2);
         let (mut min_degree, mut max_degree) = (usize::MAX, 0);
         offsets.push(0);
         for v in 0..n as u32 {
@@ -126,11 +124,9 @@ impl Graph {
                     return Err(GraphError::NodeOutOfRange { node: last, n });
                 }
             }
-            let upper = r.partition_point(|&u| u < v);
-            if r.get(upper) == Some(&v) {
+            if r.binary_search(&v).is_ok() {
                 return Err(GraphError::SelfLoop { node: v });
             }
-            edges.extend(r[upper..].iter().map(|&u| (v, u)));
             min_degree = min_degree.min(r.len());
             max_degree = max_degree.max(r.len());
             offsets.push(neighbors.len());
@@ -138,7 +134,6 @@ impl Graph {
         let g = Graph {
             offsets,
             neighbors,
-            edges,
             max_degree: max_degree as u32,
             min_degree: min_degree as u32,
         };
@@ -154,7 +149,7 @@ impl Graph {
     /// duplicates, every endpoint `< n`. Filling row by row in edge order
     /// leaves every row ascending — a row's lower neighbours arrive with
     /// their own (earlier) edges, its upper ones in the order of its own
-    /// edges.
+    /// edges. The list is consumed: the CSR keeps no copy of it.
     fn from_canonical_edges(n: usize, edges: Vec<(u32, u32)>) -> Graph {
         let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &edges {
@@ -183,7 +178,6 @@ impl Graph {
         Graph {
             offsets,
             neighbors,
-            edges,
             max_degree: max_degree as u32,
             min_degree: min_degree as u32,
         }
@@ -198,7 +192,7 @@ impl Graph {
     /// Number of undirected edges `m = |E|`.
     #[inline]
     pub fn m(&self) -> usize {
-        self.edges.len()
+        self.neighbors.len() / 2
     }
 
     /// Degree of node `v`.
@@ -237,11 +231,19 @@ impl Graph {
         self.offsets[v as usize]
     }
 
-    /// Canonical edge list: each undirected edge appears once as `(u, v)`
-    /// with `u < v`, sorted lexicographically.
-    #[inline]
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
+    /// The canonical edge list, read off the CSR: each undirected edge
+    /// once as `(u, v)` with `u < v`, in lexicographic order — node `u`
+    /// ascending, then its upper slots (the sorted neighbours `v > u`).
+    /// The `k`-th item is edge index `k` wherever an edge index is used
+    /// ([`Graph::edge_subgraph`]). Nothing is stored: an analysis that
+    /// indexes or shuffles edges collects this into its own `Vec`.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.nodes().flat_map(move |u| {
+            let row = self.neighbors(u);
+            row[row.partition_point(|&v| v < u)..]
+                .iter()
+                .map(move |&v| (u, v))
+        })
     }
 
     /// The flat CSR adjacency array (all neighbour lists concatenated,
@@ -284,11 +286,10 @@ impl Graph {
     {
         // A filtered canonical list is still sorted and simple.
         let kept: Vec<(u32, u32)> = self
-            .edges
-            .iter()
+            .edges()
             .enumerate()
-            .filter(|(k, &e)| keep(*k, e))
-            .map(|(_, &e)| e)
+            .filter(|&(k, e)| keep(k, e))
+            .map(|(_, e)| e)
             .collect();
         Graph::from_canonical_edges(self.n(), kept)
     }
@@ -414,11 +415,6 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Number of (not yet deduplicated) edges added so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the CSR structure.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -524,7 +520,7 @@ mod tests {
     #[test]
     fn edge_list_canonical() {
         let g = Graph::from_edges(4, [(3, 1), (2, 0), (1, 0)]).unwrap();
-        assert_eq!(g.edges(), &[(0, 1), (0, 2), (1, 3)]);
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1), (0, 2), (1, 3)]);
     }
 
     #[test]
@@ -569,7 +565,10 @@ mod tests {
         let reference = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         assert_eq!(g, reference);
         assert_eq!(g.neighbors(0), &[1, 3]);
-        assert_eq!(g.edges(), &[(0, 1), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            [(0, 1), (0, 3), (1, 2), (2, 3)]
+        );
         assert_eq!((g.min_degree(), g.max_degree()), (2, 2));
     }
 

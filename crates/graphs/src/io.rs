@@ -22,7 +22,7 @@ pub fn to_dot(g: &Graph, name: &str, labels: &[String]) -> String {
             let _ = writeln!(out, "  n{v} [label=\"{}: {}\"];", v, labels[v as usize]);
         }
     }
-    for &(u, v) in g.edges() {
+    for (u, v) in g.edges() {
         let _ = writeln!(out, "  n{u} -- n{v};");
     }
     out.push_str("}\n");

@@ -73,21 +73,18 @@ impl Matching {
             matched[v as usize] = true;
         }
         g.edges()
-            .iter()
-            .all(|&(u, v)| matched[u as usize] || matched[v as usize])
+            .all(|(u, v)| matched[u as usize] || matched[v as usize])
     }
 }
 
 /// Maximal matching obtained by scanning the edges of `g` in a uniformly
 /// random order and keeping every edge whose endpoints are both free.
 pub fn random_greedy_matching<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Matching {
-    let mut order: Vec<u32> = (0..g.m() as u32).collect();
-    order.shuffle(rng);
+    let mut edges: Vec<(u32, u32)> = g.edges().collect();
+    edges.shuffle(rng);
     let mut matched = vec![false; g.n()];
     let mut pairs = Vec::new();
-    let edges = g.edges();
-    for &k in &order {
-        let (u, v) = edges[k as usize];
+    for (u, v) in edges {
         if !matched[u as usize] && !matched[v as usize] {
             matched[u as usize] = true;
             matched[v as usize] = true;
@@ -198,11 +195,12 @@ mod tests {
         let g = topology::cycle(16);
         let mut rng = StdRng::seed_from_u64(1234);
         let trials = 20_000;
+        let edges: Vec<(u32, u32)> = g.edges().collect();
         let mut hits = vec![0u32; g.m()];
         for _ in 0..trials {
             let m = proposal_matching(&g, &mut rng);
             for &(u, v) in m.pairs() {
-                let k = g.edges().binary_search(&(u.min(v), u.max(v))).unwrap();
+                let k = edges.binary_search(&(u.min(v), u.max(v))).unwrap();
                 hits[k] += 1;
             }
         }

@@ -157,6 +157,9 @@ impl Partition {
                 best
             };
             seeds.push(seed);
+            if seeds.len() == active {
+                break; // the last seed's distances pick no further seed
+            }
             // Incremental multi-source BFS: relax distances from the new
             // seed only.
             dist[seed as usize] = 0;
@@ -285,8 +288,7 @@ impl Partition {
     pub fn edge_cut(&self, g: &Graph) -> usize {
         assert_eq!(g.n(), self.n(), "partition/graph node count mismatch");
         g.edges()
-            .iter()
-            .filter(|&&(u, v)| self.owner[u as usize] != self.owner[v as usize])
+            .filter(|&(u, v)| self.owner[u as usize] != self.owner[v as usize])
             .count()
     }
 
@@ -749,7 +751,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
     h = mix(h, g.n() as u64);
     h = mix(h, g.m() as u64);
-    for &(u, v) in g.edges() {
+    for (u, v) in g.edges() {
         h = mix(h, ((u as u64) << 32) | v as u64);
     }
     h
@@ -850,8 +852,7 @@ mod tests {
         let p = Partition::bfs(&g, 4);
         let brute = g
             .edges()
-            .iter()
-            .filter(|&&(u, v)| p.owner_of(u) != p.owner_of(v))
+            .filter(|&(u, v)| p.owner_of(u) != p.owner_of(v))
             .count();
         assert_eq!(p.edge_cut(&g), brute);
     }

@@ -1,17 +1,17 @@
-//! Per-slot and per-edge divisor tables for the capacity-weighted
-//! protocols.
+//! The per-slot divisor table of the capacity-weighted protocols.
 //!
 //! Algorithm 1 divides every per-edge transfer by `k·max(dᵢ, dⱼ)` (the
 //! paper fixes `k = 4`). The canonical diffusion protocols derive that
 //! divisor from the two degrees inside the gather (see
 //! `dlb_core::kernels`) and store no table. The heterogeneous protocols
 //! scale each edge by a per-slot capacity coefficient as well, and read
-//! their divisors from these tables, aligned with the CSR neighbour slots
-//! (index with [`Graph::neighbor_offset`]) or with the canonical edge
-//! list. Both forms compute `k * max as f64` exactly as the kernels do, so
-//! a divisor has the same bits wherever it comes from.
+//! their divisors from this table, aligned with the CSR neighbour slots
+//! (index with [`Graph::neighbor_offset`]). Their gathers read every slot
+//! and their flow tallies read each edge's upper slot, so one table serves
+//! both. It computes `k * max as f64` exactly as the kernels do, so a
+//! divisor has the same bits wherever it comes from.
 //!
-//! The tables store the **divisor** `k·max(dᵢ, dⱼ)` rather than its
+//! The table stores the **divisor** `k·max(dᵢ, dⱼ)` rather than its
 //! reciprocal: dividing by it performs bit-for-bit the same floating-point
 //! operation as the on-the-fly kernel (multiplying by a reciprocal would
 //! change the last-ulp rounding whenever the divisor is not a power of
@@ -34,17 +34,6 @@ pub fn csr_divisors(g: &Graph, k: f64) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Edge-list-aligned divisors `k·max(dᵤ, dᵥ)` as `f64`, index-matched with
-/// [`Graph::edges`]. Length `m`. Used by protocols whose flow statistics
-/// walk the edge list.
-pub fn edge_divisors(g: &Graph, k: f64) -> Vec<f64> {
-    assert!(k > 0.0 && k.is_finite(), "divisor factor must be positive");
-    g.edges()
-        .iter()
-        .map(|&(u, v)| k * g.degree(u).max(g.degree(v)) as f64)
-        .collect()
 }
 
 #[cfg(test)]
@@ -70,21 +59,10 @@ mod tests {
     fn csr_divisors_symmetric_across_orientations() {
         let g = topology::wheel(9);
         let w = csr_divisors(&g, 4.0);
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             let iu = g.neighbors(u).binary_search(&v).unwrap();
             let iv = g.neighbors(v).binary_search(&u).unwrap();
             assert_eq!(w[g.neighbor_offset(u) + iu], w[g.neighbor_offset(v) + iv]);
-        }
-    }
-
-    #[test]
-    fn edge_divisors_match_edge_list() {
-        let g = topology::binary_tree(12);
-        let w = edge_divisors(&g, 4.0);
-        assert_eq!(w.len(), g.m());
-        for (k, &(u, v)) in g.edges().iter().enumerate() {
-            let d = g.degree(u).max(g.degree(v));
-            assert_eq!(w[k], 4.0 * d as f64);
         }
     }
 }

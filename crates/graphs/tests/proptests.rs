@@ -36,12 +36,16 @@ proptest! {
                 prop_assert!(g.has_edge(u, v) && g.has_edge(v, u));
             }
         }
-        // Canonical edge list: sorted, u < v, unique.
-        for w in g.edges().windows(2) {
+        // Canonical edge list, read off the CSR: m pairs, u < v, strictly
+        // increasing, each an edge.
+        let list: Vec<(u32, u32)> = g.edges().collect();
+        prop_assert_eq!(list.len(), g.degree_sum() / 2);
+        for w in list.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
-        for &(u, v) in g.edges() {
+        for &(u, v) in &list {
             prop_assert!(u < v);
+            prop_assert!(g.has_edge(u, v));
         }
         // Every input edge is present.
         for &(u, v) in &edges {
@@ -53,11 +57,11 @@ proptest! {
     fn edge_subgraph_is_monotone((n, edges) in arb_edge_list()) {
         let g = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
         let h = g.edge_subgraph(|k, _| k % 2 == 0);
-        let kept = g.edges().iter().copied().step_by(2);
+        let kept = g.edges().step_by(2);
         prop_assert_eq!(&h, &Graph::from_edges(n, kept).expect("valid edges"));
         prop_assert!(h.m() <= g.m());
         prop_assert_eq!(h.n(), g.n());
-        for &(u, v) in h.edges() {
+        for (u, v) in h.edges() {
             prop_assert!(g.has_edge(u, v));
         }
         prop_assert!(h.max_degree() <= g.max_degree());
@@ -87,7 +91,7 @@ proptest! {
             prop_assert_eq!(labels[root as usize], root);
         }
         // Edges never cross components.
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             prop_assert_eq!(labels[u as usize], labels[v as usize]);
         }
     }
@@ -178,8 +182,7 @@ proptest! {
             // Edge cut = brute-force recount over the edge list.
             let brute = g
                 .edges()
-                .iter()
-                .filter(|&&(u, v)| p.owner_of(u) != p.owner_of(v))
+                .filter(|&(u, v)| p.owner_of(u) != p.owner_of(v))
                 .count();
             prop_assert_eq!(p.edge_cut(&g), brute, "{:?}: edge cut mismatch", spec);
         }

@@ -45,7 +45,7 @@ where
     let n = g.n();
     let mut m = SymMatrix::zeros(n);
     let mut row_sum = vec![0.0f64; n];
-    for &(u, v) in g.edges() {
+    for (u, v) in g.edges() {
         let a = alpha(g.degree(u), g.degree(v));
         assert!(a >= 0.0, "negative diffusion factor on edge ({u},{v})");
         m.set(u as usize, v as usize, a);

@@ -132,7 +132,7 @@ impl SymMatrix {
         for i in 0..n {
             m.data[i * n + i] = g.degree(i as u32) as f64;
         }
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             let (u, v) = (u as usize, v as usize);
             m.data[u * n + v] = -1.0;
             m.data[v * n + u] = -1.0;
@@ -144,7 +144,7 @@ impl SymMatrix {
     pub fn adjacency(g: &Graph) -> Self {
         let n = g.n();
         let mut m = Self::zeros(n);
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             let (u, v) = (u as usize, v as usize);
             m.data[u * n + v] = 1.0;
             m.data[v * n + u] = 1.0;
@@ -225,8 +225,7 @@ mod tests {
         let quad: f64 = x.iter().zip(&lx).map(|(a, b)| a * b).sum();
         let edge_sum: f64 = g
             .edges()
-            .iter()
-            .map(|&(u, v)| (x[u as usize] - x[v as usize]).powi(2))
+            .map(|(u, v)| (x[u as usize] - x[v as usize]).powi(2))
             .sum();
         assert!((quad - edge_sum).abs() < 1e-10);
     }

@@ -77,8 +77,7 @@ fn main() {
 
     let edge_sq: f64 = g
         .edges()
-        .iter()
-        .map(|&(u, v)| (init[u as usize] - init[v as usize]).powi(2))
+        .map(|(u, v)| (init[u as usize] - init[v as usize]).powi(2))
         .sum();
     let lemma2_bound = edge_sq / (4.0 * g.max_degree() as f64);
     println!(

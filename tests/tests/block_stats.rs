@@ -11,7 +11,11 @@
 //! round statistics and runner records of the serial executor, bit for
 //! bit — and that the divisors the kernels derive from degrees give the
 //! loads and statistics of a gather against a per-slot divisor table.
+//! Protocols without a gather spec tally their graph's edges through
+//! `StatsCtx::graph_tally`, in the same node-block order; the last tests
+//! pin their tallies to a fold in that order on every backend.
 
+use dlb_baselines::{FirstOrderContinuous, FirstOrderDiscrete};
 use dlb_core::continuous::{ContinuousDiffusion, GeneralizedDiffusion};
 use dlb_core::discrete::DiscreteDiffusion;
 use dlb_core::engine::{Backend, Engine, FlowTally, Protocol, StatsMode, TokenTally};
@@ -273,12 +277,21 @@ fn table_round_f64(g: &Graph, table: &[f64], snap: &[f64]) -> (Vec<f64>, [u64; 5
             acc
         })
         .collect();
+    let tally = folded_flows(g, |u, v, slot| (snap[v] - snap[u]).abs() / table[slot]);
+    let stats = tally.stats(potential::phi(snap), potential::phi(&new));
+    (new, round_bits(&stats))
+}
+
+/// `amount(u, v, slot)` over every edge, folded in the one reduction
+/// order: each node block's upper slots in turn, the block partials
+/// combined in block order.
+fn folded_flows(g: &Graph, amount: impl Fn(usize, usize, usize) -> f64) -> FlowTally {
     let mut tally = FlowTally::default();
     for b in 0..g.n().div_ceil(REDUCE_BLOCK) {
         let block = FlowTally::from_flows(
             block_upper_slots(g, b)
                 .into_iter()
-                .map(|(u, v, slot)| (snap[v] - snap[u]).abs() / table[slot]),
+                .map(|(u, v, slot)| amount(u, v, slot)),
         );
         tally = FlowTally {
             active: tally.active + block.active,
@@ -286,8 +299,16 @@ fn table_round_f64(g: &Graph, table: &[f64], snap: &[f64]) -> (Vec<f64>, [u64; 5
             max: tally.max.max(block.max),
         };
     }
-    let stats = tally.stats(potential::phi(snap), potential::phi(&new));
-    (new, round_bits(&stats))
+    tally
+}
+
+/// The token twin of [`folded_flows`].
+fn folded_tokens(g: &Graph, amount: impl Fn(usize, usize, usize) -> u64) -> TokenTally {
+    TokenTally::from_tokens((0..g.n().div_ceil(REDUCE_BLOCK)).flat_map(|b| {
+        block_upper_slots(g, b)
+            .into_iter()
+            .map(|(u, v, slot)| amount(u, v, slot))
+    }))
 }
 
 /// The token twin of [`table_round_f64`].
@@ -309,11 +330,9 @@ fn table_round_i64(g: &Graph, table: &[i64], snap: &[i64]) -> (Vec<i64>, Discret
             i64::try_from(acc).unwrap()
         })
         .collect();
-    let tally = TokenTally::from_tokens((0..g.n().div_ceil(REDUCE_BLOCK)).flat_map(|b| {
-        block_upper_slots(g, b).into_iter().map(|(u, v, slot)| {
-            (snap[u] as i128 - snap[v] as i128).unsigned_abs() as u64 / table[slot] as u64
-        })
-    }));
+    let tally = folded_tokens(g, |u, v, slot| {
+        (snap[u] as i128 - snap[v] as i128).unsigned_abs() as u64 / table[slot] as u64
+    });
     let stats = tally.stats(potential::phi_hat(snap), potential::phi_hat(&new));
     (new, stats)
 }
@@ -527,4 +546,89 @@ fn runner_records_of_a_protocol_without_gather_spec_agree_across_modes() {
             assert_eq!(got, reference, "pool{threads} {mode:?}");
         }
     }
+}
+
+/// Runs `ROUNDS` rounds of `protocol()` on every backend and checks each
+/// round's tally against `want(snapshot)`, the tally folded from the
+/// round-start loads.
+fn check_tallies<P, T: std::fmt::Debug + PartialEq>(
+    label: &str,
+    protocol: impl Fn() -> P,
+    init: &[P::Load],
+    tally_of: impl Fn(&P::Stats) -> T,
+    want: impl Fn(&[P::Load]) -> T,
+) where
+    P: Protocol + Sync,
+{
+    for (name, backend) in backends() {
+        let mut engine = Engine::with_backend(protocol(), backend);
+        let mut loads = init.to_vec();
+        for round in 1..=ROUNDS {
+            let snapshot = loads.clone();
+            let stats = engine.round(&mut loads).expect("full-stats round");
+            assert_eq!(
+                tally_of(&stats),
+                want(&snapshot),
+                "{label} on {name}, round {round}"
+            );
+        }
+    }
+}
+
+fn flow_bits(s: &RoundStats) -> [u64; 3] {
+    [
+        s.active_edges as u64,
+        s.total_flow.to_bits(),
+        s.max_flow.to_bits(),
+    ]
+}
+
+fn tally_bits(t: FlowTally) -> [u64; 3] {
+    [t.active as u64, t.total.to_bits(), t.max.to_bits()]
+}
+
+#[test]
+fn graph_tallies_of_protocols_without_gather_spec_follow_node_blocks() {
+    let g = grid_with_star();
+    let init = continuous_loads(g.n());
+    let alpha = FirstOrderContinuous::new(&g).alpha();
+    check_tallies(
+        "fos-cont",
+        || FirstOrderContinuous::new(&g),
+        &init,
+        flow_bits,
+        |snap| {
+            tally_bits(folded_flows(&g, |u, v, _| {
+                alpha * (snap[u] - snap[v]).abs()
+            }))
+        },
+    );
+
+    let caps: Vec<f64> = (0..g.n()).map(|i| 1.0 + (i % 5) as f64 / 2.0).collect();
+    let divs = csr_divisors(&g, 4.0);
+    check_tallies(
+        "hetero-cont",
+        || HeterogeneousDiffusion::new(&g, caps.clone()),
+        &init,
+        flow_bits,
+        |snap| {
+            tally_bits(folded_flows(&g, |u, v, slot| {
+                let (wu, wv) = (snap[u] / caps[u], snap[v] / caps[v]);
+                caps[u].min(caps[v]) * (wu - wv).abs() / divs[slot]
+            }))
+        },
+    );
+
+    let tokens = token_loads(g.n());
+    let divisor = g.max_degree() as u64 + 1;
+    check_tallies(
+        "fos-disc",
+        || FirstOrderDiscrete::new(&g),
+        &tokens,
+        |s: &DiscreteRoundStats| (s.active_edges, s.total_tokens, s.max_tokens),
+        |snap| {
+            let t = folded_tokens(&g, |u, v, _| snap[u].abs_diff(snap[v]) / divisor);
+            (t.active, t.total, t.max)
+        },
+    );
 }
