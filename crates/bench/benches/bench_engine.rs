@@ -42,12 +42,14 @@
 //!   on the 1M-node torus), serial and message backends;
 //! - **kernel_gather** — the degree-specialized kernel dispatch layer:
 //!   one serial `Engine::round` (stats off — the gather alone) per
-//!   [`KernelKind`] (`scalar` | `unrolled`) on a degree-4 torus, a
-//!   regular hypercube (both gathered against one broadcast divisor by
-//!   `unrolled`), and an irregular tree whose short degree runs defeat
-//!   the run-block schedule and whose divisors are derived per slot.
-//!   Same computation, same bits — the group measures exactly what each
-//!   dispatch flavour buys;
+//!   [`KernelKind`] (`scalar` | `unrolled`) on a degree-4 torus and a
+//!   regular hypercube — both one run with one broadcast divisor, which
+//!   `unrolled` gathers as 8-node lane blocks (every slot of an interior
+//!   torus block one contiguous 8-load slice; on the hypercube every
+//!   slot but the three low-bit ones) — and an irregular tree whose
+//!   short degree runs defeat the run-block schedule and whose divisors
+//!   are derived per slot. Same computation, same bits — the group
+//!   measures exactly what each dispatch flavour buys;
 //! - **thread_scaling** — one `Engine::round` (stats off) for every
 //!   backend at every thread count `1..=available`: serial once,
 //!   pool/message per count (shards = threads for the message rows).
@@ -455,9 +457,11 @@ fn kernel_gather(c: &mut Criterion, quick: bool, meta: &mut HashMap<String, Meta
     let side = if quick { 64 } else { 512 };
     let dim = if quick { 12 } else { 18 };
     let graphs: [(&'static str, Graph); 3] = [
-        // Degree 4 everywhere: one run, the unrolled d=4 fast path.
+        // Degree 4 everywhere: one run of lane blocks, all 4 slots
+        // contiguous away from the column wraps.
         ("torus", topology::torus2d(side, side)),
-        // Regular at a degree with a lane remainder (no unrolled match).
+        // Regular at degree `dim`: lane blocks whose low-bit slots are
+        // gathered by index.
         ("hypercube", topology::hypercube(dim)),
         // Degrees 1/2/3 in short alternating runs: the irregular tail —
         // the schedule degenerates to per-run dispatch with tiny runs.

@@ -397,7 +397,7 @@ impl<'a> StatsCtx<'a> {
     /// numbers; otherwise it runs the same two passes here. Either way the
     /// reduction order is the one in [`crate::potential`], so the bits
     /// are the same.
-    pub(crate) fn diffusion_totals<L: LoadPotential>(
+    pub fn diffusion_totals<L: LoadPotential>(
         &self,
         spec: &GatherSpec<'_, L>,
         snapshot: &[L],

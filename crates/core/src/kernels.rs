@@ -16,9 +16,26 @@
 //! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
 //!   `unrolled`), overridable via the `DLB_KERNEL` environment variable;
 //! * the batch entry points `gather_span` / `gather_contiguous`, which
-//!   walk a [`GatherPlan`]'s degree runs in L2-sized tiles and dispatch a
-//!   fixed-degree unrolled kernel (d = 2, 3, 4, 8), a chunked-lanes
-//!   kernel for other uniform degrees, or the per-node scalar loop.
+//!   walk a [`GatherPlan`]'s degree runs in L2-sized tiles. A run whose
+//!   slots share one divisor sends its 8-aligned **lane blocks** to the
+//!   lane-block kernel; every other node goes to a fixed-degree unrolled
+//!   kernel (d = 2, 3, 4, 8), a chunked-lanes kernel for other degrees,
+//!   or the per-node scalar loop.
+//!
+//! ## Lane blocks: vectorize across nodes
+//!
+//! A node's new load is a chain of dependent adds, one per slot, in CSR
+//! order; that chain cannot be reordered. The lane-block kernel therefore
+//! vectorizes *across* 8 consecutive nodes, never within one node's sum:
+//! for slot `j` it computes the 8 nodes' `j`-th quotients side by side,
+//! and lane `i` adds its own quotient to its own accumulator. Each lane
+//! still adds its quotients in its own CSR order, so the bits are the
+//! scalar loop's, for `f64` and `i64` alike. The plan's slot mask
+//! ([`GatherPlan::lane_mask`]) says which slots' 8 neighbours are
+//! consecutive ids: those load as one contiguous slice of the snapshot,
+//! the others by index. With statistics, the block's quotients are kept
+//! and replayed to the sink lane by lane, in the per-node kernels'
+//! order.
 //!
 //! ## Divisors come from degrees
 //!
@@ -42,13 +59,15 @@
 //! correctly rounded — computing the quotients as independent
 //! (autovectorized) lanes yields exactly the bits the scalar loop
 //! computes one at a time. The **additions** are different:
-//! floating-point `+` is not associative, so the accumulation always runs
-//! sequentially in CSR neighbour order, the same order as the scalar
-//! reference. Only the order-free work vectorizes; the order-sensitive
-//! reduction never does.
+//! floating-point `+` is not associative, so each node's accumulation
+//! always runs sequentially in CSR neighbour order, the same order as the
+//! scalar reference. Only the order-free work vectorizes — the quotients,
+//! and the adds of *different* nodes in the lane-block kernel; one node's
+//! sum never does.
 //!
 //! [`DegreeRun::uniform_divisor`]: dlb_graphs::structure::DegreeRun::uniform_divisor
 
+use dlb_graphs::structure::{LANE_BLOCK, MAX_LANE_DEGREE};
 use dlb_graphs::{Csr, GatherPlan, Graph};
 
 /// Nodes per dispatch tile: one statistics reduction block. At 8 bytes
@@ -61,8 +80,8 @@ use dlb_graphs::{Csr, GatherPlan, Graph};
 /// fused statistics pass finds each block complete and still in cache.
 const TILE_NODES: u32 = crate::potential::REDUCE_BLOCK as u32;
 
-/// Lane width of the chunked generic-degree kernel (uniform degrees
-/// outside the unrolled set, e.g. a hypercube's `log n` or a star hub).
+/// Lane width of the chunked generic-degree kernel (degrees outside the
+/// unrolled set: a star hub, or a hypercube row outside its lane blocks).
 const LANES: usize = 8;
 
 /// Runtime-selectable gather kernel flavour.
@@ -77,10 +96,11 @@ pub enum KernelKind {
     ///
     /// [`Protocol::node_new_load`]: crate::engine::Protocol::node_new_load
     Scalar,
-    /// Degree-run dispatch with fixed-degree unrolled quotient lanes
-    /// (d = 2, 3, 4, 8) written in autovectorization-friendly shape, plus
-    /// a chunked-lanes path for other uniform degrees, against one
-    /// broadcast divisor wherever a run allows it. The default.
+    /// Degree-run dispatch: 8-node lane blocks gathered across nodes
+    /// wherever a run has one broadcast divisor, and fixed-degree
+    /// unrolled quotient lanes (d = 2, 3, 4, 8) written in
+    /// autovectorization-friendly shape, plus a chunked-lanes path for
+    /// other degrees, for every other node. The default.
     #[default]
     Unrolled,
 }
@@ -426,9 +446,10 @@ fn tile_fixed<L, const D: usize, F, S, V>(
     *sink = local;
 }
 
-/// Chunked-lanes kernel for uniform degrees outside the unrolled set
-/// (hypercubes, cliques, star hubs): `LANES`-wide quotient blocks via
-/// `chunks_exact`, scalar remainder, accumulation still in CSR order.
+/// Chunked-lanes kernel for degrees outside the unrolled set (star hubs,
+/// the unaligned edges of hypercube and clique runs): `LANES`-wide
+/// quotient blocks via `chunks_exact`, scalar remainder, accumulation
+/// still in CSR order.
 #[inline]
 fn tile_lanes<L, F, S, V>(
     rs: &RunSlices<'_, L>,
@@ -517,10 +538,136 @@ fn tile_run<L, F, S, V>(
     }
 }
 
+/// Lane-block kernel: gathers the 8-aligned blocks `lo..hi` of a
+/// uniform-divisor run of degree `1..=32`, [`LANE_BLOCK`] nodes at a
+/// time. Per slot `j` it loads the block's 8 neighbour loads — one
+/// contiguous slice when the plan's mask bit `j` is set, 8 indexed loads
+/// otherwise — and each lane adds its own quotient to its own
+/// accumulator. Each lane thus adds its quotients in its own CSR order,
+/// the scalar loop's order, while the 8 lanes' adds run side by side.
+///
+/// With statistics, the block's quotients are kept, lane-major, and
+/// replayed to the sink after the block, lane by lane: each lane's upper
+/// slots in CSR order, then its node — the order of the per-node
+/// kernels. [`NoStats`] compiles the replay away.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_lane_blocks<L, F, S>(
+    rs: &RunSlices<'_, L>,
+    plan: &GatherPlan,
+    degree: usize,
+    div: L,
+    lo: u32,
+    hi: u32,
+    emit: &mut F,
+    sink: &mut S,
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+{
+    const W: usize = LANE_BLOCK as usize;
+    debug_assert!(lo.is_multiple_of(LANE_BLOCK) && hi.is_multiple_of(LANE_BLOCK));
+    debug_assert!((1..=MAX_LANE_DEGREE as usize).contains(&degree));
+    let mut local = *sink;
+    let zero = L::lift(rs.snapshot[lo as usize]);
+    let mut kept = [[zero; MAX_LANE_DEGREE as usize]; W];
+    for v0 in (lo..hi).step_by(W) {
+        // The block's rows: lane `i`'s slot `j` is `rows[i * degree + j]`.
+        let off = rs.base + (v0 - rs.start) as usize * degree;
+        let rows = &rs.flat[off..off + W * degree];
+        let lv: [L; W] = lane_slice(rs.snapshot, v0);
+        let mut acc = lv.map(L::lift);
+        let mask = plan.lane_mask(v0);
+        for j in 0..degree {
+            let lu: [L; W] = if mask >> j & 1 == 1 {
+                lane_slice(rs.snapshot, rows[j])
+            } else {
+                std::array::from_fn(|i| rs.snapshot[rows[i * degree + j] as usize])
+            };
+            let q: [L::Acc; W] = std::array::from_fn(|i| L::quotient(lv[i], lu[i], div));
+            for (a, &qi) in acc.iter_mut().zip(&q) {
+                *a = L::accumulate(*a, qi);
+            }
+            if S::UPPER {
+                for (lane, &qi) in kept.iter_mut().zip(&q) {
+                    lane[j] = qi;
+                }
+            }
+        }
+        for (i, (&lvi, &a)) in lv.iter().zip(&acc).enumerate() {
+            let v = v0 + i as u32;
+            let new = L::lower(a);
+            if S::UPPER {
+                let row = &rows[i * degree..(i + 1) * degree];
+                for (&u, &q) in row.iter().zip(&kept[i][..degree]) {
+                    if u > v {
+                        local.upper(q);
+                    }
+                }
+            }
+            if S::NODES {
+                local.node(lvi, new);
+            }
+            emit(v, new);
+        }
+    }
+    *sink = local;
+}
+
+/// The [`LANE_BLOCK`] loads `snapshot[u0 .. u0 + 8]`.
+#[inline(always)]
+fn lane_slice<L: Copy>(snapshot: &[L], u0: u32) -> [L; LANE_BLOCK as usize] {
+    let u0 = u0 as usize;
+    snapshot[u0..u0 + LANE_BLOCK as usize]
+        .try_into()
+        .expect("a lane slice is 8 loads")
+}
+
+/// Gathers the tile `t..te` of a uniform-divisor run of degree `d`,
+/// dividing every slot by `div`: its 8-aligned blocks through the
+/// lane-block kernel when `1 ≤ d ≤ 32`, the unaligned head and tail
+/// (and every node of other degrees) through [`tile_run`].
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn tile_uniform<L, F, S>(
+    rs: &RunSlices<'_, L>,
+    plan: &GatherPlan,
+    d: u32,
+    div: L,
+    t: u32,
+    te: u32,
+    emit: &mut F,
+    sink: &mut S,
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+{
+    let a = t.next_multiple_of(LANE_BLOCK);
+    let b = te - te % LANE_BLOCK;
+    if !(1..=MAX_LANE_DEGREE).contains(&d) || a >= b {
+        tile_run(rs, d, |_| div, t, te, emit, sink);
+        return;
+    }
+    tile_run(rs, d, |_| div, t, a, emit, sink);
+    // A literal degree lets the inlined lane kernel unroll its slot loops
+    // (and its replay) for the degrees of the fixed-degree kernels.
+    match d {
+        2 => tile_lane_blocks(rs, plan, 2, div, a, b, emit, sink),
+        3 => tile_lane_blocks(rs, plan, 3, div, a, b, emit, sink),
+        4 => tile_lane_blocks(rs, plan, 4, div, a, b, emit, sink),
+        8 => tile_lane_blocks(rs, plan, 8, div, a, b, emit, sink),
+        d => tile_lane_blocks(rs, plan, d as usize, div, a, b, emit, sink),
+    }
+    tile_run(rs, d, |_| div, b, te, emit, sink);
+}
+
 /// Gathers the contiguous node range `lo..hi`, dispatching per degree run
 /// and walking each run in [`TILE_NODES`]-sized L2 tiles. A run whose
 /// nodes have no higher-degree neighbour divides by one broadcast divisor
-/// `k·d`; any other run derives `k·max(d, dᵤ)` per slot. `emit` is
+/// `k·d` and goes through the lane-block kernel where it can; any other
+/// run derives `k·max(d, dᵤ)` per slot. `emit` is
 /// called exactly once per node, in ascending node order. A sink's
 /// upper slots (`u > v`) compare ids of `spec.graph`'s own index space.
 #[allow(clippy::too_many_arguments)]
@@ -562,7 +709,7 @@ pub(crate) fn gather_contiguous<L: DiffusionLoad, G: Csr, F: FnMut(u32, L), S: G
         let d = run.degree;
         if run.uniform_divisor() {
             let div = L::divisor(spec.factor, d);
-            tile_run(&rs, d, |_| div, t, te, emit, sink);
+            tile_uniform(&rs, plan, d, div, t, te, emit, sink);
         } else {
             tile_run(&rs, d, |u| spec.divisor(d, g.degree(u)), t, te, emit, sink);
         }
@@ -666,6 +813,13 @@ mod tests {
             topology::path(11),      // endpoint runs
             topology::binary_tree(21),
             topology::grid2d(7, 9), // runs of degree 2/3/4, boundary mixed
+            // Lane blocks with unaligned edges: partial masks at the
+            // column wraps, a hypercube's index-gathered low-bit slots,
+            // and 9-node interior grid runs holding one block each.
+            topology::torus2d(9, 13),
+            topology::hypercube(3),
+            topology::hypercube(7),
+            topology::grid2d(17, 11),
             comb(),
             hubs(),
             Graph::from_edges(9, [(0, 1), (1, 2)]).unwrap(), // mostly isolated
@@ -796,29 +950,118 @@ mod tests {
 
     #[test]
     fn partial_spans_respect_offsets() {
-        let g = topology::torus2d(6, 6);
-        let spec = GatherSpec {
-            graph: &g,
-            factor: 4.0,
-        };
-        let plan = GatherPlan::build(&g);
-        let snap = f64_loads(g.n());
-        let mut full = vec![0.0; g.n()];
-        gather_span(
-            KernelKind::Scalar,
-            &plan,
-            &spec,
-            &snap,
-            0,
-            &mut full,
-            &mut NoStats,
-        );
-        for kind in KernelKind::ALL {
-            for (lo, len) in [(0u32, 7usize), (5, 13), (30, 6), (35, 1), (36, 0)] {
-                let mut out = vec![0.0; len];
-                gather_span(kind, &plan, &spec, &snap, lo, &mut out, &mut NoStats);
-                assert_eq!(&full[lo as usize..lo as usize + len], &out[..], "{kind:?}");
+        // The 6×24 torus has lane blocks with all four slots contiguous;
+        // its spans start off the 8-node lane grid, end off it, or lie
+        // inside one lane block.
+        let cases: [(Graph, &[(u32, usize)]); 2] = [
+            (
+                topology::torus2d(6, 6),
+                &[(0, 7), (5, 13), (30, 6), (35, 1), (36, 0)],
+            ),
+            (
+                topology::torus2d(6, 24),
+                &[
+                    (3, 29),
+                    (9, 6),
+                    (11, 21),
+                    (13, 131),
+                    (1, 143),
+                    (17, 8),
+                    (140, 4),
+                ],
+            ),
+        ];
+        for (g, spans) in cases {
+            let spec = GatherSpec {
+                graph: &g,
+                factor: 4.0,
+            };
+            let plan = GatherPlan::build(&g);
+            let snap = f64_loads(g.n());
+            let mut full = vec![0.0; g.n()];
+            gather_span(
+                KernelKind::Scalar,
+                &plan,
+                &spec,
+                &snap,
+                0,
+                &mut full,
+                &mut NoStats,
+            );
+            for kind in KernelKind::ALL {
+                for &(lo, len) in spans {
+                    let mut out = vec![0.0; len];
+                    gather_span(kind, &plan, &spec, &snap, lo, &mut out, &mut NoStats);
+                    assert_eq!(
+                        &full[lo as usize..lo as usize + len],
+                        &out[..],
+                        "{kind:?} {lo}+{len} on {g:?}"
+                    );
+                }
             }
+        }
+    }
+
+    /// A sink that folds every report into one FNV-1a hash, so two
+    /// gathers that report the same events in the same order agree.
+    #[derive(Clone, Copy)]
+    struct Trace(u64);
+
+    impl Trace {
+        fn mix(&mut self, x: u64) {
+            self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    impl GatherSink<f64> for Trace {
+        fn node(&mut self, snapshot: f64, new: f64) {
+            self.mix(1);
+            self.mix(snapshot.to_bits());
+            self.mix(new.to_bits());
+        }
+
+        fn upper(&mut self, q: f64) {
+            self.mix(2);
+            self.mix(q.to_bits());
+        }
+    }
+
+    impl GatherSink<i64> for Trace {
+        fn node(&mut self, snapshot: i64, new: i64) {
+            self.mix(1);
+            self.mix(snapshot as u64);
+            self.mix(new as u64);
+        }
+
+        fn upper(&mut self, q: i128) {
+            self.mix(2);
+            self.mix(q as u64);
+            self.mix((q >> 64) as u64);
+        }
+    }
+
+    /// Every kernel reports the scalar loop's nodes and upper slots in
+    /// the scalar loop's order — the lane-block kernel's replay
+    /// included — for both load types, on every adversarial shape.
+    #[test]
+    fn kernels_report_the_scalar_event_order() {
+        fn check<L: DiffusionLoad>(g: &Graph, snap: &[L], factor: L)
+        where
+            Trace: GatherSink<L>,
+        {
+            let plan = GatherPlan::build(g);
+            let spec = GatherSpec { graph: g, factor };
+            let traces = KernelKind::ALL.map(|kind| {
+                let mut sink = Trace(0xcbf2_9ce4_8422_2325);
+                let mut out = snap.to_vec();
+                gather_span(kind, &plan, &spec, snap, 0, &mut out, &mut sink);
+                sink.0
+            });
+            assert_eq!(traces[0], traces[1], "{g:?}");
+        }
+        for g in adversarial_graphs() {
+            check(&g, &f64_loads(g.n()), 4.0);
+            check(&g, &i64_loads(g.n()), 4);
         }
     }
 

@@ -430,15 +430,15 @@ pub(crate) fn first_pass<L: LoadPotential>(
 /// round-start snapshot and of the new loads, the edge tally, and the new
 /// loads' min, max and total.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundTotals<L: LoadPotential> {
+pub struct RoundTotals<L: LoadPotential> {
     /// Potential of the round-start snapshot.
-    pub(crate) phi_before: L::Phi,
+    pub phi_before: L::Phi,
     /// Potential of the new loads.
-    pub(crate) phi_after: L::Phi,
+    pub phi_after: L::Phi,
     /// Edge tally (zeroed when flows were not wanted).
-    pub(crate) tally: L::Tally,
+    pub tally: L::Tally,
     /// Summary of the new loads.
-    pub(crate) summary: LoadSummary<L::Phi>,
+    pub summary: LoadSummary<L::Phi>,
 }
 
 /// A load vector's potential, smallest and largest load, and total — what

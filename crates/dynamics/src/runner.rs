@@ -15,7 +15,7 @@
 //! `Φ* = 64·n·max_k (δ⁽ᵏ⁾)³/λ₂⁽ᵏ⁾`.
 
 use crate::sequence::GraphSequence;
-use dlb_core::engine::{Backend, Engine, FlowTally, Protocol, StatsCtx, TokenTally};
+use dlb_core::engine::{Backend, Engine, Protocol, StatsCtx};
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
 use dlb_core::{continuous, discrete, GatherSpec};
 use dlb_graphs::Graph;
@@ -117,11 +117,9 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicContinuousDiffusion<'_, S> {
         new_loads: &[f64],
         ctx: &StatsCtx<'_>,
     ) -> RoundStats {
-        let g = self.g.as_ref().expect("begin_round ran");
-        let tally: FlowTally = ctx.graph_tally(g, |u, v, _| {
-            (snapshot[u as usize] - snapshot[v as usize]).abs() / continuous::edge_divisor(g, u, v)
-        });
-        tally.stats(ctx.phi(snapshot), ctx.phi(new_loads))
+        let spec = self.gather_spec().expect("begin_round ran");
+        let t = ctx.diffusion_totals(&spec, snapshot, new_loads);
+        t.tally.stats(t.phi_before, t.phi_after)
     }
 }
 
@@ -194,10 +192,9 @@ impl<S: GraphSequence + ?Sized> Protocol for DynamicDiscreteDiffusion<'_, S> {
         new_loads: &[i64],
         ctx: &StatsCtx<'_>,
     ) -> DiscreteRoundStats {
-        let g = self.g.as_ref().expect("begin_round ran");
-        let tally: TokenTally =
-            ctx.graph_tally(g, |u, v, _| discrete::edge_tokens(g, snapshot, u, v) as u64);
-        tally.stats(ctx.phi_hat(snapshot), ctx.phi_hat(new_loads))
+        let spec = self.gather_spec().expect("begin_round ran");
+        let t = ctx.diffusion_totals(&spec, snapshot, new_loads);
+        t.tally.stats(t.phi_before, t.phi_after)
     }
 }
 

@@ -24,6 +24,8 @@ use dlb_core::kernels::KernelKind;
 use dlb_core::model::{DiscreteRoundStats, RoundStats};
 use dlb_core::potential::{self, REDUCE_BLOCK};
 use dlb_core::Transport;
+use dlb_dynamics::runner::{DynamicContinuousDiffusion, DynamicDiscreteDiffusion};
+use dlb_dynamics::StaticSequence;
 use dlb_graphs::weights::csr_divisors;
 use dlb_graphs::{Graph, GraphBuilder, PartitionSpec};
 use dlb_workloads::scenario::compile_workloads;
@@ -241,6 +243,53 @@ fn discrete_stats_are_bit_identical_across_backends_kernels_and_modes() {
                 assert_eq!(got.1, reference.1, "{name} {kind:?} {mode:?}: stats");
             }
         }
+    }
+}
+
+/// The dynamic diffusion protocols over a [`StaticSequence`] take their
+/// round statistics from the engine's fused totals, as the fixed-network
+/// protocols do: loads and statistics are the static protocols' bits on
+/// the serial executor and on every backend.
+#[test]
+fn dynamic_diffusion_stats_equal_the_static_protocols_on_every_backend() {
+    let g = grid_with_star();
+    let mode = StatsMode::Full;
+    let (cont, tokens) = (continuous_loads(g.n()), token_loads(g.n()));
+    let reference = drive(
+        Engine::serial(ContinuousDiffusion::new(&g)).with_stats_mode(mode),
+        cont.clone(),
+        round_bits,
+    );
+    let reference_tokens = drive(
+        Engine::serial(DiscreteDiffusion::new(&g)).with_stats_mode(mode),
+        tokens.clone(),
+        discrete_bits,
+    );
+    let mut all = vec![("serial".to_string(), Backend::Serial)];
+    all.extend(backends());
+    for (name, backend) in all {
+        let mut seq = StaticSequence::new(g.clone());
+        let got = drive(
+            Engine::with_backend(DynamicContinuousDiffusion::new(&mut seq), backend)
+                .with_stats_mode(mode),
+            cont.clone(),
+            round_bits,
+        );
+        assert_eq!(
+            float_bits(&got.0),
+            float_bits(&reference.0),
+            "{name}: dynamic loads"
+        );
+        assert_eq!(got.1, reference.1, "{name}: dynamic stats");
+        let mut seq = StaticSequence::new(g.clone());
+        let got = drive(
+            Engine::with_backend(DynamicDiscreteDiffusion::new(&mut seq), backend)
+                .with_stats_mode(mode),
+            tokens.clone(),
+            discrete_bits,
+        );
+        assert_eq!(got.0, reference_tokens.0, "{name}: dynamic tokens");
+        assert_eq!(got.1, reference_tokens.1, "{name}: dynamic token stats");
     }
 }
 

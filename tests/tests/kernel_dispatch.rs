@@ -16,7 +16,8 @@ use dlb_core::KernelKind;
 use dlb_graphs::{topology, Graph, PartitionSpec};
 
 /// Graphs chosen to stress the dispatcher: regular (torus, hypercube,
-/// complete), mixed-run (star, binary tree, path), lane-remainder
+/// complete), lane blocks with unaligned edges (torus, hypercube, grid),
+/// mixed-run (star, binary tree, path), lane-remainder
 /// degrees (complete(10): degree 9 = 8 + 1), and isolated nodes
 /// (explicit edge lists with unreferenced ids).
 fn adversarial_graphs() -> Vec<(&'static str, Graph)> {
@@ -24,6 +25,14 @@ fn adversarial_graphs() -> Vec<(&'static str, Graph)> {
         ("torus2d_5x7", topology::torus2d(5, 7)),
         ("cycle_17", topology::cycle(17)),
         ("hypercube_5", topology::hypercube(5)),
+        // Lane blocks (8-aligned blocks inside one degree run): partial
+        // slot masks at a torus's column wraps with unaligned run edges,
+        // a hypercube's index-gathered low-bit slots, and a grid whose
+        // 9-node interior runs hold one block each.
+        ("torus2d_9x13", topology::torus2d(9, 13)),
+        ("hypercube_3", topology::hypercube(3)),
+        ("hypercube_7", topology::hypercube(7)),
+        ("grid2d_17x11", topology::grid2d(17, 11)),
         ("complete_10", topology::complete(10)),
         ("star_64", topology::star(64)),
         ("binary_tree_21", topology::binary_tree(21)),
