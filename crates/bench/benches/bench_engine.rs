@@ -40,16 +40,18 @@
 //!   band of the pre-telemetry trajectory) vs. `armed` (every per-phase
 //!   span recorded into preallocated rings; acceptance: ≤ 5% over `off`
 //!   on the 1M-node torus), serial and message backends;
-//! - **kernel_gather** — the degree-specialized kernel dispatch layer:
-//!   one serial `Engine::round` (stats off — the gather alone) per
-//!   [`KernelKind`] (`scalar` | `unrolled`) on a degree-4 torus and a
-//!   regular hypercube — both one run with one broadcast divisor, which
-//!   `unrolled` gathers as 8-node lane blocks (every slot of an interior
-//!   torus block one contiguous 8-load slice; on the hypercube every
-//!   slot but the three low-bit ones) — and an irregular tree whose
-//!   short degree runs defeat the run-block schedule and whose divisors
-//!   are derived per slot. Same computation, same bits — the group
-//!   measures exactly what each dispatch flavour buys;
+//! - **kernel_gather** — the gather kernel's two shapes: one serial
+//!   `Engine::round` (stats off — the gather alone) per [`KernelKind`]
+//!   (`scalar`, the reference loop on every node | `unrolled`) on a
+//!   degree-4 torus and a regular hypercube — both one run with one
+//!   broadcast divisor, which `unrolled` gathers as 8-node lane blocks
+//!   (every slot of an interior torus block one contiguous 8-load
+//!   slice; on the hypercube every slot but the three low-bit ones) —
+//!   and an irregular binary tree: its degree-3 internal nodes are one
+//!   run of lane blocks, and its leaves, whose one neighbour has a
+//!   higher degree, derive their divisor per slot in the reference
+//!   loop. Same computation, same bits — the group measures exactly
+//!   what the lane blocks buy;
 //! - **thread_scaling** — one `Engine::round` (stats off) for every
 //!   backend at every thread count `1..=available`: serial once,
 //!   pool/message per count (shards = threads for the message rows).
@@ -463,8 +465,9 @@ fn kernel_gather(c: &mut Criterion, quick: bool, meta: &mut HashMap<String, Meta
         // Regular at degree `dim`: lane blocks whose low-bit slots are
         // gathered by index.
         ("hypercube", topology::hypercube(dim)),
-        // Degrees 1/2/3 in short alternating runs: the irregular tail —
-        // the schedule degenerates to per-run dispatch with tiny runs.
+        // Heap-ordered: a degree-3 run of lane blocks, then a run of
+        // leaves that divide by their parent's degree — the reference
+        // loop's half of `unrolled`.
         ("irregular", topology::binary_tree(side * side)),
     ];
     let mut group = c.benchmark_group("kernel_gather");

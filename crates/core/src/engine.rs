@@ -119,7 +119,7 @@ pub trait Protocol {
     /// long-lived shard workers own load buffers beyond any one round's
     /// borrows — trivially satisfied by the plain scalar load types.
     /// [`DiffusionLoad`] supplies the generic quotient/accumulate
-    /// operations the specialized gather kernels are written over; both
+    /// operations the gather kernel is written over; both
     /// scalar load types implement it.)
     type Load: Copy
         + Default
@@ -214,17 +214,14 @@ pub trait Protocol {
     }
 
     /// Monotone counter that changes whenever [`Protocol::current_graph`]
-    /// or the graph of [`Protocol::gather_spec`] *may* have started
-    /// returning a different graph. Fixed-topology protocols keep the
-    /// default constant `0`, so a partitioned backend derives its plan
-    /// exactly once and never re-examines either graph: the process
-    /// backend checks that the gather spec's graph is the plan's graph
-    /// once per version, not once per round.
+    /// *may* have started returning a different graph. Fixed-topology
+    /// protocols keep the default constant `0`, so the engine derives its
+    /// gather and shard plans exactly once and never re-examines the
+    /// graph.
     ///
-    /// Conservative over-bumping is allowed: each bump costs the backend
+    /// Conservative over-bumping is allowed: each bump costs the engine
     /// one `O(m)` fingerprint pass to re-resolve the plan (memoized per
-    /// *distinct* graph, so periodic schedules still reuse plans), plus
-    /// one over the gather spec's graph on the process backend. The
+    /// *distinct* graph, so periodic schedules still reuse plans). The
     /// dynamic protocols bump every round — their `GraphSequence` already
     /// materializes a fresh `O(n + m)` graph per round, so the
     /// fingerprint adds a constant factor, not a new asymptotic cost.
@@ -235,10 +232,12 @@ pub trait Protocol {
     /// The canonical-gather descriptor, if this protocol's
     /// [`Protocol::node_new_load`] is *exactly* the quotient-accumulate
     /// diffusion loop `ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/div(v,u)` over a fixed graph,
-    /// with `div(v,u) = k·max(dᵥ, dᵤ)` ([`GatherSpec::divisor`]). Protocols returning
-    /// `Some` opt into the engine's degree-specialized kernel dispatch
-    /// (see [`crate::kernels`]); the spec's graph must be the same object
-    /// [`Protocol::current_graph`] reports, valid for the current round.
+    /// with `div(v,u) = k·max(dᵥ, dᵤ)` ([`GatherSpec::divisor`]).
+    /// Protocols returning `Some` opt into the engine's gather kernel
+    /// (see [`crate::kernels`]) on every backend, on rounds where the
+    /// spec's graph is the very object [`Protocol::current_graph`]
+    /// reports (`std::ptr::eq`): the engine's plans are built from that
+    /// graph. On other rounds the engine runs `node_new_load`.
     ///
     /// A protocol returning `Some` also opts into the engine's canonical
     /// statistics: on rounds that compute stats the engine runs the
@@ -1006,8 +1005,8 @@ pub struct Engine<P: Protocol> {
 
 /// Monomorphized pooled-gather entry point stored by parallel engines.
 /// The kernel selection is the flavour and the memoized [`GatherPlan`]
-/// (`None` when the protocol exposes no [`Protocol::gather_spec`] — the
-/// gather then runs `node_new_load`). The trailing pair asks for the
+/// (`None` when the protocol has no [`kernel_spec`] — the gather then
+/// runs `node_new_load`). The trailing pair asks for the
 /// fused statistics pass: one [`BlockPartial`] slot per reduction block
 /// (empty for none) and whether the tally is wanted. Errors are the
 /// failed chunk indices (see [`WorkerPool::try_gather_chunks`]).
@@ -1033,39 +1032,42 @@ fn pooled_gather<P: Protocol + Sync>(
     partials: &mut [BlockPartial<P::Load>],
     flows: bool,
 ) -> Result<(), Vec<usize>> {
-    match (plan, protocol.gather_spec()) {
-        (Some(plan), Some(spec)) => pool.try_gather_blocks(out, partials, |start, chunk, parts| {
-            gather_blocks(kind, plan, &spec, snapshot, start, chunk, parts, flows);
-        }),
-        _ => pool.try_gather_blocks::<_, (), _>(out, &mut [], |start, chunk, _| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = protocol.node_new_load(snapshot, (start + k) as u32);
-            }
-        }),
-    }
+    pool.try_gather_blocks(out, partials, |start, chunk, parts| {
+        gather_range(protocol, kind, plan, snapshot, start, chunk, parts, flows);
+    })
 }
 
-/// Gathers the nodes `start .. start + out.len()`. With a non-empty
-/// `partials` (one slot per block; `start` then block-aligned) this is the
-/// fused statistics pass of the serial and pool executors: the range is
-/// gathered one [`REDUCE_BLOCK`](potential::REDUCE_BLOCK) block at a time,
-/// and the kernel feeds each block's partial as it finishes every node
-/// and (when `flows`) every upper slot, so the first pass reads nothing
-/// the gather has not just read.
+/// Gathers the nodes `start .. start + out.len()`: the serial executor
+/// calls it once on `0..n`, pool workers once per chunk. With a `plan`
+/// (resolved only for a [`kernel_spec`]) the kernel runs; without one,
+/// [`Protocol::node_new_load`] per node. A non-empty `partials` (one
+/// slot per block; `start` then block-aligned, and a plan given) fuses
+/// the first statistics pass into the gather: the range is gathered one
+/// [`REDUCE_BLOCK`](potential::REDUCE_BLOCK) block at a time, and the
+/// kernel feeds each block's partial as it finishes every node and (when
+/// `flows`) every upper slot, so the first pass reads nothing the gather
+/// has not just read.
 #[allow(clippy::too_many_arguments)]
-fn gather_blocks<L: LoadPotential>(
+fn gather_range<P: Protocol>(
+    protocol: &P,
     kind: KernelKind,
-    plan: &GatherPlan,
-    spec: &GatherSpec<'_, L>,
-    snapshot: &[L],
+    plan: Option<&GatherPlan>,
+    snapshot: &[P::Load],
     start: usize,
-    out: &mut [L],
-    partials: &mut [BlockPartial<L>],
+    out: &mut [P::Load],
+    partials: &mut [BlockPartial<P::Load>],
     flows: bool,
 ) {
+    let (Some(plan), Some(spec)) = (plan, kernel_spec(protocol)) else {
+        debug_assert!(partials.is_empty(), "a fused gather needs a plan");
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = protocol.node_new_load(snapshot, (start + k) as u32);
+        }
+        return;
+    };
     if partials.is_empty() {
         let sink = &mut kernels::NoStats;
-        kernels::gather_span(kind, plan, spec, snapshot, start as u32, out, sink);
+        kernels::gather_span(kind, plan, &spec, snapshot, start as u32, out, sink);
         return;
     }
     debug_assert_eq!(
@@ -1078,13 +1080,24 @@ fn gather_blocks<L: LoadPotential>(
         let lo = (start + b * potential::REDUCE_BLOCK) as u32;
         *part = BlockPartial::default();
         if flows {
-            kernels::gather_span(kind, plan, spec, snapshot, lo, block, part);
+            kernels::gather_span(kind, plan, &spec, snapshot, lo, block, part);
         } else {
             let mut sink = potential::NoTally(BlockPartial::default());
-            kernels::gather_span(kind, plan, spec, snapshot, lo, block, &mut sink);
+            kernels::gather_span(kind, plan, &spec, snapshot, lo, block, &mut sink);
             *part = sink.0;
         }
     }
+}
+
+/// The protocol's [`Protocol::gather_spec`] when its graph is the very
+/// graph [`Protocol::current_graph`] reports, else `None`. This is the
+/// one rule, on every backend, for when the kernel runs: plans (gather
+/// and shard) are built from the current graph, so a spec over any other
+/// graph would be gathered with another graph's plan. Such a protocol
+/// runs its `node_new_load` instead.
+pub(crate) fn kernel_spec<P: Protocol>(protocol: &P) -> Option<GatherSpec<'_, P::Load>> {
+    let spec = protocol.gather_spec()?;
+    std::ptr::eq(spec.graph, protocol.current_graph()?).then_some(spec)
 }
 
 /// Per-round locality/communication metrics of the message or process
@@ -1230,19 +1243,16 @@ impl KernelState {
     }
 
     /// Resolves the gather plan for the protocol's current graph (under a
-    /// `Plan` span when one is built), or `None` when the protocol opts
-    /// out of kernel dispatch (no [`GatherSpec`]) or exposes no graph to
-    /// analyse. The `Arc` is cloned out so the caller holds the plan
-    /// independently of later cache evictions.
+    /// `Plan` span when one is built), or `None` when the protocol has no
+    /// [`kernel_spec`]. The `Arc` is cloned out so the caller holds the
+    /// plan independently of later cache evictions.
     fn resolve<P: Protocol>(
         &mut self,
         protocol: &P,
         tel: &Telemetry,
         round_no: u64,
     ) -> Option<Arc<GatherPlan>> {
-        if protocol.gather_spec().is_none() || protocol.current_graph().is_none() {
-            return None;
-        }
+        kernel_spec(protocol)?;
         self.plans
             .refresh_traced(protocol, tel, round_no, |graph, _n| {
                 Arc::new(GatherPlan::build(graph.expect("graph checked above")))
@@ -1367,8 +1377,7 @@ fn shard_round<P: Protocol, K: ShardLink<P::Load>>(
     exec.round(
         snapshot,
         out,
-        protocol.gather_spec(),
-        protocol.graph_version(),
+        kernel_spec(protocol),
         kind,
         &mut |nodes, values| {
             values.extend(nodes.iter().map(|&v| protocol.node_new_load(snapshot, v)))
@@ -1877,12 +1886,9 @@ impl<P: Protocol> Engine<P> {
                 Exec::Serial | Exec::Pool { .. } => self.kernel.resolve(protocol, tel, round_no),
                 Exec::Message(_) | Exec::Process(_) => None,
             };
-            // Stats rounds of a canonical protocol on the shared-memory
-            // executors fuse the first statistics pass into the gather.
-            fused = level.is_some()
-                && plan.is_some()
-                && protocol.gather_spec().is_some()
-                && matches!(self.exec, Exec::Serial | Exec::Pool { .. });
+            // Stats rounds with a plan (serial and pool, a kernel spec)
+            // fuse the first statistics pass into the gather.
+            fused = level.is_some() && plan.is_some();
             let flows = level == Some(StatsLevel::Flows);
             let blocks = if fused {
                 potential::num_blocks(snapshot.len())
@@ -1894,29 +1900,20 @@ impl<P: Protocol> Engine<P> {
             // The message and process backends share one exchange plan.
             self.exec.refresh_plan(protocol, tel, round_no);
             match &mut self.exec {
-                Exec::Serial => match (plan.as_deref(), protocol.gather_spec()) {
-                    (Some(plan), Some(spec)) => {
-                        let t0 = tel.start();
-                        gather_blocks(
-                            kind,
-                            plan,
-                            &spec,
-                            snapshot,
-                            0,
-                            &mut self.back,
-                            &mut self.partials,
-                            flows,
-                        );
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
-                    }
-                    _ => {
-                        let t0 = tel.start();
-                        for (v, slot) in self.back.iter_mut().enumerate() {
-                            *slot = protocol.node_new_load(snapshot, v as u32);
-                        }
-                        tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
-                    }
-                },
+                Exec::Serial => {
+                    let t0 = tel.start();
+                    gather_range(
+                        protocol,
+                        kind,
+                        plan.as_deref(),
+                        snapshot,
+                        0,
+                        &mut self.back,
+                        &mut self.partials,
+                        flows,
+                    );
+                    tel.record(ENGINE_LANE, round_no, SpanPhase::GatherInterior, t0);
+                }
                 Exec::Pool { pool, gather } => {
                     let t0 = tel.start();
                     gather(

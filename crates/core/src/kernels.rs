@@ -1,4 +1,4 @@
-//! Degree-specialized gather kernels and the runtime kernel dispatcher.
+//! The gather kernel: one sparse gather in two shapes.
 //!
 //! Algorithm 1's round is one sparse gather — per node `v`,
 //! `ℓᵥ' = ℓᵥ + Σᵤ (ℓᵤ − ℓᵥ)/(k·max(dᵥ, dᵤ))` over the CSR neighbourhood,
@@ -9,18 +9,21 @@
 //!
 //! * [`DiffusionLoad`] — the scalar abstraction (accumulator type,
 //!   divisor, per-neighbour quotient, ordered accumulate) instantiated
-//!   once for `f64` and once for `i64`, so specialized kernels are written
-//!   once;
+//!   once for `f64` and once for `i64`, so the kernel is written once;
 //! * [`GatherSpec`] — what a protocol exposes to opt into dispatch: its
 //!   graph plus the divisor factor `k`;
 //! * [`KernelKind`] — the runtime-selectable kernel flavour (`scalar`,
 //!   `unrolled`), overridable via the `DLB_KERNEL` environment variable;
 //! * the batch entry points `gather_span` / `gather_contiguous`, which
-//!   walk a [`GatherPlan`]'s degree runs in L2-sized tiles. A run whose
-//!   slots share one divisor sends its 8-aligned **lane blocks** to the
-//!   lane-block kernel; every other node goes to a fixed-degree unrolled
-//!   kernel (d = 2, 3, 4, 8), a chunked-lanes kernel for other degrees,
-//!   or the per-node scalar loop.
+//!   walk a [`GatherPlan`]'s degree runs in L2-sized tiles.
+//!
+//! The gather has two shapes. The **reference loop** (`gather_node`)
+//! gathers one node at a time, each divisor derived from the two
+//! degrees; it is all of [`KernelKind::Scalar`]. [`KernelKind::Unrolled`]
+//! sends the 8-aligned **lane blocks** of every run whose slots share
+//! one divisor and whose degree is `1..=32` to the lane-block kernel,
+//! and every other node — run heads and tails, runs with per-slot
+//! divisors, degree 0, degree above 32 — to the reference loop.
 //!
 //! ## Lane blocks: vectorize across nodes
 //!
@@ -30,11 +33,11 @@
 //! for slot `j` it computes the 8 nodes' `j`-th quotients side by side,
 //! and lane `i` adds its own quotient to its own accumulator. Each lane
 //! still adds its quotients in its own CSR order, so the bits are the
-//! scalar loop's, for `f64` and `i64` alike. The plan's slot mask
+//! reference loop's, for `f64` and `i64` alike. The plan's slot mask
 //! ([`GatherPlan::lane_mask`]) says which slots' 8 neighbours are
 //! consecutive ids: those load as one contiguous slice of the snapshot,
 //! the others by index. With statistics, the block's quotients are kept
-//! and replayed to the sink lane by lane, in the per-node kernels'
+//! and replayed to the sink lane by lane, in the reference loop's
 //! order.
 //!
 //! ## Divisors come from degrees
@@ -45,25 +48,24 @@
 //! so every divisor has the same bits as a precomputed table's. Inside a
 //! degree run of degree `d` whose nodes have no higher-degree neighbour
 //! ([`DegreeRun::uniform_divisor`], every run of a torus or hypercube),
-//! every slot's divisor is `k·d`: the kernels divide by that one
-//! broadcast value and read nothing per slot but the neighbour's index
-//! and load. Other runs derive `k·max(d, dᵤ)` per slot from the
-//! neighbour's degree.
+//! every slot's divisor is `k·d`: the lane-block kernel divides by that
+//! one broadcast value and reads nothing per slot but the neighbour's
+//! index and load. The reference loop derives `k·max(dᵥ, dᵤ)` per slot
+//! from the neighbour's degree, unless `dᵥ` is the graph's largest.
 //!
 //! ## Why this preserves bit-identity
 //!
 //! The engine's non-negotiable invariant is that every backend and every
-//! kernel produce bit-identical loads. The specialized kernels keep it by
+//! kernel produce bit-identical loads. The lane-block kernel keeps it by
 //! construction: each per-neighbour quotient `(ℓᵤ − ℓᵥ)/div` depends only
 //! on its own three inputs, and IEEE 754 subtraction and division are
-//! correctly rounded — computing the quotients as independent
-//! (autovectorized) lanes yields exactly the bits the scalar loop
-//! computes one at a time. The **additions** are different:
-//! floating-point `+` is not associative, so each node's accumulation
-//! always runs sequentially in CSR neighbour order, the same order as the
-//! scalar reference. Only the order-free work vectorizes — the quotients,
-//! and the adds of *different* nodes in the lane-block kernel; one node's
-//! sum never does.
+//! correctly rounded — computing the quotients as independent lanes
+//! yields exactly the bits the reference loop computes one at a time.
+//! The **additions** are different: floating-point `+` is not
+//! associative, so each node's accumulation always runs sequentially in
+//! CSR neighbour order, the same order as the reference loop. Only the
+//! order-free work vectorizes — the quotients, and the adds of
+//! *different* nodes; one node's sum never does.
 //!
 //! [`DegreeRun::uniform_divisor`]: dlb_graphs::structure::DegreeRun::uniform_divisor
 
@@ -80,13 +82,9 @@ use dlb_graphs::{Csr, GatherPlan, Graph};
 /// fused statistics pass finds each block complete and still in cache.
 const TILE_NODES: u32 = crate::potential::REDUCE_BLOCK as u32;
 
-/// Lane width of the chunked generic-degree kernel (degrees outside the
-/// unrolled set: a star hub, or a hypercube row outside its lane blocks).
-const LANES: usize = 8;
-
 /// Runtime-selectable gather kernel flavour.
 ///
-/// Every flavour produces bit-identical results (see the module docs);
+/// Both flavours produce bit-identical results (see the module docs);
 /// they differ only in how the per-neighbour quotients are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
@@ -96,11 +94,10 @@ pub enum KernelKind {
     ///
     /// [`Protocol::node_new_load`]: crate::engine::Protocol::node_new_load
     Scalar,
-    /// Degree-run dispatch: 8-node lane blocks gathered across nodes
-    /// wherever a run has one broadcast divisor, and fixed-degree
-    /// unrolled quotient lanes (d = 2, 3, 4, 8) written in
-    /// autovectorization-friendly shape, plus a chunked-lanes path for
-    /// other degrees, for every other node. The default.
+    /// Lane blocks: the 8-aligned blocks of every run with one
+    /// broadcast divisor and degree `1..=32` are gathered across their 8
+    /// nodes; every other node runs the [`KernelKind::Scalar`] loop. The
+    /// default.
     #[default]
     Unrolled,
 }
@@ -183,15 +180,6 @@ pub trait DiffusionLoad: Copy + Send + Sync + 'static {
     /// One ordered accumulation step. **Order-sensitive** for `f64`;
     /// callers must apply quotients in CSR neighbour order.
     fn accumulate(acc: Self::Acc, q: Self::Acc) -> Self::Acc;
-
-    /// `D` independent quotients at once. The default is a plain per-lane
-    /// loop over arrays — the `chunks_exact`-shaped form LLVM
-    /// autovectorizes — and implementations must keep it semantically
-    /// identical to `D` calls of [`DiffusionLoad::quotient`].
-    #[inline]
-    fn quotient_lanes<const D: usize>(lv: Self, lus: [Self; D], divs: [Self; D]) -> [Self::Acc; D] {
-        std::array::from_fn(|i| Self::quotient(lv, lus[i], divs[i]))
-    }
 }
 
 impl DiffusionLoad for f64 {
@@ -354,9 +342,9 @@ impl<L: DiffusionLoad> GatherSink<L> for NoStats {
 }
 
 /// The one generic per-node gather, each divisor derived from the two
-/// degrees. This is the [`KernelKind::Scalar`] reference every
-/// specialized kernel must match bit-for-bit, and the canonical
-/// protocols' `node_new_load`.
+/// degrees: the reference loop. It is all of [`KernelKind::Scalar`],
+/// every node outside a lane block under [`KernelKind::Unrolled`], and
+/// the canonical protocols' `node_new_load`.
 #[inline]
 pub(crate) fn gather_node<L: DiffusionLoad, G: Csr>(
     spec: &GatherSpec<'_, L, G>,
@@ -392,7 +380,7 @@ fn gather_node_into<L: DiffusionLoad, G: Csr, S: GatherSink<L>>(
     new
 }
 
-/// Per-run slices threaded through the specialized kernels: the flat CSR
+/// Per-run slices threaded through the lane-block kernel: the flat CSR
 /// adjacency plus the run's stride origin.
 struct RunSlices<'a, L> {
     flat: &'a [u32],
@@ -404,152 +392,18 @@ struct RunSlices<'a, L> {
     base: usize,
 }
 
-/// Fixed-degree unrolled kernel: the whole neighbourhood is one `[_; D]`
-/// quotient-lane array, then a sequential in-order accumulation.
-/// `div_of(u)` is the divisor of the slot to neighbour `u` (a constant
-/// on uniform-divisor runs).
-#[inline]
-fn tile_fixed<L, const D: usize, F, S, V>(
-    rs: &RunSlices<'_, L>,
-    div_of: &V,
-    lo: u32,
-    hi: u32,
-    emit: &mut F,
-    sink: &mut S,
-) where
-    L: DiffusionLoad,
-    F: FnMut(u32, L),
-    S: GatherSink<L>,
-    V: Fn(u32) -> L,
-{
-    let mut local = *sink;
-    for v in lo..hi {
-        let off = rs.base + (v - rs.start) as usize * D;
-        let nbrs = &rs.flat[off..off + D];
-        let lv = rs.snapshot[v as usize];
-        let lus: [L; D] = std::array::from_fn(|i| rs.snapshot[nbrs[i] as usize]);
-        let divs: [L; D] = std::array::from_fn(|i| div_of(nbrs[i]));
-        let q = L::quotient_lanes(lv, lus, divs);
-        let mut acc = lv.lift();
-        for (lane, &u) in q.into_iter().zip(nbrs) {
-            acc = L::accumulate(acc, lane);
-            if S::UPPER && u > v {
-                local.upper(lane);
-            }
-        }
-        let new = L::lower(acc);
-        if S::NODES {
-            local.node(lv, new);
-        }
-        emit(v, new);
-    }
-    *sink = local;
-}
-
-/// Chunked-lanes kernel for degrees outside the unrolled set (star hubs,
-/// the unaligned edges of hypercube and clique runs): `LANES`-wide
-/// quotient blocks via `chunks_exact`, scalar remainder, accumulation
-/// still in CSR order.
-#[inline]
-fn tile_lanes<L, F, S, V>(
-    rs: &RunSlices<'_, L>,
-    degree: usize,
-    div_of: &V,
-    lo: u32,
-    hi: u32,
-    emit: &mut F,
-    sink: &mut S,
-) where
-    L: DiffusionLoad,
-    F: FnMut(u32, L),
-    S: GatherSink<L>,
-    V: Fn(u32) -> L,
-{
-    let mut local = *sink;
-    for v in lo..hi {
-        let off = rs.base + (v - rs.start) as usize * degree;
-        let nbrs = &rs.flat[off..off + degree];
-        let lv = rs.snapshot[v as usize];
-        let mut acc = lv.lift();
-        let mut chunks = nbrs.chunks_exact(LANES);
-        for cn in &mut chunks {
-            let lus: [L; LANES] = std::array::from_fn(|i| rs.snapshot[cn[i] as usize]);
-            let dv: [L; LANES] = std::array::from_fn(|i| div_of(cn[i]));
-            let q = L::quotient_lanes(lv, lus, dv);
-            for (lane, &u) in q.into_iter().zip(cn) {
-                acc = L::accumulate(acc, lane);
-                if S::UPPER && u > v {
-                    local.upper(lane);
-                }
-            }
-        }
-        for &u in chunks.remainder() {
-            let q = L::quotient(lv, rs.snapshot[u as usize], div_of(u));
-            acc = L::accumulate(acc, q);
-            if S::UPPER && u > v {
-                local.upper(q);
-            }
-        }
-        let new = L::lower(acc);
-        if S::NODES {
-            local.node(lv, new);
-        }
-        emit(v, new);
-    }
-    *sink = local;
-}
-
-/// Gathers the tile `lo..hi` of a run of degree `degree`, dispatching on
-/// the degree: the identity for isolated nodes, an unrolled kernel for
-/// d = 2, 3, 4, 8, the chunked lanes otherwise.
-#[inline]
-fn tile_run<L, F, S, V>(
-    rs: &RunSlices<'_, L>,
-    degree: u32,
-    div_of: V,
-    lo: u32,
-    hi: u32,
-    emit: &mut F,
-    sink: &mut S,
-) where
-    L: DiffusionLoad,
-    F: FnMut(u32, L),
-    S: GatherSink<L>,
-    V: Fn(u32) -> L,
-{
-    match degree {
-        0 => {
-            // Isolated nodes: the gather degenerates to the identity
-            // (lift/lower round-trip, exact for both load types).
-            for w in lo..hi {
-                let lw = rs.snapshot[w as usize];
-                let new = L::lower(lw.lift());
-                if S::NODES {
-                    sink.node(lw, new);
-                }
-                emit(w, new);
-            }
-        }
-        2 => tile_fixed::<L, 2, _, _, _>(rs, &div_of, lo, hi, emit, sink),
-        3 => tile_fixed::<L, 3, _, _, _>(rs, &div_of, lo, hi, emit, sink),
-        4 => tile_fixed::<L, 4, _, _, _>(rs, &div_of, lo, hi, emit, sink),
-        8 => tile_fixed::<L, 8, _, _, _>(rs, &div_of, lo, hi, emit, sink),
-        d => tile_lanes(rs, d as usize, &div_of, lo, hi, emit, sink),
-    }
-}
-
 /// Lane-block kernel: gathers the 8-aligned blocks `lo..hi` of a
 /// uniform-divisor run of degree `1..=32`, [`LANE_BLOCK`] nodes at a
 /// time. Per slot `j` it loads the block's 8 neighbour loads — one
 /// contiguous slice when the plan's mask bit `j` is set, 8 indexed loads
 /// otherwise — and each lane adds its own quotient to its own
 /// accumulator. Each lane thus adds its quotients in its own CSR order,
-/// the scalar loop's order, while the 8 lanes' adds run side by side.
+/// the reference loop's order, while the 8 lanes' adds run side by side.
 ///
 /// With statistics, the block's quotients are kept, lane-major, and
 /// replayed to the sink after the block, lane by lane: each lane's upper
-/// slots in CSR order, then its node — the order of the per-node
-/// kernels. [`NoStats`] compiles the replay away.
+/// slots in CSR order, then its node — the reference loop's order.
+/// [`NoStats`] compiles the replay away.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tile_lane_blocks<L, F, S>(
@@ -624,52 +478,15 @@ fn lane_slice<L: Copy>(snapshot: &[L], u0: u32) -> [L; LANE_BLOCK as usize] {
         .expect("a lane slice is 8 loads")
 }
 
-/// Gathers the tile `t..te` of a uniform-divisor run of degree `d`,
-/// dividing every slot by `div`: its 8-aligned blocks through the
-/// lane-block kernel when `1 ≤ d ≤ 32`, the unaligned head and tail
-/// (and every node of other degrees) through [`tile_run`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn tile_uniform<L, F, S>(
-    rs: &RunSlices<'_, L>,
-    plan: &GatherPlan,
-    d: u32,
-    div: L,
-    t: u32,
-    te: u32,
-    emit: &mut F,
-    sink: &mut S,
-) where
-    L: DiffusionLoad,
-    F: FnMut(u32, L),
-    S: GatherSink<L>,
-{
-    let a = t.next_multiple_of(LANE_BLOCK);
-    let b = te - te % LANE_BLOCK;
-    if !(1..=MAX_LANE_DEGREE).contains(&d) || a >= b {
-        tile_run(rs, d, |_| div, t, te, emit, sink);
-        return;
-    }
-    tile_run(rs, d, |_| div, t, a, emit, sink);
-    // A literal degree lets the inlined lane kernel unroll its slot loops
-    // (and its replay) for the degrees of the fixed-degree kernels.
-    match d {
-        2 => tile_lane_blocks(rs, plan, 2, div, a, b, emit, sink),
-        3 => tile_lane_blocks(rs, plan, 3, div, a, b, emit, sink),
-        4 => tile_lane_blocks(rs, plan, 4, div, a, b, emit, sink),
-        8 => tile_lane_blocks(rs, plan, 8, div, a, b, emit, sink),
-        d => tile_lane_blocks(rs, plan, d as usize, div, a, b, emit, sink),
-    }
-    tile_run(rs, d, |_| div, b, te, emit, sink);
-}
-
-/// Gathers the contiguous node range `lo..hi`, dispatching per degree run
-/// and walking each run in [`TILE_NODES`]-sized L2 tiles. A run whose
-/// nodes have no higher-degree neighbour divides by one broadcast divisor
-/// `k·d` and goes through the lane-block kernel where it can; any other
-/// run derives `k·max(d, dᵤ)` per slot. `emit` is
-/// called exactly once per node, in ascending node order. A sink's
-/// upper slots (`u > v`) compare ids of `spec.graph`'s own index space.
+/// Gathers the contiguous node range `lo..hi` in ascending order, calling
+/// `emit` exactly once per node. Under [`KernelKind::Unrolled`] each
+/// [`TILE_NODES`]-sized L2 tile of a run whose nodes have no
+/// higher-degree neighbour, and whose degree is `1..=32`, sends its
+/// 8-aligned blocks to the lane-block kernel; every other node — a
+/// tile's unaligned head and tail, a run with per-slot divisors, degree
+/// 0 or above 32 — and every node under [`KernelKind::Scalar`] runs the
+/// reference loop. A sink's upper slots (`u > v`) compare ids of
+/// `spec.graph`'s own index space.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_contiguous<L: DiffusionLoad, G: Csr, F: FnMut(u32, L), S: GatherSink<L>>(
     kind: KernelKind,
@@ -690,30 +507,78 @@ pub(crate) fn gather_contiguous<L: DiffusionLoad, G: Csr, F: FnMut(u32, L), S: G
         return;
     }
     if kind == KernelKind::Scalar {
-        for v in lo..hi {
-            emit(v, gather_node_into(spec, snapshot, v, sink));
-        }
+        gather_nodes(spec, snapshot, lo, hi, emit, sink);
         return;
     }
-    let g = spec.graph;
-    let flat = g.neighbor_slots();
     let runs = plan.runs();
     for_each_tile(plan, lo, hi, |r, t, te| {
         let run = &runs[r];
+        let d = run.degree;
+        let a = t.next_multiple_of(LANE_BLOCK);
+        let b = te - te % LANE_BLOCK;
+        if !run.uniform_divisor() || !(1..=MAX_LANE_DEGREE).contains(&d) || a >= b {
+            gather_nodes(spec, snapshot, t, te, emit, sink);
+            return;
+        }
+        gather_nodes(spec, snapshot, t, a, emit, sink);
         let rs = RunSlices {
-            flat,
+            flat: spec.graph.neighbor_slots(),
             snapshot,
             start: run.start,
             base: run.base,
         };
-        let d = run.degree;
-        if run.uniform_divisor() {
-            let div = L::divisor(spec.factor, d);
-            tile_uniform(&rs, plan, d, div, t, te, emit, sink);
-        } else {
-            tile_run(&rs, d, |u| spec.divisor(d, g.degree(u)), t, te, emit, sink);
-        }
+        lane_blocks(&rs, plan, d, L::divisor(spec.factor, d), a, b, emit, sink);
+        gather_nodes(spec, snapshot, b, te, emit, sink);
     });
+}
+
+/// The lane-block kernel over the 8-aligned blocks `a..b` of a run of
+/// degree `d`. A literal degree lets the inlined kernel unroll its slot
+/// loops (and its replay) for the most common degrees. Kept out of line:
+/// inlined into [`gather_contiguous`]'s tile walk, the statistics
+/// rounds of a 10⁶-node torus on a two-thread pool ran 10–20% slower
+/// (`torus-bursty-pool` wall time, interleaved pairs on two cores).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn lane_blocks<L, F, S>(
+    rs: &RunSlices<'_, L>,
+    plan: &GatherPlan,
+    d: u32,
+    div: L,
+    a: u32,
+    b: u32,
+    emit: &mut F,
+    sink: &mut S,
+) where
+    L: DiffusionLoad,
+    F: FnMut(u32, L),
+    S: GatherSink<L>,
+{
+    match d {
+        2 => tile_lane_blocks(rs, plan, 2, div, a, b, emit, sink),
+        3 => tile_lane_blocks(rs, plan, 3, div, a, b, emit, sink),
+        4 => tile_lane_blocks(rs, plan, 4, div, a, b, emit, sink),
+        8 => tile_lane_blocks(rs, plan, 8, div, a, b, emit, sink),
+        d => tile_lane_blocks(rs, plan, d as usize, div, a, b, emit, sink),
+    }
+}
+
+/// The reference loop over the nodes `lo..hi`, in ascending order, on a
+/// local copy of the sink.
+#[inline]
+fn gather_nodes<L: DiffusionLoad, G: Csr, F: FnMut(u32, L), S: GatherSink<L>>(
+    spec: &GatherSpec<'_, L, G>,
+    snapshot: &[L],
+    lo: u32,
+    hi: u32,
+    emit: &mut F,
+    sink: &mut S,
+) {
+    let mut local = *sink;
+    for v in lo..hi {
+        emit(v, gather_node_into(spec, snapshot, v, &mut local));
+    }
+    *sink = local;
 }
 
 /// Walks `lo..hi` as L2 tiles in ascending order, calling
@@ -782,9 +647,8 @@ mod tests {
         b.build()
     }
 
-    /// Hubs of degree 8 and 10 linked to a degree-22 hub: runs on the
-    /// unrolled d = 8 kernel and on a full 8-lane chunk whose slots
-    /// divide by a higher-degree neighbour's divisor.
+    /// Hubs of degree 8 and 10 linked to a degree-22 hub: one-node runs
+    /// whose slots divide by a higher-degree neighbour's divisor.
     fn hubs() -> Graph {
         let mut b = GraphBuilder::new(39).unwrap();
         let (a, c, big) = (0u32, 8u32, 18u32);
@@ -807,8 +671,8 @@ mod tests {
             topology::torus2d(5, 7), // regular d=4, one run
             topology::cycle(17),     // regular d=2
             topology::hypercube(4),  // regular d=4
-            topology::hypercube(5),  // regular d=5 → lanes path
-            topology::complete(10),  // regular d=9 → 8-lane chunk + remainder
+            topology::hypercube(5),  // regular d=5, lane blocks
+            topology::complete(10),  // regular d=9, one lane block + a tail
             topology::star(40),      // hub d=39 + leaves d=1
             topology::path(11),      // endpoint runs
             topology::binary_tree(21),

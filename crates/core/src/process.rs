@@ -5,7 +5,7 @@
 //! runtime's round (see [`crate::shard`]) with each shard served by a
 //! `dlb-shard-worker` **process**, connected over a pluggable byte
 //! transport ([`Transport`]: Unix domain sockets or TCP loopback). The
-//! coordinator, the plans, the diffusion check and the recovery rule are
+//! coordinator, the plans and the recovery rule are
 //! the ones the in-memory link of [`Backend::Message`] uses; this module
 //! adds the framing, the worker binary's loop and the fleet's process
 //! management.

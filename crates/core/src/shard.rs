@@ -18,9 +18,10 @@
 //! The worker core is `ShardState`: it installs a plan, fills an
 //! `owned + halo` frame, refuses the round unless every recv group was
 //! filled exactly once, and gathers its owned rows with the local CSR.
-//! Protocols without a [`GatherSpec`] cannot ship their kernel, so the
-//! coordinator evaluates `node_new_load` itself (`precompute`) and the
-//! workers only hold and return the values.
+//! Protocols without a [`GatherSpec`] over their current graph (the
+//! engine's `kernel_spec`) cannot ship their kernel, so the coordinator
+//! evaluates `node_new_load` itself (`precompute`) and the workers only
+//! hold and return the values.
 //!
 //! The two links are the `dlb-wire/3` sockets of the process backend
 //! (`WireLink`) and `ThreadLink`, which
@@ -51,7 +52,7 @@ use crate::engine::{CommMetrics, EnginePhase, PlanCache};
 use crate::faults::{FaultKind, FaultPlan, FaultStats};
 use crate::kernels::{gather_contiguous, GatherSpec, KernelKind, NoStats};
 use crate::process::WireLoad;
-use dlb_graphs::partition::{graph_fingerprint, LocalCsr, PartitionSpec, ShardPlan, ShardView};
+use dlb_graphs::partition::{LocalCsr, PartitionSpec, ShardPlan, ShardView};
 use dlb_graphs::structure::GatherPlan;
 use dlb_graphs::{Csr, Graph};
 use dlb_telemetry::{Phase as SpanPhase, Telemetry, ENGINE_LANE};
@@ -405,8 +406,8 @@ pub(crate) trait ShardLink<L: WireLoad> {
 }
 
 /// The hub coordinator of both partitioned backends: memoized plans, the
-/// plan broadcast, the diffusion check, halo batches cut from the
-/// snapshot, result scatter and fault recovery, over any [`ShardLink`].
+/// plan broadcast, halo batches cut from the snapshot, result scatter
+/// and fault recovery, over any [`ShardLink`].
 #[derive(Debug)]
 pub(crate) struct ShardExec<L, K> {
     pub(crate) spec: PartitionSpec,
@@ -415,10 +416,6 @@ pub(crate) struct ShardExec<L, K> {
     /// Fingerprint of the plan last broadcast; rounds re-ship plans only
     /// when it changes (dynamic graphs).
     broadcast_key: Option<u64>,
-    /// The diffusion check's last answer, for the `(graph_version, plan
-    /// key)` it was made under: whether the gather spec's graph is the
-    /// plan's graph.
-    diffusion_check: Option<((u64, u64), bool)>,
     pub(crate) last_comm: Option<CommMetrics>,
     /// Round-attempt counter stamped on every command, so a reply from
     /// an earlier attempt is never taken for this one.
@@ -445,7 +442,6 @@ impl<L: WireLoad, K: ShardLink<L>> ShardExec<L, K> {
             plans: PlanCache::new(),
             link,
             broadcast_key: None,
-            diffusion_check: None,
             last_comm: None,
             round_seq: 0,
             precomputed: Vec::new(),
@@ -453,21 +449,20 @@ impl<L: WireLoad, K: ShardLink<L>> ShardExec<L, K> {
         }
     }
 
-    /// One round. `gather_spec` selects diffusion mode (workers evaluate
-    /// the shipped kernel, in flavour `kind`) when present and its graph
-    /// is the current plan's graph, a check made once per
-    /// `graph_version`; `precompute` is the coordinator-side kernel every
-    /// other round — and every recovery — is evaluated with. With
-    /// `faults` armed, the round's faults are injected and failed shards
-    /// recovered, counted in `fault_stats` (see the module docs);
-    /// otherwise the first failed shard is the error.
+    /// One round. `kernel` selects diffusion mode (workers evaluate the
+    /// shipped kernel, in flavour `kind`) when present; the engine passes
+    /// one only when its graph is the protocol's current graph, the graph
+    /// the plan was built from. `precompute` is the coordinator-side
+    /// kernel every other round — and every recovery — is evaluated
+    /// with. With `faults` armed, the round's faults are injected and
+    /// failed shards recovered, counted in `fault_stats` (see the module
+    /// docs); otherwise the first failed shard is the error.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn round(
         &mut self,
         snapshot: &[L],
         out: &mut [L],
-        gather_spec: Option<GatherSpec<'_, L>>,
-        graph_version: u64,
+        kernel: Option<GatherSpec<'_, L>>,
         kind: KernelKind,
         precompute: &mut dyn FnMut(&[u32], &mut Vec<L>),
         faults: Option<&FaultPlan>,
@@ -489,24 +484,7 @@ impl<L: WireLoad, K: ShardLink<L>> ShardExec<L, K> {
             shards,
             ..CommMetrics::default()
         };
-        // Diffusion mode requires the spec's graph to be the plan's graph
-        // (same fingerprint): the worker gathers over the graph the plan
-        // ships. A mismatch (a protocol gathering over a different graph
-        // than it partitions by) falls back to precomputed rounds. The
-        // fingerprint is a pass over every edge, so its answer is kept
-        // for as long as the protocol's `graph_version` and the plan stay.
-        let diffusion = match gather_spec {
-            Some(spec) => match self.diffusion_check {
-                Some((at, same)) if at == (graph_version, key) => same,
-                _ => {
-                    let same = graph_fingerprint(spec.graph) == key;
-                    self.diffusion_check = Some(((graph_version, key), same));
-                    same
-                }
-            },
-            None => false,
-        };
-        let kernel = gather_spec.filter(|_| diffusion);
+        let diffusion = kernel.is_some();
 
         let mut injected = vec![Injected::default(); shards];
         let events = faults.into_iter().flat_map(|p| p.events_at(round_no));

@@ -32,7 +32,7 @@
 //!   owned rows derived on demand;
 //! * [`structure`] — degree-structure analysis ([`GatherPlan`]): maximal
 //!   equal-degree node runs with strided CSR bases, the iteration
-//!   schedule behind the engine's degree-specialized gather kernels.
+//!   schedule behind the engine's lane-block gather kernel.
 //!
 //! All randomized constructions take an explicit [`rand::Rng`] so that every
 //! experiment in the workspace is reproducible from a single `u64` seed.
@@ -50,4 +50,4 @@ pub mod weights;
 pub use graph::{Csr, Graph, GraphBuilder, GraphError};
 pub use matching::Matching;
 pub use partition::{LocalCsr, Partition, PartitionSpec, ShardPlan, ShardView};
-pub use structure::{DegreeRun, DegreeStructure, GatherPlan};
+pub use structure::{DegreeRun, GatherPlan};

@@ -1,13 +1,13 @@
-//! Degree-structure analysis for the engine's kernel dispatch.
+//! Degree-structure analysis for the engine's gather kernel.
 //!
 //! The diffusion gather is one sparse sweep over the CSR adjacency, and
 //! its shape is decided entirely by the *degree sequence*: a torus is a
 //! single run of degree-4 nodes, a binary tree is a handful of long
 //! degree runs, a preferential-attachment graph is an irregular tail.
 //! [`GatherPlan`] materializes that structure once per graph as a list of
-//! maximal [`DegreeRun`]s — contiguous node ranges of equal degree — so a
-//! dispatcher can select a fixed-degree unrolled kernel per run instead of
-//! branching per node.
+//! maximal [`DegreeRun`]s — contiguous node ranges of equal degree — so
+//! the kernel decides per run, not per node, whether a stretch of nodes
+//! can be gathered in lane blocks.
 //!
 //! Each run also carries the CSR offset of its first node (`base`).
 //! Because CSR offsets are prefix sums of degrees, every node inside a
@@ -77,32 +77,6 @@ impl DegreeRun {
         self.neighbor_max_degree <= self.degree
     }
 }
-
-/// Coarse classification of a plan, for reporting and bench metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegreeStructure {
-    /// Every node has the same degree (torus, hypercube, cycle, complete).
-    Regular {
-        /// The uniform degree.
-        degree: u32,
-    },
-    /// Few long runs (trees, grids with boundary rows): run-specialized
-    /// kernels still amortize their dispatch.
-    RunBlocks {
-        /// Number of maximal degree runs.
-        runs: usize,
-    },
-    /// Degrees alternate node-to-node; dispatch degenerates to per-node
-    /// work and the scalar-shaped path dominates.
-    Irregular {
-        /// Number of maximal degree runs.
-        runs: usize,
-    },
-}
-
-/// Minimum average run length for a multi-run plan to still count as
-/// [`DegreeStructure::RunBlocks`].
-const MIN_BLOCK_RUN: usize = 16;
 
 /// Nodes per lane block: 8-aligned, so a block never straddles a
 /// statistics reduction block or a pool chunk.
@@ -215,17 +189,6 @@ impl GatherPlan {
         debug_assert!((v as usize) < self.n, "node {v} out of range");
         self.runs.partition_point(|r| r.end <= v)
     }
-
-    /// Classifies the plan: regular / run-blocked / irregular.
-    pub fn structure(&self) -> DegreeStructure {
-        match self.runs.len() {
-            0 | 1 => DegreeStructure::Regular {
-                degree: self.runs.first().map_or(0, |r| r.degree),
-            },
-            k if self.n / k >= MIN_BLOCK_RUN => DegreeStructure::RunBlocks { runs: k },
-            k => DegreeStructure::Irregular { runs: k },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,8 +258,7 @@ mod tests {
         let g = topology::torus2d(6, 7);
         let plan = GatherPlan::build(&g);
         check_invariants(&g, &plan);
-        assert_eq!(plan.runs().len(), 1);
-        assert_eq!(plan.structure(), DegreeStructure::Regular { degree: 4 });
+        assert_eq!(degrees(&plan), [(4, 42)]);
     }
 
     #[test]
@@ -308,7 +270,7 @@ mod tests {
         ] {
             let plan = GatherPlan::build(&g);
             check_invariants(&g, &plan);
-            assert_eq!(plan.structure(), DegreeStructure::Regular { degree: d });
+            assert_eq!(degrees(&plan), [(d, g.n())]);
         }
     }
 
@@ -380,10 +342,11 @@ mod tests {
         assert_eq!(last.len(), 5);
     }
 
+    /// A comb — spine node `i < 5` also hangs a leaf — has short runs:
+    /// the spine's degrees 2, 3, 3, 3, 3, 1, the five leaves' 1 and an
+    /// isolated node's 0.
     #[test]
-    fn irregular_classification_kicks_in_for_short_runs() {
-        // Alternate degrees node-to-node: wheel's rim is uniform, so build
-        // a custom comb — spine node i additionally hangs a leaf.
+    fn comb_runs_are_short() {
         let mut b = crate::GraphBuilder::new(12).unwrap();
         for i in 0..5u32 {
             b.add_edge(i, i + 1).unwrap();
@@ -392,21 +355,24 @@ mod tests {
         let g = b.build();
         let plan = GatherPlan::build(&g);
         check_invariants(&g, &plan);
-        assert!(matches!(
-            plan.structure(),
-            DegreeStructure::Irregular { .. }
-        ));
+        assert_eq!(degrees(&plan), [(2, 1), (3, 4), (1, 6), (0, 1)]);
     }
 
+    /// A grid's rows are long runs: each interior row is a degree-4 run
+    /// of `cols − 2` nodes between border nodes of degree 3. The 38
+    /// interior rows and the 39 degree-3 runs around them, plus three
+    /// runs in each of the first and last rows, make 83 runs.
     #[test]
     fn grid_is_run_blocked_at_scale() {
         let g = topology::grid2d(40, 40);
         let plan = GatherPlan::build(&g);
         check_invariants(&g, &plan);
-        assert!(matches!(
-            plan.structure(),
-            DegreeStructure::RunBlocks { .. }
-        ));
+        let interior: Vec<(u32, usize)> = degrees(&plan)
+            .into_iter()
+            .filter(|&(d, _)| d == 4)
+            .collect();
+        assert_eq!(interior, vec![(4, 38); 38]);
+        assert_eq!(plan.runs().len(), 38 + 39 + 2 * 3);
     }
 
     #[test]
@@ -414,8 +380,12 @@ mod tests {
         let g = Graph::from_edges(3, []).unwrap();
         let plan = GatherPlan::build(&g);
         check_invariants(&g, &plan);
-        assert_eq!(plan.runs().len(), 1);
-        assert_eq!(plan.structure(), DegreeStructure::Regular { degree: 0 });
+        assert_eq!(degrees(&plan), [(0, 3)]);
+    }
+
+    /// Every run of `plan` as `(degree, length)`, ascending.
+    fn degrees(plan: &GatherPlan) -> Vec<(u32, usize)> {
+        plan.runs().iter().map(|r| (r.degree, r.len())).collect()
     }
 
     /// Every lane block of `plan`, ascending: its first node and its

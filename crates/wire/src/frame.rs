@@ -406,11 +406,6 @@ pub struct DoneFrame {
 }
 
 /// One `dlb-wire/3` frame. On the wire: `[type: u8][len: u32 LE][payload]`.
-///
-/// `Deltas`, `Collect`, `Collected` and `Stats` are defined (and
-/// round-trip tested) for the shard-resident upgrade of the process
-/// backend but are not yet emitted by the coordinator — see
-/// `docs/WIRE.md` for the reservation policy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Install a shard plan (coordinator → worker).
@@ -435,20 +430,6 @@ pub enum Frame {
         /// Raw 8-byte value words.
         values: Vec<u64>,
     },
-    /// Sparse owned-value overwrites `(global node, value)` — reserved
-    /// for resident sessions' workload routing.
-    Deltas {
-        /// Plan seq the deltas apply under.
-        seq: u64,
-        /// `(global node id, raw value word)` pairs.
-        entries: Vec<(u32, u64)>,
-    },
-    /// Request the worker's owned slice without running a round —
-    /// reserved for resident sessions' load reads.
-    Collect {
-        /// Plan seq the collect addresses.
-        seq: u64,
-    },
     /// Round receipt (worker → coordinator).
     Done(DoneFrame),
     /// Post-round owned values in plan `owned` order
@@ -459,21 +440,6 @@ pub enum Frame {
         /// Raw 8-byte value words.
         values: Vec<u64>,
     },
-    /// Reply to `Collect` — reserved alongside it.
-    Collected {
-        /// Plan seq the collect ran under.
-        seq: u64,
-        /// Raw 8-byte value words.
-        values: Vec<u64>,
-    },
-    /// Per-shard stats partials (blocked-reduction words) — reserved for
-    /// pushing the stats reduction onto workers.
-    Stats {
-        /// Plan seq the partials belong to.
-        seq: u64,
-        /// Raw reduction words.
-        words: Vec<u64>,
-    },
     /// Orderly shutdown (coordinator → worker).
     Exit,
 }
@@ -482,12 +448,8 @@ const T_PLAN: u8 = 1;
 const T_ROUND_CMD: u8 = 2;
 const T_OWNED: u8 = 3;
 const T_HALO: u8 = 4;
-const T_DELTAS: u8 = 5;
-const T_COLLECT: u8 = 6;
 const T_DONE: u8 = 7;
 const T_RESULTS: u8 = 8;
-const T_COLLECTED: u8 = 9;
-const T_STATS: u8 = 10;
 const T_EXIT: u8 = 11;
 
 /// The FNV-1a state behind [`LocalCsrPlan::content_fingerprint`].
@@ -559,13 +521,6 @@ impl Enc<'_> {
             w.copy_from_slice(&v.to_le_bytes());
         }
     }
-
-    fn u64_list(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for (w, v) in self.words::<8>(vs.len()).zip(vs) {
-            w.copy_from_slice(&v.to_le_bytes());
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -630,14 +585,6 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    fn u64_list(&mut self) -> Result<Vec<u64>, WireError> {
-        let bytes = self.word_bytes()?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect())
-    }
-
     /// A `list<u64>` as its raw little-endian bytes, not decoded.
     fn word_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let count = self.len(8)?;
@@ -653,12 +600,8 @@ impl Frame {
             Frame::RoundCmd(_) => T_ROUND_CMD,
             Frame::OwnedValues { .. } => T_OWNED,
             Frame::HaloBatch { .. } => T_HALO,
-            Frame::Deltas { .. } => T_DELTAS,
-            Frame::Collect { .. } => T_COLLECT,
             Frame::Done(_) => T_DONE,
             Frame::Results { .. } => T_RESULTS,
-            Frame::Collected { .. } => T_COLLECTED,
-            Frame::Stats { .. } => T_STATS,
             Frame::Exit => T_EXIT,
         }
     }
@@ -670,12 +613,8 @@ impl Frame {
             Frame::RoundCmd(_) => "round-cmd",
             Frame::OwnedValues { .. } => "owned-values",
             Frame::HaloBatch { .. } => "halo-batch",
-            Frame::Deltas { .. } => "deltas",
-            Frame::Collect { .. } => "collect",
             Frame::Done(_) => "done",
             Frame::Results { .. } => "results",
-            Frame::Collected { .. } => "collected",
-            Frame::Stats { .. } => "stats",
             Frame::Exit => "exit",
         }
     }
@@ -741,26 +680,9 @@ impl Frame {
                 e.u32(c.halo_batches);
                 e.u8(c.kernel.to_u8());
             }
-            Frame::Deltas { seq, entries } => {
-                e.u64(*seq);
-                e.u32(entries.len() as u32);
-                for &(node, word) in entries {
-                    e.u32(node);
-                    e.u64(word);
-                }
-            }
-            Frame::Collect { seq } => e.u64(*seq),
             Frame::Done(d) => {
                 e.u64(d.seq);
                 e.u8(d.ok as u8);
-            }
-            Frame::Collected { seq, values } => {
-                e.u64(*seq);
-                e.u64_list(values);
-            }
-            Frame::Stats { seq, words } => {
-                e.u64(*seq);
-                e.u64_list(words);
             }
             Frame::OwnedValues { .. } | Frame::HaloBatch { .. } | Frame::Results { .. } => {
                 unreachable!("value frames encode through encode_values")
@@ -820,28 +742,10 @@ impl Frame {
                 halo_batches: d.u32()?,
                 kernel: GatherKernel::from_u8(d.u8()?).ok_or_else(|| d.short())?,
             }),
-            T_DELTAS => {
-                let seq = d.u64()?;
-                let count = d.len(12)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push((d.u32()?, d.u64()?));
-                }
-                Frame::Deltas { seq, entries }
-            }
-            T_COLLECT => Frame::Collect { seq: d.u64()? },
             T_DONE => Frame::Done(DoneFrame {
                 seq: d.u64()?,
                 ok: d.u8()? != 0,
             }),
-            T_COLLECTED => Frame::Collected {
-                seq: d.u64()?,
-                values: d.u64_list()?,
-            },
-            T_STATS => Frame::Stats {
-                seq: d.u64()?,
-                words: d.u64_list()?,
-            },
             T_EXIT => Frame::Exit,
             other => return Err(WireError::UnknownFrame { kind: other }),
         };
@@ -1259,11 +1163,16 @@ mod tests {
 
     #[test]
     fn envelope_layout_is_type_len_payload() {
-        let bytes = Frame::Collect { seq: 0x0102 }.encode();
-        assert_eq!(bytes[0], T_COLLECT);
-        assert_eq!(u32::from_le_bytes(bytes[1..5].try_into().unwrap()), 8);
-        assert_eq!(bytes.len(), 5 + 8);
+        let bytes = Frame::Done(DoneFrame {
+            seq: 0x0102,
+            ok: true,
+        })
+        .encode();
+        assert_eq!(bytes[0], T_DONE);
+        assert_eq!(u32::from_le_bytes(bytes[1..5].try_into().unwrap()), 9);
+        assert_eq!(bytes.len(), 5 + 9);
         assert_eq!(&bytes[5..13], &0x0102u64.to_le_bytes());
+        assert_eq!(bytes[13], 1);
     }
 
     #[test]
@@ -1289,9 +1198,28 @@ mod tests {
         }
     }
 
+    /// Tags 5, 6, 9 and 10 are assigned to no frame: each is an unknown
+    /// frame, whatever its payload.
+    #[test]
+    fn unassigned_tags_are_unknown_frames() {
+        for tag in [5u8, 6, 9, 10] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&8u32.to_le_bytes());
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            match read_frame(&mut bytes.as_slice()) {
+                Err(WireError::UnknownFrame { kind }) => assert_eq!(kind, tag),
+                other => panic!("tag {tag}: got {other:?}"),
+            }
+            match FrameBuf::new().read(&mut bytes.as_slice()) {
+                Err(WireError::UnknownFrame { kind }) => assert_eq!(kind, tag),
+                other => panic!("tag {tag}: got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
-        let mut bytes = vec![T_COLLECT];
+        let mut bytes = vec![T_DONE];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         match read_frame(&mut bytes.as_slice()) {
             Err(WireError::Oversized { len }) => assert_eq!(len, u32::MAX),

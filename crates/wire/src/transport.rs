@@ -287,7 +287,8 @@ mod tests {
         let endpoint = listener.endpoint();
         let client = thread::spawn(move || {
             let mut s = WireStream::connect(&endpoint).unwrap();
-            s.write_all(&Frame::Collect { seq: 5 }.encode()).unwrap();
+            let request = Frame::Done(crate::DoneFrame { seq: 5, ok: false });
+            s.write_all(&request.encode()).unwrap();
             match read_frame(&mut s).unwrap() {
                 Frame::Done(d) => assert!(d.ok),
                 other => panic!("client got {other:?}"),
@@ -295,14 +296,14 @@ mod tests {
         });
         let mut conn = CountingStream::new(listener.accept().unwrap());
         match read_frame(&mut conn).unwrap() {
-            Frame::Collect { seq } => assert_eq!(seq, 5),
+            Frame::Done(d) => assert_eq!(d, crate::DoneFrame { seq: 5, ok: false }),
             other => panic!("server got {other:?}"),
         }
         let done = Frame::Done(crate::DoneFrame { seq: 5, ok: true }).encode();
         conn.write_all(&done).unwrap();
         client.join().unwrap();
         // Counters see framed bytes including the 5-byte envelope.
-        assert_eq!(conn.bytes_in(), 5 + 8);
+        assert_eq!(conn.bytes_in(), 5 + 9);
         assert_eq!(conn.bytes_out(), done.len() as u64);
     }
 

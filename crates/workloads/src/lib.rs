@@ -27,8 +27,8 @@
 //!   binding topology (or dynamic [`GraphSequence`] model), initial
 //!   distribution, workload, protocol, [`StatsMode`] and stop condition
 //!   (round budget / Φ target / steady-state detection), with a builder
-//!   API, built-in named scenarios, and a serde-free TOML/JSON-lines file
-//!   format ([`parse`]) that round-trips;
+//!   API, built-in named scenarios, and a serde-free TOML file format
+//!   ([`parse`]) that round-trips;
 //! * **[`runner`]** — the [`ScenarioRunner`]: drives an engine round by
 //!   round, interleaving workload deltas between rounds in place on the
 //!   front buffer (the zero-copy ping-pong stays intact), and emits a

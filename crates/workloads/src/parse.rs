@@ -1,7 +1,7 @@
-//! Serde-free scenario file I/O: a TOML-subset parser/writer and a
-//! JSON-lines twin, in the spirit of the workspace's other hand-rolled
-//! formats (`dlb_graphs::io`, `dlb_bench::perf_json`) — the offline build
-//! environment has no serde, and the formats are small enough that a
+//! Serde-free scenario file I/O: a TOML-subset parser/writer, in the
+//! spirit of the workspace's other hand-rolled formats
+//! (`dlb_graphs::io`, `dlb_bench::perf_json`) — the offline build
+//! environment has no serde, and the format is small enough that a
 //! transparent parser with good error messages beats a dependency.
 //!
 //! ### TOML subset
@@ -54,15 +54,8 @@
 //! plus executor fault kinds: `every`, `down`, `shards`, `seed`, the
 //! bools `panic`/`drop`/`duplicate`/`reorder`, and `delay_ms`).
 //!
-//! ### JSON lines
-//!
-//! The same data, one flat object per line, each carrying a `"section"`
-//! key: `{"section": "scenario", "name": "…", …}`. [`Scenario::from_spec`]
-//! auto-detects the format (a file whose first non-blank character is `{`
-//! is JSON lines).
-//!
-//! Both formats round-trip: `Scenario::from_toml(s.to_toml()) == s` and
-//! likewise for JSON lines, pinned by tests.
+//! The format round-trips: `Scenario::from_toml(s.to_toml()) == s`,
+//! pinned by tests.
 
 use crate::scenario::{
     exec_spec_from_parts, CapacitySpec, DrainSpec, ExecSpec, FaultsSpec, InitSpec, PatternSpec,
@@ -95,7 +88,7 @@ impl Value {
     }
 }
 
-/// One parsed section (`[name]` / `[[name]]` table, or one JSON line).
+/// One parsed section (`[name]` / `[[name]]` table).
 #[derive(Debug, Clone)]
 struct Table {
     name: String,
@@ -266,148 +259,6 @@ fn parse_toml_tables(text: &str) -> Result<Vec<Table>, String> {
                 "line {lineno}: expected `[section]` or `key = value`, got {line:?}"
             ));
         }
-    }
-    Ok(tables)
-}
-
-// ---------------------------------------------------------------------------
-// Low-level parsing: JSON lines
-// ---------------------------------------------------------------------------
-
-/// Parses one flat JSON object (`{"k": v, …}` with string/number/bool
-/// values) into key/value pairs.
-fn parse_json_object(line: &str, lineno: usize) -> Result<Vec<(String, Value)>, String> {
-    let err = |msg: &str| format!("line {lineno}: {msg}");
-    let chars: Vec<char> = line.chars().collect();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while *i < chars.len() && chars[*i].is_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if chars.get(*i) != Some(&'"') {
-            return Err(err("expected '\"'"));
-        }
-        *i += 1;
-        let mut out = String::new();
-        while *i < chars.len() {
-            match chars[*i] {
-                '\\' => {
-                    *i += 1;
-                    match chars.get(*i) {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        other => return Err(err(&format!("unsupported escape {other:?}"))),
-                    }
-                    *i += 1;
-                }
-                '"' => {
-                    *i += 1;
-                    return Ok(out);
-                }
-                c => {
-                    out.push(c);
-                    *i += 1;
-                }
-            }
-        }
-        Err(err("unterminated string"))
-    };
-
-    skip_ws(&mut i);
-    if chars.get(i) != Some(&'{') {
-        return Err(err("expected '{'"));
-    }
-    i += 1;
-    let mut entries = Vec::new();
-    loop {
-        skip_ws(&mut i);
-        if chars.get(i) == Some(&'}') {
-            i += 1;
-            break;
-        }
-        let key = parse_string(&mut i)?;
-        skip_ws(&mut i);
-        if chars.get(i) != Some(&':') {
-            return Err(err(&format!("expected ':' after key {key:?}")));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match chars.get(i) {
-            Some('"') => Value::Str(parse_string(&mut i)?),
-            Some('t') if chars[i..].starts_with(&['t', 'r', 'u', 'e']) => {
-                i += 4;
-                Value::Bool(true)
-            }
-            Some('f') if chars[i..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-                i += 5;
-                Value::Bool(false)
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_digit()
-                        || matches!(chars[i], '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    i += 1;
-                }
-                let raw: String = chars[start..i].iter().collect();
-                if raw.contains(['.', 'e', 'E']) {
-                    Value::Float(
-                        raw.parse::<f64>()
-                            .map_err(|_| err(&format!("bad number {raw:?}")))?,
-                    )
-                } else {
-                    Value::Int(
-                        raw.parse::<i64>()
-                            .map_err(|_| err(&format!("bad number {raw:?}")))?,
-                    )
-                }
-            }
-            other => return Err(err(&format!("unexpected value start {other:?}"))),
-        };
-        entries.push((key, value));
-        skip_ws(&mut i);
-        match chars.get(i) {
-            Some(',') => i += 1,
-            Some('}') => {
-                i += 1;
-                break;
-            }
-            other => return Err(err(&format!("expected ',' or '}}', got {other:?}"))),
-        }
-    }
-    skip_ws(&mut i);
-    if i != chars.len() {
-        return Err(err("trailing content after object"));
-    }
-    Ok(entries)
-}
-
-fn parse_jsonl_tables(text: &str) -> Result<Vec<Table>, String> {
-    let mut tables = Vec::new();
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if raw_line.trim().is_empty() {
-            continue;
-        }
-        let mut entries = parse_json_object(raw_line, lineno)?;
-        let pos = entries
-            .iter()
-            .position(|(k, _)| k == "section")
-            .ok_or_else(|| format!("line {lineno}: object lacks a \"section\" key"))?;
-        let (_, section) = entries.remove(pos);
-        let Value::Str(name) = section else {
-            return Err(format!("line {lineno}: \"section\" must be a string"));
-        };
-        tables.push(Table {
-            name,
-            line: lineno,
-            entries,
-        });
     }
     Ok(tables)
 }
@@ -880,8 +731,8 @@ fn fval(x: f64) -> String {
 }
 
 /// Renders a free-form string as a quoted literal, escaping `\` and `"`
-/// so the output parses back in both formats (the TOML-subset parser
-/// reverses exactly these escapes, and they are valid JSON escapes too).
+/// so the output parses back (the TOML-subset parser reverses exactly
+/// these escapes).
 fn qstr(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
@@ -1158,21 +1009,6 @@ impl Scenario {
         scenario_from_tables(parse_toml_tables(text)?)
     }
 
-    /// Parses a scenario from JSON lines (one object per section, each
-    /// with a `"section"` key).
-    pub fn from_jsonl(text: &str) -> Result<Scenario, String> {
-        scenario_from_tables(parse_jsonl_tables(text)?)
-    }
-
-    /// Parses either format, auto-detected: JSON lines when the first
-    /// non-blank character is `{`, the TOML subset otherwise.
-    pub fn from_spec(text: &str) -> Result<Scenario, String> {
-        match text.trim_start().chars().next() {
-            Some('{') => Scenario::from_jsonl(text),
-            _ => Scenario::from_toml(text),
-        }
-    }
-
     /// Renders the scenario in the TOML subset (canonical section and key
     /// order; round-trips through [`Scenario::from_toml`]).
     pub fn to_toml(&self) -> String {
@@ -1192,22 +1028,6 @@ impl Scenario {
         }
         out
     }
-
-    /// Renders the scenario as JSON lines (round-trips through
-    /// [`Scenario::from_jsonl`]).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (section, _multi, entries) in scenario_sections(self) {
-            out.push_str(&format!("{{\"section\": \"{section}\""));
-            for (k, v) in entries {
-                // TOML scalar renderings are valid JSON scalars: strings
-                // are double-quoted, numbers and bools are bare.
-                out.push_str(&format!(", \"{k}\": {v}"));
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1215,24 +1035,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtins_round_trip_both_formats() {
+    fn builtins_round_trip_through_toml() {
         for name in Scenario::builtin_names() {
             let s = Scenario::builtin(name).unwrap();
             let toml = s.to_toml();
             let from_toml = Scenario::from_toml(&toml)
                 .unwrap_or_else(|e| panic!("{name} TOML re-parse: {e}\n{toml}"));
             assert_eq!(s, from_toml, "{name} (TOML)");
-            let jsonl = s.to_jsonl();
-            let from_jsonl = Scenario::from_jsonl(&jsonl)
-                .unwrap_or_else(|e| panic!("{name} JSONL re-parse: {e}\n{jsonl}"));
-            assert_eq!(s, from_jsonl, "{name} (JSONL)");
-            // Auto-detection picks the right parser for both.
-            assert_eq!(s, Scenario::from_spec(&toml).unwrap(), "{name} (auto TOML)");
-            assert_eq!(
-                s,
-                Scenario::from_spec(&jsonl).unwrap(),
-                "{name} (auto JSONL)"
-            );
         }
     }
 
@@ -1488,9 +1297,8 @@ sede = 42
         assert_eq!(f.seed, 9);
         assert!(f.panic && f.drop && !f.duplicate && !f.reorder);
         assert_eq!(f.delay_ms, Some(3));
-        // Round-trips in both formats, like every other section.
+        // Round-trips, like every other section.
         assert_eq!(s, Scenario::from_toml(&s.to_toml()).unwrap());
-        assert_eq!(s, Scenario::from_jsonl(&s.to_jsonl()).unwrap());
 
         // Typos and type errors carry the [faults] section + line.
         for (text, needle) in [
@@ -1544,9 +1352,8 @@ sede = 42
         assert!(!t.enabled);
         assert_eq!(t.buffer, 512);
         assert_eq!(t.bins, 8);
-        // Round-trips in both formats, like every other section.
+        // Round-trips, like every other section.
         assert_eq!(s, Scenario::from_toml(&s.to_toml()).unwrap());
-        assert_eq!(s, Scenario::from_jsonl(&s.to_jsonl()).unwrap());
         // Typos and type errors carry the [telemetry] section + line.
         for (text, needle) in [
             ("bufer = 512\n", "unknown key \"bufer\""),
@@ -1573,8 +1380,6 @@ sede = 42
         s.name = "tricky \"name\" with \\ and # inside".to_string();
         let from_toml = Scenario::from_toml(&s.to_toml()).expect("escaped TOML parses");
         assert_eq!(s, from_toml);
-        let from_jsonl = Scenario::from_jsonl(&s.to_jsonl()).expect("escaped JSONL parses");
-        assert_eq!(s, from_jsonl);
     }
 
     #[test]
@@ -1655,26 +1460,5 @@ fraction = 2.0
         }
         assert!(parse_stats_mode("every:0").is_err());
         assert!(parse_stats_mode("sometimes").is_err());
-    }
-
-    #[test]
-    fn json_object_parser_handles_escapes_and_rejects_junk() {
-        let entries = parse_json_object(
-            r#"{"section": "scenario", "name": "a \"b\"", "threads": 2, "avg": 1.5, "flag": true}"#,
-            1,
-        )
-        .unwrap();
-        assert_eq!(
-            entries[0],
-            ("section".into(), Value::Str("scenario".into()))
-        );
-        assert_eq!(entries[1], ("name".into(), Value::Str("a \"b\"".into())));
-        assert_eq!(entries[2], ("threads".into(), Value::Int(2)));
-        assert_eq!(entries[3], ("avg".into(), Value::Float(1.5)));
-        assert_eq!(entries[4], ("flag".into(), Value::Bool(true)));
-
-        assert!(parse_json_object("{\"a\": }", 1).is_err());
-        assert!(parse_json_object("{\"a\": 1} trailing", 1).is_err());
-        assert!(parse_json_object("[1, 2]", 1).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! condition.
 //!
 //! A [`Scenario`] is plain data (every field `Clone + PartialEq`), so it
-//! can be built programmatically, loaded from a TOML/JSON-lines file (see
+//! can be built programmatically, loaded from a TOML file (see
 //! [`crate::parse`]), printed, diffed, and replayed — the experiment
 //! configuration *is* the artifact. [`Scenario::run`] (in
 //! [`crate::runner`]) turns it into a [`crate::report::ScenarioReport`].

@@ -1,5 +1,5 @@
 //! Scenario runner CLI: run a named built-in scenario or a scenario file
-//! (TOML or JSON-lines) end to end and print its report.
+//! (TOML) end to end and print its report.
 //!
 //! ```text
 //! cargo run --release --example scenarios -- --list
@@ -155,7 +155,7 @@ fn main() {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(2);
             });
-            Scenario::from_spec(&text).unwrap_or_else(|e| {
+            Scenario::from_toml(&text).unwrap_or_else(|e| {
                 eprintln!("cannot parse {path}: {e}");
                 std::process::exit(2);
             })

@@ -16,8 +16,8 @@
 //!
 //! The kernel dispatch layer adds a third axis: every [`KernelKind`]
 //! (scalar reference, unrolled) must match the serial **scalar**
-//! gather bit-for-bit on every backend — the degree-specialized kernels
-//! are a speed story only, never a results story.
+//! gather bit-for-bit on every backend — the lane-block kernel is a
+//! speed story only, never a results story.
 
 use dlb_baselines::{
     ChebyshevContinuous, FirstOrderContinuous, FirstOrderDiscrete, MatchingExchangeContinuous,

@@ -189,7 +189,6 @@ fn message_scenario_files_round_trip_and_run() {
     assert!(toml.contains("partition = \"bfs\""), "{toml}");
     assert!(!toml.contains("threads"), "message spec carries no threads");
     assert_eq!(Scenario::from_toml(&toml).unwrap(), sc);
-    assert_eq!(Scenario::from_jsonl(&sc.to_jsonl()).unwrap(), sc);
 }
 
 #[test]

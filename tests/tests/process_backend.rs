@@ -9,8 +9,9 @@
 //! error within bounded time (or, with a fault plan armed, a re-homed
 //! shard and a respawned worker), handshake rejection of malformed peers,
 //! corrupt-plan rejection, the worker's halo-group accounting, the size
-//! and bytes of a shard-local plan, the diffusion check across graph
-//! versions, and the scenario layer's gating of the new backend.)
+//! and bytes of a shard-local plan, when the kernel runs across graph
+//! versions and graphs, and the scenario layer's gating of the new
+//! backend.)
 
 use std::time::{Duration, Instant};
 
@@ -717,8 +718,9 @@ fn periodic_graphs_run_diffusion_rounds_bit_identical_to_serial() {
     assert_eq!(shard.plans_built, 2, "one plan per distinct graph");
 }
 
-/// Partitions by one graph and gathers over another: the diffusion check
-/// must refuse it on every round, not only on the round it was made.
+/// Partitions by one graph and gathers over another: no backend may run
+/// the kernel for it, on any round, since every plan is built from the
+/// partitioned graph.
 struct MismatchedSpec {
     partitioned: Graph,
     gathered: Graph,
@@ -787,6 +789,32 @@ fn a_gather_graph_other_than_the_plan_graph_runs_precomputed_every_round() {
         serial, got,
         "precomputed rounds diverged from diffusion on the gathered graph"
     );
+}
+
+/// The serial and pool twin of the process check above: with a gather
+/// graph other than the current graph, both run `node_new_load`, so the
+/// loads are plain diffusion on the gathered graph.
+#[test]
+fn a_gather_graph_other_than_the_current_graph_gathers_node_by_node_on_serial_and_pool() {
+    let make = || MismatchedSpec {
+        partitioned: topology::torus2d(8, 8),
+        gathered: topology::hypercube(6),
+    };
+    let loads = spike(64);
+    let rounds = 4;
+    let gathered = topology::hypercube(6);
+    let reference = run_rounds(
+        Engine::serial(ContinuousDiffusion::new(&gathered)),
+        &loads,
+        rounds,
+    );
+    for backend in [Backend::Serial, Backend::Pool { threads: 2 }] {
+        let got = run_rounds(Engine::with_backend(make(), backend), &loads, rounds);
+        assert_eq!(
+            reference, got,
+            "{backend:?} diverged from the gathered graph"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -858,7 +886,7 @@ fn scenario_toml_round_trips_process_backend() {
             transport == Transport::Tcp,
             "{toml}"
         );
-        let back = Scenario::from_spec(&toml).expect("reparse");
+        let back = Scenario::from_toml(&toml).expect("reparse");
         assert_eq!(back.exec, sc.exec, "exec spec did not round-trip");
     }
 }

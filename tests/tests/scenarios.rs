@@ -51,11 +51,9 @@ fn golden_fixture_parses_round_trips_and_pins_the_trajectory() {
     assert_eq!(scenario.name, "golden-bursty-torus-6x6");
     assert_eq!(scenario.workloads.len(), 2);
 
-    // The file round-trips through both writers.
+    // The file round-trips through the writer.
     let rewritten = Scenario::from_toml(&scenario.to_toml()).expect("writer output parses");
     assert_eq!(scenario, rewritten, "TOML round trip");
-    let rejsonl = Scenario::from_jsonl(&scenario.to_jsonl()).expect("JSONL output parses");
-    assert_eq!(scenario, rejsonl, "JSON-lines round trip");
 
     // The run is pinned bit for bit.
     let report = scenario.run().expect("fixture runs");
